@@ -21,7 +21,7 @@ from .fileio import (
     certificate_json,
     component_report_json,
     input_descriptor,
-    load_graph,
+    parse_graph,
     radius_json,
     report_document,
     smith_json,
@@ -136,9 +136,9 @@ def _budget(args) -> int:
 
 
 def _run(args):
-    g = load_graph(args.graph)
     with open(args.graph, "r", encoding="utf-8") as fh:
         text = fh.read()
+    g = parse_graph(text)
     source = input_descriptor(args.graph, text, g)
     exit_code = 0
 
@@ -173,6 +173,8 @@ def _run(args):
             report = radius_btdw(g, tau)
         payload = {"kind": "radius", **radius_json(report)}
     elif args.command == "walks":
+        if args.k < 0:
+            raise _UsageError(f"--k must be nonnegative, got {args.k}")
         if args.float_mode:
             tables = walk_tables_float(g, args.k, omega=args.omega)
             payload = {

@@ -3,6 +3,9 @@
 Everything in here is exact: entries are `fractions.Fraction`, determinants
 use fraction-free elimination on integer-scaled rows, and characteristic
 polynomials are recovered by interpolation through integer determinants.
+Products are cleared to integers (one common denominator for the right
+factor, one per row for the left) and run sparse over the nonzeros of the
+left factor, so the 0/1 edge-space matrices cost what their nonzeros cost.
 """
 
 from __future__ import annotations
@@ -18,6 +21,19 @@ _ONE = Fraction(1)
 
 def _frac(x) -> Fraction:
     return x if type(x) is Fraction else Fraction(x)
+
+
+def _clear_denominators(values):
+    """Integers sharing one denominator: returns (ints, lcm) with
+    values[i] == ints[i] / lcm and lcm the least common denominator."""
+    lcm = 1
+    for x in values:
+        d = x.denominator
+        if d != 1 and lcm % d:
+            lcm = lcm * d // gcd(lcm, d)
+    if lcm == 1:
+        return [x.numerator for x in values], 1
+    return [x.numerator * (lcm // x.denominator) for x in values], lcm
 
 
 class Matrix:
@@ -87,12 +103,23 @@ class Matrix:
             return self.scale(other)
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch")
-        cols = list(zip(*other.data))
+        width = other.ncols
+        flat, right_den = _clear_denominators([x for row in other.data for x in row])
+        right = [flat[k * width:(k + 1) * width] for k in range(other.nrows)]
         out = []
         for row in self.data:
-            out.append(
-                [sum((a * b for a, b in zip(row, col) if a), _ZERO) for col in cols]
-            )
+            ints, den = _clear_denominators(row)
+            acc = [0] * width
+            for k, c in enumerate(ints):
+                if c == 1:
+                    acc = [a + b for a, b in zip(acc, right[k])]
+                elif c:
+                    acc = [a + c * b for a, b in zip(acc, right[k])]
+            den *= right_den
+            if den == 1:
+                out.append([Fraction(a) for a in acc])
+            else:
+                out.append([Fraction(a, den) for a in acc])
         return Matrix(out)
 
     def __rmul__(self, c):
@@ -100,11 +127,6 @@ class Matrix:
 
     def transpose(self) -> "Matrix":
         return Matrix(list(zip(*self.data))) if self.data else Matrix([])
-
-    def hadamard(self, other: "Matrix") -> "Matrix":
-        return Matrix(
-            [[a * b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)]
-        )
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.data for x in row)
@@ -114,10 +136,6 @@ class Matrix:
 
     def abs_sum(self) -> Fraction:
         return sum((abs(x) for row in self.data for x in row), _ZERO)
-
-    def apply_vector(self, vec):
-        """Matrix times a column vector given as a sequence."""
-        return [sum((a * v for a, v in zip(row, vec) if a), _ZERO) for row in self.data]
 
     def to_float(self):
         return [[float(x) for x in row] for row in self.data]
@@ -129,14 +147,10 @@ class Matrix:
         rows = []
         scale = _ONE
         for row in self.data:
-            lcm = 1
-            for x in row:
-                d = x.denominator
-                if d != 1:
-                    lcm = lcm * d // gcd(lcm, d)
+            ints, lcm = _clear_denominators(row)
             if lcm != 1:
                 scale *= lcm
-            rows.append([int(x * lcm) for x in row])
+            rows.append(ints)
         return rows, scale
 
     def det(self) -> Fraction:
@@ -218,13 +232,8 @@ class Matrix:
         n = self.nrows
         if n == 0:
             return [_ONE]
-        lcm = 1
-        for row in self.data:
-            for x in row:
-                d = x.denominator
-                if d != 1:
-                    lcm = lcm * d // gcd(lcm, d)
-        nmat = [[int(x * lcm) for x in row] for row in self.data]
+        flat, lcm = _clear_denominators([x for row in self.data for x in row])
+        nmat = [flat[i * n:(i + 1) * n] for i in range(n)]
         values = []
         for s in range(n + 1):
             rows = [

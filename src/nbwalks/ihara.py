@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .edgespace import EdgeSpace, build_edge_space
 from .errors import TauOutOfRangeError
-from .exact import Matrix
+from .exact import Matrix, _clear_denominators
 from .graphs import Graph
 from .laplacians import directed_dgl, tau_dgl
 from .polys import Polynomial, PolyMatrix, polymat_det
@@ -191,14 +191,13 @@ def _adjugate_sample_check(es, step, g_poly, rhs, count):
 
     The adjugate coefficients follow the Horner recurrence
     C_j = (B Z) C_{j-1} + g_j I applied directly to the target incidence,
-    with everything scaled to integers to keep the arithmetic cheap.
+    with everything scaled to integers to keep the arithmetic cheap.  Only
+    L^T Z C_j enters Phi, so each C_j is folded into the n-by-n K_j =
+    L^T (ell Z) C_j once and every sample runs its Horner sum on the K_j.
     """
     n = es.graph.n
     m = es.m
-    ell = 1
-    for e in range(m):
-        d = es.weight_diag.data[e][e].denominator
-        ell = ell * d // _gcd(ell, d)
+    zeds, ell = _clear_denominators([es.weight_diag.data[e][e] for e in range(m)])
     # sparse integer form of ell * B Z
     rows_sparse = []
     for e in range(m):
@@ -212,23 +211,30 @@ def _adjugate_sample_check(es, step, g_poly, rhs, count):
             raise RuntimeError("determinant coefficients failed to clear denominators")
         h.append(int(scaled))
     r_int = [[int(x) for x in row] for row in es.target.data]
-    coeff_ints = [[[h[0] * x for x in row] for row in r_int]]
-    for j in range(1, m):
-        prev = coeff_ints[-1]
+    # arc e leaves vertex sources[e]: row e of the source incidence L
+    sources = [row.index(_ONE) for row in es.source.data]
+    k_ints = []
+    prev = None
+    for j in range(m):
         hj = h[j]
         nxt = []
         for e in range(m):
             acc = [hj * x for x in r_int[e]]
-            for f, w in rows_sparse[e]:
-                if w:
+            if prev is not None:
+                for f, w in rows_sparse[e]:
                     prow = prev[f]
                     for col in range(n):
                         acc[col] += w * prow[col]
             nxt.append(acc)
-        coeff_ints.append(nxt)
+        k_j = [[0] * n for _ in range(n)]
+        for e in range(m):
+            z, krow = zeds[e], k_j[sources[e]]
+            for col, x in enumerate(nxt[e]):
+                if x:
+                    krow[col] += z * x
+        k_ints.append(k_j)
+        prev = nxt
 
-    lt_z = es.source.transpose() * es.weight_diag
-    eye = Matrix.identity(n)
     checked = 0
     candidate = 0
     while checked < count:
@@ -239,27 +245,25 @@ def _adjugate_sample_check(es, step, g_poly, rhs, count):
             continue
         p, q = t.numerator, t.denominator
         base = q * ell
-        # Y(t) * (q*ell)**(m-1) via scaled integer Horner
-        acc = [row[:] for row in coeff_ints[m - 1]]
+        # L^T Z Y(t) * ell * (q*ell)**(m-1) via scaled integer Horner
+        acc = [row[:] for row in k_ints[m - 1]]
         power = 1
         for j in range(m - 2, -1, -1):
             power *= base
-            cj = coeff_ints[j]
-            for e in range(m):
-                acc[e] = [a * p + c * power for a, c in zip(acc[e], cj[e])]
-        scale = Fraction(1, base ** (m - 1))
-        y = Matrix([[x * scale for x in row] for row in acc])
-        nmat = eye.scale(gt) + (lt_z * y).scale(t)
+            kj = k_ints[j]
+            for i in range(n):
+                acc[i] = [a * p + c * power for a, c in zip(acc[i], kj[i])]
+        scale = t / (ell * base ** (m - 1))
+        nmat = Matrix(
+            [
+                [(gt if i == col else 0) + x * scale for col, x in enumerate(row)]
+                for i, row in enumerate(acc)
+            ]
+        )
         if nmat.det() != rhs(t) * gt ** (n - 1):
             return False, checked
         checked += 1
     return True, checked
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def verify_lemma_suite(g: Graph, tau) -> list[IdentityCertificate]:

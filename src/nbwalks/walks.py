@@ -48,6 +48,11 @@ class WalkTable:
     omega: Fraction | None = None
 
 
+def _require_length(kmax: int) -> None:
+    if kmax < 0:
+        raise ValueError("kmax must be nonnegative")
+
+
 class _Budget:
     __slots__ = ("left",)
 
@@ -69,8 +74,7 @@ def enumerate_nbtw(g: Graph, kmax: int, budget=None) -> WalkTable:
     Depth-first over all walks remembering the previous vertex; weighted
     graphs contribute the product of edge weights.
     """
-    if kmax < 0:
-        raise ValueError("kmax must be nonnegative")
+    _require_length(kmax)
     meter = _Budget(budget)
     out = g.out_neighbors()
     wmap = g.weight_map()
@@ -104,8 +108,7 @@ def enumerate_btdw(g: Graph, kmax: int, omega, budget=None) -> WalkTable:
     omega = Fraction(omega)
     if not 0 <= omega <= 1:
         raise OmegaOutOfRangeError(f"omega={omega} outside [0, 1]")
-    if kmax < 0:
-        raise ValueError("kmax must be nonnegative")
+    _require_length(kmax)
     meter = _Budget(budget)
     out = g.out_neighbors()
     tables = [
@@ -140,6 +143,7 @@ def nbtw_recurrence(g: Graph, kmax: int) -> WalkTable:
     Seeds: p0 = I, p1 = A, p2 = A**2 - D, p3 = A p2 - (D - I) A - (A - S);
     thereafter p_k = A p_{k-1} - (D - I) p_{k-2} - (A - S) p_{k-3}.
     """
+    _require_length(kmax)
     g.require_unweighted("nbtw_recurrence")
     a, s, d = structure_matrices(g)
     eye = Matrix.identity(g.n)
@@ -160,6 +164,7 @@ def nbtw_recurrence(g: Graph, kmax: int) -> WalkTable:
 def btdw_recurrence(g: Graph, kmax: int, omega) -> WalkTable:
     """Backtrack-downweighted tables; omega = 1 gives plain adjacency powers
     and omega = 0 collapses to the non-backtracking recurrence."""
+    _require_length(kmax)
     g.require_unweighted("btdw_recurrence")
     omega = Fraction(omega)
     if not 0 <= omega <= 1:
@@ -187,6 +192,7 @@ def weighted_nbtw(g: Graph, kmax: int) -> WalkTable:
 
     p_k = source.T @ Z @ (hashimoto @ Z)**(k-1) @ target for k >= 1.
     """
+    _require_length(kmax)
     es = build_edge_space(g)
     if es.m == 0:
         seq = [Matrix.identity(g.n)] + [Matrix.zeros(g.n, g.n)] * kmax
@@ -307,6 +313,7 @@ def walk_tables_float(g: Graph, kmax: int, omega=None):
     Returns plain nested lists of floats following the same recurrences.
     Weighted graphs go through float Hashimoto powers instead.
     """
+    _require_length(kmax)
     n = g.n
     if not g.is_unweighted():
         if omega is not None:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction as F
 
@@ -191,6 +192,34 @@ class TestExitCodes:
         path.write_text("\n".join(edges) + "\n")
         monkeypatch.setenv("NBTW_BUDGET", "10")
         assert main(["walks", "--k", "8", "--method", "oracle", str(path)]) == 1
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            [],
+            ["--method", "oracle"],
+            ["--method", "edgepower"],
+            ["--float"],
+            ["--omega", "1/2"],
+            ["--omega", "1/2", "--method", "oracle"],
+        ],
+    )
+    def test_negative_k_is_usage_error(self, example1_file, capsys, extra):
+        assert main(["walks", "--k", "-1", *extra, example1_file]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--k must be nonnegative" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_zero_k_is_accepted(self, example1_file):
+        code, doc = run_command(["walks", "--k", "0", example1_file])
+        assert code == 0 and doc["payload"]["kmax"] == 0
+
+    def test_input_sha256_matches_file_bytes(self, example1_file):
+        _, doc = run_command(["analyze", example1_file])
+        expected = hashlib.sha256(EXAMPLE1.encode("utf-8")).hexdigest()
+        assert doc["input"]["sha256"] == expected
+        assert doc["input"]["path"] == example1_file
 
     def test_tsv_format(self, example1_file, capsys):
         assert main(["radius", example1_file, "--format", "tsv"]) == 0

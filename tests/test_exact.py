@@ -1,0 +1,159 @@
+"""The row-sparse integer product against two oracles, and the weighted-Ihara
+sample check that runs on it."""
+
+import random
+from fractions import Fraction as F
+
+import pytest
+import sympy
+
+from nbwalks import Matrix, Polynomial, build_edge_space, verify_weighted_ihara
+from nbwalks.ihara import _adjugate_sample_check
+
+from helpers import example1, random_digraph, single_recip_edge, weighted_3cycle
+
+
+def dense_product(a: Matrix, b: Matrix) -> Matrix:
+    """The dense Fraction product the sparse integer kernel replaced."""
+    cols = list(zip(*b.data))
+    return Matrix(
+        [[sum((x * y for x, y in zip(row, col) if x), F(0)) for col in cols]
+         for row in a.data]
+    )
+
+
+def to_sympy(a: Matrix):
+    return sympy.Matrix(a.nrows, a.ncols, [sympy.Rational(x.numerator, x.denominator)
+                                           for row in a.data for x in row])
+
+
+def sympy_product(a: Matrix, b: Matrix):
+    prod = to_sympy(a) * to_sympy(b)
+    return [[F(int(x.p), int(x.q)) for x in prod.row(i)] for i in range(prod.rows)]
+
+
+def random_matrix(rng, nrows, ncols, kind):
+    def entry():
+        if rng.random() < 0.4:
+            return 0
+        if kind == "int":
+            return rng.randint(-9, 9)
+        if kind == "01":
+            return 1
+        return F(rng.randint(-20, 20), rng.choice((1, 2, 3, 4, 6, 7, 9, 12, 35)))
+
+    return Matrix([[entry() for _ in range(ncols)] for _ in range(nrows)])
+
+
+KINDS = ("int", "01", "frac")
+
+
+class TestProduct:
+    def test_random_against_dense_and_sympy(self):
+        rng = random.Random(20261018)
+        for _ in range(120):
+            r, k, c = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
+            a = random_matrix(rng, r, k, rng.choice(KINDS))
+            b = random_matrix(rng, k, c, rng.choice(KINDS))
+            got = a * b
+            assert got == dense_product(a, b)
+            assert [list(row) for row in got.data] == sympy_product(a, b)
+            assert got.nrows == r and got.ncols == c
+
+    def test_entries_are_normalised_fractions(self):
+        a = Matrix([[F(1, 2), F(1, 3)], [F(-1, 6), 0]])
+        b = Matrix([[F(2, 3), 4], [F(3, 2), F(-5, 7)]])
+        got = a * b
+        assert got == dense_product(a, b)
+        for row in got.data:
+            for x in row:
+                assert type(x) is F
+        assert got[0, 0] == F(5, 6) and got[0, 0].denominator == 6
+
+    def test_zero_rows_and_columns(self):
+        a = Matrix([[0, 0, 0], [1, F(-2, 3), 0], [0, 0, 0]])
+        b = Matrix([[0, 5], [0, F(1, 4)], [0, 7]])
+        got = a * b
+        assert got == dense_product(a, b)
+        assert got.data[0] == (0, 0) and got.data[2] == (0, 0)
+        assert got[1, 0] == 0 and got[1, 1] == F(29, 6)
+        assert (Matrix.zeros(3, 4) * Matrix.zeros(4, 2)).is_zero()
+
+    def test_one_by_one(self):
+        assert Matrix([[F(-3, 4)]]) * Matrix([[F(2, 9)]]) == Matrix([[F(-1, 6)]])
+        assert Matrix([[0]]) * Matrix([[F(2, 9)]]) == Matrix([[0]])
+
+    def test_empty_shapes(self):
+        empty = Matrix([])
+        # a 0 x k matrix is stored as Matrix([]), so both products below
+        # have no rows; a k x 0 times the empty matrix keeps its k rows
+        assert empty * empty == dense_product(empty, empty) == empty
+        k_by_0 = Matrix([[], [], []])
+        assert k_by_0.nrows == 3 and k_by_0.ncols == 0
+        got = k_by_0 * empty
+        assert got == dense_product(k_by_0, empty)
+        assert got.nrows == 3 and got.ncols == 0
+
+    def test_identity_and_non_square(self):
+        rng = random.Random(7)
+        a = random_matrix(rng, 3, 5, "frac")
+        assert Matrix.identity(3) * a == a
+        assert a * Matrix.identity(5) == a
+        assert (a * a.transpose()).nrows == 3 and (a.transpose() * a).ncols == 5
+
+    def test_scalar_path(self):
+        a = Matrix([[1, F(-1, 2)], [0, 3]])
+        assert a * F(2, 3) == Matrix([[F(2, 3), F(-1, 3)], [0, 2]])
+        assert F(2, 3) * a == a * F(2, 3) == a.scale(F(2, 3))
+        assert a * 0 == Matrix.zeros(2, 2)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            Matrix.identity(2) * Matrix.identity(3)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            Matrix([[1, 2, 3]]) * Matrix([[1, 2, 3]])
+
+    def test_edge_space_products(self):
+        rng = random.Random(3)
+        for _ in range(5):
+            g = random_digraph(rng, 6, 0.4, weighted=True)
+            es = build_edge_space(g)
+            lt_z = es.source.transpose() * es.weight_diag
+            step = es.hashimoto * es.weight_diag
+            assert step == dense_product(es.hashimoto, es.weight_diag)
+            assert lt_z * es.target == dense_product(lt_z, es.target)
+            assert lt_z * es.target == g.adjacency()
+            assert step * step == dense_product(step, step)
+
+
+class TestWeightedIharaSamples:
+    GRAPHS = (example1, weighted_3cycle, lambda: single_recip_edge(F(5, 2), F(3, 7)))
+
+    @pytest.mark.parametrize("build", GRAPHS)
+    def test_sample_count(self, build):
+        g = build()
+        cert = verify_weighted_ihara(g)
+        assert cert.equal
+        assert cert.details["sample_points"] == 2 * (g.n + g.m) + 1
+        assert cert.details["samples_consistent"] is True
+
+    def test_random_weighted(self):
+        rng = random.Random(11)
+        for _ in range(6):
+            g = random_digraph(rng, 5, 0.45, weighted=True)
+            cert = verify_weighted_ihara(g)
+            assert cert.equal
+            assert cert.details["sample_points"] == 2 * (g.n + g.m) + 1
+
+    @pytest.mark.parametrize("build", GRAPHS)
+    def test_perturbed_rhs_fails(self, build):
+        g = build()
+        es = build_edge_space(g)
+        step = es.hashimoto * es.weight_diag
+        g_poly = Polynomial(step.det_one_minus_t())
+        rhs = verify_weighted_ihara(g).rhs
+        count = 2 * (g.n + es.m) + 1
+        assert _adjugate_sample_check(es, step, g_poly, rhs, count) == (True, count)
+        for bad in (rhs + Polynomial([0, 0, 0, F(1, 5)]), rhs * Polynomial([F(3, 2)])):
+            ok, checked = _adjugate_sample_check(es, step, g_poly, bad, count)
+            assert ok is False and checked < count

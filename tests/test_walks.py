@@ -93,6 +93,29 @@ class TestRecurrences:
             nbtw_recurrence(weighted_3cycle(), 3)
 
 
+class TestNegativeLength:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda g: nbtw_recurrence(g, -1),
+            lambda g: btdw_recurrence(g, -1, F(1, 2)),
+            lambda g: weighted_nbtw(g, -1),
+            lambda g: walk_tables_float(g, -1),
+            lambda g: walk_tables_float(g, -1, omega=F(1, 2)),
+            lambda g: enumerate_nbtw(g, -1),
+            lambda g: enumerate_btdw(g, -1, F(1, 2)),
+        ],
+    )
+    def test_rejected_by_every_route(self, build):
+        with pytest.raises(ValueError, match="kmax must be nonnegative"):
+            build(example1())
+
+    def test_weighted_routes_rejected(self):
+        for build in (lambda g: weighted_nbtw(g, -2), lambda g: walk_tables_float(g, -2)):
+            with pytest.raises(ValueError, match="kmax must be nonnegative"):
+                build(weighted_3cycle())
+
+
 class TestOracleEquivalence:
     def test_family_up_to_k8(self):
         for g in oracle_family():
