@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import NotSquareError, ZeroPolynomialError
-from .exact import Matrix
+from .exact import Matrix, _clear_denominators
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -270,11 +270,7 @@ def _primitive_int(p: Polynomial) -> Polynomial:
     """Scale by a positive rational so coefficients are coprime integers."""
     if p.is_zero():
         return p
-    lcm = 1
-    for c in p.coeffs:
-        d = c.denominator
-        lcm = lcm * d // gcd(lcm, d)
-    ints = [int(c * lcm) for c in p.coeffs]
+    ints, _ = _clear_denominators(p.coeffs)
     g = 0
     for v in ints:
         g = gcd(g, abs(v))
@@ -283,30 +279,40 @@ def _primitive_int(p: Polynomial) -> Polynomial:
     return Polynomial(ints)
 
 
-def sturm_chain(p: Polynomial):
-    """Sturm sequence of a squarefree polynomial, primitively normalized."""
+def sturm_chain(p: Polynomial) -> list[tuple[int, ...]]:
+    """Sturm sequence of a squarefree polynomial, primitively normalized.
+
+    Each member is returned as its tuple of integer coefficients, ascending,
+    so that signs at rational points are found in integer arithmetic.
+    """
     chain = [_primitive_int(p), _primitive_int(p.derivative())]
     while not chain[-1].is_zero():
         rem = chain[-2] % chain[-1]
         if rem.is_zero():
             break
         chain.append(_primitive_int(-rem))
-    return [q for q in chain if not q.is_zero()]
+    return [tuple(c.numerator for c in q.coeffs) for q in chain if not q.is_zero()]
 
 
-def _sign_variations(chain, x) -> int:
-    signs = []
-    for q in chain:
-        v = q(x)
-        if v:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _sign_at(ints, x: Fraction) -> int:
+    """Sign of the integer polynomial ``ints`` (ascending) at x = a/b.
+
+    Horner on the homogenized form sum c_i a^i b^(d-i), which is the value
+    times b^d > 0, so no Fraction is built.
+    """
+    a, b = x.numerator, x.denominator
+    acc, bpow = 0, 1
+    for c in reversed(ints):
+        acc = acc * a + c * bpow
+        bpow *= b
+    return (acc > 0) - (acc < 0)
 
 
-def count_roots(p_squarefree: Polynomial, lo, hi) -> int:
-    """Number of real roots in the half-open interval (lo, hi]."""
-    chain = sturm_chain(p_squarefree)
-    return _sign_variations(chain, lo) - _sign_variations(chain, hi)
+def _sign_variations(chain, x) -> tuple[int, int]:
+    """(sign of chain[0] at x, sign variations of the chain at x)."""
+    signs = [_sign_at(q, x) for q in chain]
+    nonzero = [s for s in signs if s]
+    return signs[0], sum(1 for a, b in zip(nonzero, nonzero[1:]) if a != b)
 
 
 def simplest_rational_in(lo, hi) -> Fraction:
@@ -390,63 +396,56 @@ def real_roots(p: Polynomial, lo, hi, width=_DEFAULT_WIDTH, include_hi=True):
 
 
 def _isolate_squarefree(p: Polynomial, lo, hi, width):
+    # chain[0] is p scaled by a positive rational: it has p's roots and signs
     chain = sturm_chain(p)
 
-    def var(x):
-        return _sign_variations(chain, x)
-
     out = []
-    if p(hi) == 0:
+    at_hi, v_hi = _sign_variations(chain, hi)
+    if at_hi == 0:
         out.append(RootRecord(hi, hi, 1, hi))
 
-    stack = [(lo, hi, var(lo), var(hi))]
+    stack = [(lo, hi, _sign_variations(chain, lo)[1], v_hi, at_hi)]
     while stack:
-        a, b, va, vb = stack.pop()
+        a, b, va, vb, at_b = stack.pop()
         count = va - vb
-        if p(b) == 0:
+        if at_b == 0:
             count -= 1  # root at the right endpoint handled separately
         if count <= 0:
             continue
         if count == 1:
-            out.append(_refine(p, chain, a, b, width))
+            out.append(_refine(chain, a, b, va, width))
             continue
         mid = (a + b) / 2
-        if p(mid) == 0:
+        at_mid, vm = _sign_variations(chain, mid)
+        if at_mid == 0:
             out.append(RootRecord(mid, mid, 1, mid))
-        vm = var(mid)
-        stack.append((a, mid, va, vm))
-        stack.append((mid, b, vm, vb))
+        stack.append((a, mid, va, vm, at_mid))
+        stack.append((mid, b, vm, vb, at_b))
     return out
 
 
-def _refine(p, chain, a, b, width):
-    """Shrink (a, b) around its single interior root; spot rational roots."""
+def _refine(chain, a, b, va, width):
+    """Shrink (a, b) around its single interior root; spot rational roots.
 
-    def var(x):
-        return _sign_variations(chain, x)
-
-    va = var(a)
+    ``va`` is the chain's sign variation count at a.
+    """
     while b - a > width:
         mid = (a + b) / 2
-        if p(mid) == 0:
+        at_mid, vm = _sign_variations(chain, mid)
+        if at_mid == 0:
             return RootRecord(mid, mid, 1, mid)
-        vm = var(mid)
         if va - vm >= 1:
             b = mid
         else:
             a, va = mid, vm
     if a < b:
         cand = simplest_rational_in(a, b)
-        if p(cand) == 0:
+        if _sign_at(chain[0], cand) == 0:
             return RootRecord(cand, cand, 1, cand)
     return RootRecord(a, b, 1, None)
 
 
 # ---- polynomial matrices ---------------------------------------------------
-
-
-_P_ZERO = Polynomial()
-_P_ONE = Polynomial([1])
 
 
 class PolyMatrix:
@@ -578,42 +577,99 @@ def polymat_det(m: PolyMatrix) -> Polynomial:
 
 
 def _polymat_det_bareiss(m: PolyMatrix) -> Polynomial:
+    """Fraction-free Bareiss elimination over Z[t].
+
+    Each row is first scaled by the lcm of its coefficients' denominators,
+    so the determinant is the integer one over the product of those lcms.
+    Entries are ascending lists of int coefficients without trailing zeros.
+    """
     n = m.nrows
-    a = [[e for e in row] for row in m.entries]
+    a = []
+    scale = 1
+    for row in m.entries:
+        flat, lcm = _clear_denominators([c for e in row for c in e.coeffs])
+        scale *= lcm
+        pos, ints = 0, []
+        for e in row:
+            ints.append(flat[pos:pos + len(e.coeffs)])
+            pos += len(e.coeffs)
+        a.append(ints)
     sign = 1
-    prev = _P_ONE
+    prev = [1]
     for k in range(n - 1):
         piv = None
         best = None
         for i in range(k, n):
             e = a[i][k]
-            if not e.is_zero() and (best is None or e.degree < best):
-                best = e.degree
+            if e and (best is None or len(e) < best):
+                best = len(e)
                 piv = i
         if piv is None:
             return Polynomial()
         if piv != k:
             a[k], a[piv] = a[piv], a[k]
             sign = -sign
-        pk = a[k][k]
+        rowk = a[k]
+        pk = rowk[k]
         for i in range(k + 1, n):
-            rik = a[i][k]
             rowi = a[i]
-            rowk = a[k]
-            new_row = []
-            for j in range(n):
-                num = pk * rowi[j] - rik * rowk[j]
-                if num.is_zero():
-                    new_row.append(_P_ZERO)
-                    continue
-                q, r = divmod(num, prev)
-                if not r.is_zero():
-                    raise RuntimeError("non-exact division in fraction-free elimination")
-                new_row.append(q)
+            rik = rowi[k]
+            new_row = [[]] * (k + 1)
+            for j in range(k + 1, n):
+                num = _zsub(_zmul(pk, rowi[j]), _zmul(rik, rowk[j]))
+                new_row.append(_zdiv_exact(num, prev) if num else num)
             a[i] = new_row
         prev = pk
     result = a[n - 1][n - 1]
-    return result if sign == 1 else -result
+    return Polynomial([Fraction(sign * c, scale) for c in result])
+
+
+def _zmul(a, b):
+    """Product of two int coefficient lists."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    return out
+
+
+def _zsub(a, b):
+    """Difference of two int coefficient lists, trailing zeros stripped."""
+    if len(a) < len(b):
+        out = [-c for c in b]
+        for i, c in enumerate(a):
+            out[i] += c
+    else:
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] -= c
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _zdiv_exact(num, den):
+    """num / den for int coefficient lists when den divides num in Z[t]."""
+    dd = len(den) - 1
+    lead = den[-1]
+    rem = list(num)
+    quot = [0] * max(len(rem) - dd, 0)
+    for i in range(len(rem) - 1, dd - 1, -1):
+        c = rem[i]
+        if c:
+            q, r = divmod(c, lead)
+            if r:
+                break
+            quot[i - dd] = q
+            for j in range(dd):
+                rem[i - dd + j] -= q * den[j]
+            rem[i] = 0
+    if any(rem):
+        raise RuntimeError("non-exact division in fraction-free elimination")
+    return quot
 
 
 @dataclass(frozen=True)

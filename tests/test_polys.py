@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+import sympy
 
 from nbwalks import (
     Matrix,
@@ -14,9 +15,19 @@ from nbwalks import (
     reversal,
     root_multiplicity,
     smith_form,
+    tau_dgl,
 )
 from nbwalks.errors import NotSquareError, ZeroPolynomialError
-from nbwalks.polys import poly_gcd, simplest_rational_in, squarefree_decomposition
+from nbwalks.polys import (
+    RootRecord,
+    _polymat_det_bareiss,
+    _primitive_int,
+    _sign_at,
+    poly_gcd,
+    simplest_rational_in,
+    squarefree_decomposition,
+    sturm_chain,
+)
 
 from helpers import assert_index_sum, bowtie, complete_undirected, undirected_cycle
 
@@ -100,6 +111,44 @@ class TestPolymatDet:
     def test_singular_matrix(self):
         m = PolyMatrix([[poly(0, 1), poly(0, 1)], [poly(0, 1), poly(0, 1)]])
         assert polymat_det(m).is_zero()
+
+    def test_elimination_matches_sympy(self):
+        # the integer elimination alone, before polymat_det's sample check,
+        # on rational entries with mixed denominators, zeros and row swaps
+        t = sympy.Symbol("t")
+        rng = random.Random(29)
+        for trial in range(25):
+            n = rng.randint(1, 5)
+            entries = [
+                [
+                    poly(*(F(rng.randint(-4, 4), rng.choice((1, 2, 3, 4, 6)))
+                           for _ in range(rng.randint(1, 3))))
+                    if rng.random() < 0.6 else poly()
+                    for _ in range(n)
+                ]
+                for _ in range(n)
+            ]
+            m = PolyMatrix(entries)
+            want = sympy.Matrix(
+                n, n, [sum(sympy.Rational(c.numerator, c.denominator) * t**k
+                           for k, c in enumerate(e.coeffs)) for row in entries for e in row]
+            ).det(method="berkowitz")
+            got = _polymat_det_bareiss(m)
+            assert sympy.expand(want - sum(
+                sympy.Rational(c.numerator, c.denominator) * t**k
+                for k, c in enumerate(got.coeffs))) == 0, trial
+            assert polymat_det(m) == got
+
+    def test_tau_laplacian_matches_sympy(self):
+        t = sympy.Symbol("t")
+        m = tau_dgl(bowtie(), F(1, 3))
+        want = sympy.Poly(sympy.Matrix(
+            m.nrows, m.ncols, [sum(sympy.Rational(c.numerator, c.denominator) * t**k
+                                   for k, c in enumerate(e.coeffs))
+                               for row in m.entries for e in row]
+        ).det(method="berkowitz"), t)
+        got = polymat_det(m)
+        assert [F(int(c.p), int(c.q)) for c in reversed(want.all_coeffs())] == list(got.coeffs)
 
 
 class TestSmithForm:
@@ -273,3 +322,125 @@ class TestRealRoots:
         assert simplest_rational_in(F(3, 10), F(2, 5)) == F(1, 3)
         assert simplest_rational_in(F(-1, 2), F(1, 2)) == 0
         assert simplest_rational_in(F(-7, 2), F(-10, 3)) == F(-17, 5)
+
+
+# ---- the Fraction-evaluated Sturm isolation, as reference -------------------
+
+
+def _ref_chain(p):
+    chain = [_primitive_int(p), _primitive_int(p.derivative())]
+    while not chain[-1].is_zero():
+        rem = chain[-2] % chain[-1]
+        if rem.is_zero():
+            break
+        chain.append(_primitive_int(-rem))
+    return [q for q in chain if not q.is_zero()]
+
+
+def _ref_var(chain, x):
+    signs = [1 if v > 0 else -1 for v in (q(x) for q in chain) if v]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _ref_refine(p, chain, a, b, width):
+    va = _ref_var(chain, a)
+    while b - a > width:
+        mid = (a + b) / 2
+        if p(mid) == 0:
+            return RootRecord(mid, mid, 1, mid)
+        vm = _ref_var(chain, mid)
+        if va - vm >= 1:
+            b = mid
+        else:
+            a, va = mid, vm
+    if a < b:
+        cand = simplest_rational_in(a, b)
+        if p(cand) == 0:
+            return RootRecord(cand, cand, 1, cand)
+    return RootRecord(a, b, 1, None)
+
+
+def _ref_isolate(p, lo, hi, width):
+    chain = _ref_chain(p)
+    out = []
+    if p(hi) == 0:
+        out.append(RootRecord(hi, hi, 1, hi))
+    stack = [(lo, hi, _ref_var(chain, lo), _ref_var(chain, hi))]
+    while stack:
+        a, b, va, vb = stack.pop()
+        count = va - vb
+        if p(b) == 0:
+            count -= 1
+        if count <= 0:
+            continue
+        if count == 1:
+            out.append(_ref_refine(p, chain, a, b, width))
+            continue
+        mid = (a + b) / 2
+        if p(mid) == 0:
+            out.append(RootRecord(mid, mid, 1, mid))
+        vm = _ref_var(chain, mid)
+        stack.append((a, mid, va, vm))
+        stack.append((mid, b, vm, vb))
+    return out
+
+
+def _ref_real_roots(p, lo, hi, width=F(1, 10**12), include_hi=True):
+    lo, hi = F(lo), F(hi)
+    records = [
+        RootRecord(rec.lo, rec.hi, mult, rec.value)
+        for factor, mult in squarefree_decomposition(p)
+        for rec in _ref_isolate(factor, lo, hi, width)
+    ]
+    if not include_hi:
+        records = [r for r in records if not (r.value is not None and r.value == hi)]
+    records.sort(key=lambda r: r.midpoint())
+    return records
+
+
+class TestIntegerSturm:
+    def test_sign_at_matches_fraction_evaluation(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            ints = tuple(rng.randint(-9, 9) for _ in range(rng.randint(0, 9)))
+            x = F(rng.randint(-50, 50), rng.randint(1, 2**rng.randint(0, 40)))
+            v = Polynomial(ints)(x)
+            assert _sign_at(ints, x) == (v > 0) - (v < 0)
+
+    def test_sign_at_exact_roots(self):
+        p = poly(-1, 3) * poly(2, 5) * poly(0, 1)  # roots 1/3, -2/5, 0
+        ints = tuple(c.numerator for c in p.coeffs)
+        for r in (F(1, 3), F(-2, 5), F(0)):
+            assert _sign_at(ints, r) == 0
+
+    def test_chain_is_primitive_integers(self):
+        chain = sturm_chain(poly(F(1, 2), F(-3, 4), 0, F(5, 6)))
+        assert all(type(c) is int for q in chain for c in q)
+        assert chain[0] == (6, -9, 0, 10)
+
+    def test_real_roots_match_fraction_reference(self):
+        # same isolating intervals, exact values and multiplicities, in order
+        rng = random.Random(23)
+        cases = [
+            (polymat_det(directed_dgl(g)), 0, 1, False)
+            for g in (bowtie(), complete_undirected(4), undirected_cycle(5))
+            if polymat_det(directed_dgl(g)).degree > 0
+        ]
+        for _ in range(40):
+            p = poly(rng.randint(-5, 5), rng.randint(1, 5))
+            for _ in range(rng.randint(1, 5)):
+                p = p * poly(*(F(rng.randint(-6, 6), rng.randint(1, 4))
+                               for _ in range(rng.randint(2, 4))))
+            if p.is_zero() or p.degree < 1:
+                continue
+            lo = F(rng.randint(-8, 0), rng.randint(1, 3))
+            cases.append((p, lo, lo + rng.randint(1, 8), rng.random() < 0.5))
+        assert len(cases) > 30
+        for p, lo, hi, include_hi in cases:
+            width = F(1, 10**6)
+            assert real_roots(p, lo, hi, width, include_hi) == _ref_real_roots(
+                p, lo, hi, width, include_hi
+            )
+            assert real_roots(p, lo, hi, include_hi=include_hi) == _ref_real_roots(
+                p, lo, hi, include_hi=include_hi
+            )
