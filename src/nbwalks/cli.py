@@ -294,7 +294,10 @@ def main(argv=None) -> int:
     except GraphParseError as exc:
         print(f"nbwalks: parse error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except UnicodeDecodeError as exc:
+        print(f"nbwalks: {args.graph}: not UTF-8 text: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
         print(f"nbwalks: {exc}", file=sys.stderr)
         return 1
     except NBWalksError as exc:

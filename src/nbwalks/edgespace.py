@@ -40,10 +40,6 @@ class EdgeSpace:
     unreciprocated_count: int
     reciprocal_pair_count: int
 
-    @property
-    def weighted_line_graph(self) -> Matrix:
-        return self.weight_diag * self.line_graph * self.weight_diag
-
 
 def build_edge_space(g: Graph) -> EdgeSpace:
     """Assemble all edge-space matrices for a graph.

@@ -55,12 +55,6 @@ class Graph:
             out[u].append(v)
         return out
 
-    def in_neighbors(self) -> list[list[int]]:
-        inn: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v, _ in self.edges:
-            inn[v].append(u)
-        return inn
-
     def reciprocal_pairs(self) -> list[tuple[int, int]]:
         """Reciprocated edges as (u, v) with u < v, sorted."""
         es = self.edge_set()

@@ -5,6 +5,12 @@ Polynomials are coefficient tuples in ascending degree with trailing zeros
 stripped.  The zero polynomial has an empty coefficient tuple and degree -1
 (standing in for "minus infinity").  All arithmetic is exact; nothing in
 this module touches floating point.
+
+The matrix eliminations (``polymat_det``, ``smith_form``) run over Z[t] on
+the int coefficient lists of ``zpoly``.  The Smith form keeps every row and
+column it updates primitive by dividing out its integer content; a nonzero
+rational factor is a unit of Q[t], so this changes no invariant and keeps
+the integers small.
 """
 
 from __future__ import annotations
@@ -15,9 +21,9 @@ from math import gcd
 
 from .errors import NotSquareError, ZeroPolynomialError
 from .exact import Matrix, _clear_denominators
+from .zpoly import _zdiv_exact, _zmul, _zprimitive, _zpseudo_divmod, _zrows, _zscale, _zsub
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _frac(x) -> Fraction:
@@ -34,10 +40,6 @@ class Polynomial:
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
-
-    @staticmethod
-    def constant(c) -> "Polynomial":
-        return Polynomial([c])
 
     @staticmethod
     def variable() -> "Polynomial":
@@ -171,15 +173,6 @@ class Polynomial:
             return self
         inv = 1 / self.leading
         return Polynomial([c * inv for c in self.coeffs])
-
-    def scale_argument(self, a) -> "Polynomial":
-        """p(a*t)."""
-        a = _frac(a)
-        out, power = [], _ONE
-        for c in self.coeffs:
-            out.append(c * power)
-            power *= a
-        return Polynomial(out)
 
     def reversal(self, grade=None) -> "Polynomial":
         """t**grade * p(1/t); grade defaults to the degree."""
@@ -584,16 +577,7 @@ def _polymat_det_bareiss(m: PolyMatrix) -> Polynomial:
     Entries are ascending lists of int coefficients without trailing zeros.
     """
     n = m.nrows
-    a = []
-    scale = 1
-    for row in m.entries:
-        flat, lcm = _clear_denominators([c for e in row for c in e.coeffs])
-        scale *= lcm
-        pos, ints = 0, []
-        for e in row:
-            ints.append(flat[pos:pos + len(e.coeffs)])
-            pos += len(e.coeffs)
-        a.append(ints)
+    a, scale = _zrows(m)
     sign = 1
     prev = [1]
     for k in range(n - 1):
@@ -624,54 +608,6 @@ def _polymat_det_bareiss(m: PolyMatrix) -> Polynomial:
     return Polynomial([Fraction(sign * c, scale) for c in result])
 
 
-def _zmul(a, b):
-    """Product of two int coefficient lists."""
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return out
-
-
-def _zsub(a, b):
-    """Difference of two int coefficient lists, trailing zeros stripped."""
-    if len(a) < len(b):
-        out = [-c for c in b]
-        for i, c in enumerate(a):
-            out[i] += c
-    else:
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] -= c
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _zdiv_exact(num, den):
-    """num / den for int coefficient lists when den divides num in Z[t]."""
-    dd = len(den) - 1
-    lead = den[-1]
-    rem = list(num)
-    quot = [0] * max(len(rem) - dd, 0)
-    for i in range(len(rem) - 1, dd - 1, -1):
-        c = rem[i]
-        if c:
-            q, r = divmod(c, lead)
-            if r:
-                break
-            quot[i - dd] = q
-            for j in range(dd):
-                rem[i - dd + j] -= q * den[j]
-            rem[i] = 0
-    if any(rem):
-        raise RuntimeError("non-exact division in fraction-free elimination")
-    return quot
-
-
 @dataclass(frozen=True)
 class SmithForm:
     """Invariant polynomials of a polynomial matrix, monic, in divisibility order."""
@@ -695,14 +631,24 @@ class SmithForm:
 
 
 def smith_form(m: PolyMatrix) -> SmithForm:
-    """Smith normal form over Q[t].
+    """Smith normal form over Q[t], computed by elimination over Z[t].
 
-    Iterative gcd-driven diagonalization with unimodular row and column
-    operations.  The pivot is always the lowest-degree nonzero entry of the
-    working submatrix (ties broken by position), which makes the reduction
-    deterministic.  The divisibility chain is verified before returning.
+    Each row is cleared of denominators once and made primitive; entries are
+    then ascending int coefficient lists.  Iterative gcd-driven
+    diagonalization with row and column operations: the pivot is always the
+    lowest-degree nonzero entry of the working submatrix (ties broken by
+    position), which makes the reduction deterministic.  An entry e is
+    reduced by integer pseudo-division, s*e = q*pivot + r with s > 0
+    dividing a power of the pivot's leading coefficient, and its row (or
+    column) becomes s*row - q*row_d (or s*col - q*col_d).  That row (or
+    column) is then divided by its integer content.  Multiplying a row or
+    column by a nonzero rational is multiplying it by a unit of Q[t], so the
+    initial clearing, the scaling by s and the content division are all
+    unimodular over Q[t] and leave the Smith form unchanged; they only stop
+    the coefficients from growing.  The invariants are made monic at the end
+    and the divisibility chain is verified before returning.
     """
-    a = [[e for e in row] for row in m.entries]
+    a = [_zprimitive(row) for row in _zrows(m)[0]]
     nr, nc = m.nrows, m.ncols
     limit = min(nr, nc)
     d = 0
@@ -711,10 +657,11 @@ def smith_form(m: PolyMatrix) -> SmithForm:
             piv = None
             best = None
             for i in range(d, nr):
+                row = a[i]
                 for j in range(d, nc):
-                    e = a[i][j]
-                    if not e.is_zero() and (best is None or e.degree < best):
-                        best = e.degree
+                    e = row[j]
+                    if e and (best is None or len(e) < best):
+                        best = len(e)
                         piv = (i, j)
             if piv is None:
                 break
@@ -724,43 +671,52 @@ def smith_form(m: PolyMatrix) -> SmithForm:
             if pj != d:
                 for row in a:
                     row[d], row[pj] = row[pj], row[d]
-            pivot = a[d][d]
+            rowd = a[d]
+            pivot = rowd[d]
             dirty = False
             for i in range(d + 1, nr):
-                if not a[i][d].is_zero():
-                    q = a[i][d] // pivot
-                    if not q.is_zero():
-                        a[i] = [x - q * y for x, y in zip(a[i], a[d])]
-                    if not a[i][d].is_zero():
+                rowi = a[i]
+                if rowi[d]:
+                    s, q, rowi[d] = _zpseudo_divmod(rowi[d], pivot)
+                    for j in range(d + 1, nc):
+                        x = _zscale(rowi[j], s)
+                        rowi[j] = _zsub(x, _zmul(q, rowd[j])) if rowd[j] else x
+                    rowi[d:] = _zprimitive(rowi[d:])
+                    if rowi[d]:
                         dirty = True
             if dirty:
                 continue
+            # column d is now zero below the pivot, so s*col_j - q*col_d
+            # changes row d's entry to r and scales the rest of column j by s
             for j in range(d + 1, nc):
-                col_entry = a[d][j]
-                if not col_entry.is_zero():
-                    q = col_entry // pivot
-                    if not q.is_zero():
-                        for row in a:
-                            row[j] = row[j] - q * row[d]
-                    if not a[d][j].is_zero():
+                if rowd[j]:
+                    s, _, r = _zpseudo_divmod(rowd[j], pivot)
+                    col = [r] + [_zscale(a[i][j], s) for i in range(d + 1, nr)]
+                    for i, e in enumerate(_zprimitive(col), d):
+                        a[i][j] = e
+                    if rowd[j]:
                         dirty = True
             if dirty:
                 continue
             offender = None
-            for i in range(d + 1, nr):
-                for j in range(d + 1, nc):
-                    if not (a[i][j] % pivot).is_zero():
-                        offender = i
+            if len(pivot) > 1:
+                for i in range(d + 1, nr):
+                    for j in range(d + 1, nc):
+                        e = a[i][j]
+                        if e and _zpseudo_divmod(e, pivot)[2]:
+                            offender = i
+                            break
+                    if offender is not None:
                         break
-                if offender is not None:
-                    break
             if offender is None:
                 break
-            a[d] = [x + y for x, y in zip(a[d], a[offender])]
-        if a[d][d].is_zero():
+            a[d] = [_zsub(x, _zscale(y, -1)) for x, y in zip(a[d], a[offender])]
+        if not a[d][d]:
             break
         d += 1
-    invariants = tuple(a[i][i].monic() for i in range(d))
+    invariants = tuple(
+        Polynomial([Fraction(c, e[-1]) for c in e]) for e in (a[i][i] for i in range(d))
+    )
     for s, t in zip(invariants, invariants[1:]):
         if not s.divides(t):
             raise RuntimeError("invariant factors do not form a divisibility chain")

@@ -1,0 +1,134 @@
+"""Polynomials over Z as ascending lists of int coefficients.
+
+The kernels behind the fraction-free eliminations of ``polys``: a polynomial
+is a list (or, for zero, the empty tuple) of ints without trailing zeros.
+No function changes its arguments, so entries may be shared freely.
+"""
+
+from __future__ import annotations
+
+from math import gcd
+
+from .exact import _clear_denominators
+
+
+def _zrows(m):
+    """(rows, scale): each row of the polynomial matrix m times the lcm of
+    its denominators, as lists of int coefficient lists; scale is the
+    product of those lcms.  Zero entries all share the empty tuple, so a
+    sparse matrix costs little."""
+    rows = []
+    scale = 1
+    for row in m.entries:
+        flat, lcm = _clear_denominators([c for e in row for c in e.coeffs])
+        scale *= lcm
+        pos, ints = 0, []
+        for e in row:
+            k = len(e.coeffs)
+            ints.append(flat[pos:pos + k] if k else ())
+            pos += k
+        rows.append(ints)
+    return rows, scale
+
+
+def _zmul(a, b):
+    """Product of two int coefficient lists."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    return out
+
+
+def _zsub(a, b):
+    """Difference of two int coefficient lists, trailing zeros stripped."""
+    if len(a) < len(b):
+        out = [-c for c in b]
+        for i, c in enumerate(a):
+            out[i] += c
+    else:
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] -= c
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _zscale(a, s):
+    """An int coefficient list times the int s."""
+    return a if s == 1 else [s * c for c in a]
+
+
+def _zprimitive(entries):
+    """A list of int coefficient lists divided by the gcd of all their
+    coefficients (its integer content)."""
+    g = 0
+    for e in entries:
+        g = gcd(g, *e)
+        if g == 1:
+            break
+    if g <= 1:
+        return entries
+    return [[c // g for c in e] if e else e for e in entries]
+
+
+def _zpseudo_divmod(a, b):
+    """Integer pseudo-division of int coefficient lists, b nonzero.
+
+    Returns (s, q, r) with s*a == q*b + r, deg r < deg b and s > 0 an int
+    dividing a power of b's leading coefficient.  Each step scales by only
+    the part of the leading coefficient that does not divide the current
+    top coefficient, so s == 1 when b's leading coefficient is +-1.
+    """
+    db = len(b) - 1
+    if len(a) <= db:
+        return 1, [], a
+    lead = b[-1]
+    r = list(a)
+    q = [0] * (len(a) - db)
+    s = 1
+    for i in range(len(a) - 1, db - 1, -1):
+        c = r[i]
+        if not c:
+            continue
+        g = gcd(c, lead) if lead > 0 else -gcd(c, lead)
+        k = lead // g
+        c //= g
+        if k != 1:
+            s *= k
+            for j in range(i):
+                r[j] *= k
+            for j in range(i - db + 1, len(q)):
+                q[j] *= k
+        q[i - db] = c
+        for j in range(db):
+            r[i - db + j] -= c * b[j]
+        r[i] = 0
+    while r and not r[-1]:
+        r.pop()
+    return s, q, r
+
+
+def _zdiv_exact(num, den):
+    """num / den for int coefficient lists when den divides num in Z[t]."""
+    dd = len(den) - 1
+    lead = den[-1]
+    rem = list(num)
+    quot = [0] * max(len(rem) - dd, 0)
+    for i in range(len(rem) - 1, dd - 1, -1):
+        c = rem[i]
+        if c:
+            q, r = divmod(c, lead)
+            if r:
+                break
+            quot[i - dd] = q
+            for j in range(dd):
+                rem[i - dd + j] -= q * den[j]
+            rem[i] = 0
+    if any(rem):
+        raise RuntimeError("non-exact division in fraction-free elimination")
+    return quot

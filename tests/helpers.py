@@ -238,6 +238,22 @@ def random_digraph(rng: random.Random, n: int, density: float, weighted=False) -
     )
 
 
+def random_connected_graph(rng: random.Random, n: int, extra: int, oneway=0.0) -> Graph:
+    """Unit graph on n vertices: a random spanning tree plus ``extra`` more
+    edges, each edge a reciprocal pair except a ``oneway`` share kept as a
+    single arc of random direction."""
+    edges = [(rng.randrange(i), i) for i in range(1, n)]
+    present = set(edges)
+    others = [(u, v) for v in range(n) for u in range(v) if (u, v) not in present]
+    edges += rng.sample(others, extra)
+    single = round(oneway * len(edges))
+    arcs = []
+    for i in rng.sample(range(len(edges)), len(edges)):
+        u, v = edges[i] if rng.random() < 0.5 else edges[i][::-1]
+        arcs += [(u, v)] if i < single else [(u, v), (v, u)]
+    return build_unweighted(arcs, vertices=range(n))
+
+
 def with_random_reciprocal_leaf(rng: random.Random, g: Graph) -> Graph:
     """Attach a fresh vertex by one reciprocal edge to a random vertex."""
     anchor = g.labels[rng.randrange(g.n)]

@@ -146,6 +146,18 @@ class TestExitCodes:
     def test_missing_file(self, capsys):
         assert main(["radius", "/nonexistent/file.tsv"]) == 1
 
+    def test_directory_instead_of_file(self, tmp_path, capsys):
+        assert main(["analyze", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("nbwalks: ") and "Traceback" not in err
+
+    def test_file_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.tsv"
+        path.write_bytes(b"1\t2\n\xff\t3\n")
+        assert main(["analyze", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("nbwalks: ") and "UTF-8" in err
+
     def test_parse_error(self, tmp_path, capsys):
         path = tmp_path / "bad.tsv"
         path.write_text("1\t2\t0\n")

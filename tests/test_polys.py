@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -28,8 +29,15 @@ from nbwalks.polys import (
     squarefree_decomposition,
     sturm_chain,
 )
+from nbwalks.zpoly import _zpseudo_divmod
 
-from helpers import assert_index_sum, bowtie, complete_undirected, undirected_cycle
+from helpers import (
+    assert_index_sum,
+    bowtie,
+    complete_undirected,
+    random_connected_graph,
+    undirected_cycle,
+)
 
 X = Polynomial.variable()
 
@@ -239,6 +247,195 @@ class TestSmithForm:
                         row[i] = row[i] + mult * row[j]
             sf = smith_form(PolyMatrix(entries))
             assert sf.invariants == tuple(p.monic() for p in diag)
+
+
+# ---- the Fraction-elimination Smith form, as reference ----------------------
+
+
+def _ref_smith_invariants(m):
+    """Invariants of the Smith form by elimination over Q[t] on Polynomial
+    entries: the same pivot rule, row-then-column clearing and offender-row
+    step as smith_form, with exact division by the pivot."""
+    a = [list(row) for row in m.entries]
+    nr, nc = m.nrows, m.ncols
+    d = 0
+    while d < min(nr, nc):
+        while True:
+            piv = None
+            best = None
+            for i in range(d, nr):
+                for j in range(d, nc):
+                    e = a[i][j]
+                    if not e.is_zero() and (best is None or e.degree < best):
+                        best = e.degree
+                        piv = (i, j)
+            if piv is None:
+                break
+            pi, pj = piv
+            if pi != d:
+                a[d], a[pi] = a[pi], a[d]
+            if pj != d:
+                for row in a:
+                    row[d], row[pj] = row[pj], row[d]
+            pivot = a[d][d]
+            dirty = False
+            for i in range(d + 1, nr):
+                if not a[i][d].is_zero():
+                    q = a[i][d] // pivot
+                    if not q.is_zero():
+                        a[i] = [x - q * y for x, y in zip(a[i], a[d])]
+                    if not a[i][d].is_zero():
+                        dirty = True
+            if dirty:
+                continue
+            for j in range(d + 1, nc):
+                if not a[d][j].is_zero():
+                    q = a[d][j] // pivot
+                    if not q.is_zero():
+                        for row in a:
+                            row[j] = row[j] - q * row[d]
+                    if not a[d][j].is_zero():
+                        dirty = True
+            if dirty:
+                continue
+            offender = None
+            for i in range(d + 1, nr):
+                for j in range(d + 1, nc):
+                    if not (a[i][j] % pivot).is_zero():
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            a[d] = [x + y for x, y in zip(a[d], a[offender])]
+        if a[d][d].is_zero():
+            break
+        d += 1
+    return tuple(a[i][i].monic() for i in range(d))
+
+
+def _sympy_smith_invariants(m):
+    """Invariants as quotients of determinantal divisors: D_k is the monic
+    gcd of all k x k minors, and the k-th invariant is D_k / D_(k-1)."""
+    t = sympy.Symbol("t")
+    sm = sympy.Matrix(m.nrows, m.ncols, [
+        sum(sympy.Rational(c.numerator, c.denominator) * t**k for k, c in enumerate(e.coeffs))
+        for row in m.entries for e in row
+    ])
+    out, prev = [], sympy.Poly(1, t, domain="QQ")
+    for k in range(1, min(m.nrows, m.ncols) + 1):
+        dk = sympy.Poly(0, t, domain="QQ")
+        for rows in itertools.combinations(range(m.nrows), k):
+            for cols in itertools.combinations(range(m.ncols), k):
+                minor = sympy.Poly(sm.extract(list(rows), list(cols)).det(method="berkowitz"),
+                                   t, domain="QQ")
+                dk = sympy.gcd(dk, minor)
+        if dk.is_zero:
+            break
+        dk = dk.monic()
+        quot, rem = sympy.div(dk, prev)
+        assert rem.is_zero
+        out.append(Polynomial([F(int(c.numerator), int(c.denominator))
+                               for c in reversed(quot.all_coeffs())]))
+        prev = dk
+    return tuple(out)
+
+
+def _random_poly_matrix(rng, nr, nc, max_len=3):
+    """Rational entries with mixed denominators and both signs, some zero
+    entries, and now and then a zero row, a zero column or a row that is a
+    polynomial combination of two others (rank deficiency)."""
+    def entry():
+        if rng.random() < 0.3:
+            return poly()
+        return poly(*(F(rng.randint(-5, 5), rng.choice((1, 1, 2, 3, 4, 6)))
+                      for _ in range(rng.randint(1, max_len))))
+    rows = [[entry() for _ in range(nc)] for _ in range(nr)]
+    shape = rng.random()
+    if shape < 0.15:
+        rows[rng.randrange(nr)] = [poly() for _ in range(nc)]
+    elif shape < 0.3:
+        j = rng.randrange(nc)
+        for row in rows:
+            row[j] = poly()
+    elif shape < 0.5 and nr >= 3:
+        i, k, l = rng.sample(range(nr), 3)
+        f, g = entry(), entry()
+        rows[i] = [f * x + g * y for x, y in zip(rows[k], rows[l])]
+    return PolyMatrix(rows)
+
+
+def _product(polys):
+    out = poly(1)
+    for p in polys:
+        out = out * p
+    return out
+
+
+class TestSmithOracles:
+    def test_pseudo_division_identity(self):
+        rng = random.Random(3)
+        for _ in range(300):
+            b = [rng.randint(-9, 9) for _ in range(rng.randint(1, 5))]
+            b[-1] = b[-1] or rng.choice((-6, -1, 1, 4))
+            a = [rng.randint(-9, 9) for _ in range(rng.randint(0, 9))]
+            while a and not a[-1]:
+                a.pop()
+            s, q, r = _zpseudo_divmod(a, b)
+            assert s > 0 and len(r) < len(b) and (not r or r[-1])
+            lhs = Polynomial(a) * s
+            assert lhs == Polynomial(q) * Polynomial(b) + Polynomial(r)
+            assert (abs(b[-1]) ** max(len(a) - len(b) + 1, 0)) % s == 0
+            if abs(b[-1]) == 1:
+                assert s == 1
+
+    def test_matches_fraction_reference_on_random_matrices(self):
+        rng = random.Random(41)
+        for trial in range(120):
+            nr, nc = rng.randint(1, 5), rng.randint(1, 5)
+            if trial % 3 == 0:
+                nc = nr
+            m = _random_poly_matrix(rng, nr, nc)
+            assert smith_form(m).invariants == _ref_smith_invariants(m), trial
+
+    def test_matches_fraction_reference_on_laplacians(self):
+        rng = random.Random(7)
+        for n in range(5, 13):
+            for oneway in (0.0, 0.3):
+                g = random_connected_graph(rng, n, max(1, n // 3), oneway)
+                for m in (directed_dgl(g), tau_dgl(g, F(1, 2))):
+                    assert smith_form(m).invariants == _ref_smith_invariants(m), (n, oneway)
+
+    def test_matches_determinantal_divisors(self):
+        rng = random.Random(13)
+        for trial in range(30):
+            m = _random_poly_matrix(rng, rng.randint(1, 3), rng.randint(1, 4), max_len=2)
+            assert smith_form(m).invariants == _sympy_smith_invariants(m), trial
+        m = directed_dgl(undirected_cycle(3))
+        assert smith_form(m).invariants == _sympy_smith_invariants(m)
+
+    def test_invariant_product_is_monic_determinant(self):
+        rng = random.Random(19)
+        checked = 0
+        for _ in range(100):
+            n = rng.randint(1, 5)
+            m = _random_poly_matrix(rng, n, n)
+            det = polymat_det(m)
+            if det.is_zero():
+                continue
+            checked += 1
+            assert _product(smith_form(m).invariants) == det.monic()
+        assert checked > 30
+
+    def test_twenty_vertex_multi_cycle_laplacian(self):
+        # 54 edges (108 arcs); the Fraction elimination took minutes here
+        g = random_connected_graph(random.Random(20), 20, 35)
+        assert g.m == 108
+        m = directed_dgl(g)
+        sf = smith_form(m)
+        assert sf.rank == 20
+        assert _product(sf.invariants) == polymat_det(m).monic()
 
 
 class TestReversal:
