@@ -135,6 +135,18 @@ def _budget(args) -> int:
     return DEFAULT_BUDGET
 
 
+# (--identity value, name reported when "all" skips it on a weighted graph
+# or None when it accepts weights, verifier).  The lambdas look the
+# verifiers up at call time, so rebinding a module-level name takes effect.
+_VERIFIERS = (
+    ("ihara", "ihara_digraph", lambda g, tau: [verify_ihara_digraph(g)]),
+    ("tau-ihara", "tau_ihara", lambda g, tau: [verify_tau_ihara(g, tau)]),
+    ("flanders", "flanders", lambda g, tau: [verify_flanders(g)]),
+    ("weighted-ihara", None, lambda g, tau: [verify_weighted_ihara(g)]),
+    ("lemmas", "lemma_suite", lambda g, tau: verify_lemma_suite(g, tau)),
+)
+
+
 def _run(args):
     with open(args.graph, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -186,55 +198,32 @@ def _run(args):
             }
         else:
             budget = _budget(args)
-            if args.omega is not None:
-                if args.method == "oracle":
-                    table = enumerate_btdw(g, args.k, args.omega, budget=budget)
-                elif args.method == "recurrence":
-                    table = btdw_recurrence(g, args.k, args.omega)
-                else:
+            if args.method == "oracle" and args.omega is None:
+                table = enumerate_nbtw(g, args.k, budget=budget)
+            elif args.method == "oracle":
+                table = enumerate_btdw(g, args.k, args.omega, budget=budget)
+            elif args.omega is not None:
+                if args.method == "edgepower":
                     raise _UsageError("edgepower method applies to plain walks only")
+                table = btdw_recurrence(g, args.k, args.omega)
+            elif args.method == "recurrence" and g.is_unweighted():
+                table = nbtw_recurrence(g, args.k)
             else:
-                if args.method == "oracle":
-                    table = enumerate_nbtw(g, args.k, budget=budget)
-                elif args.method == "recurrence":
-                    if g.is_unweighted():
-                        table = nbtw_recurrence(g, args.k)
-                    else:
-                        table = weighted_nbtw(g, args.k)
-                else:
-                    table = weighted_nbtw(g, args.k)
+                table = weighted_nbtw(g, args.k)
             payload = {"kind": "walks", "float": False, **walk_table_json(table)}
     elif args.command == "centrality":
         result = nbt_katz_centrality(g, args.t, mode=args.mode, omega=args.omega)
         payload = {"kind": "centrality", **centrality_json(result)}
     elif args.command == "verify":
-        tau = args.tau
         certs = []
-        name = args.identity
         skipped = []
-        unit = g.is_unweighted()
-        if name in ("ihara", "all"):
-            if unit or name == "ihara":
-                certs.append(verify_ihara_digraph(g))
+        for flag, skip_name, verify in _VERIFIERS:
+            if args.identity not in (flag, "all"):
+                continue
+            if skip_name is None or g.is_unweighted() or args.identity == flag:
+                certs.extend(verify(g, args.tau))
             else:
-                skipped.append("ihara_digraph")
-        if name in ("tau-ihara", "all"):
-            if unit or name == "tau-ihara":
-                certs.append(verify_tau_ihara(g, tau))
-            else:
-                skipped.append("tau_ihara")
-        if name in ("flanders", "all"):
-            if unit or name == "flanders":
-                certs.append(verify_flanders(g))
-            else:
-                skipped.append("flanders")
-        if name in ("weighted-ihara", "all"):
-            certs.append(verify_weighted_ihara(g))
-        if name in ("lemmas", "all"):
-            if unit or name == "lemmas":
-                certs.extend(verify_lemma_suite(g, tau))
-            else:
-                skipped.append("lemma_suite")
+                skipped.append(skip_name)
         payload = {
             "kind": "certificates",
             "certificates": [certificate_json(c) for c in certs],

@@ -13,11 +13,12 @@ from __future__ import annotations
 import decimal
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
-from .edgespace import build_edge_space, downweighted_transfer
+from .edgespace import build_edge_space, downweighted_transfer, v_similar
 from .errors import TauOutOfRangeError
 from .graphs import Graph, scc_decompose
-from .laplacians import directed_dgl, tau_dgl
+from .laplacians import _deformed_laplacian
 from .polys import polymat_det, real_roots
 from .spectral import PerronResult, perron_radius
 
@@ -136,13 +137,20 @@ def _classify(g: Graph) -> str:
     return CASE_ALL_TREES
 
 
-def _smallest_root_in(det_poly, hi) -> Bound:
-    roots = real_roots(det_poly, 0, hi, include_hi=False)
+def _multi_cycle_root(g: Graph, tau: Fraction, pr: PerronResult,
+                      disagreement: str) -> Bound:
+    """Smallest determinant root of M_tau in (0, 1/tau), which must overlap
+    the inverse of the certified edge transfer radius pr."""
+    det = polymat_det(_deformed_laplacian(g, tau))
+    roots = real_roots(det, 0, 1 / tau, include_hi=False)
     if not roots:
         raise RuntimeError(
             "classification promised a root inside the interval but none was found"
         )
-    return _root_bound(roots[0])
+    mu = _root_bound(roots[0])
+    if not mu.overlaps(_inverse_bound(pr)):
+        raise RuntimeError(disagreement)
+    return mu
 
 
 def radius_unweighted(g: Graph) -> RadiusReport:
@@ -161,7 +169,6 @@ def radius_unweighted(g: Graph) -> RadiusReport:
         "case": "cycle classification of component undirectizations",
         "rho": "certified power iteration on the non-backtracking edge matrix",
     }
-    notes: tuple[str, ...] = ()
     if case == CASE_ALL_TREES:
         r = Bound.infinite()
         mu = Bound.exact(1)
@@ -171,27 +178,17 @@ def radius_unweighted(g: Graph) -> RadiusReport:
         mu = Bound.exact(1)
         provenance["r"] = "single-cycle components; unimodular spectrum"
     else:
-        det = polymat_det(directed_dgl(g))
-        mu = _smallest_root_in(det, _ONE)
+        mu = _multi_cycle_root(
+            g, _ONE, pr, "deformed-Laplacian root and inverse Hashimoto radius disagree"
+        )
         r = mu
         provenance["r"] = "smallest determinant root of the deformed Laplacian in (0, 1)"
         provenance["mu"] = "squarefree Sturm isolation, width <= 1e-12"
-        inv_rho = _inverse_bound(pr)
-        if not mu.overlaps(inv_rho):
-            raise RuntimeError(
-                "deformed-Laplacian root and inverse Hashimoto radius disagree"
-            )
         provenance["cross_check"] = (
             "root bracket overlaps the inverse of the certified Hashimoto radius"
         )
     return RadiusReport(
-        mode="nbtw",
-        case_label=case,
-        r=r,
-        mu=mu,
-        rho=pr,
-        provenance=provenance,
-        notes=notes,
+        mode="nbtw", case_label=case, r=r, mu=mu, rho=pr, provenance=provenance
     )
 
 
@@ -206,7 +203,7 @@ def radius_weighted(g: Graph) -> RadiusReport:
     """
     es = build_edge_space(g)
     case = _classify(g)
-    pr = perron_radius(es.hashimoto * es.weight_diag)
+    pr = perron_radius(v_similar(es))
     if pr.nilpotent != (case == CASE_ALL_TREES):
         raise RuntimeError("nilpotency disagrees with the cycle classification")
 
@@ -269,49 +266,28 @@ def radius_btdw(g: Graph, tau) -> RadiusReport:
     if not 0 < tau <= 1:
         raise TauOutOfRangeError(f"tau={tau} outside (0, 1]")
     case = _classify(g)
-    es = build_edge_space(g)
-    blend = downweighted_transfer(es, tau)
-    pr = perron_radius(blend)
+    pr = perron_radius(downweighted_transfer(build_edge_space(g), tau))
     provenance = {
         "case": "cycle classification of component undirectizations",
         "rho": "certified power iteration on the downweighted edge transfer matrix",
     }
+    report = partial(RadiusReport, mode="btdw", rho=pr, tau=tau, provenance=provenance)
     if case == CASE_MULTI:
-        det = polymat_det(tau_dgl(g, tau))
-        mu = _smallest_root_in(det, 1 / tau)
-        inv_rho = _inverse_bound(pr)
-        if not mu.overlaps(inv_rho):
-            raise RuntimeError(
-                "downweighted Laplacian root and inverse transfer radius disagree"
-            )
+        mu = _multi_cycle_root(
+            g, tau, pr, "downweighted Laplacian root and inverse transfer radius disagree"
+        )
         provenance["r"] = (
             "smallest determinant root of the downweighted Laplacian in (0, 1/tau)"
         )
         provenance["cross_check"] = (
             "root bracket overlaps the inverse of the certified transfer radius"
         )
-        return RadiusReport(
-            mode="btdw",
-            case_label=CASE_MULTI,
-            r=mu,
-            mu=mu,
-            rho=pr,
-            tau=tau,
-            provenance=provenance,
-        )
+        return report(case_label=CASE_MULTI, r=mu, mu=mu)
     # tree or single-cycle components: no complete characterization is known
     if pr.nilpotent:
         provenance["r"] = "edge transfer matrix is nilpotent; the series terminates"
-        return RadiusReport(
-            mode="btdw",
-            case_label=CASE_UNKNOWN,
-            r=Bound.infinite(),
-            mu=None,
-            rho=pr,
-            tau=tau,
-            provenance=provenance,
-            notes=("series is a polynomial; radius infinite",),
-        )
+        return report(case_label=CASE_UNKNOWN, r=Bound.infinite(), mu=None,
+                      notes=("series is a polynomial; radius infinite",))
     inv_rho = _inverse_bound(pr)
     one_over_tau = Bound.exact(1 / tau)
     lower, upper = inv_rho, one_over_tau
@@ -321,16 +297,7 @@ def radius_btdw(g: Graph, tau) -> RadiusReport:
         "no complete characterization for this case; reporting the bracket "
         "between the inverse transfer radius and 1/tau"
     )
-    return RadiusReport(
-        mode="btdw",
-        case_label=CASE_UNKNOWN,
-        r=None,
-        mu=None,
-        rho=pr,
-        tau=tau,
-        bounds=(lower, upper),
-        provenance=provenance,
-        notes=(
-            "only the smaller endpoint is a certified lower bound on the radius",
-        ),
+    return report(
+        case_label=CASE_UNKNOWN, r=None, mu=None, bounds=(lower, upper),
+        notes=("only the smaller endpoint is a certified lower bound on the radius",),
     )

@@ -121,6 +121,8 @@ def downweighted_transfer(es: EdgeSpace, tau: Fraction) -> Matrix:
     """tau-blend of Hashimoto and line-graph transitions:
     tau * hashimoto + (1 - tau) * line_graph."""
     tau = Fraction(tau)
+    if tau == 1:
+        return es.hashimoto
     return es.hashimoto.scale(tau) + es.line_graph.scale(1 - tau)
 
 

@@ -51,6 +51,10 @@ class EnumerationBudgetExceededError(NBWalksError):
     """Brute-force walk enumeration aborted after too many edge extensions."""
 
 
+class FloatRangeError(NBWalksError):
+    """A value the float fast path cannot represent."""
+
+
 class IterationBudgetExceededError(NBWalksError):
     """Certified eigenvalue bracket did not tighten within the iteration cap."""
 

@@ -69,9 +69,6 @@ class Matrix:
         i, j = ij
         return self.data[i][j]
 
-    def row(self, i):
-        return self.data[i]
-
     def __eq__(self, other):
         return isinstance(other, Matrix) and self.data == other.data
 
@@ -96,6 +93,8 @@ class Matrix:
 
     def scale(self, c) -> "Matrix":
         c = _frac(c)
+        if c == 1:  # immutable, so the plain (tau = 1) cases pay nothing
+            return self
         return Matrix([[c * a for a in row] for row in self.data])
 
     def __mul__(self, other):

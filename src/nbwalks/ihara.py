@@ -13,12 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .edgespace import EdgeSpace, build_edge_space
+from .edgespace import EdgeSpace, build_edge_space, downweighted_transfer, v_similar
 from .errors import TauOutOfRangeError
 from .exact import Matrix, _clear_denominators
 from .graphs import Graph
-from .laplacians import directed_dgl, tau_dgl
-from .polys import Polynomial, PolyMatrix, polymat_det
+from .laplacians import _deformed_laplacian, structure_matrices
+from .polys import Polynomial, polymat_det
 
 _ONE = Fraction(1)
 
@@ -91,22 +91,22 @@ def _cross_multiply(edge_side: Polynomial, vertex_side: Polynomial, base: Polyno
     return edge_side * base ** (-exponent), vertex_side
 
 
+def _tau_ihara_sides(g: Graph, es: EdgeSpace, tau: Fraction):
+    """det(I - t(tau B + (1 - tau) W)) and det M_tau(t), cross-multiplied by
+    (1 - tau**2 t**2)**(b - n)."""
+    lhs = _det_one_minus_t(downweighted_transfer(es, tau))
+    rhs = polymat_det(_deformed_laplacian(g, tau))
+    base = Polynomial([1, 0, -(tau * tau)])
+    return _cross_multiply(lhs, rhs, base, es.reciprocal_pair_count - g.n)
+
+
 def verify_ihara_digraph(g: Graph) -> IdentityCertificate:
-    """det(I - t B) against (1 - t**2)**(b - n) det M(t), cross-multiplied."""
+    """det(I - t B) against (1 - t**2)**(b - n) det M(t), cross-multiplied:
+    the tau = 1 case of verify_tau_ihara."""
     g.require_unweighted("verify_ihara_digraph")
     es = build_edge_space(g)
-    base = Polynomial([1, 0, -1])
-    lhs = _det_one_minus_t(es.hashimoto)
-    rhs = polymat_det(directed_dgl(g))
-    lhs, rhs = _cross_multiply(lhs, rhs, base, es.reciprocal_pair_count - g.n)
+    lhs, rhs = _tau_ihara_sides(g, es, _ONE)
     return _det_certificate("ihara_digraph", lhs, rhs, _summary(g, es))
-
-
-def _tau_laplacian(g: Graph, tau: Fraction) -> PolyMatrix:
-    if tau > 0:
-        return tau_dgl(g, tau)
-    eye = Matrix.identity(g.n)
-    return PolyMatrix.from_coefficients([eye, -g.adjacency()], grade=1)
 
 
 def verify_tau_ihara(g: Graph, tau) -> IdentityCertificate:
@@ -117,11 +117,7 @@ def verify_tau_ihara(g: Graph, tau) -> IdentityCertificate:
     if not 0 <= tau <= 1:
         raise TauOutOfRangeError(f"tau={tau} outside [0, 1]")
     es = build_edge_space(g)
-    blend = es.hashimoto.scale(tau) + es.line_graph.scale(1 - tau)
-    lhs = _det_one_minus_t(blend)
-    rhs = polymat_det(_tau_laplacian(g, tau))
-    base = Polynomial([1, 0, -(tau * tau)])
-    lhs, rhs = _cross_multiply(lhs, rhs, base, es.reciprocal_pair_count - g.n)
+    lhs, rhs = _tau_ihara_sides(g, es, tau)
     return _det_certificate(
         "tau_ihara", lhs, rhs, _summary(g, es), details={"tau": str(tau)}
     )
@@ -164,7 +160,7 @@ def verify_weighted_ihara(g: Graph, samples: int | None = None) -> IdentityCerti
     for u, v in g.reciprocal_pairs():
         rhs = rhs * Polynomial([1, 0, -(wmap[(u, v)] * wmap[(v, u)])])
 
-    step = es.hashimoto * es.weight_diag  # B Z in the unweighted-support form
+    step = v_similar(es)  # B Z in the unweighted-support form
     collapse = (es.hashimoto - es.line_graph) * es.weight_diag
     lhs = _det_one_minus_t(collapse)
     g_poly = Polynomial(step.det_one_minus_t())
@@ -305,18 +301,7 @@ def verify_lemma_suite(g: Graph, tau) -> list[IdentityCertificate]:
     certs.append(_matrix_certificate("backtrack_powers", deviation, summary))
 
     lt = es.source.transpose()
-    es_graph_edges = g.edge_set()
-    a_mat = g.adjacency()
-    s_mat = Matrix(
-        [
-            [
-                a_mat.data[i][j] if (j, i) in es_graph_edges else Fraction(0)
-                for j in range(g.n)
-            ]
-            for i in range(g.n)
-        ]
-    )
-    d_mat = Matrix.diagonal([sum(row, Fraction(0)) for row in s_mat.data])
+    _, s_mat, d_mat = structure_matrices(g)
     deviation = (lt * delta * es.target - d_mat).abs_sum()
     deviation += (lt * omega_mat * es.target - s_mat).abs_sum()
     certs.append(_matrix_certificate("incidence_compression", deviation, summary))
@@ -327,7 +312,7 @@ def verify_lemma_suite(g: Graph, tau) -> list[IdentityCertificate]:
     ) ** es.reciprocal_pair_count
     certs.append(_det_certificate("backtrack_char_poly", char, expected, summary))
 
-    m_tau = _tau_laplacian(g, tau)
+    m_tau = _deformed_laplacian(g, tau)
     eye_m = Matrix.identity(es.m)
     eye_n = Matrix.identity(g.n)
     deviation = Fraction(0)

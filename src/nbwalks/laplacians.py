@@ -1,13 +1,15 @@
 """Deformed graph Laplacians for digraphs and their eigenvalue multiplicity
 reports.
 
-The directed deformed graph Laplacian of an unweighted loop-free digraph is
+The downweighted deformed graph Laplacian of an unweighted loop-free
+digraph is
 
-    M(t) = I - A*t + (D - I)*t**2 + (A - S)*t**3
+    M_tau(t) = I - A*t + tau*(D - tau*I)*t**2 + tau**2*(A - S)*t**3
 
 with A the adjacency matrix, S the adjacency of the undirected part and D
-the diagonal count of reciprocal edges per vertex.  The downweighted variant
-replaces the last two coefficients by tau*(D - tau*I) and tau**2*(A - S).
+the diagonal count of reciprocal edges per vertex.  The plain directed
+deformed graph Laplacian of non-backtracking walks is its tau = 1 case, and
+tau = 0 leaves I - A*t, the resolvent of ordinary walks.
 """
 
 from __future__ import annotations
@@ -39,15 +41,26 @@ def structure_matrices(g: Graph):
     return a, s, d
 
 
-def directed_dgl(g: Graph) -> PolyMatrix:
-    """Directed deformed graph Laplacian; grade 3, dropping to 2 for
-    undirected graphs where the cubic coefficient vanishes."""
-    g.require_unweighted("directed_dgl")
+def _deformed_coefficients(g: Graph, tau: Fraction) -> list[Matrix]:
+    """Coefficient matrices of M_tau(t) up to its grade: 1 at tau = 0, 2 for
+    undirected graphs where the cubic coefficient vanishes, 3 otherwise."""
     a, s, d = structure_matrices(g)
     eye = Matrix.identity(g.n)
-    coeffs = [eye, -a, d - eye, a - s]
-    grade = 2 if a == s else 3
-    return PolyMatrix.from_coefficients(coeffs[: grade + 1], grade=grade)
+    if tau == 0:
+        return [eye, -a]
+    coeffs = [eye, -a, (d - eye.scale(tau)).scale(tau), (a - s).scale(tau * tau)]
+    return coeffs[:3] if a == s else coeffs
+
+
+def _deformed_laplacian(g: Graph, tau: Fraction) -> PolyMatrix:
+    coeffs = _deformed_coefficients(g, tau)
+    return PolyMatrix.from_coefficients(coeffs, grade=len(coeffs) - 1)
+
+
+def directed_dgl(g: Graph) -> PolyMatrix:
+    """Directed deformed graph Laplacian: the tau = 1 case of tau_dgl."""
+    g.require_unweighted("directed_dgl")
+    return _deformed_laplacian(g, Fraction(1))
 
 
 def tau_dgl(g: Graph, tau) -> PolyMatrix:
@@ -56,11 +69,7 @@ def tau_dgl(g: Graph, tau) -> PolyMatrix:
     tau = Fraction(tau)
     if not 0 < tau <= 1:
         raise TauOutOfRangeError(f"tau={tau} outside (0, 1]")
-    a, s, d = structure_matrices(g)
-    eye = Matrix.identity(g.n)
-    coeffs = [eye, -a, (d - eye.scale(tau)).scale(tau), (a - s).scale(tau * tau)]
-    grade = 2 if a == s else 3
-    return PolyMatrix.from_coefficients(coeffs[: grade + 1], grade=grade)
+    return _deformed_laplacian(g, tau)
 
 
 @dataclass(frozen=True)

@@ -509,24 +509,12 @@ class PolyMatrix:
             grade=max(self.grade, other.grade),
         )
 
-    def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
-        return PolyMatrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ],
-            grade=max(self.grade, other.grade),
-        )
-
     def scale(self, p) -> "PolyMatrix":
         p = Polynomial._coerce(p)
         return PolyMatrix([[p * e for e in row] for row in self.entries])
 
     def eval_at(self, t) -> Matrix:
         return Matrix([[e(t) for e in row] for row in self.entries])
-
-    def transpose(self) -> "PolyMatrix":
-        return PolyMatrix(list(zip(*self.entries)), grade=self.grade)
 
     def is_square(self) -> bool:
         return self.nrows == self.ncols

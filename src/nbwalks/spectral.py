@@ -6,13 +6,17 @@ entrywise positive x and irreducible nonnegative M,
     min_i (Mx)_i / x_i  <=  rho(M)  <=  max_i (Mx)_i / x_i.
 
 Floating point is only used to find a good starting vector; the reported
-bounds are rational and rigorous.  Reducible matrices are split into the
-strongly connected blocks of their support graph and the radius is the
-maximum over blocks, which also avoids zero divisions on transient states.
+bounds are rational and rigorous.  A block with an entry a float cannot
+hold is first balanced by powers of two (a diagonal similarity and a scale,
+both exact) so that floats can find its vector.  Reducible matrices are
+split into the strongly connected blocks of their support graph and the
+radius is the maximum over blocks, which also avoids zero divisions on
+transient states.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -40,12 +44,6 @@ class PerronResult:
     def width(self) -> Fraction:
         return self.upper - self.lower
 
-    def midpoint(self) -> Fraction:
-        return (self.lower + self.upper) / 2
-
-    def as_float(self) -> float:
-        return float(self.midpoint())
-
 
 def _check_nonnegative(m: Matrix) -> None:
     for row in m.data:
@@ -54,40 +52,32 @@ def _check_nonnegative(m: Matrix) -> None:
                 raise NegativeEntryError("matrix must be entrywise nonnegative")
 
 
-def is_nilpotent(m: Matrix) -> bool:
-    """True when the support digraph of a nonnegative matrix is acyclic."""
+def _blocks(m: Matrix) -> list[list[int]]:
+    """Strongly connected blocks of the support digraph of a nonnegative m."""
     _check_nonnegative(m)
     n = m.nrows
-    out = [[j for j in range(n) if m.data[i][j]] for i in range(n)]
-    for i in range(n):
-        if m.data[i][i]:
-            return False
-    color = [0] * n  # 0 unvisited, 1 active, 2 done
-    for root in range(n):
-        if color[root]:
-            continue
-        stack = [(root, 0)]
-        color[root] = 1
-        while stack:
-            v, pi = stack[-1]
-            if pi < len(out[v]):
-                stack[-1] = (v, pi + 1)
-                w = out[v][pi]
-                if color[w] == 1:
-                    return False
-                if color[w] == 0:
-                    color[w] = 1
-                    stack.append((w, 0))
-            else:
-                color[v] = 2
-                stack.pop()
-    return True
+    return _tarjan_sccs(n, [[j for j in range(n) if m.data[i][j]] for i in range(n)])
 
 
-def _float_power_vector(block, iterations=400):
-    """Approximate Perron vector of block + I in floating point."""
-    n = len(block)
-    fm = [[float(x) for x in row] for row in block]
+def is_nilpotent(m: Matrix) -> bool:
+    """True when the support digraph of a nonnegative matrix is acyclic."""
+    return all(len(b) == 1 and not m.data[b[0]][b[0]] for b in _blocks(m))
+
+
+def _float_rows(block):
+    """The block in floats, or None when an entry overflows a float or a
+    nonzero entry underflows to 0."""
+    try:
+        fm = [[float(x) for x in row] for row in block]
+    except OverflowError:
+        return None
+    fits = all(f or not x for row, frow in zip(block, fm) for x, f in zip(row, frow))
+    return fm if fits else None
+
+
+def _float_power_vector(fm, iterations=400):
+    """Approximate Perron vector of fm + I in floating point."""
+    n = len(fm)
     x = [1.0] * n
     for _ in range(iterations):
         y = [sum(fm[i][k] * x[k] for k in range(n)) + x[i] for i in range(n)]
@@ -98,15 +88,65 @@ def _float_power_vector(block, iterations=400):
     return x
 
 
+def _log2_sum(values):
+    top = max(values)
+    return top + math.log2(sum(2.0 ** (v - top) for v in values))
+
+
+def _balancing_exponents(block, iterations=400):
+    """Integers s and d_i such that diag(2**-d) block diag(2**d) / 2**s has
+    Perron root near 1 and Perron vector near all ones.
+
+    Power iteration on base-2 logarithms, which no entry overflows: first
+    unshifted, averaging the growth per step for log2 of the root, then
+    shifted by the identity on block / 2**s for log2 of the vector.
+    """
+    rows = [
+        [(j, math.log2(x.numerator) - math.log2(x.denominator))
+         for j, x in enumerate(row) if x]
+        for row in block
+    ]
+    x = [0.0] * len(rows)
+    growth = 0.0
+    for _ in range(iterations):
+        y = [_log2_sum([a + x[j] for j, a in row]) for row in rows]
+        top = max(y)
+        growth += top
+        x = [v - top for v in y]
+    s = round(growth / iterations)
+    for _ in range(iterations):
+        y = [_log2_sum([a - s + x[j] for j, a in row] + [x[i]])
+             for i, row in enumerate(rows)]
+        top = max(y)
+        x = [v - top for v in y]
+    return s, [round(v) for v in x]
+
+
 def _block_radius(block, tol, budget):
     """Certified bracket for one irreducible block given as Fraction rows."""
     n = len(block)
     if n == 1:
         d = block[0][0]
         return d, d, 0
+    fm = _float_rows(block)
+    scale = _ONE
+    if fm is None:
+        # iterate on a similar block with the same Perron root over 2**s,
+        # whose entries are at most a few units (what still underflows is
+        # negligible); the unit 2**-s below keeps the stopping rule
+        # tol * max(1, upper) of the given block
+        s, d = _balancing_exponents(block)
+        two = Fraction(2)
+        scale = two**s
+        block = [
+            [x * two ** (d[j] - d[i] - s) if x else x for j, x in enumerate(row)]
+            for i, row in enumerate(block)
+        ]
+        fm = [[float(x) for x in row] for row in block]
+    unit = 1 / scale
 
     # starting vector: rationalized float Perron vector, clamped positive
-    approx = _float_power_vector(block)
+    approx = _float_power_vector(fm)
     floor = Fraction(1, 10**18)
     x = []
     for v in approx:
@@ -127,8 +167,8 @@ def _block_radius(block, tol, budget):
             hi_best = hi
         if lo > lo_best:
             lo_best = lo
-        if hi_best - lo_best <= tol * max(_ONE, hi_best):
-            return lo_best, hi_best, iterations
+        if hi_best - lo_best <= tol * max(unit, hi_best):
+            return lo_best * scale, hi_best * scale, iterations
         iterations += 1
         if iterations > budget:
             raise IterationBudgetExceededError(
@@ -150,17 +190,10 @@ def perron_radius(m: Matrix, tol=DEFAULT_TOL, budget=DEFAULT_ITERATIONS) -> Perr
     Collatz-Wielandt brackets tightened by shifted power iteration, and the
     result is the blockwise maximum.
     """
-    _check_nonnegative(m)
-    n = m.nrows
-    if n == 0:
-        return PerronResult(_ZERO, _ZERO, True, 0)
-    out = [[j for j in range(n) if m.data[i][j]] for i in range(n)]
-    blocks = _tarjan_sccs(n, out)
-
     lo_all, hi_all = _ZERO, _ZERO
     iterations = 0
     trivial = True
-    for verts in blocks:
+    for verts in _blocks(m):
         if len(verts) == 1:
             v = verts[0]
             d = m.data[v][v]

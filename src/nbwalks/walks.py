@@ -7,9 +7,14 @@ Three ways to produce the same tables:
 * the linear recurrence read off the deformed-Laplacian generating function,
 * powers of the Hashimoto matrix sandwiched by the incidence factors.
 
-Tables hold exact rationals.  Enumeration is metered: every attempted edge
-extension counts against a budget so pathological inputs fail loudly
-instead of hanging.
+Plain non-backtracking walks are the omega = 0 (tau = 1 - omega = 1) case of
+backtrack-downweighted walks, so the oracle, the recurrence and the
+generating function each have one implementation over omega or tau, and
+the plain names are thin wrappers of it.
+
+Tables hold exact rationals.  Enumeration is metered: every edge extension
+taken counts against a budget so pathological inputs fail loudly instead of
+hanging.
 """
 
 from __future__ import annotations
@@ -18,17 +23,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .convergence import radius_btdw, radius_unweighted, radius_weighted
-from .edgespace import build_edge_space
+from .edgespace import build_edge_space, v_similar
 from .errors import (
     AboveRadiusError,
     EnumerationBudgetExceededError,
+    FloatRangeError,
     OmegaOutOfRangeError,
     PoleAtTError,
     WeightedUnsupportedError,
 )
 from .exact import Matrix
 from .graphs import Graph
-from .laplacians import directed_dgl, structure_matrices, tau_dgl
+from .laplacians import _deformed_coefficients, _deformed_laplacian, structure_matrices
 from .spectral import perron_radius
 
 DEFAULT_BUDGET = 10**8
@@ -68,13 +74,13 @@ class _Budget:
             )
 
 
-def enumerate_nbtw(g: Graph, kmax: int, budget=None) -> WalkTable:
-    """Brute-force non-backtracking walk sums up to length kmax.
+def _enumerate(g: Graph, kmax: int, omega: Fraction, budget) -> tuple[Matrix, ...]:
+    """Depth-first over all walks remembering the previous vertex; a walk
+    weighs the product of its edge weights times omega per backtrack.
 
-    Depth-first over all walks remembering the previous vertex; weighted
-    graphs contribute the product of edge weights.
+    Every step taken counts against the budget; a step whose weight is 0
+    (a backtrack at omega = 0) is never taken and costs nothing.
     """
-    _require_length(kmax)
     meter = _Budget(budget)
     out = g.out_neighbors()
     wmap = g.weight_map()
@@ -90,100 +96,77 @@ def enumerate_nbtw(g: Graph, kmax: int, budget=None) -> WalkTable:
             if depth == kmax:
                 continue
             for w in out[v]:
+                nw = weight * wmap[(v, w)]
                 if w == prev:
+                    nw *= omega
+                if not nw:
                     continue
                 meter.spend()
-                nw = weight * wmap[(v, w)]
                 tables[depth + 1][start][w] += nw
                 stack.append((w, v, depth + 1, nw))
-    return WalkTable(
-        "nbtw", kmax, tuple(Matrix(rows) for rows in tables), "oracle"
-    )
+    return tuple(Matrix(rows) for rows in tables)
+
+
+def _omega_fraction(omega) -> Fraction:
+    omega = Fraction(omega)
+    if not 0 <= omega <= 1:
+        raise OmegaOutOfRangeError(f"omega={omega} outside [0, 1]")
+    return omega
+
+
+def enumerate_nbtw(g: Graph, kmax: int, budget=None) -> WalkTable:
+    """Brute-force non-backtracking walk sums up to length kmax; weighted
+    graphs contribute the product of edge weights."""
+    _require_length(kmax)
+    return WalkTable("nbtw", kmax, _enumerate(g, kmax, _ZERO, budget), "oracle")
 
 
 def enumerate_btdw(g: Graph, kmax: int, omega, budget=None) -> WalkTable:
     """Brute-force backtrack-downweighted walks: every walk counts, scaled
     by omega to the power of its backtrack count."""
     g.require_unweighted("enumerate_btdw")
-    omega = Fraction(omega)
-    if not 0 <= omega <= 1:
-        raise OmegaOutOfRangeError(f"omega={omega} outside [0, 1]")
+    omega = _omega_fraction(omega)
     _require_length(kmax)
-    meter = _Budget(budget)
-    out = g.out_neighbors()
-    tables = [
-        [[_ZERO] * g.n for _ in range(g.n)] for _ in range(kmax + 1)
-    ]
-    for v in range(g.n):
-        tables[0][v][v] = _ONE
-    for start in range(g.n):
-        stack = [(start, -1, 0, _ONE)]
-        while stack:
-            v, prev, depth, weight = stack.pop()
-            if depth == kmax:
-                continue
-            for w in out[v]:
-                meter.spend()
-                nw = weight * omega if w == prev else weight
-                if nw:
-                    tables[depth + 1][start][w] += nw
-                    stack.append((w, v, depth + 1, nw))
-    return WalkTable(
-        "btdw",
-        kmax,
-        tuple(Matrix(rows) for rows in tables),
-        "oracle",
-        omega=omega,
-    )
+    tables = _enumerate(g, kmax, omega, budget)
+    return WalkTable("btdw", kmax, tables, "oracle", omega=omega)
+
+
+def _recurrence(g: Graph, kmax: int, tau: Fraction) -> tuple[Matrix, ...]:
+    """Walk tables p_k from M_tau(t) * sum_k p_k t**k = (1 - tau**2 t**2) I.
+
+    With M_tau = I - A t + c2 t**2 + c3 t**3, reading off t**k gives
+    p_0 = I, p_1 = A, p_2 = A**2 - c2 - tau**2 I, and
+    p_k = A p_{k-1} - c2 p_{k-2} - c3 p_{k-3} from k = 3 on.
+    """
+    coeffs = _deformed_coefficients(g, tau)
+    eye, a = coeffs[0], -coeffs[1]
+    seq = [eye, a][: kmax + 1]
+    for k in range(2, kmax + 1):
+        nxt = a * seq[k - 1]
+        for j in range(2, min(k, len(coeffs) - 1) + 1):
+            nxt = nxt - coeffs[j] * seq[k - j]
+        if k == 2 and tau:
+            nxt = nxt - eye.scale(tau * tau)
+        seq.append(nxt)
+    return tuple(seq)
 
 
 def nbtw_recurrence(g: Graph, kmax: int) -> WalkTable:
-    """Non-backtracking walk tables from the third-order matrix recurrence.
-
-    Seeds: p0 = I, p1 = A, p2 = A**2 - D, p3 = A p2 - (D - I) A - (A - S);
-    thereafter p_k = A p_{k-1} - (D - I) p_{k-2} - (A - S) p_{k-3}.
-    """
+    """Non-backtracking walk tables from the third-order matrix recurrence,
+    the tau = 1 case: p_k = A p_{k-1} - (D - I) p_{k-2} - (A - S) p_{k-3}."""
     _require_length(kmax)
     g.require_unweighted("nbtw_recurrence")
-    a, s, d = structure_matrices(g)
-    eye = Matrix.identity(g.n)
-    d_minus = d - eye
-    a_minus_s = a - s
-    seq = [eye]
-    if kmax >= 1:
-        seq.append(a)
-    if kmax >= 2:
-        seq.append(a * a - d)
-    if kmax >= 3:
-        seq.append(a * seq[2] - d_minus * a - a_minus_s)
-    for k in range(4, kmax + 1):
-        seq.append(a * seq[k - 1] - d_minus * seq[k - 2] - a_minus_s * seq[k - 3])
-    return WalkTable("nbtw", kmax, tuple(seq), "recurrence")
+    return WalkTable("nbtw", kmax, _recurrence(g, kmax, _ONE), "recurrence")
 
 
 def btdw_recurrence(g: Graph, kmax: int, omega) -> WalkTable:
-    """Backtrack-downweighted tables; omega = 1 gives plain adjacency powers
-    and omega = 0 collapses to the non-backtracking recurrence."""
+    """Backtrack-downweighted tables at tau = 1 - omega; omega = 1 gives
+    plain adjacency powers and omega = 0 the non-backtracking tables."""
     _require_length(kmax)
     g.require_unweighted("btdw_recurrence")
-    omega = Fraction(omega)
-    if not 0 <= omega <= 1:
-        raise OmegaOutOfRangeError(f"omega={omega} outside [0, 1]")
-    tau = 1 - omega
-    a, s, d = structure_matrices(g)
-    eye = Matrix.identity(g.n)
-    c2 = (d - eye.scale(tau)).scale(tau)
-    c3 = (a - s).scale(tau * tau)
-    seq = [eye]
-    if kmax >= 1:
-        seq.append(a)
-    if kmax >= 2:
-        seq.append(a * a - d.scale(tau))
-    if kmax >= 3:
-        seq.append(a * seq[2] - c2 * a - c3)
-    for k in range(4, kmax + 1):
-        seq.append(a * seq[k - 1] - c2 * seq[k - 2] - c3 * seq[k - 3])
-    return WalkTable("btdw", kmax, tuple(seq), "recurrence", omega=omega)
+    omega = _omega_fraction(omega)
+    tables = _recurrence(g, kmax, 1 - omega)
+    return WalkTable("btdw", kmax, tables, "recurrence", omega=omega)
 
 
 def weighted_nbtw(g: Graph, kmax: int) -> WalkTable:
@@ -198,7 +181,7 @@ def weighted_nbtw(g: Graph, kmax: int) -> WalkTable:
         seq = [Matrix.identity(g.n)] + [Matrix.zeros(g.n, g.n)] * kmax
         return WalkTable("nbtw", kmax, tuple(seq), "edgepower")
     lt_z = es.source.transpose() * es.weight_diag
-    step = es.hashimoto * es.weight_diag
+    step = v_similar(es)
     seq = [Matrix.identity(g.n)]
     carrier = es.target
     for _ in range(1, kmax + 1):
@@ -215,28 +198,17 @@ def generating_function_eval(g: Graph, t, mode: str, omega=None) -> Matrix:
     I + t L.T Z (I - t B Z)**-1 R.  A singular system means t is a pole.
     """
     t = Fraction(t)
-    if mode == "nbtw":
-        g.require_unweighted("generating_function_eval(mode='nbtw')")
-        m_at = directed_dgl(g).eval_at(t)
-        inv = m_at.inverse()
-        if inv is None:
-            raise PoleAtTError(f"t={t} is a pole of the generating function")
-        return inv.scale(1 - t * t)
-    if mode == "btdw":
-        if omega is None:
-            raise ValueError("btdw mode needs omega")
-        omega = Fraction(omega)
-        if not 0 <= omega <= 1:
-            raise OmegaOutOfRangeError(f"omega={omega} outside [0, 1]")
-        tau = 1 - omega
-        if tau == 0:
-            base = Matrix.identity(g.n) - g.adjacency().scale(t)
-            inv = base.inverse()
-            if inv is None:
-                raise PoleAtTError(f"t={t} is a pole of the generating function")
-            return inv
-        m_at = tau_dgl(g, tau).eval_at(t)
-        inv = m_at.inverse()
+    if mode in ("nbtw", "btdw"):
+        if mode == "nbtw":
+            g.require_unweighted("generating_function_eval(mode='nbtw')")
+            tau = _ONE
+        else:
+            if omega is None:
+                raise ValueError("btdw mode needs omega")
+            tau = 1 - _omega_fraction(omega)
+            if tau:
+                g.require_unweighted("tau_dgl")
+        inv = _deformed_laplacian(g, tau).eval_at(t).inverse()
         if inv is None:
             raise PoleAtTError(f"t={t} is a pole of the generating function")
         return inv.scale(1 - tau * tau * t * t)
@@ -244,7 +216,7 @@ def generating_function_eval(g: Graph, t, mode: str, omega=None) -> Matrix:
         es = build_edge_space(g)
         if es.m == 0:
             return Matrix.identity(g.n)
-        base = Matrix.identity(es.m) - (es.hashimoto * es.weight_diag).scale(t)
+        base = Matrix.identity(es.m) - v_similar(es).scale(t)
         solved = base.solve(es.target)
         if solved is None:
             raise PoleAtTError(f"t={t} is a pole of the generating function")
@@ -318,57 +290,47 @@ def walk_tables_float(g: Graph, kmax: int, omega=None):
     if not g.is_unweighted():
         if omega is not None:
             raise WeightedUnsupportedError("downweighted walks need unit weights")
+        for u, v, w in g.edges:
+            try:
+                representable = float(w) != 0
+            except OverflowError:
+                representable = False
+            if not representable:
+                raise FloatRangeError(
+                    f"weight of edge {g.labels[u]} -> {g.labels[v]} is outside the "
+                    "float range; use the exact methods"
+                )
         es = build_edge_space(g)
         if es.m == 0:
             eye = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
             return [eye] + [[[0.0] * n for _ in range(n)] for _ in range(kmax)]
         lt_z = (es.source.transpose() * es.weight_diag).to_float()
-        step = (es.hashimoto * es.weight_diag).to_float()
+        step = v_similar(es).to_float()
         carrier = es.target.to_float()
-        m = es.m
         tab = [[[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]]
         for _ in range(kmax):
-            tab.append(
-                [
-                    [sum(lt_z[i][e] * carrier[e][j] for e in range(m)) for j in range(n)]
-                    for i in range(n)
-                ]
-            )
-            carrier = [
-                [sum(step[e][f] * carrier[f][j] for f in range(m)) for j in range(n)]
-                for e in range(m)
-            ]
+            tab.append(_float_product(lt_z, carrier))
+            carrier = _float_product(step, carrier)
         return tab
-    a = [[float(w) for w in row] for row in g.adjacency().data]
-    if omega is None:
-        exact_mode = nbtw_recurrence
-        tab = [m.to_float() for m in exact_mode(g, min(kmax, 3)).tables]
-        tau = 1.0
-        a_mat, s_mat, d_mat = structure_matrices(g)
-        c2 = [[float(x) for x in row] for row in (d_mat - Matrix.identity(n)).data]
-        c3 = [[float(x) for x in row] for row in (a_mat - s_mat).data]
-    else:
-        om = Fraction(omega)
-        tau = float(1 - om)
-        tab = [m.to_float() for m in btdw_recurrence(g, min(kmax, 3), om).tables]
-        a_mat, s_mat, d_mat = structure_matrices(g)
-        c2 = [
-            [float(x) * tau for x in row]
-            for row in (d_mat - Matrix.identity(n).scale(Fraction(1 - om))).data
-        ]
-        c3 = [[float(x) * tau * tau for x in row] for row in (a_mat - s_mat).data]
-
-    def mul(x, y):
-        return [
-            [sum(x[i][k] * y[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-
-    def sub(x, y):
-        return [[xi - yi for xi, yi in zip(rx, ry)] for rx, ry in zip(x, y)]
-
+    exact_tau = 1 - _omega_fraction(0 if omega is None else omega)
+    tab = [m.to_float() for m in _recurrence(g, min(kmax, 3), exact_tau)]
+    a_mat, s_mat, d_mat = structure_matrices(g)
+    a = a_mat.to_float()
+    tau = float(exact_tau)
+    c2 = [
+        [float(x) * tau for x in row]
+        for row in (d_mat - Matrix.identity(n).scale(exact_tau)).data
+    ]
+    c3 = [[float(x) * tau * tau for x in row] for row in (a_mat - s_mat).data]
     while len(tab) <= kmax:
-        k = len(tab)
-        nxt = sub(sub(mul(a, tab[k - 1]), mul(c2, tab[k - 2])), mul(c3, tab[k - 3]))
-        tab.append(nxt)
+        terms = [_float_product(c, p) for c, p in zip((a, c2, c3), tab[:-4:-1])]
+        tab.append([
+            [x - y - z for x, y, z in zip(*rows)] for rows in zip(*terms)
+        ])
     return tab[: kmax + 1]
+
+
+def _float_product(x, y):
+    """Product of float matrices given as nested lists."""
+    cols = list(zip(*y))
+    return [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in x]

@@ -267,6 +267,39 @@ class TestWeightedInput:
         assert doc["payload"]["sigma_squared"] == "6/1"
 
 
+class TestExtremeWeights:
+    """Weights beyond the float range: a 3-cycle a -> b -> c -> a of weight
+    product w, plus the back arc b -> a."""
+
+    @pytest.fixture(params=[("1e400", 10**400), ("1e-400", F(1, 10**400))],
+                    ids=["huge", "tiny"])
+    def extreme(self, tmp_path, request):
+        text, weight = request.param
+        path = tmp_path / "extreme.tsv"
+        path.write_text(f"a\tb\t{text}\nb\tc\t1\nc\ta\t1\nb\ta\t2\n")
+        return str(path), F(weight)
+
+    def test_weighted_radius(self, extreme):
+        path, weight = extreme
+        code, doc = run_command(["radius", "--mode", "weighted", path])
+        assert code == 0
+        rho = doc["payload"]["rho"]
+        assert F(rho["lower"]) ** 3 <= weight <= F(rho["upper"]) ** 3
+
+    def test_weighted_centrality(self, extreme):
+        path, weight = extreme
+        t = "1/10" if weight < 1 else f"1/{10**134}"
+        code, doc = run_command(["centrality", "--mode", "weighted", "--t", t, path])
+        assert code == 0
+        assert len(doc["payload"]["row_sums"]) == 3
+
+    def test_float_walks_exit_one(self, extreme, capsys):
+        path, _ = extreme
+        assert main(["walks", "--k", "3", "--float", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("nbwalks: FloatRangeError:") and "Traceback" not in err
+
+
 class TestMoreInputs:
     def test_k4_verify(self, tmp_path):
         lines = [f"{i}\t{j}" for i in range(1, 5) for j in range(1, 5) if i != j]

@@ -13,6 +13,7 @@ from nbwalks import (
     v_similar,
 )
 from nbwalks.errors import NegativeEntryError
+from nbwalks.spectral import _float_rows
 
 from helpers import (
     bowtie,
@@ -124,6 +125,42 @@ class TestPerronRadius:
                 assert numeric < 1e-8
             else:
                 assert float(pr.lower) - 1e-8 <= numeric <= float(pr.upper) + 1e-8
+
+
+class TestExtremeEntries:
+    """Entries a float cannot hold: the start vector comes from a block
+    balanced by powers of two, and the bracket stays exact."""
+
+    @pytest.mark.parametrize("corner", [F(10**400), F(1, 10**400)])
+    def test_cycle_with_one_extreme_entry(self, corner):
+        m = Matrix([[0, 1, 0], [0, 0, 1], [corner, 0, 0]])
+        pr = perron_radius(m)
+        assert pr.lower**3 <= corner <= pr.upper**3
+        assert pr.width <= TOL * pr.upper
+
+    def test_huge_and_tiny_in_one_cycle(self):
+        m = Matrix([[0, 10**400, 0], [0, 0, 1], [F(1, 10**400), 0, 0]])
+        pr = perron_radius(m)
+        assert pr.lower <= 1 <= pr.upper and pr.width <= TOL
+
+    @pytest.mark.parametrize("factor", [F(10**400), F(1, 10**400)])
+    def test_scaled_weights_scale_the_radius(self, factor):
+        rng = random.Random(41)
+        for _ in range(4):
+            g = random_digraph(rng, rng.randint(4, 6), 0.6, weighted=True)
+            step = v_similar(build_edge_space(g))
+            if is_nilpotent(step):
+                continue
+            plain = perron_radius(step)
+            scaled = perron_radius(step.scale(factor))
+            assert scaled.lower / factor <= plain.upper
+            assert plain.lower <= scaled.upper / factor
+            assert scaled.width <= TOL * scaled.upper
+
+    def test_float_range_blocks_take_the_balanced_path(self):
+        assert _float_rows([[F(0), F(1)], [F(2), F(0)]]) == [[0.0, 1.0], [2.0, 0.0]]
+        assert _float_rows([[F(0), F(10**400)], [F(1), F(0)]]) is None
+        assert _float_rows([[F(0), F(1, 10**400)], [F(1), F(0)]]) is None
 
 
 class TestSpectralInvariants:

@@ -65,6 +65,23 @@ class TestEnumerateNbtw:
     def test_budget_enforced(self):
         with pytest.raises(EnumerationBudgetExceededError):
             enumerate_nbtw(complete_undirected(5), 8, budget=50)
+        # A backtrack weighs 0 at omega = 0 and is never taken, so both
+        # oracles spend exactly one unit per non-backtracking walk.
+        cases = [(complete_undirected(4), 5), (example1(), 6), (bowtie(), 5),
+                 (undirected_path(4), 6), (directed_cycle(3), 4)]
+        for g, k in cases:
+            tables = nbtw_recurrence(g, k).tables[1:]
+            steps = sum(x for table in tables for row in table.data for x in row)
+            for budget in (steps - 1, steps):
+                outcomes = []
+                for run in (lambda: enumerate_nbtw(g, k, budget=budget),
+                            lambda: enumerate_btdw(g, k, 0, budget=budget)):
+                    try:
+                        run()
+                        outcomes.append(True)
+                    except EnumerationBudgetExceededError:
+                        outcomes.append(False)
+                assert outcomes == [budget == steps] * 2, (g.edges, k, budget)
 
     def test_weighted_walks_multiply(self):
         table = enumerate_nbtw(weighted_3cycle(), 3)
@@ -210,6 +227,14 @@ class TestGeneratingFunction:
         tail = phi - acc
         assert all(x >= 0 for row in tail.data for x in row)
         assert tail.abs_sum() <= F(1, 10**15)
+
+    def test_btdw_on_weighted_graph(self):
+        g = weighted_3cycle()
+        t = F(1, 100)
+        with pytest.raises(WeightedUnsupportedError):
+            generating_function_eval(g, t, "btdw", omega=F(1, 2))
+        expected = (Matrix.identity(3) - g.adjacency().scale(t)).inverse()
+        assert generating_function_eval(g, t, "btdw", omega=1) == expected
 
     def test_pole_detected(self):
         with pytest.raises(PoleAtTError):
