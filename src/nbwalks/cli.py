@@ -212,6 +212,10 @@ def _run(args):
                 table = weighted_nbtw(g, args.k)
             payload = {"kind": "walks", "float": False, **walk_table_json(table)}
     elif args.command == "centrality":
+        if args.t < 0:
+            raise _UsageError(f"--t must be nonnegative, got {args.t}")
+        if args.mode == "btdw" and args.omega is None:
+            raise _UsageError("--mode btdw needs --omega")
         result = nbt_katz_centrality(g, args.t, mode=args.mode, omega=args.omega)
         payload = {"kind": "centrality", **centrality_json(result)}
     elif args.command == "verify":

@@ -2,7 +2,8 @@
 
 Everything in here is exact: entries are `fractions.Fraction`, determinants
 use fraction-free elimination on integer-scaled rows, and characteristic
-polynomials are recovered by interpolation through integer determinants.
+polynomials come from Berkowitz's division-free algorithm on the matrix
+cleared to integers.
 Products are cleared to integers (one common denominator for the right
 factor, one per row for the left) and run sparse over the nonzeros of the
 left factor, so the 0/1 edge-space matrices cost what their nonzeros cost.
@@ -222,37 +223,39 @@ class Matrix:
     def char_poly(self):
         """Coefficients of det(t*I - self), ascending, as Fractions.
 
-        Computed by interpolating integer Bareiss determinants of s*I - N at
-        s = 0..n, where N is the matrix cleared of denominators.  Monic by
-        construction, degree n.
+        Berkowitz's division-free algorithm on N = lcm * self, the matrix
+        cleared to integers: growing the leading principal block by row and
+        column r multiplies the descending coefficients of its characteristic
+        polynomial by the Toeplitz matrix of [1, -N_rr, -R C, -R A C, ...,
+        -R A^(r-1) C], with C the column above the diagonal, R the row left
+        of it and A the block so far.  Exact over Z with no division; the
+        coefficient of t^(n-k) is then e_k / lcm**k.  Monic, degree n.
         """
         if not self.is_square():
             raise NotSquareError(f"{self.nrows}x{self.ncols} matrix")
         n = self.nrows
-        if n == 0:
-            return [_ONE]
         flat, lcm = _clear_denominators([x for row in self.data for x in row])
         nmat = [flat[i * n:(i + 1) * n] for i in range(n)]
-        values = []
-        for s in range(n + 1):
-            rows = [
-                [(s if i == j else 0) - nmat[i][j] for j in range(n)] for i in range(n)
-            ]
-            values.append(_bareiss_int_det(rows))
-        coeffs = _newton_interpolate(values)
-        # det(tI - self) = lcm**(-n) * h(lcm * t) with h = det(sI - N)
-        out = []
-        power = _ONE
-        scale = Fraction(1, lcm) ** n
-        for c in coeffs:
-            out.append(c * power * scale)
-            power *= lcm
-        return out
+        coeffs = [1]
+        block = []  # nonzero (k, x) of each row of the leading r x r block
+        for r in range(n):
+            left = [(k, x) for k, x in enumerate(nmat[r][:r]) if x]
+            t = [1, -nmat[r][r]]
+            v = [nmat[i][r] for i in range(r)]
+            for _ in range(r):
+                t.append(-sum(x * v[k] for k, x in left))
+                v = [sum(x * v[k] for k, x in row) for row in block]
+            coeffs = [sum(t[i - j] * coeffs[j] for j in range(min(i, r) + 1))
+                      for i in range(r + 2)]
+            for i, row in enumerate(block):
+                if nmat[i][r]:
+                    row.append((r, nmat[i][r]))
+            block.append([(k, x) for k, x in enumerate(nmat[r][:r + 1]) if x])
+        return [Fraction(e, lcm**k) for k, e in enumerate(coeffs)][::-1]
 
     def det_one_minus_t(self):
         """Coefficients of det(I - t*self), ascending; reversal of char_poly."""
-        cp = self.char_poly()
-        return list(reversed(cp))
+        return self.char_poly()[::-1]
 
 
 def _bareiss_int_det(rows) -> int:
@@ -283,31 +286,3 @@ def _bareiss_int_det(rows) -> int:
                 m[i] = [(pk * a) // prev for a in rowi]
         prev = pk
     return sign * m[n - 1][n - 1]
-
-
-def _newton_interpolate(values):
-    """Interpolate through (0, v0), (1, v1), ... and return ascending coefficients."""
-    n = len(values)
-    diffs = [_frac(v) for v in values]
-    table = [diffs[0]]
-    work = diffs
-    for level in range(1, n):
-        work = [
-            (work[i + 1] - work[i]) / level for i in range(len(work) - 1)
-        ]  # divided differences on unit-spaced nodes
-        table.append(work[0])
-    # expand Newton form sum_k table[k] * t(t-1)...(t-k+1)
-    coeffs = [_ZERO] * n
-    basis = [_ONE]
-    for k in range(n):
-        for i, b in enumerate(basis):
-            coeffs[i] += table[k] * b
-        # multiply basis by (t - k)
-        nxt = [_ZERO] * (len(basis) + 1)
-        for i, b in enumerate(basis):
-            nxt[i + 1] += b
-            nxt[i] -= k * b
-        basis = nxt
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs

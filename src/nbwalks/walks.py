@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isfinite
 
 from .convergence import radius_btdw, radius_unweighted, radius_weighted
 from .edgespace import build_edge_space, v_similar
@@ -311,7 +312,7 @@ def walk_tables_float(g: Graph, kmax: int, omega=None):
         for _ in range(kmax):
             tab.append(_float_product(lt_z, carrier))
             carrier = _float_product(step, carrier)
-        return tab
+        return _finite(tab)
     exact_tau = 1 - _omega_fraction(0 if omega is None else omega)
     tab = [m.to_float() for m in _recurrence(g, min(kmax, 3), exact_tau)]
     a_mat, s_mat, d_mat = structure_matrices(g)
@@ -327,7 +328,14 @@ def walk_tables_float(g: Graph, kmax: int, omega=None):
         tab.append([
             [x - y - z for x, y, z in zip(*rows)] for rows in zip(*terms)
         ])
-    return tab[: kmax + 1]
+    return _finite(tab[: kmax + 1])
+
+
+def _finite(tab):
+    """The float tables, unless an entry overflowed to infinity or NaN."""
+    if not all(isfinite(x) for table in tab for row in table for x in row):
+        raise FloatRangeError("a walk count is outside the float range; use the exact methods")
+    return tab
 
 
 def _float_product(x, y):

@@ -13,6 +13,7 @@ from nbwalks.errors import (
 from nbwalks import cli as cli_mod
 from nbwalks.cli import main, run_command
 from nbwalks.ihara import IdentityCertificate
+from nbwalks.walks import nbt_katz_centrality
 
 from helpers import example1
 
@@ -222,6 +223,49 @@ class TestExitCodes:
         assert captured.out == ""
         assert "--k must be nonnegative" in captured.err
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--t", "1/10", "--mode", "btdw"], "--mode btdw needs --omega"),
+            (["--t", "-1"], "--t must be nonnegative"),
+            (["--t=-1/3", "--mode", "btdw", "--omega", "1/2"], "--t must be nonnegative"),
+        ],
+    )
+    def test_centrality_usage_errors(self, example1_file, capsys, argv, message):
+        assert main(["centrality", *argv, example1_file]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("nbwalks: ") and message in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_centrality_library_keeps_value_error(self):
+        with pytest.raises(ValueError, match="t must be nonnegative"):
+            nbt_katz_centrality(example1(), -1)
+        with pytest.raises(ValueError, match="btdw mode needs omega"):
+            nbt_katz_centrality(example1(), F(1, 10), mode="btdw")
+
+    @pytest.mark.parametrize(
+        "text, k",
+        [
+            # weighted branch: three arcs of weight 1e300 overflow at length 2
+            ("a\tb\t1e300\nb\tc\t1e300\nc\ta\t1e300\n", 3),
+            # recurrence branch: K5 has about 3^k walks of length k
+            ("%undirected\n" + "".join(
+                f"{i}\t{j}\n" for i in range(1, 6) for j in range(i + 1, 6)), 700),
+        ],
+        ids=["weighted", "recurrence"],
+    )
+    def test_float_overflow_exits_one(self, tmp_path, capsys, text, k):
+        path = tmp_path / "big.tsv"
+        path.write_text(text)
+        assert main(["walks", "--k", str(k), "--float", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("nbwalks: FloatRangeError:")
+        assert "Traceback" not in captured.err
+        assert main(["walks", "--k", str(k // 2), "--float", str(path)]) == 0
+        json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
 
     def test_zero_k_is_accepted(self, example1_file):
         code, doc = run_command(["walks", "--k", "0", example1_file])

@@ -1,5 +1,6 @@
-"""The row-sparse integer product against two oracles, and the weighted-Ihara
-sample check that runs on it."""
+"""The row-sparse integer product and the Berkowitz characteristic
+polynomial against two oracles each, and the weighted-Ihara sample check
+that runs on the product."""
 
 import random
 from fractions import Fraction as F
@@ -7,7 +8,9 @@ from fractions import Fraction as F
 import pytest
 import sympy
 
-from nbwalks import Matrix, Polynomial, build_edge_space, verify_weighted_ihara
+from nbwalks import Matrix, Polynomial, build_edge_space, v_similar, verify_weighted_ihara
+from nbwalks.errors import NotSquareError
+from nbwalks.exact import _bareiss_int_det, _clear_denominators
 from nbwalks.ihara import _adjugate_sample_check
 
 from helpers import example1, random_digraph, single_recip_edge, weighted_3cycle
@@ -46,6 +49,59 @@ def random_matrix(rng, nrows, ncols, kind):
 
 
 KINDS = ("int", "01", "frac")
+
+
+def interpolated_char_poly(a: Matrix):
+    """The route Berkowitz replaced: integer Bareiss determinants of sI - N
+    at s = 0..n, interpolated, then scaled back from N = lcm * a."""
+    n = a.nrows
+    if n == 0:
+        return [F(1)]
+    flat, lcm = _clear_denominators([x for row in a.data for x in row])
+    nmat = [flat[i * n:(i + 1) * n] for i in range(n)]
+    values = []
+    for s in range(n + 1):
+        rows = [[(s if i == j else 0) - nmat[i][j] for j in range(n)] for i in range(n)]
+        values.append(_bareiss_int_det(rows))
+    coeffs = newton_interpolate(values)
+    out = []
+    power = F(1)
+    scale = F(1, lcm) ** n
+    for c in coeffs:
+        out.append(c * power * scale)
+        power *= lcm
+    return out
+
+
+def newton_interpolate(values):
+    """Ascending coefficients of the polynomial through (0, v0), (1, v1), ..."""
+    n = len(values)
+    work = [F(v) for v in values]
+    table = [work[0]]
+    for level in range(1, n):
+        work = [(work[i + 1] - work[i]) / level for i in range(len(work) - 1)]
+        table.append(work[0])
+    coeffs = [F(0)] * n
+    basis = [F(1)]
+    for k in range(n):
+        for i, b in enumerate(basis):
+            coeffs[i] += table[k] * b
+        nxt = [F(0)] * (len(basis) + 1)
+        for i, b in enumerate(basis):
+            nxt[i + 1] += b
+            nxt[i] -= k * b
+        basis = nxt
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def sympy_char_poly(a: Matrix):
+    """det(x I - A) by sympy's Bareiss elimination, ascending coefficients."""
+    x = sympy.Symbol("x")
+    det = (x * sympy.eye(a.nrows) - to_sympy(a)).det(method="bareiss")
+    coeffs = sympy.Poly(det, x).all_coeffs()[::-1] if a.nrows else [det]
+    return [F(int(c.p), int(c.q)) for c in map(sympy.Rational, coeffs)]
 
 
 class TestProduct:
@@ -124,6 +180,62 @@ class TestProduct:
             assert lt_z * es.target == dense_product(lt_z, es.target)
             assert lt_z * es.target == g.adjacency()
             assert step * step == dense_product(step, step)
+
+
+class TestCharPoly:
+    def check(self, a: Matrix, with_sympy=True):
+        got = a.char_poly()
+        assert all(type(c) is F for c in got)
+        assert len(got) == a.nrows + 1 and got[-1] == 1
+        assert got == interpolated_char_poly(a)
+        if with_sympy:
+            assert got == sympy_char_poly(a)
+        assert a.det_one_minus_t() == got[::-1]
+        return got
+
+    def test_random_against_interpolation_and_sympy(self):
+        rng = random.Random(20261019)
+        for _ in range(60):
+            n = rng.randint(1, 7)
+            self.check(random_matrix(rng, n, n, rng.choice(KINDS)), with_sympy=n <= 5)
+
+    def test_mixed_denominators(self):
+        a = Matrix([[F(-1, 2), F(3, 7), 0], [F(5, 9), 0, F(-4, 35)], [1, F(-2, 3), F(1, 12)]])
+        got = self.check(a)
+        assert got[0] == -a.det()
+        assert got[2] == -sum(a[i, i] for i in range(3))
+
+    def test_zero_and_nilpotent(self):
+        for n in range(6):
+            assert self.check(Matrix.zeros(n, n)) == [0] * n + [1]
+        rng = random.Random(4)
+        for n in range(1, 8):
+            upper = Matrix([[F(rng.randint(-9, 9), rng.randint(1, 5)) if j > i else 0
+                             for j in range(n)] for i in range(n)])
+            assert self.check(upper, with_sympy=n <= 5) == [0] * n + [1]
+            assert self.check(upper.transpose(), with_sympy=False) == [0] * n + [1]
+
+    def test_empty_and_one_by_one(self):
+        assert self.check(Matrix([])) == [1]
+        assert self.check(Matrix([[F(-3, 4)]])) == [F(3, 4), 1]
+        assert self.check(Matrix([[0]])) == [0, 1]
+
+    def test_edge_space_matrices(self):
+        rng = random.Random(9)
+        for _ in range(8):
+            g = random_digraph(rng, 5, 0.45, weighted=True)
+            es = build_edge_space(g)
+            self.check(es.hashimoto, with_sympy=es.m <= 8)
+            self.check(v_similar(es), with_sympy=es.m <= 8)
+        es = build_edge_space(example1())
+        assert Polynomial(es.hashimoto.det_one_minus_t()) == Polynomial([1, 0, 0, -1])
+
+    def test_not_square(self):
+        for a in (Matrix([[1, 2, 3]]), Matrix([[1], [2]]), Matrix([[], []])):
+            with pytest.raises(NotSquareError):
+                a.char_poly()
+            with pytest.raises(NotSquareError):
+                a.det_one_minus_t()
 
 
 class TestWeightedIharaSamples:
