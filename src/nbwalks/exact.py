@@ -1,9 +1,10 @@
 """Dense matrices over arbitrary-precision rationals.
 
 Everything in here is exact: entries are `fractions.Fraction`, determinants
-use fraction-free elimination on integer-scaled rows, and characteristic
-polynomials come from Berkowitz's division-free algorithm on the matrix
-cleared to integers.
+use fraction-free (Bareiss) elimination on integer-scaled rows, each divided
+by its content first so that elimination runs on primitive rows, and
+characteristic polynomials come from Berkowitz's division-free algorithm on
+the matrix cleared to integers.
 Products are cleared to integers (one common denominator for the right
 factor, one per row for the left) and run sparse over the nonzeros of the
 left factor, so the 0/1 edge-space matrices cost what their nonzeros cost.
@@ -259,11 +260,25 @@ class Matrix:
 
 
 def _bareiss_int_det(rows) -> int:
-    """Fraction-free determinant of an integer matrix given as mutable rows."""
+    """Fraction-free determinant of an integer matrix given as rows.
+
+    Each row is divided by its content (the gcd of its entries) first: the
+    determinant is the product of the contents times the determinant of the
+    primitive rows, and a zero row makes it 0.  The rows are not modified.
+    """
     n = len(rows)
     if n == 0:
         return 1
-    m = [row[:] for row in rows]
+    m = []
+    contents = 1
+    for row in rows:
+        c = gcd(*row)
+        if c == 0:
+            return 0
+        if c != 1:
+            row = [x // c for x in row]
+            contents *= c
+        m.append(row)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -285,4 +300,4 @@ def _bareiss_int_det(rows) -> int:
             elif prev != 1 or pk != 1:
                 m[i] = [(pk * a) // prev for a in rowi]
         prev = pk
-    return sign * m[n - 1][n - 1]
+    return sign * contents * m[n - 1][n - 1]

@@ -32,7 +32,7 @@ def parse_weight(token: str) -> Fraction:
         pass
     try:
         return Fraction(Decimal(token))
-    except (InvalidOperation, ValueError):
+    except (InvalidOperation, ValueError, OverflowError):  # an infinity overflows
         raise GraphParseError(f"cannot parse weight {token!r}")
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .edgespace import EdgeSpace, build_edge_space, downweighted_transfer, v_similar
 from .errors import TauOutOfRangeError
-from .exact import Matrix, _clear_denominators
+from .exact import Matrix, _bareiss_int_det, _clear_denominators
 from .graphs import Graph
 from .laplacians import _deformed_laplacian, structure_matrices
 from .polys import Polynomial, polymat_det
@@ -189,7 +189,17 @@ def _adjugate_sample_check(es, step, g_poly, rhs, count):
     C_j = (B Z) C_{j-1} + g_j I applied directly to the target incidence,
     with everything scaled to integers to keep the arithmetic cheap.  Only
     L^T Z C_j enters Phi, so each C_j is folded into the n-by-n K_j =
-    L^T (ell Z) C_j once and every sample runs its Horner sum on the K_j.
+    L^T (ell Z) C_j once, kept as a flat list of n * n ints, and every
+    sample runs its Horner sum on the K_j.
+
+    The samples stay on integers.  With t = p/q, base = q * ell and
+    den = base**m, g(t) = gn / den for gn = sum_j h_j p**j base**(m - j),
+    h_j = g_j * ell**j, and N = den * g(t) * Phi(t) is the integer matrix
+    gn * I + p * sum_j K_j p**j base**(m - 1 - j).  As det(N) =
+    den**n * g(t)**n * det(Phi), the check det(Phi) * g(t) == rhs(t) with
+    rhs(t) = rn / rd is the integer equality
+    det(N) * rd == rn * gn**(n - 1) * den, and det(N) comes from the same
+    Bareiss kernel as `Matrix.det`.  Points where g(t) = 0 are skipped.
     """
     n = es.graph.n
     m = es.m
@@ -206,6 +216,7 @@ def _adjugate_sample_check(es, step, g_poly, rhs, count):
         if scaled.denominator != 1:
             raise RuntimeError("determinant coefficients failed to clear denominators")
         h.append(int(scaled))
+    r_ints, r_lcm = _clear_denominators(rhs.coeffs)
     r_int = [[int(x) for x in row] for row in es.target.data]
     # arc e leaves vertex sources[e]: row e of the source incidence L
     sources = [row.index(_ONE) for row in es.source.data]
@@ -222,12 +233,12 @@ def _adjugate_sample_check(es, step, g_poly, rhs, count):
                     for col in range(n):
                         acc[col] += w * prow[col]
             nxt.append(acc)
-        k_j = [[0] * n for _ in range(n)]
+        k_j = [0] * (n * n)
         for e in range(m):
-            z, krow = zeds[e], k_j[sources[e]]
+            z, offset = zeds[e], sources[e] * n
             for col, x in enumerate(nxt[e]):
                 if x:
-                    krow[col] += z * x
+                    k_j[offset + col] += z * x
         k_ints.append(k_j)
         prev = nxt
 
@@ -235,31 +246,35 @@ def _adjugate_sample_check(es, step, g_poly, rhs, count):
     candidate = 0
     while checked < count:
         candidate += 1
-        t = Fraction(candidate, 2) if candidate % 2 else Fraction(-candidate // 2)
-        gt = g_poly(t)
-        if gt == 0:
-            continue
-        p, q = t.numerator, t.denominator
+        p, q = (candidate, 2) if candidate % 2 else (-candidate // 2, 1)
         base = q * ell
-        # L^T Z Y(t) * ell * (q*ell)**(m-1) via scaled integer Horner
-        acc = [row[:] for row in k_ints[m - 1]]
+        gn, den = _homogeneous(h, p, base)
+        if gn == 0:
+            continue
+        # sum_j K_j p**j base**(m-1-j) by integer Horner
+        acc = k_ints[m - 1]
         power = 1
         for j in range(m - 2, -1, -1):
             power *= base
-            kj = k_ints[j]
-            for i in range(n):
-                acc[i] = [a * p + c * power for a, c in zip(acc[i], kj[i])]
-        scale = t / (ell * base ** (m - 1))
-        nmat = Matrix(
-            [
-                [(gt if i == col else 0) + x * scale for col, x in enumerate(row)]
-                for i, row in enumerate(acc)
-            ]
-        )
-        if nmat.det() != rhs(t) * gt ** (n - 1):
+            acc = [a * p + c * power for a, c in zip(acc, k_ints[j])]
+        nmat = [[p * x for x in acc[i * n:(i + 1) * n]] for i in range(n)]
+        for i in range(n):
+            nmat[i][i] += gn
+        rn, rd = _homogeneous(r_ints, p, q)  # rhs(t) = rn / (rd * r_lcm)
+        if _bareiss_int_det(nmat) * rd * r_lcm != rn * gn ** (n - 1) * den:
             return False, checked
         checked += 1
     return True, checked
+
+
+def _homogeneous(coeffs, p, q):
+    """(sum_k c_k p**k q**(d - k), q**d) for integers c_0..c_d: the value of
+    the polynomial at p/q as a numerator over q**d."""
+    value, power = coeffs[-1], 1
+    for c in coeffs[-2::-1]:
+        power *= q
+        value = value * p + c * power
+    return value, power
 
 
 def verify_lemma_suite(g: Graph, tau) -> list[IdentityCertificate]:

@@ -247,7 +247,7 @@ def _certified_below(g: Graph, t: Fraction, mode: str, omega) -> bool:
     if mode == "btdw":
         if omega is None:
             raise ValueError("btdw mode needs omega")
-        tau = 1 - Fraction(omega)
+        tau = 1 - _omega_fraction(omega)
         if tau == 0:
             # classical walk series: radius is the reciprocal adjacency radius
             pr = perron_radius(g.adjacency())

@@ -165,6 +165,24 @@ class TestExitCodes:
         assert main(["radius", str(path)]) == 1
         assert "nbwalks" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("token", ["Infinity", "inf", "-inf", "-Infinity"])
+    def test_infinite_weight_is_parse_error(self, tmp_path, capsys, token):
+        path = tmp_path / "inf.tsv"
+        path.write_text(f"1\t2\t1/2\n2\t1\t{token}\n")
+        assert main(["radius", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"nbwalks: parse error: line 2: cannot parse weight {token!r}\n"
+
+    @pytest.mark.parametrize("omega", ["2", "-1", "3/2"])
+    def test_centrality_btdw_omega_out_of_range(self, example1_file, capsys, omega):
+        argv = ["centrality", "--mode", "btdw", f"--omega={omega}", "--t", "1/4"]
+        assert main([*argv, example1_file]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"nbwalks: OmegaOutOfRangeError: omega={omega} outside [0, 1]\n")
+
     def test_unknown_flag(self, example1_file, capsys):
         assert main(["radius", "--bogus", example1_file]) == 1
 

@@ -1,6 +1,7 @@
 """The row-sparse integer product and the Berkowitz characteristic
-polynomial against two oracles each, and the weighted-Ihara sample check
-that runs on the product."""
+polynomial against two oracles each, the primitive-row Bareiss determinant
+against sympy, and the all-integer weighted-Ihara sample check against the
+Fraction route it replaced."""
 
 import random
 from fractions import Fraction as F
@@ -13,7 +14,13 @@ from nbwalks.errors import NotSquareError
 from nbwalks.exact import _bareiss_int_det, _clear_denominators
 from nbwalks.ihara import _adjugate_sample_check
 
-from helpers import example1, random_digraph, single_recip_edge, weighted_3cycle
+from helpers import (
+    directed_cycle,
+    example1,
+    random_digraph,
+    single_recip_edge,
+    weighted_3cycle,
+)
 
 
 def dense_product(a: Matrix, b: Matrix) -> Matrix:
@@ -94,6 +101,112 @@ def newton_interpolate(values):
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     return coeffs
+
+
+def fraction_det(rows):
+    """Determinant over Q by Gaussian elimination, sharing no code with
+    the integer Bareiss kernel."""
+    m = [[F(x) for x in row] for row in rows]
+    n = len(m)
+    det = F(1)
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k]), None)
+        if piv is None:
+            return F(0)
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, n):
+            f = m[i][k] / m[k][k]
+            if f:
+                m[i] = [a - f * b for a, b in zip(m[i], m[k])]
+    return det
+
+
+def fraction_sample_check(es, step, g_poly, rhs, count):
+    """The sample loop the integer route replaced: each sample matrix is
+    built from Fractions, and its determinant is taken over Q."""
+    n = es.graph.n
+    m = es.m
+    zeds, ell = _clear_denominators([es.weight_diag.data[e][e] for e in range(m)])
+    rows_sparse = []
+    for e in range(m):
+        row = step.data[e]
+        rows_sparse.append([(f, int(x * ell)) for f, x in enumerate(row) if x])
+    h = []
+    for j in range(m + 1):
+        gj = g_poly.coeffs[j] if j <= g_poly.degree else F(0)
+        scaled = gj * ell**j
+        assert scaled.denominator == 1
+        h.append(int(scaled))
+    r_int = [[int(x) for x in row] for row in es.target.data]
+    sources = [row.index(1) for row in es.source.data]
+    k_ints = []
+    prev = None
+    for j in range(m):
+        hj = h[j]
+        nxt = []
+        for e in range(m):
+            acc = [hj * x for x in r_int[e]]
+            if prev is not None:
+                for f, w in rows_sparse[e]:
+                    prow = prev[f]
+                    for col in range(n):
+                        acc[col] += w * prow[col]
+            nxt.append(acc)
+        k_j = [[0] * n for _ in range(n)]
+        for e in range(m):
+            z, krow = zeds[e], k_j[sources[e]]
+            for col, x in enumerate(nxt[e]):
+                if x:
+                    krow[col] += z * x
+        k_ints.append(k_j)
+        prev = nxt
+
+    checked = 0
+    candidate = 0
+    while checked < count:
+        candidate += 1
+        t = F(candidate, 2) if candidate % 2 else F(-candidate // 2)
+        gt = g_poly(t)
+        if gt == 0:
+            continue
+        p, q = t.numerator, t.denominator
+        base = q * ell
+        acc = [row[:] for row in k_ints[m - 1]]
+        power = 1
+        for j in range(m - 2, -1, -1):
+            power *= base
+            kj = k_ints[j]
+            for i in range(n):
+                acc[i] = [a * p + c * power for a, c in zip(acc[i], kj[i])]
+        scale = t / (ell * base ** (m - 1))
+        nmat = [[(gt if i == col else 0) + x * scale for col, x in enumerate(row)]
+                for i, row in enumerate(acc)]
+        if fraction_det(nmat) != rhs(t) * gt ** (n - 1):
+            return False, checked
+        checked += 1
+    return True, checked
+
+
+def sample_inputs(g):
+    """(es, step, g_poly, rhs, count) as verify_weighted_ihara builds them."""
+    es = build_edge_space(g)
+    step = v_similar(es)
+    g_poly = Polynomial(step.det_one_minus_t())
+    return es, step, g_poly, verify_weighted_ihara(g).rhs, 2 * (g.n + es.m) + 1
+
+
+def sample_points(g_poly, count):
+    """The first ``count`` candidate points at which g does not vanish, and
+    the candidates skipped on the way."""
+    points, skipped, candidate = [], [], 0
+    while len(points) < count:
+        candidate += 1
+        t = F(candidate, 2) if candidate % 2 else F(-candidate // 2)
+        (skipped if g_poly(t) == 0 else points).append(t)
+    return points, skipped
 
 
 def sympy_char_poly(a: Matrix):
@@ -238,8 +351,78 @@ class TestCharPoly:
                 a.det_one_minus_t()
 
 
+class TestBareissIntDet:
+    def check(self, rows):
+        before = [row[:] for row in rows]
+        got = _bareiss_int_det(rows)
+        assert type(got) is int
+        assert rows == before
+        n = len(rows)
+        want = sympy.Matrix(n, n, [x for row in rows for x in row]).det() if n else 1
+        assert got == want
+        return got
+
+    def test_random_against_sympy(self):
+        rng = random.Random(20261018)
+        for _ in range(80):
+            n = rng.randint(1, 7)
+            bits = rng.choice((3, 20, 90))
+            rows = [[rng.randint(-(1 << bits), 1 << bits) if rng.random() < 0.7 else 0
+                     for _ in range(n)] for _ in range(n)]
+            self.check(rows)
+
+    def test_shared_row_factors(self):
+        rng = random.Random(5)
+        for _ in range(30):
+            n = rng.randint(1, 6)
+            rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            for row in rows:
+                c = rng.choice((1, 2, 6, -7, 3**40))
+                row[:] = [c * x for x in row]
+            self.check(rows)
+        assert self.check([[4, 6], [9, 3]]) == -42
+        assert self.check([[-6, -10], [15, 35]]) == -60
+
+    def test_zero_row_and_singular(self):
+        assert self.check([[1, 2, 3], [0, 0, 0], [4, 5, 6]]) == 0
+        assert self.check([[0, 0], [0, 0]]) == 0
+        assert self.check([[2, 4, 6], [1, 2, 3], [7, -1, 5]]) == 0
+        assert self.check([[0, 1, 2], [0, 3, 4], [0, 5, 6]]) == 0
+        rng = random.Random(6)
+        for _ in range(20):
+            n = rng.randint(2, 6)
+            rows = [[rng.randint(-50, 50) for _ in range(n)] for _ in range(n - 1)]
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            rows.insert(rng.randrange(n), [a * x + b * y for x, y in zip(rows[0], rows[-1])])
+            assert self.check(rows) == 0
+
+    def test_negative_entries_and_pivoting(self):
+        assert self.check([[0, -1], [-1, 0]]) == -1
+        assert self.check([[0, 2, -3], [-4, 0, 5], [6, -7, 0]]) == 2 * 5 * 6 - 3 * 4 * 7
+        assert self.check([[-2, 0, 0], [0, -3, 0], [0, 0, -5]]) == -30
+
+    def test_empty_and_one_by_one(self):
+        assert _bareiss_int_det([]) == 1
+        assert self.check([[-12]]) == -12
+        assert self.check([[0]]) == 0
+        assert self.check([[1]]) == 1
+
+
 class TestWeightedIharaSamples:
     GRAPHS = (example1, weighted_3cycle, lambda: single_recip_edge(F(5, 2), F(3, 7)))
+    # g(t) = det(I - t B Z) vanishes at a sample candidate: 1 - t^4 at t = -1
+    # for the unit 4-cycle, 1 - 8 t^3 at t = 1/2 for the 3-cycle of weight 2
+    SKIPPING = (lambda: directed_cycle(4), lambda: directed_cycle(3, [2, 2, 2]),
+                lambda: directed_cycle(3, [F(1, 2), 4, 4]))
+
+    def reference_graphs(self):
+        rng = random.Random(20261018)
+        graphs = [build() for build in self.GRAPHS + self.SKIPPING]
+        graphs.append(single_recip_edge(1, 1))
+        for weighted in (True, False):
+            for _ in range(6):
+                graphs.append(random_digraph(rng, rng.randint(2, 5), 0.45, weighted=weighted))
+        return graphs
 
     @pytest.mark.parametrize("build", GRAPHS)
     def test_sample_count(self, build):
@@ -269,3 +452,47 @@ class TestWeightedIharaSamples:
         for bad in (rhs + Polynomial([0, 0, 0, F(1, 5)]), rhs * Polynomial([F(3, 2)])):
             ok, checked = _adjugate_sample_check(es, step, g_poly, bad, count)
             assert ok is False and checked < count
+
+    @pytest.mark.parametrize("build", SKIPPING, ids=["unit-4-cycle", "3-cycle-2-2-2",
+                                                     "3-cycle-half-4-4"])
+    def test_skipped_candidate(self, build):
+        es, step, g_poly, rhs, count = sample_inputs(build())
+        points, skipped = sample_points(g_poly, count)
+        assert len(skipped) == 1
+        assert _adjugate_sample_check(es, step, g_poly, rhs, count) == (True, count)
+        assert fraction_sample_check(es, step, g_poly, rhs, count) == (True, count)
+        # a wrong rhs is caught at a point after the skipped one
+        bad = rhs + Polynomial([-points[1], 1]) * Polynomial([-points[0], 1])
+        assert _adjugate_sample_check(es, step, g_poly, bad, count) == (False, 2)
+
+    def test_matches_fraction_route(self):
+        graphs = self.reference_graphs()
+        assert any(not g.is_unweighted() and len({w.denominator for _, _, w in g.edges}) > 2
+                   for g in graphs)
+        assert any(g.edge_set() != {(v, u) for u, v in g.edge_set()} for g in graphs)
+        for g in graphs:
+            es, step, g_poly, rhs, count = sample_inputs(g)
+            want = fraction_sample_check(es, step, g_poly, rhs, count)
+            assert want == (True, count)
+            assert _adjugate_sample_check(es, step, g_poly, rhs, count) == want
+            for few in (0, 1, 3):
+                assert _adjugate_sample_check(es, step, g_poly, rhs, few) == (True, few)
+
+    def test_perturbed_rhs_matches_fraction_route(self):
+        for g in self.reference_graphs():
+            es, step, g_poly, rhs, count = sample_inputs(g)
+            points, _ = sample_points(g_poly, count)
+            t0, t1 = points[0], points[1]
+            perturbed = [
+                (rhs + Polynomial([0, 0, 0, F(1, 5)]), 0),
+                (rhs * Polynomial([F(3, 2)]), 0),
+                (-rhs, 0),
+                # agrees at the first checked point only
+                (rhs + Polynomial([-t0, 1]) * Polynomial([F(2, 7)]), 1),
+                # agrees at the first two checked points only
+                (rhs + Polynomial([-t0, 1]) * Polynomial([-t1, 1]), 2),
+            ]
+            for bad, first_failure in perturbed:
+                want = fraction_sample_check(es, step, g_poly, bad, count)
+                assert want == (False, first_failure)
+                assert _adjugate_sample_check(es, step, g_poly, bad, count) == want

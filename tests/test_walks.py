@@ -184,6 +184,11 @@ class TestBtdw:
         with pytest.raises(OmegaOutOfRangeError):
             enumerate_btdw(example1(), 3, -1)
 
+    @pytest.mark.parametrize("omega", [2, -1, F(3, 2)])
+    def test_centrality_omega_range(self, omega):
+        with pytest.raises(OmegaOutOfRangeError, match=f"omega={omega} outside"):
+            nbt_katz_centrality(example1(), F(1, 4), mode="btdw", omega=omega)
+
 
 class TestWeightedNbtw:
     def test_unit_weights_match_recurrence(self):
