@@ -45,14 +45,20 @@ def build_edge_space(g: Graph) -> EdgeSpace:
     """Assemble all edge-space matrices for a graph.
 
     The Hashimoto support rule is direct: entry (e, f) is 1 when edge e ends
-    where f starts and f is not the reverse of e.  The equivalent line-graph
-    form (line_graph minus backtrack) is asserted at build time.
+    where f starts and f is not the reverse of e.  The supports are filled
+    from the edges leaving each head vertex, in O(m * degree).  The
+    equivalent line-graph form (line_graph minus backtrack) is asserted at
+    build time on the supports: the line graph's is the union of the
+    backtrack's and the Hashimoto's, and those two are disjoint.
     """
     edges = [(u, v) for u, v, _ in g.edges]
     weights = [w for _, _, w in g.edges]
     m = len(edges)
     n = g.n
     index = {e: i for i, e in enumerate(edges)}
+    leaving = [[] for _ in range(n)]
+    for f, (x, _) in enumerate(edges):
+        leaving[x].append(f)
 
     source = Matrix(
         [[_ONE if edges[e][0] == j else _ZERO for j in range(n)] for e in range(m)]
@@ -61,24 +67,18 @@ def build_edge_space(g: Graph) -> EdgeSpace:
         [[_ONE if edges[e][1] == j else _ZERO for j in range(n)] for e in range(m)]
     )
 
-    line = [[_ZERO] * m for _ in range(m)]
-    back = [[_ZERO] * m for _ in range(m)]
-    hashi = [[_ZERO] * m for _ in range(m)]
+    line, back, hashi = set(), set(), set()
     for e, (u, v) in enumerate(edges):
         rev = index.get((v, u))
-        for f, (x, y) in enumerate(edges):
-            if x != v:
-                continue
-            line[e][f] = _ONE
+        for f in leaving[v]:
+            line.add((e, f))
             if f == rev:
-                back[e][f] = _ONE
+                back.add((e, f))
             else:
-                hashi[e][f] = _ONE
-    line_graph = Matrix(line)
-    backtrack = Matrix(back)
-    hashimoto = Matrix(hashi)
-    if line_graph - backtrack != hashimoto:
+                hashi.add((e, f))
+    if line != back | hashi or back & hashi:
         raise RuntimeError("edge-space construction is inconsistent")
+    line_graph, backtrack, hashimoto = (_support_matrix(s, m) for s in (line, back, hashi))
 
     recip_edges = sum(1 for u, v in edges if (v, u) in index)
     b = recip_edges // 2
@@ -99,6 +99,14 @@ def build_edge_space(g: Graph) -> EdgeSpace:
         unreciprocated_count=a,
         reciprocal_pair_count=b,
     )
+
+
+def _support_matrix(support, m: int) -> Matrix:
+    """The m-by-m 0/1 matrix with ones on the given (row, column) pairs."""
+    rows = [[_ZERO] * m for _ in range(m)]
+    for e, f in support:
+        rows[e][f] = _ONE
+    return Matrix(rows)
 
 
 def weighted_hashimoto(es: EdgeSpace) -> Matrix:

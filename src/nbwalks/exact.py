@@ -8,6 +8,9 @@ the matrix cleared to integers.
 Products are cleared to integers (one common denominator for the right
 factor, one per row for the left) and run sparse over the nonzeros of the
 left factor, so the 0/1 edge-space matrices cost what their nonzeros cost.
+That inner loop, sparse integer rows times dense integer rows, is the one
+private kernel `_int_product`; the integer walk tables of `walks` call it
+directly and build `Fraction`s only once, at the end.
 """
 
 from __future__ import annotations
@@ -44,7 +47,9 @@ class Matrix:
     __slots__ = ("data", "nrows", "ncols")
 
     def __init__(self, rows):
-        data = tuple(tuple(_frac(x) for x in row) for row in rows)
+        data = tuple(
+            tuple([x if type(x) is Fraction else Fraction(x) for x in row]) for row in rows
+        )
         self.data = data
         self.nrows = len(data)
         self.ncols = len(data[0]) if data else 0
@@ -82,22 +87,24 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         return Matrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)]
+            [[a + b if b else a for a, b in zip(ra, rb)]
+             for ra, rb in zip(self.data, other.data)]
         )
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return Matrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)]
+            [[a - b if b else a for a, b in zip(ra, rb)]
+             for ra, rb in zip(self.data, other.data)]
         )
 
     def __neg__(self) -> "Matrix":
-        return Matrix([[-a for a in row] for row in self.data])
+        return Matrix([[-a if a else a for a in row] for row in self.data])
 
     def scale(self, c) -> "Matrix":
         c = _frac(c)
         if c == 1:  # immutable, so the plain (tau = 1) cases pay nothing
             return self
-        return Matrix([[c * a for a in row] for row in self.data])
+        return Matrix([[c * a if a else a for a in row] for row in self.data])
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
@@ -107,16 +114,13 @@ class Matrix:
         width = other.ncols
         flat, right_den = _clear_denominators([x for row in other.data for x in row])
         right = [flat[k * width:(k + 1) * width] for k in range(other.nrows)]
-        out = []
+        left, dens = [], []
         for row in self.data:
             ints, den = _clear_denominators(row)
-            acc = [0] * width
-            for k, c in enumerate(ints):
-                if c == 1:
-                    acc = [a + b for a, b in zip(acc, right[k])]
-                elif c:
-                    acc = [a + c * b for a, b in zip(acc, right[k])]
-            den *= right_den
+            left.append([(k, c) for k, c in enumerate(ints) if c])
+            dens.append(den * right_den)
+        out = []
+        for acc, den in zip(_int_product(left, right, width), dens):
             if den == 1:
                 out.append([Fraction(a) for a in acc])
             else:
@@ -257,6 +261,50 @@ class Matrix:
     def det_one_minus_t(self):
         """Coefficients of det(I - t*self), ascending; reversal of char_poly."""
         return self.char_poly()[::-1]
+
+
+def _int_product(left, right, width: int) -> list[list[int]]:
+    """Integer product of sparse rows times dense rows.
+
+    Each row of ``left`` lists its nonzero entries as (k, c) pairs; row i of
+    the result is the sum of c * right[k] over them, a list of ``width``
+    ints (all 0 for an empty row).  The one product kernel: `Matrix.__mul__`
+    and the integer walk tables all run on it.
+    """
+    out = []
+    for row in left:
+        acc = None
+        for k, c in row:
+            r = right[k]
+            if acc is None:
+                acc = list(r) if c == 1 else [c * b for b in r]
+            elif c == 1:
+                acc = [a + b for a, b in zip(acc, r)]
+            else:
+                acc = [a + c * b for a, b in zip(acc, r)]
+        out.append([0] * width if acc is None else acc)
+    return out
+
+
+class _Fractions(dict):
+    """Fraction(x, den) by integer numerator x, each built once."""
+
+    __slots__ = ("den",)
+
+    def __init__(self, den: int):
+        super().__init__()
+        self.den = den
+
+    def __missing__(self, x):
+        f = self[x] = Fraction(x, self.den)
+        return f
+
+
+def _int_matrix(rows, den: int = 1) -> Matrix:
+    """The matrix of Fraction(x, den) over integer rows; equal entries share
+    one immutable Fraction, so a table of small counts builds few of them."""
+    fractions = _Fractions(den)
+    return Matrix([[fractions[x] for x in row] for row in rows])
 
 
 def _bareiss_int_det(rows) -> int:

@@ -108,7 +108,8 @@ def serialize_graph(g: Graph) -> str:
 
 
 def rational_str(x: Fraction) -> str:
-    x = Fraction(x)
+    if type(x) is not Fraction:
+        x = Fraction(x)
     return f"{x.numerator}/{x.denominator}"
 
 

@@ -29,16 +29,16 @@ from .polys import PolyMatrix, polymat_det, root_multiplicity, smith_form
 
 def structure_matrices(g: Graph):
     """A, S and D for an unweighted digraph."""
-    a = g.adjacency()
     es = g.edge_set()
     n = g.n
-    s_rows = [
-        [a.data[i][j] if (j, i) in es else Fraction(0) for j in range(n)]
-        for i in range(n)
-    ]
-    s = Matrix(s_rows)
-    d = Matrix.diagonal([sum(row) for row in s_rows])
-    return a, s, d
+    zero = Fraction(0)
+    s_rows = [[zero] * n for _ in range(n)]
+    degrees = [zero] * n
+    for u, v, w in g.edges:
+        if (v, u) in es:
+            s_rows[u][v] = w
+            degrees[u] += w
+    return g.adjacency(), Matrix(s_rows), Matrix.diagonal(degrees)
 
 
 def _deformed_coefficients(g: Graph, tau: Fraction) -> list[Matrix]:

@@ -5,10 +5,12 @@ entrywise positive x and irreducible nonnegative M,
 
     min_i (Mx)_i / x_i  <=  rho(M)  <=  max_i (Mx)_i / x_i.
 
-Floating point is only used to find a good starting vector; the reported
-bounds are rational and rigorous.  A block with an entry a float cannot
-hold is first balanced by powers of two (a diagonal similarity and a scale,
-both exact) so that floats can find its vector.  Reducible matrices are
+Floating point is only used to find a good starting vector, by a power
+iteration over the nonzeros of each row that stops at its first exact
+repeat; the reported bounds are rational and rigorous.  A block with an
+entry a float cannot hold, or a row sum that overflows one, is first
+balanced by powers of two (a diagonal similarity and a scale, both exact)
+so that floats can find its vector.  Reducible matrices are
 split into the strongly connected blocks of their support graph and the
 radius is the maximum over blocks, which also avoids zero divisions on
 transient states.
@@ -65,26 +67,38 @@ def is_nilpotent(m: Matrix) -> bool:
 
 
 def _float_rows(block):
-    """The block in floats, or None when an entry overflows a float or a
-    nonzero entry underflows to 0."""
+    """The block in floats, or None when an entry overflows a float, a
+    nonzero entry underflows to 0, or a row sum plus 1 overflows (a power
+    step on a vector of entries at most 1 would then reach infinity)."""
     try:
         fm = [[float(x) for x in row] for row in block]
     except OverflowError:
         return None
     fits = all(f or not x for row, frow in zip(block, fm) for x, f in zip(row, frow))
-    return fm if fits else None
+    return fm if fits and all(math.isfinite(sum(row) + 1.0) for row in fm) else None
 
 
 def _float_power_vector(fm, iterations=400):
-    """Approximate Perron vector of fm + I in floating point."""
+    """Approximate Perron vector of fm + I in floating point.
+
+    Each step sums over the nonzeros of a row only: the skipped terms are
+    0.0 * x[k] = 0.0 with x finite and nonnegative, and adding them leaves a
+    float sum unchanged, so every iterate is the one of the dense step.  An
+    iterate equal to the previous one is a fixed point of the step, so the
+    loop returns it at once: the remaining steps would only repeat it.
+    """
     n = len(fm)
+    rows = [[(k, f) for k, f in enumerate(row) if f] for row in fm]
     x = [1.0] * n
     for _ in range(iterations):
-        y = [sum(fm[i][k] * x[k] for k in range(n)) + x[i] for i in range(n)]
+        y = [sum(f * x[k] for k, f in row) + x[i] for i, row in enumerate(rows)]
         top = max(y)
         if top == 0:
             return [1.0] * n
-        x = [v / top for v in y]
+        y = [v / top for v in y]
+        if y == x:
+            return x
+        x = y
     return x
 
 
@@ -153,13 +167,11 @@ def _block_radius(block, tol, budget):
         f = Fraction(v).limit_denominator(10**15)
         x.append(f if f > 0 else floor)
 
+    support = [[(k, a) for k, a in enumerate(row) if a] for row in block]
     iterations = 0
     lo_best, hi_best = _ZERO, None
     while True:
-        y = [
-            sum((block[i][k] * x[k] for k in range(n) if block[i][k]), _ZERO)
-            for i in range(n)
-        ]
+        y = [sum((a * x[k] for k, a in row), _ZERO) for row in support]
         ratios = [y[i] / x[i] for i in range(n)]
         lo = min(ratios)
         hi = max(ratios)

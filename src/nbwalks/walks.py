@@ -12,9 +12,12 @@ backtrack-downweighted walks, so the oracle, the recurrence and the
 generating function each have one implementation over omega or tau, and
 the plain names are thin wrappers of it.
 
-Tables hold exact rationals.  Enumeration is metered: every edge extension
-taken counts against a budget so pathological inputs fail loudly instead of
-hanging.
+Tables hold exact rationals.  The recurrence and the Hashimoto powers run
+on sparse integer rows scaled by one common denominator (q**k for the
+recurrence, W**k for the weighted powers) and build each table's Fractions
+once, at the end.  Enumeration is metered: every edge extension taken
+counts against a budget so pathological inputs fail loudly instead of
+hanging, and a depth's table is only allocated once the search reaches it.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .errors import (
     PoleAtTError,
     WeightedUnsupportedError,
 )
-from .exact import Matrix
+from .exact import Matrix, _clear_denominators, _int_matrix, _int_product
 from .graphs import Graph
 from .laplacians import _deformed_coefficients, _deformed_laplacian, structure_matrices
 from .spectral import perron_radius
@@ -80,16 +83,16 @@ def _enumerate(g: Graph, kmax: int, omega: Fraction, budget) -> tuple[Matrix, ..
     weighs the product of its edge weights times omega per backtrack.
 
     Every step taken counts against the budget; a step whose weight is 0
-    (a backtrack at omega = 0) is never taken and costs nothing.
+    (a backtrack at omega = 0) is never taken and costs nothing.  A depth's
+    table is allocated when the search first reaches that depth, so a run
+    that exhausts its budget early costs little memory at any kmax; the
+    depths never reached share one zero matrix.
     """
     meter = _Budget(budget)
     out = g.out_neighbors()
     wmap = g.weight_map()
-    tables = [
-        [[_ZERO] * g.n for _ in range(g.n)] for _ in range(kmax + 1)
-    ]
-    for v in range(g.n):
-        tables[0][v][v] = _ONE
+    n = g.n
+    tables = [[[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]]
     for start in range(g.n):
         stack = [(start, -1, 0, _ONE)]
         while stack:
@@ -103,9 +106,12 @@ def _enumerate(g: Graph, kmax: int, omega: Fraction, budget) -> tuple[Matrix, ..
                 if not nw:
                     continue
                 meter.spend()
+                if depth + 1 == len(tables):
+                    tables.append([[_ZERO] * n for _ in range(n)])
                 tables[depth + 1][start][w] += nw
                 stack.append((w, v, depth + 1, nw))
-    return tuple(Matrix(rows) for rows in tables)
+    unreached = (Matrix.zeros(n, n),) * (kmax + 1 - len(tables))
+    return tuple(Matrix(rows) for rows in tables) + unreached
 
 
 def _omega_fraction(omega) -> Fraction:
@@ -138,18 +144,40 @@ def _recurrence(g: Graph, kmax: int, tau: Fraction) -> tuple[Matrix, ...]:
     With M_tau = I - A t + c2 t**2 + c3 t**3, reading off t**k gives
     p_0 = I, p_1 = A, p_2 = A**2 - c2 - tau**2 I, and
     p_k = A p_{k-1} - c2 p_{k-2} - c3 p_{k-3} from k = 3 on.
+
+    The recurrence runs on the integers P_k = q**k p_k, with q the least
+    common denominator of the c_j and tau**2 (1 at tau = 1):
+    P_k = sum_j (q**j (-c_j)) P_{k-j}, less q**2 tau**2 I at k = 2.  Each
+    step is one sparse product of the stacked rows [q (-c_1) | q**2 (-c_2) |
+    ...] with [P_{k-1}; P_{k-2}; ...], and each table becomes a Fraction
+    matrix once, at the end.
     """
-    coeffs = _deformed_coefficients(g, tau)
-    eye, a = coeffs[0], -coeffs[1]
-    seq = [eye, a][: kmax + 1]
-    for k in range(2, kmax + 1):
-        nxt = a * seq[k - 1]
-        for j in range(2, min(k, len(coeffs) - 1) + 1):
-            nxt = nxt - coeffs[j] * seq[k - j]
-        if k == 2 and tau:
-            nxt = nxt - eye.scale(tau * tau)
+    coeffs = _deformed_coefficients(g, tau)[1:]
+    n = g.n
+    _, q = _clear_denominators(
+        [x for c in coeffs for row in c.data for x in row] + [tau * tau]
+    )
+    q2tau2 = int(q * q * tau * tau)
+    # row i of [q (-c_1) | q**2 (-c_2) | ...]: column j n + col multiplies
+    # row col of P_(k-1-j) in the stacked right factor
+    stacked = [
+        [(j * n + col, int(-x * q ** (j + 1)))
+         for j, c in enumerate(coeffs) for col, x in enumerate(c.data[i]) if x]
+        for i in range(n)
+    ]
+    # lefts[d - 1]: the first d terms, for step k with d = min(k, grade)
+    lefts = [[[(col, x) for col, x in row if col < d * n] for row in stacked]
+             for d in range(1, len(coeffs) + 1)]
+    seq = [[[int(i == j) for j in range(n)] for i in range(n)]]
+    for k in range(1, kmax + 1):
+        d = min(k, len(lefts))
+        right = [row for p in reversed(seq[k - d:k]) for row in p]
+        nxt = _int_product(lefts[d - 1], right, n)
+        if k == 2:
+            for i in range(n):
+                nxt[i][i] -= q2tau2
         seq.append(nxt)
-    return tuple(seq)
+    return tuple(_int_matrix(p, q**k) for k, p in enumerate(seq))
 
 
 def nbtw_recurrence(g: Graph, kmax: int) -> WalkTable:
@@ -175,19 +203,26 @@ def weighted_nbtw(g: Graph, kmax: int) -> WalkTable:
     and unweighted graphs alike.
 
     p_k = source.T @ Z @ (hashimoto @ Z)**(k-1) @ target for k >= 1.
+
+    The powers run on integers: with W the least common denominator of the
+    weights and Z' = W Z, the carriers C_k = (hashimoto @ Z')**k @ target
+    are integer, and p_k = source.T @ Z' @ C_(k-1) / W**k.
     """
     _require_length(kmax)
     es = build_edge_space(g)
+    n = g.n
     if es.m == 0:
-        seq = [Matrix.identity(g.n)] + [Matrix.zeros(g.n, g.n)] * kmax
+        seq = [Matrix.identity(n)] + [Matrix.zeros(n, n)] * kmax
         return WalkTable("nbtw", kmax, tuple(seq), "edgepower")
-    lt_z = es.source.transpose() * es.weight_diag
-    step = v_similar(es)
-    seq = [Matrix.identity(g.n)]
-    carrier = es.target
-    for _ in range(1, kmax + 1):
-        seq.append(lt_z * carrier)
-        carrier = step * carrier
+    z, w = _clear_denominators([es.weight_diag.data[e][e] for e in range(es.m)])
+    step = [[(f, z[f]) for f, x in enumerate(row) if x] for row in es.hashimoto.data]
+    lt_z = [[(e, z[e]) for e, row in enumerate(es.source.data) if row[v]] for v in range(n)]
+    carrier = [[x.numerator for x in row] for row in es.target.data]
+    seq = [Matrix.identity(n)]
+    for k in range(1, kmax + 1):
+        seq.append(_int_matrix(_int_product(lt_z, carrier, n), w**k))
+        if k < kmax:
+            carrier = _int_product(step, carrier, n)
     return WalkTable("nbtw", kmax, tuple(seq), "edgepower")
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from nbwalks import (
+    Matrix,
     Polynomial,
     build_edge_space,
     build_unweighted,
@@ -26,7 +27,42 @@ from helpers import (
 )
 
 
+def reference_edge_matrices(g):
+    """Line graph, backtrack and Hashimoto matrices by the O(m**2) scan over
+    all edge pairs (the build before the per-head-vertex one)."""
+    edges = [(u, v) for u, v, _ in g.edges]
+    m = len(edges)
+    index = {e: i for i, e in enumerate(edges)}
+    line = [[F(0)] * m for _ in range(m)]
+    back = [[F(0)] * m for _ in range(m)]
+    hashi = [[F(0)] * m for _ in range(m)]
+    for e, (u, v) in enumerate(edges):
+        rev = index.get((v, u))
+        for f, (x, y) in enumerate(edges):
+            if x != v:
+                continue
+            line[e][f] = F(1)
+            if f == rev:
+                back[e][f] = F(1)
+            else:
+                hashi[e][f] = F(1)
+    return Matrix(line), Matrix(back), Matrix(hashi)
+
+
 class TestBuildEdgeSpace:
+    def test_equals_dense_build(self):
+        rng = random.Random(17)
+        graphs = [random_digraph(rng, rng.randint(2, 7), rng.choice([0.2, 0.5, 0.9]),
+                                 weighted=rng.random() < 0.5) for _ in range(25)]
+        graphs += [example1(), bowtie(), two_squares(), single_recip_edge(),
+                   build_unweighted([], vertices=[1, 2]), build_unweighted([], vertices=[1])]
+        for g in graphs:
+            es = build_edge_space(g)
+            line, back, hashi = reference_edge_matrices(g)
+            assert (es.line_graph, es.backtrack, es.hashimoto) == (line, back, hashi)
+            assert es.line_graph - es.backtrack == es.hashimoto
+
+
     def test_single_reciprocal_edge(self):
         es = build_edge_space(single_recip_edge())
         assert es.m == 2

@@ -13,7 +13,7 @@ from nbwalks import (
     v_similar,
 )
 from nbwalks.errors import NegativeEntryError
-from nbwalks.spectral import _float_rows
+from nbwalks.spectral import _balancing_exponents, _blocks, _float_power_vector, _float_rows
 
 from helpers import (
     bowtie,
@@ -161,6 +161,76 @@ class TestExtremeEntries:
         assert _float_rows([[F(0), F(1)], [F(2), F(0)]]) == [[0.0, 1.0], [2.0, 0.0]]
         assert _float_rows([[F(0), F(10**400)], [F(1), F(0)]]) is None
         assert _float_rows([[F(0), F(1, 10**400)], [F(1), F(0)]]) is None
+
+
+def reference_power_vector(fm, iterations=400):
+    """All 400 dense float power steps (the start vector before the sparse
+    loop); also returns the first step whose iterate repeats, or None."""
+    n = len(fm)
+    x = [1.0] * n
+    repeat = None
+    for step in range(1, iterations + 1):
+        y = [sum(fm[i][k] * x[k] for k in range(n)) + x[i] for i in range(n)]
+        top = max(y)
+        if top == 0:
+            return [1.0] * n, repeat
+        y = [v / top for v in y]
+        if repeat is None and y == x:
+            repeat = step
+        x = y
+    return x, repeat
+
+
+def irreducible_blocks(m):
+    for verts in _blocks(m):
+        if len(verts) > 1:
+            yield [[m.data[i][j] for j in verts] for i in verts]
+
+
+class TestFloatPowerVector:
+    """The sparse loop that stops at its first exact repeat returns the
+    vector of 400 dense steps, bit for bit."""
+
+    def check(self, fm):
+        want, repeat = reference_power_vector(fm)
+        got = _float_power_vector(fm)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+        return repeat
+
+    def test_seeded_hashimoto_blocks(self):
+        rng = random.Random(7)
+        repeats = []
+        for _ in range(12):
+            g = random_digraph(rng, rng.randint(4, 7), rng.choice([0.3, 0.5]),
+                               weighted=rng.random() < 0.5)
+            for block in irreducible_blocks(v_similar(build_edge_space(g))):
+                repeats.append(self.check(_float_rows(block)))
+        # both kinds occur: blocks that settle early and blocks that never do
+        assert None in repeats
+        assert any(r is not None and r > 1 for r in repeats)
+
+    def test_balanced_block(self):
+        rng = random.Random(41)
+        g = random_digraph(rng, 6, 0.6, weighted=True)
+        step = v_similar(build_edge_space(g)).scale(F(10**400))
+        checked = 0
+        for block in irreducible_blocks(step):
+            assert _float_rows(block) is None
+            s, d = _balancing_exponents(block)
+            fm = [[float(x * F(2) ** (d[j] - d[i] - s)) for j, x in enumerate(row)]
+                  for i, row in enumerate(block)]
+            self.check(fm)
+            checked += 1
+        assert checked
+
+    def test_row_sums_past_float_range_are_balanced(self):
+        # every entry is a float, but a power step would overflow to inf
+        huge = F(10**308)
+        assert _float_rows([[huge, huge], [huge, huge]]) is None
+        es = build_edge_space(complete_undirected(4))
+        pr = perron_radius(es.hashimoto.scale(huge))
+        assert pr.lower <= 2 * huge <= pr.upper
+        assert pr.width <= TOL * pr.upper
 
 
 class TestSpectralInvariants:

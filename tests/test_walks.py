@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -6,12 +7,15 @@ import pytest
 from nbwalks import (
     Matrix,
     btdw_recurrence,
+    build_edge_space,
+    build_graph,
     build_unweighted,
     enumerate_btdw,
     enumerate_nbtw,
     generating_function_eval,
     nbt_katz_centrality,
     nbtw_recurrence,
+    v_similar,
     weighted_nbtw,
 )
 from nbwalks.errors import (
@@ -21,7 +25,8 @@ from nbwalks.errors import (
     PoleAtTError,
     WeightedUnsupportedError,
 )
-from nbwalks.walks import walk_tables_float
+from nbwalks.laplacians import _deformed_coefficients
+from nbwalks.walks import _recurrence, walk_tables_float
 
 from helpers import (
     all_digraphs,
@@ -31,6 +36,7 @@ from helpers import (
     directed_cycle,
     example1,
     nonisomorphic_connected_undirected,
+    random_connected_graph,
     random_digraph,
     single_recip_edge,
     undirected_cycle,
@@ -87,6 +93,18 @@ class TestEnumerateNbtw:
         table = enumerate_nbtw(weighted_3cycle(), 3)
         assert table.tables[3] == Matrix.identity(3).scale(30)
 
+    def test_budget_spent_before_tables_grow(self):
+        # Tables are allocated depth by depth as the search reaches them,
+        # so an exhausted budget raises long before kmax + 1 of them exist.
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationBudgetExceededError):
+                enumerate_nbtw(undirected_cycle(3), 10**5, budget=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
 
 class TestRecurrences:
     def test_path_p2(self):
@@ -108,6 +126,71 @@ class TestRecurrences:
     def test_weighted_rejected(self):
         with pytest.raises(WeightedUnsupportedError):
             nbtw_recurrence(weighted_3cycle(), 3)
+
+
+def reference_recurrence(g, kmax, tau):
+    """The recurrence on Fraction matrices, step by step (the route before
+    the integer tables)."""
+    coeffs = _deformed_coefficients(g, tau)
+    eye, a = coeffs[0], -coeffs[1]
+    seq = [eye, a][: kmax + 1]
+    for k in range(2, kmax + 1):
+        nxt = a * seq[k - 1]
+        for j in range(2, min(k, len(coeffs) - 1) + 1):
+            nxt = nxt - coeffs[j] * seq[k - j]
+        if k == 2 and tau:
+            nxt = nxt - eye.scale(tau * tau)
+        seq.append(nxt)
+    return tuple(seq)
+
+
+def reference_weighted_nbtw(g, kmax):
+    """Hashimoto powers on Fraction matrices (the route before the integer
+    carriers)."""
+    es = build_edge_space(g)
+    if es.m == 0:
+        return (Matrix.identity(g.n),) + (Matrix.zeros(g.n, g.n),) * kmax
+    lt_z = es.source.transpose() * es.weight_diag
+    step = v_similar(es)
+    seq = [Matrix.identity(g.n)]
+    carrier = es.target
+    for _ in range(1, kmax + 1):
+        seq.append(lt_z * carrier)
+        carrier = step * carrier
+    return tuple(seq)
+
+
+class TestIntegerTables:
+    TAUS = (F(1), F(1, 2), F(2, 3), F(1, 7), F(0))
+
+    def graphs(self):
+        rng = random.Random(808)
+        for n, extra, oneway in ((5, 1, 0.0), (6, 3, 0.0), (6, 2, 0.5), (7, 3, 0.4)):
+            yield random_connected_graph(rng, n, extra, oneway)
+        yield directed_cycle(4)
+        yield build_unweighted([], vertices=[1])
+
+    def test_recurrence_equals_reference(self):
+        for g in self.graphs():
+            for tau in self.TAUS:
+                assert _recurrence(g, 24, tau) == reference_recurrence(g, 24, tau), (g.edges, tau)
+
+    def test_recurrence_short_lengths(self):
+        g = random_connected_graph(random.Random(5), 5, 2, 0.5)
+        for tau in self.TAUS:
+            for kmax in range(4):
+                assert _recurrence(g, kmax, tau) == reference_recurrence(g, kmax, tau)
+
+    def test_weighted_nbtw_equals_reference(self):
+        rng = random.Random(4242)
+        graphs = [random_digraph(rng, rng.randint(3, 6), 0.5, weighted=True) for _ in range(6)]
+        graphs.append(build_graph([(1, 2, F(7, 9)), (2, 3, F(5, 12)), (3, 1, F(11, 4)),
+                                   (2, 1, F(3, 10)), (3, 2, 6), (1, 3, F(1, 21))]))
+        graphs += [build_unweighted([], vertices=[1, 2]), build_unweighted([], vertices=[1])]
+        for g in graphs:
+            for kmax in (0, 1, 2, 9):
+                table = weighted_nbtw(g, kmax).tables
+                assert table == reference_weighted_nbtw(g, kmax), (g.edges, kmax)
 
 
 class TestNegativeLength:
