@@ -176,6 +176,8 @@ def _run(args):
             ],
         }
     elif args.command == "radius":
+        if args.tau is not None and args.mode != "btdw":
+            raise _UsageError("--tau applies to --mode btdw only")
         if args.mode == "nbtw":
             report = radius_unweighted(g)
         elif args.mode == "weighted":
@@ -216,6 +218,8 @@ def _run(args):
             raise _UsageError(f"--t must be nonnegative, got {args.t}")
         if args.mode == "btdw" and args.omega is None:
             raise _UsageError("--mode btdw needs --omega")
+        if args.mode != "btdw" and args.omega is not None:
+            raise _UsageError("--omega applies to --mode btdw only")
         result = nbt_katz_centrality(g, args.t, mode=args.mode, omega=args.omega)
         payload = {"kind": "centrality", **centrality_json(result)}
     elif args.command == "verify":

@@ -207,15 +207,10 @@ def radius_weighted(g: Graph) -> RadiusReport:
     if pr.nilpotent != (case == CASE_ALL_TREES):
         raise RuntimeError("nilpotency disagrees with the cycle classification")
 
-    sigma_sq = None
-    products = [
-        es.weight_diag.data[e][e] * es.weight_diag.data[f][f]
-        for e in range(es.m)
-        for f in range(es.m)
-        if es.hashimoto.data[e][f]
-    ]
-    if products:
-        sigma_sq = min(products)
+    w = es.weights
+    sigma_sq = min(
+        (w[e] * w[f] for e, row in enumerate(es.successors) for f in row), default=None
+    )
 
     provenance = {
         "case": "cycle classification of component undirectizations",

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .exact import Matrix
+from .exact import Matrix, _clear_denominators
 from .graphs import Graph
 
 _ZERO = Fraction(0)
@@ -19,8 +20,14 @@ _ONE = Fraction(1)
 
 @dataclass(frozen=True)
 class EdgeSpace:
-    """Edge-space view of a digraph.
+    """Edge-space view of a digraph, stored as arc arrays.
 
+    Arc e runs from tails[e] to heads[e] with weight weights[e]; reverse[e]
+    is the index of the arc heads[e] -> tails[e], or None when e is
+    unreciprocated, and successors[e] lists, ascending, the arcs leaving
+    heads[e] other than reverse[e]: the non-backtracking continuations.
+
+    The dense matrices are views built from the arrays on first read.
     source/target are the m-by-n incidence factors with A = source.T @ Z @
     target.  backtrack pairs each edge with its reverse (zero row/column for
     unreciprocated edges), reciprocal_mask is its square: a diagonal 0/1
@@ -30,83 +37,102 @@ class EdgeSpace:
 
     graph: Graph
     m: int
-    source: Matrix
-    target: Matrix
-    line_graph: Matrix
-    backtrack: Matrix
-    reciprocal_mask: Matrix
-    hashimoto: Matrix
-    weight_diag: Matrix
+    tails: tuple[int, ...]
+    heads: tuple[int, ...]
+    weights: tuple[Fraction, ...]
+    reverse: tuple[int | None, ...]
+    successors: tuple[tuple[int, ...], ...]
     unreciprocated_count: int
     reciprocal_pair_count: int
 
+    @cached_property
+    def source(self) -> Matrix:
+        return _incidence(self.tails, self.graph.n)
+
+    @cached_property
+    def target(self) -> Matrix:
+        return _incidence(self.heads, self.graph.n)
+
+    @cached_property
+    def line_graph(self) -> Matrix:
+        """Entry (e, f) is 1 when f leaves the vertex e enters; read off the
+        tails, so that line_graph = backtrack + hashimoto is a check."""
+        return Matrix([[_ONE if x == v else _ZERO for x in self.tails] for v in self.heads])
+
+    @cached_property
+    def backtrack(self) -> Matrix:
+        return Matrix([[_ONE if f == r else _ZERO for f in range(self.m)] for r in self.reverse])
+
+    @cached_property
+    def reciprocal_mask(self) -> Matrix:
+        return Matrix.diagonal([_ZERO if f is None else _ONE for f in self.reverse])
+
+    @cached_property
+    def hashimoto(self) -> Matrix:
+        rows = [[_ZERO] * self.m for _ in range(self.m)]
+        for e, continuations in enumerate(self.successors):
+            for f in continuations:
+                rows[e][f] = _ONE
+        return Matrix(rows)
+
+    @cached_property
+    def weight_diag(self) -> Matrix:
+        return Matrix.diagonal(self.weights)
+
 
 def build_edge_space(g: Graph) -> EdgeSpace:
-    """Assemble all edge-space matrices for a graph.
+    """The arc arrays of a graph, in O(m * degree).
 
-    The Hashimoto support rule is direct: entry (e, f) is 1 when edge e ends
-    where f starts and f is not the reverse of e.  The supports are filled
-    from the edges leaving each head vertex, in O(m * degree).  The
-    equivalent line-graph form (line_graph minus backtrack) is asserted at
-    build time on the supports: the line graph's is the union of the
-    backtrack's and the Hashimoto's, and those two are disjoint.
+    The Hashimoto support rule is direct: f continues e when e ends where f
+    starts and f is not the reverse of e.  The successors are read off the
+    arcs leaving each head vertex.
     """
-    edges = [(u, v) for u, v, _ in g.edges]
-    weights = [w for _, _, w in g.edges]
-    m = len(edges)
-    n = g.n
-    index = {e: i for i, e in enumerate(edges)}
-    leaving = [[] for _ in range(n)]
-    for f, (x, _) in enumerate(edges):
+    tails = tuple(u for u, _, _ in g.edges)
+    heads = tuple(v for _, v, _ in g.edges)
+    index = {(u, v): e for e, (u, v) in enumerate(zip(tails, heads))}
+    leaving = [[] for _ in range(g.n)]
+    for f, x in enumerate(tails):
         leaving[x].append(f)
-
-    source = Matrix(
-        [[_ONE if edges[e][0] == j else _ZERO for j in range(n)] for e in range(m)]
+    reverse = tuple(index.get((v, u)) for u, v in zip(tails, heads))
+    successors = tuple(
+        tuple(f for f in leaving[v] if f != rev) for v, rev in zip(heads, reverse)
     )
-    target = Matrix(
-        [[_ONE if edges[e][1] == j else _ZERO for j in range(n)] for e in range(m)]
-    )
-
-    line, back, hashi = set(), set(), set()
-    for e, (u, v) in enumerate(edges):
-        rev = index.get((v, u))
-        for f in leaving[v]:
-            line.add((e, f))
-            if f == rev:
-                back.add((e, f))
-            else:
-                hashi.add((e, f))
-    if line != back | hashi or back & hashi:
-        raise RuntimeError("edge-space construction is inconsistent")
-    line_graph, backtrack, hashimoto = (_support_matrix(s, m) for s in (line, back, hashi))
-
-    recip_edges = sum(1 for u, v in edges if (v, u) in index)
-    b = recip_edges // 2
-    a = m - 2 * b
-    mask = Matrix.diagonal(
-        [_ONE if (edges[e][1], edges[e][0]) in index else _ZERO for e in range(m)]
-    )
+    m = len(tails)
+    b = sum(1 for f in reverse if f is not None) // 2
     return EdgeSpace(
         graph=g,
         m=m,
-        source=source,
-        target=target,
-        line_graph=line_graph,
-        backtrack=backtrack,
-        reciprocal_mask=mask,
-        hashimoto=hashimoto,
-        weight_diag=Matrix.diagonal(weights),
-        unreciprocated_count=a,
+        tails=tails,
+        heads=heads,
+        weights=tuple(w for _, _, w in g.edges),
+        reverse=reverse,
+        successors=successors,
+        unreciprocated_count=m - 2 * b,
         reciprocal_pair_count=b,
     )
 
 
-def _support_matrix(support, m: int) -> Matrix:
-    """The m-by-m 0/1 matrix with ones on the given (row, column) pairs."""
-    rows = [[_ZERO] * m for _ in range(m)]
-    for e, f in support:
-        rows[e][f] = _ONE
-    return Matrix(rows)
+def _incidence(ends, n: int) -> Matrix:
+    """The len(ends)-by-n 0/1 matrix with row e the unit vector of ends[e]."""
+    return Matrix([[_ONE if j == v else _ZERO for j in range(n)] for v in ends])
+
+
+def _integer_operator(es: EdgeSpace):
+    """(W, step, lt_z, r_rows): the edge operator on integers.
+
+    W is the least common denominator of the weights and Z' = W Z.  step
+    holds the sparse rows of hashimoto @ Z' and lt_z those of source.T @ Z',
+    as (index, int) pairs for `exact._int_product`; r_rows are the dense int
+    rows of target.
+    """
+    n = es.graph.n
+    z, w = _clear_denominators(es.weights)
+    step = [[(f, z[f]) for f in row] for row in es.successors]
+    lt_z = [[] for _ in range(n)]
+    for e, u in enumerate(es.tails):
+        lt_z[u].append((e, z[e]))
+    r_rows = [[1 if j == v else 0 for j in range(n)] for v in es.heads]
+    return w, step, lt_z, r_rows
 
 
 def weighted_hashimoto(es: EdgeSpace) -> Matrix:

@@ -25,7 +25,17 @@ from .spectral import PerronResult
 from .walks import CentralityResult, WalkTable
 
 
+_MAX_WEIGHT_DIGITS = 4300  # Python's default limit on the digits of an int string
+
+
 def parse_weight(token: str) -> Fraction:
+    # checked before any integer is built: Fraction("1e99999999") would hang
+    exponent = token.lower().partition("e")[2].lstrip("+-").replace("_", "")
+    if sum(c.isdigit() for c in token) > _MAX_WEIGHT_DIGITS or (
+        exponent.isdigit() and int(exponent) > _MAX_WEIGHT_DIGITS
+    ):
+        raise GraphParseError(f"weight {token[:40]!r} needs an integer of more "
+                              f"than {_MAX_WEIGHT_DIGITS} digits")
     try:
         return Fraction(token)
     except (ValueError, ZeroDivisionError):

@@ -55,11 +55,6 @@ class Graph:
             out[u].append(v)
         return out
 
-    def reciprocal_pairs(self) -> list[tuple[int, int]]:
-        """Reciprocated edges as (u, v) with u < v, sorted."""
-        es = self.edge_set()
-        return sorted((u, v) for u, v in es if u < v and (v, u) in es)
-
     def arc_count(self) -> int:
         """Total number of directed edges."""
         return len(self.edges)

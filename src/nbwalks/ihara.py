@@ -13,12 +13,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .edgespace import EdgeSpace, build_edge_space, downweighted_transfer, v_similar
+from .edgespace import (
+    EdgeSpace,
+    _integer_operator,
+    build_edge_space,
+    downweighted_transfer,
+    v_similar,
+)
 from .errors import TauOutOfRangeError
-from .exact import Matrix, _bareiss_int_det, _clear_denominators
+from .exact import Matrix, _bareiss_int_det, _clear_denominators, _int_product
 from .graphs import Graph
 from .laplacians import _deformed_laplacian, structure_matrices
 from .polys import Polynomial, polymat_det
+from .zpoly import _zhomogeneous
 
 _ONE = Fraction(1)
 
@@ -155,18 +162,18 @@ def verify_weighted_ihara(g: Graph, samples: int | None = None) -> IdentityCerti
             "weighted_ihara", one, one, summary, details={"sample_points": 0}
         )
 
-    wmap = g.weight_map()
+    w = es.weights
     rhs = Polynomial([1])
-    for u, v in g.reciprocal_pairs():
-        rhs = rhs * Polynomial([1, 0, -(wmap[(u, v)] * wmap[(v, u)])])
+    for e, f in enumerate(es.reverse):
+        if f is not None and e < f:
+            rhs = rhs * Polynomial([1, 0, -(w[e] * w[f])])
 
-    step = v_similar(es)  # B Z in the unweighted-support form
     collapse = (es.hashimoto - es.line_graph) * es.weight_diag
     lhs = _det_one_minus_t(collapse)
-    g_poly = Polynomial(step.det_one_minus_t())
+    g_poly = Polynomial(v_similar(es).det_one_minus_t())  # det(I - t B Z)
 
     samples_ok, checked = _adjugate_sample_check(
-        es, step, g_poly, rhs, 2 * (n + m) + 1 if samples is None else samples
+        es, g_poly, rhs, 2 * (n + m) + 1 if samples is None else samples
     )
 
     residual = lhs - rhs
@@ -181,20 +188,22 @@ def verify_weighted_ihara(g: Graph, samples: int | None = None) -> IdentityCerti
     )
 
 
-def _adjugate_sample_check(es, step, g_poly, rhs, count):
+def _adjugate_sample_check(es, g_poly, rhs, count):
     """Evaluate Phi exactly at rational sample points through the adjugate of
     I - t B Z and compare det(Phi) * det(I - t B Z) with the pair product.
 
     The adjugate coefficients follow the Horner recurrence
     C_j = (B Z) C_{j-1} + g_j I applied directly to the target incidence,
-    with everything scaled to integers to keep the arithmetic cheap.  Only
-    L^T Z C_j enters Phi, so each C_j is folded into the n-by-n K_j =
+    with everything scaled to integers to keep the arithmetic cheap: with
+    ell the weights' common denominator and h_j = g_j * ell**j, the integer
+    carriers ell**j C_j R follow (B ell Z)(ell**(j-1) C_{j-1} R) + h_j R.
+    Only L^T Z C_j enters Phi, so each C_j is folded into the n-by-n K_j =
     L^T (ell Z) C_j once, kept as a flat list of n * n ints, and every
     sample runs its Horner sum on the K_j.
 
     The samples stay on integers.  With t = p/q, base = q * ell and
     den = base**m, g(t) = gn / den for gn = sum_j h_j p**j base**(m - j),
-    h_j = g_j * ell**j, and N = den * g(t) * Phi(t) is the integer matrix
+    and N = den * g(t) * Phi(t) is the integer matrix
     gn * I + p * sum_j K_j p**j base**(m - 1 - j).  As det(N) =
     den**n * g(t)**n * det(Phi), the check det(Phi) * g(t) == rhs(t) with
     rhs(t) = rn / rd is the integer equality
@@ -203,44 +212,18 @@ def _adjugate_sample_check(es, step, g_poly, rhs, count):
     """
     n = es.graph.n
     m = es.m
-    zeds, ell = _clear_denominators([es.weight_diag.data[e][e] for e in range(m)])
-    # sparse integer form of ell * B Z
-    rows_sparse = []
-    for e in range(m):
-        row = step.data[e]
-        rows_sparse.append([(f, int(x * ell)) for f, x in enumerate(row) if x])
-    h = []
-    for j in range(m + 1):
-        gj = g_poly.coeffs[j] if j <= g_poly.degree else Fraction(0)
-        scaled = gj * ell**j
-        if scaled.denominator != 1:
-            raise RuntimeError("determinant coefficients failed to clear denominators")
-        h.append(int(scaled))
+    ell, step, lt_z, r_rows = _integer_operator(es)
+    scaled = [c * ell**j for j, c in enumerate(g_poly.coeffs)]
+    if any(c.denominator != 1 for c in scaled):
+        raise RuntimeError("determinant coefficients failed to clear denominators")
+    h = [c.numerator for c in scaled] + [0] * (m + 1 - len(scaled))
     r_ints, r_lcm = _clear_denominators(rhs.coeffs)
-    r_int = [[int(x) for x in row] for row in es.target.data]
-    # arc e leaves vertex sources[e]: row e of the source incidence L
-    sources = [row.index(_ONE) for row in es.source.data]
+    carrier = [[0] * n for _ in range(m)]
     k_ints = []
-    prev = None
-    for j in range(m):
-        hj = h[j]
-        nxt = []
-        for e in range(m):
-            acc = [hj * x for x in r_int[e]]
-            if prev is not None:
-                for f, w in rows_sparse[e]:
-                    prow = prev[f]
-                    for col in range(n):
-                        acc[col] += w * prow[col]
-            nxt.append(acc)
-        k_j = [0] * (n * n)
-        for e in range(m):
-            z, offset = zeds[e], sources[e] * n
-            for col, x in enumerate(nxt[e]):
-                if x:
-                    k_j[offset + col] += z * x
-        k_ints.append(k_j)
-        prev = nxt
+    for hj in h[:m]:
+        carrier = [[a + hj * b for a, b in zip(row, r)]
+                   for row, r in zip(_int_product(step, carrier, n), r_rows)]
+        k_ints.append([x for row in _int_product(lt_z, carrier, n) for x in row])
 
     checked = 0
     candidate = 0
@@ -248,7 +231,7 @@ def _adjugate_sample_check(es, step, g_poly, rhs, count):
         candidate += 1
         p, q = (candidate, 2) if candidate % 2 else (-candidate // 2, 1)
         base = q * ell
-        gn, den = _homogeneous(h, p, base)
+        gn, den = _zhomogeneous(h, p, base)
         if gn == 0:
             continue
         # sum_j K_j p**j base**(m-1-j) by integer Horner
@@ -260,21 +243,11 @@ def _adjugate_sample_check(es, step, g_poly, rhs, count):
         nmat = [[p * x for x in acc[i * n:(i + 1) * n]] for i in range(n)]
         for i in range(n):
             nmat[i][i] += gn
-        rn, rd = _homogeneous(r_ints, p, q)  # rhs(t) = rn / (rd * r_lcm)
+        rn, rd = _zhomogeneous(r_ints, p, q)  # rhs(t) = rn / (rd * r_lcm)
         if _bareiss_int_det(nmat) * rd * r_lcm != rn * gn ** (n - 1) * den:
             return False, checked
         checked += 1
     return True, checked
-
-
-def _homogeneous(coeffs, p, q):
-    """(sum_k c_k p**k q**(d - k), q**d) for integers c_0..c_d: the value of
-    the polynomial at p/q as a numerator over q**d."""
-    value, power = coeffs[-1], 1
-    for c in coeffs[-2::-1]:
-        power *= q
-        value = value * p + c * power
-    return value, power
 
 
 def verify_lemma_suite(g: Graph, tau) -> list[IdentityCertificate]:

@@ -17,11 +17,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .errors import NotSquareError, ZeroPolynomialError
 from .exact import Matrix, _clear_denominators
-from .zpoly import _zdiv_exact, _zmul, _zprimitive, _zpseudo_divmod, _zrows, _zscale, _zsub
+from .zpoly import (
+    _zdiv_exact,
+    _zhomogeneous,
+    _zmul,
+    _zprimitive,
+    _zpseudo_divmod,
+    _zrows,
+    _zscale,
+    _zsub,
+)
 
 _ZERO = Fraction(0)
 
@@ -259,46 +267,29 @@ def root_multiplicity(p: Polynomial, r) -> int:
 # ---- Sturm machinery ------------------------------------------------------
 
 
-def _primitive_int(p: Polynomial) -> Polynomial:
-    """Scale by a positive rational so coefficients are coprime integers."""
-    if p.is_zero():
-        return p
-    ints, _ = _clear_denominators(p.coeffs)
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return Polynomial(ints)
-
-
 def sturm_chain(p: Polynomial) -> list[tuple[int, ...]]:
     """Sturm sequence of a squarefree polynomial, primitively normalized.
 
     Each member is returned as its tuple of integer coefficients, ascending,
-    so that signs at rational points are found in integer arithmetic.
+    so that signs at rational points are found in integer arithmetic.  The
+    pseudo-remainder is a positive multiple of the rational remainder, so
+    both have the same primitive part.
     """
-    chain = [_primitive_int(p), _primitive_int(p.derivative())]
-    while not chain[-1].is_zero():
-        rem = chain[-2] % chain[-1]
-        if rem.is_zero():
+    top, _ = _clear_denominators(p.coeffs)
+    chain = [_zprimitive([q])[0] for q in (top, [k * c for k, c in enumerate(top)][1:])]
+    while chain[-1]:
+        _, _, rem = _zpseudo_divmod(chain[-2], chain[-1])
+        if not rem:
             break
-        chain.append(_primitive_int(-rem))
-    return [tuple(c.numerator for c in q.coeffs) for q in chain if not q.is_zero()]
+        chain.append(_zprimitive([[-c for c in rem]])[0])
+    return [tuple(q) for q in chain if q]
 
 
 def _sign_at(ints, x: Fraction) -> int:
-    """Sign of the integer polynomial ``ints`` (ascending) at x = a/b.
-
-    Horner on the homogenized form sum c_i a^i b^(d-i), which is the value
-    times b^d > 0, so no Fraction is built.
-    """
-    a, b = x.numerator, x.denominator
-    acc, bpow = 0, 1
-    for c in reversed(ints):
-        acc = acc * a + c * bpow
-        bpow *= b
-    return (acc > 0) - (acc < 0)
+    """Sign of the integer polynomial ``ints`` (ascending) at x = a/b, from
+    its homogenized value times b**d > 0, so no Fraction is built."""
+    value, _ = _zhomogeneous(ints, x.numerator, x.denominator)
+    return (value > 0) - (value < 0)
 
 
 def _sign_variations(chain, x) -> tuple[int, int]:

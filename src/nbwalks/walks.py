@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import isfinite
 
 from .convergence import radius_btdw, radius_unweighted, radius_weighted
-from .edgespace import build_edge_space, v_similar
+from .edgespace import _integer_operator, build_edge_space, v_similar
 from .errors import (
     AboveRadiusError,
     EnumerationBudgetExceededError,
@@ -209,15 +209,8 @@ def weighted_nbtw(g: Graph, kmax: int) -> WalkTable:
     are integer, and p_k = source.T @ Z' @ C_(k-1) / W**k.
     """
     _require_length(kmax)
-    es = build_edge_space(g)
     n = g.n
-    if es.m == 0:
-        seq = [Matrix.identity(n)] + [Matrix.zeros(n, n)] * kmax
-        return WalkTable("nbtw", kmax, tuple(seq), "edgepower")
-    z, w = _clear_denominators([es.weight_diag.data[e][e] for e in range(es.m)])
-    step = [[(f, z[f]) for f, x in enumerate(row) if x] for row in es.hashimoto.data]
-    lt_z = [[(e, z[e]) for e, row in enumerate(es.source.data) if row[v]] for v in range(n)]
-    carrier = [[x.numerator for x in row] for row in es.target.data]
+    w, step, lt_z, carrier = _integer_operator(build_edge_space(g))
     seq = [Matrix.identity(n)]
     for k in range(1, kmax + 1):
         seq.append(_int_matrix(_int_product(lt_z, carrier, n), w**k))

@@ -132,3 +132,14 @@ def _zdiv_exact(num, den):
     if any(rem):
         raise RuntimeError("non-exact division in fraction-free elimination")
     return quot
+
+
+def _zhomogeneous(coeffs, p, q):
+    """(sum_k c_k p**k q**(d - k), q**d) for the ints c_0..c_d: the value of
+    the polynomial at p/q as a numerator over q**d; (0, 1) for no
+    coefficients."""
+    value, power = (coeffs[-1] if coeffs else 0), 1
+    for c in coeffs[-2::-1]:
+        power *= q
+        value = value * p + c * power
+    return value, power

@@ -12,6 +12,7 @@ from nbwalks.errors import (
 )
 from nbwalks import cli as cli_mod
 from nbwalks.cli import main, run_command
+from nbwalks.fileio import parse_weight
 from nbwalks.ihara import IdentityCertificate
 from nbwalks.walks import nbt_katz_centrality
 
@@ -22,6 +23,18 @@ EXAMPLE1 = "1\t2\n2\t1\n2\t3\n3\t4\n4\t2\n"
 
 
 class TestParse:
+    @pytest.mark.parametrize("token", ["1e10000000", "1E+4301", "1e-4301",
+                                       "1e0_4301", "1" * 4301, "1/" + "3" * 4300])
+    def test_weight_too_long_is_refused(self, token):
+        # Fraction("1e10000000") alone takes seconds; the refusal is immediate
+        with pytest.raises(GraphParseError, match="more than 4300 digits"):
+            parse_weight(token)
+
+    def test_weight_at_digit_limit_parses(self):
+        assert parse_weight("1e4300") == 10**4300
+        assert parse_weight("1e-4300") == F(1, 10**4300)
+        assert parse_weight("7" * 4300) == int("7" * 4300)
+
     def test_example1(self):
         g = parse_graph(EXAMPLE1)
         assert g.edge_set() == example1().edge_set()
@@ -174,6 +187,15 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == f"nbwalks: parse error: line 2: cannot parse weight {token!r}\n"
 
+    def test_huge_exponent_weight_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "huge.tsv"
+        path.write_text("a\tb\t1e10000000\nb\ta\n")
+        assert main(["analyze", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("nbwalks: parse error: line 1: weight '1e10000000' needs "
+                                "an integer of more than 4300 digits\n")
+
     @pytest.mark.parametrize("omega", ["2", "-1", "3/2"])
     def test_centrality_btdw_omega_out_of_range(self, example1_file, capsys, omega):
         argv = ["centrality", "--mode", "btdw", f"--omega={omega}", "--t", "1/4"]
@@ -248,6 +270,9 @@ class TestExitCodes:
             (["--t", "1/10", "--mode", "btdw"], "--mode btdw needs --omega"),
             (["--t", "-1"], "--t must be nonnegative"),
             (["--t=-1/3", "--mode", "btdw", "--omega", "1/2"], "--t must be nonnegative"),
+            (["--t", "1/10", "--omega", "1/2"], "--omega applies to --mode btdw only"),
+            (["--t", "1/10", "--mode", "weighted", "--omega", "0"],
+             "--omega applies to --mode btdw only"),
         ],
     )
     def test_centrality_usage_errors(self, example1_file, capsys, argv, message):
@@ -256,6 +281,13 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("nbwalks: ") and message in captured.err
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("mode", [[], ["--mode", "nbtw"], ["--mode", "weighted"]])
+    def test_radius_tau_outside_btdw_is_usage_error(self, example1_file, capsys, mode):
+        assert main(["radius", *mode, "--tau", "1/3", example1_file]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "nbwalks: --tau applies to --mode btdw only\n"
 
     def test_centrality_library_keeps_value_error(self):
         with pytest.raises(ValueError, match="t must be nonnegative"):

@@ -137,6 +137,24 @@ class TestWeightedRadius:
         assert rep.r.lo <= 1  # sanity
         assert any("sigma bound" in note for note in rep.notes)
 
+    def test_sigma_squared_matches_dense_scan(self):
+        # the minimum of w(e) w(f) over the dense Hashimoto support; on some
+        # of these graphs the line graph's backtracking pairs go lower
+        rng = random.Random(29)
+        lower_with_backtracks = 0
+        for _ in range(20):
+            g = random_digraph(rng, rng.randint(3, 6), 0.3, weighted=True)
+            es = build_edge_space(g)
+            w = es.weight_diag
+
+            def scan(support):
+                return min((w[e, e] * w[f, f] for e in range(es.m) for f in range(es.m)
+                            if support[e, f]), default=None)
+
+            assert radius_weighted(g).sigma_squared == scan(es.hashimoto)
+            lower_with_backtracks += scan(es.line_graph) != scan(es.hashimoto)
+        assert lower_with_backtracks > 0
+
     def test_scaling_law(self):
         g = weighted_3cycle()
         c = F(7, 2)

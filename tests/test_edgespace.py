@@ -1,12 +1,16 @@
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nbwalks import (
     Matrix,
     Polynomial,
     build_edge_space,
+    build_graph,
     build_unweighted,
     non_k_cycling,
     perron_radius,
@@ -27,9 +31,13 @@ from helpers import (
 )
 
 
+VIEWS = ("source", "target", "line_graph", "backtrack", "reciprocal_mask", "hashimoto",
+         "weight_diag")
+
+
 def reference_edge_matrices(g):
-    """Line graph, backtrack and Hashimoto matrices by the O(m**2) scan over
-    all edge pairs (the build before the per-head-vertex one)."""
+    """The seven edge-space matrices by the O(m**2) scan over all edge pairs
+    (the dense build the arc arrays replaced), keyed by view name."""
     edges = [(u, v) for u, v, _ in g.edges]
     m = len(edges)
     index = {e: i for i, e in enumerate(edges)}
@@ -46,7 +54,36 @@ def reference_edge_matrices(g):
                 back[e][f] = F(1)
             else:
                 hashi[e][f] = F(1)
-    return Matrix(line), Matrix(back), Matrix(hashi)
+    return {
+        "source": Matrix([[F(int(u == j)) for j in range(g.n)] for u, _ in edges]),
+        "target": Matrix([[F(int(v == j)) for j in range(g.n)] for _, v in edges]),
+        "line_graph": Matrix(line),
+        "backtrack": Matrix(back),
+        "reciprocal_mask": Matrix.diagonal([F(int((v, u) in index)) for u, v in edges]),
+        "hashimoto": Matrix(hashi),
+        "weight_diag": Matrix.diagonal([w for _, _, w in g.edges]),
+    }
+
+
+def assert_matches_reference(g):
+    """The arc arrays and all seven views against the dense reference."""
+    es = build_edge_space(g)
+    ref = reference_edge_matrices(g)
+    assert es.tails == tuple(u for u, _, _ in g.edges)
+    assert es.heads == tuple(v for _, v, _ in g.edges)
+    assert es.weights == tuple(w for _, _, w in g.edges)
+    assert es.reverse == tuple(
+        next((f for f in range(es.m) if ref["backtrack"][e, f]), None) for e in range(es.m))
+    assert es.successors == tuple(
+        tuple(f for f in range(es.m) if ref["hashimoto"][e, f]) for e in range(es.m))
+    assert es.m == g.m
+    assert es.m == es.unreciprocated_count + 2 * es.reciprocal_pair_count
+    assert es.reciprocal_pair_count == sum(1 for f in es.reverse if f is not None) // 2
+    for name in VIEWS:
+        view = getattr(es, name)
+        assert view == ref[name], name
+        assert getattr(es, name) is view  # built once
+    assert es.line_graph - es.backtrack == es.hashimoto
 
 
 class TestBuildEdgeSpace:
@@ -57,11 +94,43 @@ class TestBuildEdgeSpace:
         graphs += [example1(), bowtie(), two_squares(), single_recip_edge(),
                    build_unweighted([], vertices=[1, 2]), build_unweighted([], vertices=[1])]
         for g in graphs:
-            es = build_edge_space(g)
-            line, back, hashi = reference_edge_matrices(g)
-            assert (es.line_graph, es.backtrack, es.hashimoto) == (line, back, hashi)
-            assert es.line_graph - es.backtrack == es.hashimoto
+            assert_matches_reference(g)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                           st.fractions(F(1, 9), 9, max_denominator=9)),
+                 max_size=n * (n - 1)))))
+    def test_arrays_and_views_agree(self, case):
+        n, arcs = case
+        seen, triples = set(), []
+        for u, v, w in arcs:
+            if u != v and (u, v) not in seen:
+                seen.add((u, v))
+                triples.append((u, v, w))
+        assert_matches_reference(build_graph(triples, vertices=range(n)))
+
+    def test_build_makes_no_dense_matrix(self):
+        # 150 vertices, 600 arcs: one dense m-by-m Fraction matrix alone
+        # takes several MiB
+        rng = random.Random(600)
+        pairs = set()
+        while len(pairs) < 600:
+            u, v = rng.sample(range(150), 2)
+            pairs.add((u, v))
+        pool = [F(1), F(2), F(1, 3), F(7, 5)]
+        g = build_graph([(u, v, rng.choice(pool)) for u, v in sorted(pairs)],
+                        vertices=range(150))
+        tracemalloc.start()
+        try:
+            es = build_edge_space(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert es.m == 600
+        assert peak < 2**20
+        assert not set(VIEWS) & set(vars(es))
 
     def test_single_reciprocal_edge(self):
         es = build_edge_space(single_recip_edge())

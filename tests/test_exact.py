@@ -448,9 +448,9 @@ class TestWeightedIharaSamples:
         g_poly = Polynomial(step.det_one_minus_t())
         rhs = verify_weighted_ihara(g).rhs
         count = 2 * (g.n + es.m) + 1
-        assert _adjugate_sample_check(es, step, g_poly, rhs, count) == (True, count)
+        assert _adjugate_sample_check(es, g_poly, rhs, count) == (True, count)
         for bad in (rhs + Polynomial([0, 0, 0, F(1, 5)]), rhs * Polynomial([F(3, 2)])):
-            ok, checked = _adjugate_sample_check(es, step, g_poly, bad, count)
+            ok, checked = _adjugate_sample_check(es, g_poly, bad, count)
             assert ok is False and checked < count
 
     @pytest.mark.parametrize("build", SKIPPING, ids=["unit-4-cycle", "3-cycle-2-2-2",
@@ -459,11 +459,11 @@ class TestWeightedIharaSamples:
         es, step, g_poly, rhs, count = sample_inputs(build())
         points, skipped = sample_points(g_poly, count)
         assert len(skipped) == 1
-        assert _adjugate_sample_check(es, step, g_poly, rhs, count) == (True, count)
+        assert _adjugate_sample_check(es, g_poly, rhs, count) == (True, count)
         assert fraction_sample_check(es, step, g_poly, rhs, count) == (True, count)
         # a wrong rhs is caught at a point after the skipped one
         bad = rhs + Polynomial([-points[1], 1]) * Polynomial([-points[0], 1])
-        assert _adjugate_sample_check(es, step, g_poly, bad, count) == (False, 2)
+        assert _adjugate_sample_check(es, g_poly, bad, count) == (False, 2)
 
     def test_matches_fraction_route(self):
         graphs = self.reference_graphs()
@@ -474,9 +474,9 @@ class TestWeightedIharaSamples:
             es, step, g_poly, rhs, count = sample_inputs(g)
             want = fraction_sample_check(es, step, g_poly, rhs, count)
             assert want == (True, count)
-            assert _adjugate_sample_check(es, step, g_poly, rhs, count) == want
+            assert _adjugate_sample_check(es, g_poly, rhs, count) == want
             for few in (0, 1, 3):
-                assert _adjugate_sample_check(es, step, g_poly, rhs, few) == (True, few)
+                assert _adjugate_sample_check(es, g_poly, rhs, few) == (True, few)
 
     def test_perturbed_rhs_matches_fraction_route(self):
         for g in self.reference_graphs():
@@ -495,4 +495,4 @@ class TestWeightedIharaSamples:
             for bad, first_failure in perturbed:
                 want = fraction_sample_check(es, step, g_poly, bad, count)
                 assert want == (False, first_failure)
-                assert _adjugate_sample_check(es, step, g_poly, bad, count) == want
+                assert _adjugate_sample_check(es, g_poly, bad, count) == want

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import numpy as np
 import pytest
@@ -19,10 +20,10 @@ from nbwalks import (
     tau_dgl,
 )
 from nbwalks.errors import NotSquareError, ZeroPolynomialError
+from nbwalks.exact import _clear_denominators
 from nbwalks.polys import (
     RootRecord,
     _polymat_det_bareiss,
-    _primitive_int,
     _sign_at,
     poly_gcd,
     simplest_rational_in,
@@ -524,6 +525,19 @@ class TestRealRoots:
 # ---- the Fraction-evaluated Sturm isolation, as reference -------------------
 
 
+def _primitive_int(p):
+    """Scale by a positive rational so coefficients are coprime integers."""
+    if p.is_zero():
+        return p
+    ints, _ = _clear_denominators(p.coeffs)
+    g = 0
+    for v in ints:
+        g = gcd(g, abs(v))
+    if g > 1:
+        ints = [v // g for v in ints]
+    return Polynomial(ints)
+
+
 def _ref_chain(p):
     chain = [_primitive_int(p), _primitive_int(p.derivative())]
     while not chain[-1].is_zero():
@@ -614,6 +628,23 @@ class TestIntegerSturm:
         chain = sturm_chain(poly(F(1, 2), F(-3, 4), 0, F(5, 6)))
         assert all(type(c) is int for q in chain for c in q)
         assert chain[0] == (6, -9, 0, 10)
+
+    def test_chain_matches_fraction_reference(self):
+        # the pseudo-remainder chain against the primitive Fraction remainders
+        rng = random.Random(41)
+        factors = 0
+        for _ in range(300):
+            p = poly(rng.randint(-5, 5) or 1, rng.randint(1, 5))
+            for _ in range(rng.randint(1, 4)):
+                p = p * poly(*(F(rng.randint(-6, 6), rng.randint(1, 4))
+                               for _ in range(rng.randint(2, 4)))) ** rng.randint(1, 2)
+            if p.is_zero():
+                continue
+            for factor, _ in squarefree_decomposition(p):
+                want = [tuple(c.numerator for c in q.coeffs) for q in _ref_chain(factor)]
+                assert sturm_chain(factor) == want
+                factors += 1
+        assert factors > 300
 
     def test_real_roots_match_fraction_reference(self):
         # same isolating intervals, exact values and multiplicities, in order
