@@ -8,6 +8,7 @@ document on stdout; identical input and flags produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -67,18 +68,24 @@ def _fraction(text: str) -> Fraction:
         raise _UsageError(f"expected a rational like 1/2, got {text!r}")
 
 
-def build_parser() -> _Parser:
+def _common_flags(format_, budget, quiet) -> argparse.ArgumentParser:
+    """The flags accepted before and after the subcommand.  Parents share
+    their action objects, so the top level and the subcommands each get
+    their own: the subcommands' flags default to SUPPRESS and only
+    overwrite a top-level value when given."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "tsv"),
-                        default=argparse.SUPPRESS)
-    common.add_argument("--budget", type=int, default=argparse.SUPPRESS,
+    common.add_argument("--format", choices=("json", "tsv"), default=format_)
+    common.add_argument("--budget", type=int, default=budget,
                         help="enumeration budget (overrides NBTW_BUDGET)")
-    common.add_argument("--quiet", action="store_true", default=argparse.SUPPRESS,
+    common.add_argument("--quiet", action="store_true", default=quiet,
                         help="suppress the report document on stdout")
+    return common
 
+
+def build_parser() -> _Parser:
     parser = _Parser(prog="nbwalks", description="Non-backtracking walk analysis",
-                     parents=[common])
-    parser.set_defaults(format="json", budget=None, quiet=False)
+                     parents=[_common_flags("json", None, False)])
+    common = _common_flags(argparse.SUPPRESS, argparse.SUPPRESS, argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", parents=[common],
@@ -272,18 +279,23 @@ def _command_line(args) -> str:
     return " ".join(parts)
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser, built on first use and shared by every later call:
+    parse_args fills a fresh namespace each time, so nothing carries over."""
+    return build_parser()
+
+
 def run_command(argv):
     """Parse argv, run the command, and return (exit_code, document)."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     return _run(args)
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         code, doc = _run(args)
     except _UsageError as exc:
         print(f"nbwalks: {exc}", file=sys.stderr)

@@ -24,7 +24,7 @@ from .errors import (
 )
 from .exact import Matrix
 from .graphs import Graph, undirected_part, undirectization
-from .polys import PolyMatrix, polymat_det, root_multiplicity, smith_form
+from .polys import PolyMatrix, Polynomial, polymat_det, root_multiplicity, smith_form
 
 
 def structure_matrices(g: Graph):
@@ -41,20 +41,35 @@ def structure_matrices(g: Graph):
     return g.adjacency(), Matrix(s_rows), Matrix.diagonal(degrees)
 
 
-def _deformed_coefficients(g: Graph, tau: Fraction) -> list[Matrix]:
-    """Coefficient matrices of M_tau(t) up to its grade: 1 at tau = 0, 2 for
-    undirected graphs where the cubic coefficient vanishes, 3 otherwise."""
-    a, s, d = structure_matrices(g)
-    eye = Matrix.identity(g.n)
-    if tau == 0:
-        return [eye, -a]
-    coeffs = [eye, -a, (d - eye.scale(tau)).scale(tau), (a - s).scale(tau * tau)]
-    return coeffs[:3] if a == s else coeffs
-
-
 def _deformed_laplacian(g: Graph, tau: Fraction) -> PolyMatrix:
-    coeffs = _deformed_coefficients(g, tau)
-    return PolyMatrix.from_coefficients(coeffs, grade=len(coeffs) - 1)
+    """M_tau(t) straight from the arc list, weights kept (tau = 0 gives
+    I - A*t on weighted graphs too).
+
+    An arc u -> v of weight w gives the entry -w*t when v -> u is also an
+    arc and -w*t + tau**2*w*t**3 otherwise; the diagonal is
+    1 + tau*(d_u - tau)*t**2 with d_u the weight over u's reciprocated
+    out-arcs.  Zero entries share one Polynomial.  The grade is 1 at
+    tau = 0, 2 when every arc is reciprocated (no cubic term) and 3
+    otherwise.
+    """
+    es = g.edge_set()
+    n = g.n
+    zero = Polynomial()
+    rows = [[zero] * n for _ in range(n)]
+    degrees = [Fraction(0)] * n
+    one_way = False
+    tau2 = tau * tau
+    for u, v, w in g.edges:
+        if (v, u) in es:
+            rows[u][v] = Polynomial((0, -w))
+            degrees[u] += w
+        else:
+            rows[u][v] = Polynomial((0, -w, 0, tau2 * w))
+            one_way = True
+    for u in range(n):
+        rows[u][u] = Polynomial((1, 0, tau * (degrees[u] - tau)))
+    grade = 1 if tau == 0 else 3 if one_way else 2
+    return PolyMatrix(rows, grade=grade)
 
 
 def directed_dgl(g: Graph) -> PolyMatrix:

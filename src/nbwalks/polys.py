@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotSquareError, ZeroPolynomialError
-from .exact import Matrix, _clear_denominators
+from .exact import Matrix, _bareiss_int_det, _clear_denominators
 from .zpoly import (
     _zdiv_exact,
     _zhomogeneous,
@@ -162,9 +162,13 @@ class Polynomial:
         return divmod(self, other)[1]
 
     def divides(self, other: "Polynomial") -> bool:
+        """Whether self divides other in Q[t]: the integer pseudo-remainder
+        of other by self (a positive multiple of the rational one) is 0."""
         if self.is_zero():
             return other.is_zero()
-        return (other % self).is_zero()
+        a, _ = _clear_denominators(other.coeffs)
+        b, _ = _clear_denominators(self.coeffs)
+        return not _zpseudo_divmod(a, b)[2]
 
     def __call__(self, t):
         t = _frac(t)
@@ -254,12 +258,19 @@ def squarefree_decomposition(p: Polynomial):
 
 
 def root_multiplicity(p: Polynomial, r) -> int:
-    """Multiplicity of the rational value r as a root of p."""
+    """Multiplicity of the rational value r = a/b as a root of p.
+
+    p is cleared to integers once; p(a/b) = 0 is tested on its homogenized
+    value and each root is divided out exactly by b*t - a, which is
+    primitive, so by Gauss's lemma the quotient stays in Z[t].  The zero
+    polynomial counts 0.
+    """
     r = _frac(r)
+    a, b = r.numerator, r.denominator
+    ints, _ = _clear_denominators(p.coeffs)
     count = 0
-    lin = Polynomial([-r, 1])
-    while not p.is_zero() and p(r) == 0:
-        p = p // lin
+    while ints and not _zhomogeneous(ints, a, b)[0]:
+        ints = _zdiv_exact(ints, [-a, b])
         count += 1
     return count
 
@@ -525,38 +536,38 @@ def reversal(m: PolyMatrix) -> PolyMatrix:
 def polymat_det(m: PolyMatrix) -> Polynomial:
     """Exact determinant of a square polynomial matrix.
 
-    Fraction-free Bareiss elimination over the polynomial ring, cross-checked
-    by comparing against scalar determinants at degree-bound + 1 rational
-    sample points.  A disagreement means a bug and raises RuntimeError.
+    Fraction-free Bareiss elimination over Z[t] on the rows of m, each
+    cleared to integers, cross-checked at the integer points t = 0, 1, -1,
+    2, -2, ... (degree bound + 1 of them): the integer rows evaluated there
+    by integer Horner give an integer matrix whose Bareiss determinant must
+    equal the Z[t] determinant's value at t.  A disagreement means a bug
+    and raises RuntimeError.
     """
     if not m.is_square():
         raise NotSquareError(f"{m.nrows}x{m.ncols} polynomial matrix")
-    n = m.nrows
-    if n == 0:
+    if m.nrows == 0:
         return Polynomial([1])
-    det = _polymat_det_bareiss(m)
-    bound = sum(max((e.degree for e in row), default=0) for row in m.entries)
-    bound = max(bound, 0)
+    rows, scale = _zrows(m)
+    det = _polymat_det_bareiss(rows)
+    bound = max(sum(max(len(e) for e in row) - 1 for row in rows), 0)
     t = 0
-    checked = 0
-    while checked <= bound:
-        point = Fraction(t)
-        if det(point) != m.eval_at(point).det():
+    for _ in range(bound + 1):
+        at_t = [[_zhomogeneous(e, t, 1)[0] if e else 0 for e in row] for row in rows]
+        if _bareiss_int_det(at_t) != _zhomogeneous(det, t, 1)[0]:
             raise RuntimeError("determinant cross-check failed")
-        checked += 1
         t = -t if t > 0 else -t + 1
-    return det
+    return Polynomial([Fraction(c, scale) for c in det])
 
 
-def _polymat_det_bareiss(m: PolyMatrix) -> Polynomial:
+def _polymat_det_bareiss(rows) -> list[int]:
     """Fraction-free Bareiss elimination over Z[t].
 
-    Each row is first scaled by the lcm of its coefficients' denominators,
-    so the determinant is the integer one over the product of those lcms.
-    Entries are ascending lists of int coefficients without trailing zeros.
+    ``rows`` are the integer rows of ``zpoly._zrows`` (entries ascending
+    int coefficient lists without trailing zeros, or empty) and are not
+    modified.  Returns the determinant's int coefficients, ascending.
     """
-    n = m.nrows
-    a, scale = _zrows(m)
+    n = len(rows)
+    a = list(rows)
     sign = 1
     prev = [1]
     for k in range(n - 1):
@@ -568,7 +579,7 @@ def _polymat_det_bareiss(m: PolyMatrix) -> Polynomial:
                 best = len(e)
                 piv = i
         if piv is None:
-            return Polynomial()
+            return []
         if piv != k:
             a[k], a[piv] = a[piv], a[k]
             sign = -sign
@@ -583,8 +594,7 @@ def _polymat_det_bareiss(m: PolyMatrix) -> Polynomial:
                 new_row.append(_zdiv_exact(num, prev) if num else num)
             a[i] = new_row
         prev = pk
-    result = a[n - 1][n - 1]
-    return Polynomial([Fraction(sign * c, scale) for c in result])
+    return _zscale(a[n - 1][n - 1], sign)
 
 
 @dataclass(frozen=True)

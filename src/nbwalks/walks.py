@@ -38,7 +38,7 @@ from .errors import (
 )
 from .exact import Matrix, _clear_denominators, _int_matrix, _int_product
 from .graphs import Graph
-from .laplacians import _deformed_coefficients, _deformed_laplacian, structure_matrices
+from .laplacians import _deformed_laplacian, structure_matrices
 from .spectral import perron_radius
 
 DEFAULT_BUDGET = 10**8
@@ -152,22 +152,23 @@ def _recurrence(g: Graph, kmax: int, tau: Fraction) -> tuple[Matrix, ...]:
     ...] with [P_{k-1}; P_{k-2}; ...], and each table becomes a Fraction
     matrix once, at the end.
     """
-    coeffs = _deformed_coefficients(g, tau)[1:]
-    n = g.n
+    m = _deformed_laplacian(g, tau)
+    grade, n = m.grade, g.n
+    entries = [[(col, e.coeffs) for col, e in enumerate(row) if e] for row in m.entries]
     _, q = _clear_denominators(
-        [x for c in coeffs for row in c.data for x in row] + [tau * tau]
+        [x for row in entries for _, cs in row for x in cs[1:]] + [tau * tau]
     )
     q2tau2 = int(q * q * tau * tau)
-    # row i of [q (-c_1) | q**2 (-c_2) | ...]: column j n + col multiplies
-    # row col of P_(k-1-j) in the stacked right factor
+    # row i of [q (-c_1) | q**2 (-c_2) | ...]: column (j - 1) n + col
+    # multiplies row col of P_(k-j) in the stacked right factor
     stacked = [
-        [(j * n + col, int(-x * q ** (j + 1)))
-         for j, c in enumerate(coeffs) for col, x in enumerate(c.data[i]) if x]
-        for i in range(n)
+        [((j - 1) * n + col, int(-cs[j] * q**j))
+         for j in range(1, grade + 1) for col, cs in row if j < len(cs) and cs[j]]
+        for row in entries
     ]
     # lefts[d - 1]: the first d terms, for step k with d = min(k, grade)
     lefts = [[[(col, x) for col, x in row if col < d * n] for row in stacked]
-             for d in range(1, len(coeffs) + 1)]
+             for d in range(1, grade + 1)]
     seq = [[[int(i == j) for j in range(n)] for i in range(n)]]
     for k in range(1, kmax + 1):
         d = min(k, len(lefts))

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 from nbwalks import (
     Graph,
+    Matrix,
     PolyMatrix,
     build_graph,
     build_unweighted,
@@ -15,6 +16,7 @@ from nbwalks import (
     reversal,
     smith_form,
 )
+from nbwalks.laplacians import structure_matrices
 
 
 def mirror(pairs):
@@ -284,3 +286,20 @@ def assert_index_sum(m: PolyMatrix):
         m.grade,
         m.nrows,
     )
+
+
+def reference_deformed_coefficients(g: Graph, tau) -> list[Matrix]:
+    """Coefficient matrices of M_tau(t) from the dense A, S and D, up to its
+    grade: 1 at tau = 0, 2 when the cubic coefficient A - S vanishes, 3
+    otherwise (the builder before M_tau(t) was read off the arc list)."""
+    a, s, d = structure_matrices(g)
+    eye = Matrix.identity(g.n)
+    if tau == 0:
+        return [eye, -a]
+    coeffs = [eye, -a, (d - eye.scale(tau)).scale(tau), (a - s).scale(tau * tau)]
+    return coeffs[:3] if a == s else coeffs
+
+
+def reference_deformed_laplacian(g: Graph, tau) -> PolyMatrix:
+    coeffs = reference_deformed_coefficients(g, tau)
+    return PolyMatrix.from_coefficients(coeffs, grade=len(coeffs) - 1)

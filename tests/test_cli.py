@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -12,7 +15,7 @@ from nbwalks.errors import (
 )
 from nbwalks import cli as cli_mod
 from nbwalks.cli import main, run_command
-from nbwalks.fileio import parse_weight
+from nbwalks.fileio import parse_weight, to_json
 from nbwalks.ihara import IdentityCertificate
 from nbwalks.walks import nbt_katz_centrality
 
@@ -149,6 +152,43 @@ class TestCommands:
         assert main(["radius", example1_file]) == 0
         second = capsys.readouterr().out
         assert first == second
+
+    def test_shared_parser_matches_fresh_processes(self, example1_file, capsys):
+        # one parser serves every call in a process; each call must still
+        # read only its own argv, as a fresh process does
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(cli_mod.__file__)))
+
+        def fresh(argv):
+            done = subprocess.run([sys.executable, "-m", "nbwalks.cli", *argv],
+                                  capture_output=True, text=True, env=env, timeout=120)
+            return done.returncode, done.stdout, done.stderr
+
+        runs = (["smith", "--tau", "1/2", example1_file], ["smith", example1_file],
+                ["smith", "--tau", "oops", example1_file], ["radius", example1_file])
+        for argv in runs:
+            code, out, err = fresh(argv)
+            if code == 1:
+                with pytest.raises(cli_mod._UsageError) as usage:
+                    run_command(argv)
+                assert err == f"nbwalks: {usage.value}\n"
+                continue
+            got_code, doc = run_command(argv)
+            assert (got_code, to_json(doc)) == (code, out.rstrip("\n"))
+        assert doc["command"] == "radius --mode=nbtw"
+
+        assert main(["--quiet", "smith", "--tau", "1/2", example1_file]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(["smith", example1_file]) == 0
+        assert capsys.readouterr().out == fresh(["smith", example1_file])[1]
+
+    def test_flags_before_subcommand(self, example1_file, capsys):
+        for flags in (["--format", "tsv"], ["--quiet"]):
+            assert main(["smith", *flags, example1_file]) == 0
+            after = capsys.readouterr().out
+            assert main([*flags, "smith", example1_file]) == 0
+            assert capsys.readouterr().out == after
+        assert after == ""
 
     def test_float_walks(self, example1_file):
         code, doc = run_command(["walks", "--k", "3", "--float", example1_file])

@@ -8,6 +8,7 @@ from nbwalks import (
     PolyMatrix,
     Polynomial,
     bipartite_component_count,
+    build_graph,
     build_unweighted,
     directed_dgl,
     eigen_report,
@@ -27,6 +28,7 @@ from nbwalks.errors import (
     WeightedUnsupportedError,
 )
 from nbwalks.graphs import connected_components_undirected
+from nbwalks.laplacians import _deformed_laplacian
 from nbwalks.polys import poly_gcd
 
 from helpers import (
@@ -35,8 +37,11 @@ from helpers import (
     directed_cycle,
     example1,
     is_strongly_connected,
+    random_connected_graph,
     random_digraph,
+    reference_deformed_laplacian,
     sec4_graph,
+    single_recip_edge,
     six_vertex_two_component,
     undirected_cycle,
     undirected_path,
@@ -105,6 +110,61 @@ class TestBuilders:
         )
         assert b.deformed == b.undirected_part_dgl + bridge
         assert (b.arc_count, b.reciprocated_count) == (5, 2)
+
+
+class TestArcBuilder:
+    """M_tau(t) read off the arc list against the dense A, S, D reference."""
+
+    TAUS = (F(0), F(1, 3), F(1, 2), F(1))
+    WEIGHTS = (F(1), F(2), F(3), F(1, 2), F(2, 3), F(5, 4), F(7, 3))
+
+    def graphs(self):
+        rng = random.Random(1010)
+        yield build_graph([])
+        yield build_unweighted([], vertices=[1])
+        yield build_unweighted([], vertices=[1, 2, 3])
+        yield build_unweighted([(1, 2)], vertices=[1, 2, 3])
+        yield weighted_3cycle()
+        yield example1()
+        yield bowtie()
+        for _ in range(12):
+            n = rng.randint(2, 7)
+            extra = rng.randint(0, (n - 1) * (n - 2) // 2)
+            yield random_digraph(rng, n, rng.choice([0.2, 0.5, 0.8]), weighted=True)
+            yield random_connected_graph(rng, n, extra, rng.choice([0.0, 0.5]))
+            # every arc reciprocated, weights differing by direction
+            pairs = random_connected_graph(rng, n, extra).edges
+            yield build_graph([(u, v, rng.choice(self.WEIGHTS)) for u, v, _ in pairs],
+                              vertices=range(n + 1))
+
+    def test_equals_reference(self):
+        grades = set()
+        for g in self.graphs():
+            for tau in self.TAUS:
+                got = _deformed_laplacian(g, tau)
+                want = reference_deformed_laplacian(g, tau)
+                assert got.entries == want.entries, (g, tau)
+                assert got.grade == want.grade, (g, tau)
+                assert (got.nrows, got.ncols) == (g.n, g.n)
+                grades.add(got.grade)
+        assert grades == {1, 2, 3}
+
+    def test_grades(self):
+        recip_weighted = single_recip_edge(2, F(1, 3))
+        assert _deformed_laplacian(recip_weighted, F(1, 2)).grade == 2
+        assert _deformed_laplacian(weighted_3cycle(), F(1, 2)).grade == 3
+        assert _deformed_laplacian(weighted_3cycle(), F(0)).grade == 1
+        assert _deformed_laplacian(build_graph([]), F(1)).grade == 2
+
+    def test_weights_kept_at_tau_zero(self):
+        g = weighted_3cycle()
+        m = _deformed_laplacian(g, F(0))
+        assert m == PolyMatrix.from_coefficients([Matrix.identity(3), -g.adjacency()])
+
+    def test_zero_entries_shared(self):
+        m = _deformed_laplacian(directed_cycle(5), F(1, 2))
+        zeros = {id(e) for row in m.entries for e in row if e.is_zero()}
+        assert len(zeros) == 1
 
 
 class TestSmithGolden:

@@ -6,6 +6,8 @@ from math import gcd
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nbwalks import (
     Matrix,
@@ -20,7 +22,8 @@ from nbwalks import (
     tau_dgl,
 )
 from nbwalks.errors import NotSquareError, ZeroPolynomialError
-from nbwalks.exact import _clear_denominators
+from nbwalks import polys as polys_mod
+from nbwalks.exact import _bareiss_int_det, _clear_denominators
 from nbwalks.polys import (
     RootRecord,
     _polymat_det_bareiss,
@@ -30,7 +33,7 @@ from nbwalks.polys import (
     squarefree_decomposition,
     sturm_chain,
 )
-from nbwalks.zpoly import _zpseudo_divmod
+from nbwalks.zpoly import _zpseudo_divmod, _zrows
 
 from helpers import (
     assert_index_sum,
@@ -142,7 +145,8 @@ class TestPolymatDet:
                 n, n, [sum(sympy.Rational(c.numerator, c.denominator) * t**k
                            for k, c in enumerate(e.coeffs)) for row in entries for e in row]
             ).det(method="berkowitz")
-            got = _polymat_det_bareiss(m)
+            rows, scale = _zrows(m)
+            got = Polynomial([F(c, scale) for c in _polymat_det_bareiss(rows)])
             assert sympy.expand(want - sum(
                 sympy.Rational(c.numerator, c.denominator) * t**k
                 for k, c in enumerate(got.coeffs))) == 0, trial
@@ -672,3 +676,145 @@ class TestIntegerSturm:
             assert real_roots(p, lo, hi, include_hi=include_hi) == _ref_real_roots(
                 p, lo, hi, include_hi=include_hi
             )
+
+
+def _fraction_cross_check(m, det, visit):
+    """The cross-check before the integer route: det(t) against the Bareiss
+    determinant of m evaluated at t over Fractions, at t = 0, 1, -1, 2, -2,
+    ..., degree bound + 1 points; ``visit(t, m(t))`` sees each point."""
+    bound = sum(max((e.degree for e in row), default=0) for row in m.entries)
+    bound = max(bound, 0)
+    t = 0
+    checked = 0
+    while checked <= bound:
+        point = F(t)
+        at = m.eval_at(point)
+        visit(point, at)
+        if det(point) != at.det():
+            raise RuntimeError("determinant cross-check failed")
+        checked += 1
+        t = -t if t > 0 else -t + 1
+
+
+class TestPolymatDetCrossCheck:
+    def matrices(self):
+        rng = random.Random(4242)
+        for _ in range(30):
+            n = rng.randint(1, 5)
+            yield _random_poly_matrix(rng, n, n)
+        for g in (bowtie(), undirected_cycle(4), random_connected_graph(rng, 6, 3, 0.5)):
+            yield directed_dgl(g)
+            yield tau_dgl(g, F(1, 3))
+
+    def test_same_points_as_fraction_check(self, monkeypatch):
+        seen = []
+
+        def spy(rows):
+            seen.append([list(r) for r in rows])
+            return _bareiss_int_det(rows)
+
+        monkeypatch.setattr(polys_mod, "_bareiss_int_det", spy)
+        for m in self.matrices():
+            seen.clear()
+            det = polymat_det(m)
+            want = []
+            _fraction_cross_check(m, det, lambda t, at: want.append(at))
+            assert len(seen) == len(want) > 0
+            row_lcms = [_clear_denominators([c for e in row for c in e.coeffs])[1]
+                        for row in m.entries]
+            # each integer matrix is m(t) at the reference's point, row i
+            # scaled by the lcm of row i's denominators
+            for got, at in zip(seen, want):
+                assert got == [[x * s for x in row] for row, s in zip(at.data, row_lcms)]
+
+    @pytest.mark.parametrize("delta", [1, -1])
+    def test_wrong_coefficient_is_caught(self, monkeypatch, delta):
+        elimination = polys_mod._polymat_det_bareiss
+        for m in self.matrices():
+            det = elimination(_zrows(m)[0])
+            for k in range(max(len(det), 1)):
+                def off_by_one(rows, k=k):
+                    out = list(elimination(rows)) or [0]
+                    out[k] += delta
+                    return out
+
+                monkeypatch.setattr(polys_mod, "_polymat_det_bareiss", off_by_one)
+                with pytest.raises(RuntimeError, match="determinant cross-check failed"):
+                    polymat_det(m)
+            monkeypatch.setattr(polys_mod, "_polymat_det_bareiss", elimination)
+            assert polymat_det(m) == Polynomial([F(c, _zrows(m)[1]) for c in det])
+
+
+def _fraction_root_multiplicity(p, r):
+    """root_multiplicity over Fractions (the route before Z[t])."""
+    r = F(r)
+    count = 0
+    lin = Polynomial([-r, 1])
+    while not p.is_zero() and p(r) == 0:
+        p = p // lin
+        count += 1
+    return count
+
+
+def _fraction_divides(d, p):
+    """Polynomial.divides over Fractions (the route before Z[t])."""
+    if d.is_zero():
+        return p.is_zero()
+    return (p % d).is_zero()
+
+
+_T = sympy.Symbol("t")
+
+
+def _sympy_expr(p):
+    return sum((sympy.Rational(c.numerator, c.denominator) * _T**k
+                for k, c in enumerate(p.coeffs)), sympy.Integer(0))
+
+
+_RATIONALS = st.builds(F, st.integers(-6, 6), st.integers(1, 5))
+_POLYS = st.lists(_RATIONALS, min_size=0, max_size=4).map(Polynomial)
+_NONZERO_POLYS = _POLYS.filter(lambda p: not p.is_zero())
+
+
+class TestZtRoutes:
+    """root_multiplicity and divides on Z[t] against the Fraction routes and
+    sympy, on products of (b t - a)**k with other factors."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_RATIONALS, st.integers(0, 4), st.lists(_NONZERO_POLYS, max_size=3),
+           _RATIONALS.filter(lambda c: c != 0), _RATIONALS)
+    def test_root_multiplicity(self, root, k, others, lead, probe):
+        p = Polynomial([lead]) * Polynomial([-root.numerator, root.denominator]) ** k
+        p = p * _product(others)
+        found = sympy.roots(_sympy_expr(p), _T, filter="Q")
+        for r in (root, probe):
+            got = root_multiplicity(p, r)
+            assert got == _fraction_root_multiplicity(p, r)
+            assert got == found.get(sympy.Rational(r.numerator, r.denominator), 0)
+        assert root_multiplicity(p, root) >= k
+
+    @settings(max_examples=150, deadline=None)
+    @given(_POLYS, _POLYS, _POLYS, st.booleans())
+    def test_divides(self, d, q, r, exact):
+        p = d * q if exact else d * q + r
+        got = d.divides(p)
+        assert got == _fraction_divides(d, p)
+        if exact:
+            assert got
+        if not d.is_zero():
+            assert got == (sympy.rem(_sympy_expr(p), _sympy_expr(d), _T) == 0)
+
+    def test_zero_polynomial(self):
+        zero = Polynomial()
+        for r in (F(0), F(2, 3), F(-5)):
+            assert root_multiplicity(zero, r) == 0
+        assert zero.divides(zero)
+        assert not zero.divides(poly(1))
+        assert poly(F(2, 3)).divides(zero)
+        assert poly(-1, 3).divides(zero)
+
+    def test_root_with_denominator(self):
+        p = poly(-2, 3) ** 3 * poly(1, 0, 1) * F(5, 7)
+        assert root_multiplicity(p, F(2, 3)) == 3
+        assert root_multiplicity(p, F(-2, 3)) == 0
+        assert root_multiplicity(poly(0, 0, F(1, 2)), 0) == 2

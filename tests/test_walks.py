@@ -25,7 +25,6 @@ from nbwalks.errors import (
     PoleAtTError,
     WeightedUnsupportedError,
 )
-from nbwalks.laplacians import _deformed_coefficients
 from nbwalks.walks import _recurrence, walk_tables_float
 
 from helpers import (
@@ -38,6 +37,7 @@ from helpers import (
     nonisomorphic_connected_undirected,
     random_connected_graph,
     random_digraph,
+    reference_deformed_coefficients,
     single_recip_edge,
     undirected_cycle,
     undirected_path,
@@ -131,7 +131,7 @@ class TestRecurrences:
 def reference_recurrence(g, kmax, tau):
     """The recurrence on Fraction matrices, step by step (the route before
     the integer tables)."""
-    coeffs = _deformed_coefficients(g, tau)
+    coeffs = reference_deformed_coefficients(g, tau)
     eye, a = coeffs[0], -coeffs[1]
     seq = [eye, a][: kmax + 1]
     for k in range(2, kmax + 1):
