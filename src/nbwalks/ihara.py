@@ -12,16 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import prod
 
-from .edgespace import (
-    EdgeSpace,
-    _integer_operator,
-    build_edge_space,
-    downweighted_transfer,
-    v_similar,
-)
+from .edgespace import EdgeSpace, build_edge_space, downweighted_transfer, v_similar
 from .errors import TauOutOfRangeError
-from .exact import Matrix, _bareiss_int_det, _clear_denominators, _int_product
+from .exact import Matrix, _bareiss_int_det, _clear_denominators
 from .graphs import Graph
 from .laplacians import _deformed_laplacian, structure_matrices
 from .polys import Polynomial, polymat_det
@@ -139,7 +134,7 @@ def verify_flanders(g: Graph) -> IdentityCertificate:
     return _det_certificate("flanders", lhs, rhs, _summary(g, es))
 
 
-def verify_weighted_ihara(g: Graph, samples: int | None = None) -> IdentityCertificate:
+def verify_weighted_ihara(g: Graph) -> IdentityCertificate:
     """Weighted identity in square-root-free form.
 
     The claim det Phi(A, t) = prod_i (1 - t**2 w_i w_i') / det(I - t V) is
@@ -147,20 +142,20 @@ def verify_weighted_ihara(g: Graph, samples: int | None = None) -> IdentityCerti
 
     * a polynomial route collapsing det Phi * det(I - t B Z) through the
       Weinstein-Aronszajn identity to det(I + t (W - B) Z), and
-    * a pointwise route evaluating Phi exactly through the adjugate of
-      I - t B Z at 2 (n + m) + 1 rational sample points.
+    * a pointwise route at 2 (n + m) + 1 rational sample points, in vertex
+      space: Woodbury turns Phi(t) into (I - X(t))^-1 for an n-by-n X(t)
+      read off the arcs, the weighted Ihara formula in the form of Mizuno &
+      Sato (J. Combin. Theory Ser. B 91, 2004) and Watanabe & Fukumizu
+      (NeurIPS 2009).
 
     The product side is enumerated straight from the reciprocal edge pairs.
     """
     es = build_edge_space(g)
     summary = _summary(g, es)
-    n = g.n
-    m = es.m
-    if m == 0:
+    if es.m == 0:
         one = Polynomial([1])
-        return _det_certificate(
-            "weighted_ihara", one, one, summary, details={"sample_points": 0}
-        )
+        return _det_certificate("weighted_ihara", one, one, summary,
+                                {"sample_points": 0, "samples_consistent": True})
 
     w = es.weights
     rhs = Polynomial([1])
@@ -172,9 +167,7 @@ def verify_weighted_ihara(g: Graph, samples: int | None = None) -> IdentityCerti
     lhs = _det_one_minus_t(collapse)
     g_poly = Polynomial(v_similar(es).det_one_minus_t())  # det(I - t B Z)
 
-    samples_ok, checked = _adjugate_sample_check(
-        es, g_poly, rhs, 2 * (n + m) + 1 if samples is None else samples
-    )
+    samples_ok, checked = _vertex_sample_check(es, g_poly, rhs, 2 * (g.n + es.m) + 1)
 
     residual = lhs - rhs
     return IdentityCertificate(
@@ -188,66 +181,70 @@ def verify_weighted_ihara(g: Graph, samples: int | None = None) -> IdentityCerti
     )
 
 
-def _adjugate_sample_check(es, g_poly, rhs, count):
-    """Evaluate Phi exactly at rational sample points through the adjugate of
-    I - t B Z and compare det(Phi) * det(I - t B Z) with the pair product.
+def _vertex_sample_check(es, g_poly, rhs, count):
+    """Compare det(Phi(t)) * g(t) with rhs(t), g = det(I - t B Z), at
+    rational sample points, in vertex space.
 
-    The adjugate coefficients follow the Horner recurrence
-    C_j = (B Z) C_{j-1} + g_j I applied directly to the target incidence,
-    with everything scaled to integers to keep the arithmetic cheap: with
-    ell the weights' common denominator and h_j = g_j * ell**j, the integer
-    carriers ell**j C_j R follow (B ell Z)(ell**(j-1) C_{j-1} R) + h_j R.
-    Only L^T Z C_j enters Phi, so each C_j is folded into the n-by-n K_j =
-    L^T (ell Z) C_j once, kept as a flat list of n * n ints, and every
-    sample runs its Horner sum on the K_j.
-
-    The samples stay on integers.  With t = p/q, base = q * ell and
-    den = base**m, g(t) = gn / den for gn = sum_j h_j p**j base**(m - j),
-    and N = den * g(t) * Phi(t) is the integer matrix
-    gn * I + p * sum_j K_j p**j base**(m - 1 - j).  As det(N) =
-    den**n * g(t)**n * det(Phi), the check det(Phi) * g(t) == rhs(t) with
-    rhs(t) = rn / rd is the integer equality
-    det(N) * rd == rn * gn**(n - 1) * den, and det(N) comes from the same
-    Bareiss kernel as `Matrix.det`.  Points where g(t) = 0 are skipped.
+    Woodbury gives Phi(t) = (I - X(t))^-1 for an n-by-n X(t) read off the
+    arcs (`_vertex_rows`).  At t = p/q, s = q * ell (ell the weights'
+    common denominator), the integer rows Y have det(Y) = s**(n + 2 r) *
+    P(t)**2 * det(I - X(t)), r the number of reciprocated arcs and P the
+    pair product, so with g(t) = gn / (gd * g_lcm) and rhs(t) =
+    rn / (rd * r_lcm) the check is the integer equality
+    det(Y) * gd * g_lcm * rd * r_lcm == s**(n + 2 r) * gn * rn.
+    Both sides are polynomial in p, so it holds also where some
+    1 - t**2 w w' is 0; points where g(t) = 0 are skipped.
     """
-    n = es.graph.n
-    m = es.m
-    ell, step, lt_z, r_rows = _integer_operator(es)
-    scaled = [c * ell**j for j, c in enumerate(g_poly.coeffs)]
-    if any(c.denominator != 1 for c in scaled):
-        raise RuntimeError("determinant coefficients failed to clear denominators")
-    h = [c.numerator for c in scaled] + [0] * (m + 1 - len(scaled))
+    z, ell = _clear_denominators(es.weights)
+    g_ints, g_lcm = _clear_denominators(g_poly.coeffs)
     r_ints, r_lcm = _clear_denominators(rhs.coeffs)
-    carrier = [[0] * n for _ in range(m)]
-    k_ints = []
-    for hj in h[:m]:
-        carrier = [[a + hj * b for a, b in zip(row, r)]
-                   for row, r in zip(_int_product(step, carrier, n), r_rows)]
-        k_ints.append([x for row in _int_product(lt_z, carrier, n) for x in row])
-
+    power = es.graph.n + 4 * es.reciprocal_pair_count  # n + 2 r
     checked = 0
     candidate = 0
     while checked < count:
         candidate += 1
         p, q = (candidate, 2) if candidate % 2 else (-candidate // 2, 1)
-        base = q * ell
-        gn, den = _zhomogeneous(h, p, base)
+        gn, gd = _zhomogeneous(g_ints, p, q)
         if gn == 0:
             continue
-        # sum_j K_j p**j base**(m-1-j) by integer Horner
-        acc = k_ints[m - 1]
-        power = 1
-        for j in range(m - 2, -1, -1):
-            power *= base
-            acc = [a * p + c * power for a, c in zip(acc, k_ints[j])]
-        nmat = [[p * x for x in acc[i * n:(i + 1) * n]] for i in range(n)]
-        for i in range(n):
-            nmat[i][i] += gn
-        rn, rd = _zhomogeneous(r_ints, p, q)  # rhs(t) = rn / (rd * r_lcm)
-        if _bareiss_int_det(nmat) * rd * r_lcm != rn * gn ** (n - 1) * den:
+        rn, rd = _zhomogeneous(r_ints, p, q)
+        s = q * ell
+        y = _bareiss_int_det(_vertex_rows(es, z, p, s))
+        if y * gd * g_lcm * rd * r_lcm != s**power * gn * rn:
             return False, checked
         checked += 1
     return True, checked
+
+
+def _vertex_rows(es, z, p, s):
+    """Row u of I - X(t) times s * prod a_e over the reciprocated arcs e
+    leaving u, in integers, at t = p/q, s = q * ell and z = ell * w.
+
+    With B = R L^T - Delta, X(t) = t L^T Z (I + t Delta Z)^-1 R: a one-way
+    arc u -> v adds t w at (u, v), an arc whose reverse has weight w' adds
+    t w / (1 - t**2 w w') at (u, v) and -t**2 w w' / (1 - t**2 w w') at
+    (u, u).  So with c_e = p**2 z_e z_rev(e) and a_e = s**2 - c_e,
+    Y[u][u] = s (prod a + sum_e c_e prod_{f != e} a_f), and Y[u][v] is
+    -p z_e prod a (one-way) or -p z_e s**2 prod_{f != e} a_f.
+    """
+    n = es.graph.n
+    s2, p2 = s * s, p * p
+    rows = [[0] * n for _ in range(n)]
+    leaving = [[] for _ in range(n)]
+    for e, u in enumerate(es.tails):
+        leaving[u].append(e)
+    for u, arcs in enumerate(leaving):
+        recip = [e for e in arcs if es.reverse[e] is not None]
+        c = [p2 * z[e] * z[es.reverse[e]] for e in recip]
+        a = [s2 - x for x in c]
+        others = [prod(a[:i]) * prod(a[i + 1:]) for i in range(len(a))]
+        whole = prod(a)
+        rows[u][u] = s * (whole + sum(x * o for x, o in zip(c, others)))
+        for e in arcs:
+            rows[u][es.heads[e]] = -p * z[e] * whole
+        for e, o in zip(recip, others):
+            rows[u][es.heads[e]] = -p * z[e] * s2 * o
+    return rows
 
 
 def verify_lemma_suite(g: Graph, tau) -> list[IdentityCertificate]:
@@ -275,7 +272,8 @@ def verify_lemma_suite(g: Graph, tau) -> list[IdentityCertificate]:
         one = Polynomial([1])
         certs.append(_det_certificate("backtrack_char_poly", one, one, summary))
         certs.append(
-            _matrix_certificate("resolvent_form", zero, summary, {"tau": str(tau)})
+            _matrix_certificate("resolvent_form", zero, summary,
+                                {"tau": str(tau), "sample_points": 0})
         )
         return certs
 

@@ -16,7 +16,10 @@ from nbwalks import (
     reversal,
     smith_form,
 )
+from nbwalks.edgespace import _integer_operator
+from nbwalks.exact import _bareiss_int_det, _clear_denominators, _int_product
 from nbwalks.laplacians import structure_matrices
+from nbwalks.zpoly import _zhomogeneous
 
 
 def mirror(pairs):
@@ -223,27 +226,27 @@ def random_digraph(rng: random.Random, n: int, density: float, weighted=False) -
     chosen = [a for a in arcs if rng.random() < density]
     if not chosen:
         chosen = [rng.choice(arcs)]
+    return _maybe_weighted(rng, chosen, n, weighted)
+
+
+WEIGHT_POOL = tuple(
+    Fraction(x) for x in ("1", "2", "3", "1/2", "1/3", "3/2", "5/4", "2/5")
+)
+
+
+def _maybe_weighted(rng, arcs, n, weighted) -> Graph:
+    """The arcs on vertices 0..n-1, with unit weights or with weights drawn
+    from WEIGHT_POOL."""
     if not weighted:
-        return build_unweighted(chosen, vertices=range(n))
-    pool = [
-        Fraction(1),
-        Fraction(2),
-        Fraction(3),
-        Fraction(1, 2),
-        Fraction(1, 3),
-        Fraction(3, 2),
-        Fraction(5, 4),
-        Fraction(2, 5),
-    ]
-    return build_graph(
-        [(u, v, rng.choice(pool)) for u, v in chosen], vertices=range(n)
-    )
+        return build_unweighted(arcs, vertices=range(n))
+    return build_graph([(u, v, rng.choice(WEIGHT_POOL)) for u, v in arcs], vertices=range(n))
 
 
-def random_connected_graph(rng: random.Random, n: int, extra: int, oneway=0.0) -> Graph:
-    """Unit graph on n vertices: a random spanning tree plus ``extra`` more
+def random_connected_graph(rng: random.Random, n: int, extra: int, oneway=0.0,
+                           weighted=False) -> Graph:
+    """Graph on n vertices: a random spanning tree plus ``extra`` more
     edges, each edge a reciprocal pair except a ``oneway`` share kept as a
-    single arc of random direction."""
+    single arc of random direction; unit weights unless ``weighted``."""
     edges = [(rng.randrange(i), i) for i in range(1, n)]
     present = set(edges)
     others = [(u, v) for v in range(n) for u in range(v) if (u, v) not in present]
@@ -253,7 +256,7 @@ def random_connected_graph(rng: random.Random, n: int, extra: int, oneway=0.0) -
     for i in rng.sample(range(len(edges)), len(edges)):
         u, v = edges[i] if rng.random() < 0.5 else edges[i][::-1]
         arcs += [(u, v)] if i < single else [(u, v), (v, u)]
-    return build_unweighted(arcs, vertices=range(n))
+    return _maybe_weighted(rng, arcs, n, weighted)
 
 
 def with_random_reciprocal_leaf(rng: random.Random, g: Graph) -> Graph:
@@ -303,3 +306,66 @@ def reference_deformed_coefficients(g: Graph, tau) -> list[Matrix]:
 def reference_deformed_laplacian(g: Graph, tau) -> PolyMatrix:
     coeffs = reference_deformed_coefficients(g, tau)
     return PolyMatrix.from_coefficients(coeffs, grade=len(coeffs) - 1)
+
+
+def adjugate_sample_check(es, g_poly, rhs, count):
+    """The edge-space reference for `ihara._vertex_sample_check`: the same
+    points and the same (ok, checked) result, with Phi evaluated exactly
+    through the adjugate of I - t B Z rather than the vertex closed form.
+
+    The adjugate coefficients follow the Horner recurrence
+    C_j = (B Z) C_{j-1} + g_j I applied directly to the target incidence,
+    with everything scaled to integers to keep the arithmetic cheap: with
+    ell the weights' common denominator and h_j = g_j * ell**j, the integer
+    carriers ell**j C_j R follow (B ell Z)(ell**(j-1) C_{j-1} R) + h_j R.
+    Only L^T Z C_j enters Phi, so each C_j is folded into the n-by-n K_j =
+    L^T (ell Z) C_j once, kept as a flat list of n * n ints, and every
+    sample runs its Horner sum on the K_j.
+
+    The samples stay on integers.  With t = p/q, base = q * ell and
+    den = base**m, g(t) = gn / den for gn = sum_j h_j p**j base**(m - j),
+    and N = den * g(t) * Phi(t) is the integer matrix
+    gn * I + p * sum_j K_j p**j base**(m - 1 - j).  As det(N) =
+    den**n * g(t)**n * det(Phi), the check det(Phi) * g(t) == rhs(t) with
+    rhs(t) = rn / rd is the integer equality
+    det(N) * rd == rn * gn**(n - 1) * den, and det(N) comes from the same
+    Bareiss kernel as `Matrix.det`.  Points where g(t) = 0 are skipped.
+    """
+    n = es.graph.n
+    m = es.m
+    ell, step, lt_z, r_rows = _integer_operator(es)
+    scaled = [c * ell**j for j, c in enumerate(g_poly.coeffs)]
+    if any(c.denominator != 1 for c in scaled):
+        raise RuntimeError("determinant coefficients failed to clear denominators")
+    h = [c.numerator for c in scaled] + [0] * (m + 1 - len(scaled))
+    r_ints, r_lcm = _clear_denominators(rhs.coeffs)
+    carrier = [[0] * n for _ in range(m)]
+    k_ints = []
+    for hj in h[:m]:
+        carrier = [[a + hj * b for a, b in zip(row, r)]
+                   for row, r in zip(_int_product(step, carrier, n), r_rows)]
+        k_ints.append([x for row in _int_product(lt_z, carrier, n) for x in row])
+
+    checked = 0
+    candidate = 0
+    while checked < count:
+        candidate += 1
+        p, q = (candidate, 2) if candidate % 2 else (-candidate // 2, 1)
+        base = q * ell
+        gn, den = _zhomogeneous(h, p, base)
+        if gn == 0:
+            continue
+        # sum_j K_j p**j base**(m-1-j) by integer Horner
+        acc = k_ints[m - 1]
+        power = 1
+        for j in range(m - 2, -1, -1):
+            power *= base
+            acc = [a * p + c * power for a, c in zip(acc, k_ints[j])]
+        nmat = [[p * x for x in acc[i * n:(i + 1) * n]] for i in range(n)]
+        for i in range(n):
+            nmat[i][i] += gn
+        rn, rd = _zhomogeneous(r_ints, p, q)  # rhs(t) = rn / (rd * r_lcm)
+        if _bareiss_int_det(nmat) * rd * r_lcm != rn * gn ** (n - 1) * den:
+            return False, checked
+        checked += 1
+    return True, checked

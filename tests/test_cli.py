@@ -153,6 +153,18 @@ class TestCommands:
         second = capsys.readouterr().out
         assert first == second
 
+    def test_package_runs_as_module(self, example1_file, capsys):
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(cli_mod.__file__)))
+        done = subprocess.run([sys.executable, "-m", "nbwalks", "analyze", example1_file],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert main(["analyze", example1_file]) == 0
+        assert (done.returncode, done.stdout, done.stderr) == (0, capsys.readouterr().out, "")
+        done = subprocess.run([sys.executable, "-m", "nbwalks", "verify", "--tau", "oops",
+                               example1_file], capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert done.returncode == 1 and done.stderr.startswith("nbwalks: ")
+
     def test_shared_parser_matches_fresh_processes(self, example1_file, capsys):
         # one parser serves every call in a process; each call must still
         # read only its own argv, as a fresh process does

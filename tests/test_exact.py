@@ -1,7 +1,7 @@
 """The row-sparse integer product and the Berkowitz characteristic
 polynomial against two oracles each, the primitive-row Bareiss determinant
-against sympy, and the all-integer weighted-Ihara sample check against the
-Fraction route it replaced."""
+against sympy, and the vertex-space weighted-Ihara sample check against the
+edge-space adjugate route and the Fraction route before it."""
 
 import random
 from fractions import Fraction as F
@@ -12,9 +12,10 @@ import sympy
 from nbwalks import Matrix, Polynomial, build_edge_space, v_similar, verify_weighted_ihara
 from nbwalks.errors import NotSquareError
 from nbwalks.exact import _bareiss_int_det, _clear_denominators
-from nbwalks.ihara import _adjugate_sample_check
+from nbwalks.ihara import _vertex_rows, _vertex_sample_check
 
 from helpers import (
+    adjugate_sample_check,
     directed_cycle,
     example1,
     random_digraph,
@@ -408,6 +409,15 @@ class TestBareissIntDet:
         assert self.check([[1]]) == 1
 
 
+def all_routes(es, step, g_poly, rhs, count):
+    """(ok, checked) of the vertex check, once the adjugate and Fraction
+    references have returned the same."""
+    got = _vertex_sample_check(es, g_poly, rhs, count)
+    assert adjugate_sample_check(es, g_poly, rhs, count) == got
+    assert fraction_sample_check(es, step, g_poly, rhs, count) == got
+    return got
+
+
 class TestWeightedIharaSamples:
     GRAPHS = (example1, weighted_3cycle, lambda: single_recip_edge(F(5, 2), F(3, 7)))
     # g(t) = det(I - t B Z) vanishes at a sample candidate: 1 - t^4 at t = -1
@@ -442,15 +452,10 @@ class TestWeightedIharaSamples:
 
     @pytest.mark.parametrize("build", GRAPHS)
     def test_perturbed_rhs_fails(self, build):
-        g = build()
-        es = build_edge_space(g)
-        step = es.hashimoto * es.weight_diag
-        g_poly = Polynomial(step.det_one_minus_t())
-        rhs = verify_weighted_ihara(g).rhs
-        count = 2 * (g.n + es.m) + 1
-        assert _adjugate_sample_check(es, g_poly, rhs, count) == (True, count)
+        es, step, g_poly, rhs, count = sample_inputs(build())
+        assert all_routes(es, step, g_poly, rhs, count) == (True, count)
         for bad in (rhs + Polynomial([0, 0, 0, F(1, 5)]), rhs * Polynomial([F(3, 2)])):
-            ok, checked = _adjugate_sample_check(es, g_poly, bad, count)
+            ok, checked = all_routes(es, step, g_poly, bad, count)
             assert ok is False and checked < count
 
     @pytest.mark.parametrize("build", SKIPPING, ids=["unit-4-cycle", "3-cycle-2-2-2",
@@ -459,11 +464,24 @@ class TestWeightedIharaSamples:
         es, step, g_poly, rhs, count = sample_inputs(build())
         points, skipped = sample_points(g_poly, count)
         assert len(skipped) == 1
-        assert _adjugate_sample_check(es, g_poly, rhs, count) == (True, count)
-        assert fraction_sample_check(es, step, g_poly, rhs, count) == (True, count)
+        assert all_routes(es, step, g_poly, rhs, count) == (True, count)
         # a wrong rhs is caught at a point after the skipped one
         bad = rhs + Polynomial([-points[1], 1]) * Polynomial([-points[0], 1])
-        assert _adjugate_sample_check(es, g_poly, bad, count) == (False, 2)
+        assert all_routes(es, step, g_poly, bad, count) == (False, 2)
+
+    def test_point_where_a_pair_factor_vanishes(self):
+        # with unit weights 1 - t^2 w w' is 0 at t = -1, the second candidate;
+        # it is checked, and a rhs wrong only there fails there
+        es, step, g_poly, rhs, count = sample_inputs(single_recip_edge(1, 1))
+        points, skipped = sample_points(g_poly, count)
+        assert not skipped and points[1] == -1 and rhs(F(-1)) == 0
+        assert all_routes(es, step, g_poly, rhs, count) == (True, count)
+        vanishing = Polynomial([1])
+        for t in points[:1] + points[2:]:
+            vanishing = vanishing * Polynomial([-t, 1])
+        bad = rhs + vanishing
+        assert [t for t in points if bad(t) != rhs(t)] == [F(-1)]
+        assert all_routes(es, step, g_poly, bad, count) == (False, 1)
 
     def test_matches_fraction_route(self):
         graphs = self.reference_graphs()
@@ -472,11 +490,10 @@ class TestWeightedIharaSamples:
         assert any(g.edge_set() != {(v, u) for u, v in g.edge_set()} for g in graphs)
         for g in graphs:
             es, step, g_poly, rhs, count = sample_inputs(g)
-            want = fraction_sample_check(es, step, g_poly, rhs, count)
-            assert want == (True, count)
-            assert _adjugate_sample_check(es, g_poly, rhs, count) == want
+            assert all_routes(es, step, g_poly, rhs, count) == (True, count)
             for few in (0, 1, 3):
-                assert _adjugate_sample_check(es, g_poly, rhs, few) == (True, few)
+                assert _vertex_sample_check(es, g_poly, rhs, few) == (True, few)
+                assert adjugate_sample_check(es, g_poly, rhs, few) == (True, few)
 
     def test_perturbed_rhs_matches_fraction_route(self):
         for g in self.reference_graphs():
@@ -493,6 +510,32 @@ class TestWeightedIharaSamples:
                 (rhs + Polynomial([-t0, 1]) * Polynomial([-t1, 1]), 2),
             ]
             for bad, first_failure in perturbed:
-                want = fraction_sample_check(es, step, g_poly, bad, count)
-                assert want == (False, first_failure)
-                assert _adjugate_sample_check(es, g_poly, bad, count) == want
+                assert all_routes(es, step, g_poly, bad, count) == (False, first_failure)
+
+    def test_vertex_rows_invert_phi(self):
+        # (I - X(t))^-1 == Phi(t) = I + t L^T Z (I - t B Z)^-1 R wherever no
+        # pair has 1 - t^2 w w' = 0: the identity checked is the one stated
+        points = [F(1, 2), F(-1), F(3, 2), F(-2), F(2, 3), F(-1, 3)]
+        checked = 0
+        for g in self.reference_graphs():
+            es, step, g_poly, _, _ = sample_inputs(g)
+            z, ell = _clear_denominators(es.weights)
+            w = es.weights
+            for t in points:
+                factors = {e: 1 - t * t * w[e] * w[f] for e, f in enumerate(es.reverse)
+                           if f is not None}
+                if 0 in factors.values() or g_poly(t) == 0:
+                    continue
+                p, q = t.numerator, t.denominator
+                s = q * ell
+                scale = [s] * g.n
+                for e, factor in factors.items():
+                    scale[es.tails[e]] *= s * s * factor
+                y = _vertex_rows(es, z, p, s)
+                i_minus_x = Matrix([[F(x) / c for x in row] for row, c in zip(y, scale)])
+                solved = (Matrix.identity(es.m) - step.scale(t)).solve(es.target)
+                phi = Matrix.identity(g.n) + (
+                    es.source.transpose() * es.weight_diag * solved).scale(t)
+                assert i_minus_x.inverse() == phi, (g.edges, t)
+                checked += 1
+        assert checked > 60

@@ -26,6 +26,7 @@ from helpers import (
     complete_undirected,
     directed_cycle,
     example1,
+    random_connected_graph,
     random_digraph,
     single_recip_edge,
     undirected_cycle,
@@ -130,6 +131,41 @@ class TestWeightedIhara:
         g = example1()
         cert = verify_weighted_ihara(g)
         assert cert.details["sample_points"] == 2 * (g.n + g.m) + 1
+
+    def test_u30_shape(self):
+        # the shape of the bench ladder's u30 with weights: 30 vertices, 46
+        # edges beyond a spanning tree, 30% of the edges one-way
+        g = random_connected_graph(random.Random(30), 30, 46, oneway=0.3, weighted=True)
+        assert not g.is_unweighted() and g.m == 2 * 75 - round(0.3 * 75)
+        cert = verify_weighted_ihara(g)
+        assert cert.equal
+        assert cert.details["sample_points"] == 2 * (g.n + g.m) + 1
+
+
+class TestDetailKeys:
+    """The details of a certificate have the same keys with and without
+    edges."""
+
+    GRAPHS = (build_unweighted([], vertices=[1, 2]), build_unweighted([(1, 2)]))
+
+    @pytest.mark.parametrize("g", GRAPHS, ids=["edgeless", "one-arc"])
+    def test_weighted_ihara(self, g):
+        details = verify_weighted_ihara(g).details
+        assert list(details) == ["sample_points", "samples_consistent"]
+        assert details["samples_consistent"] is True
+
+    @pytest.mark.parametrize("g", GRAPHS, ids=["edgeless", "one-arc"])
+    def test_resolvent_form(self, g):
+        cert = verify_lemma_suite(g, F(1, 2))[-1]
+        assert cert.identity == "resolvent_form"
+        assert list(cert.details) == ["tau", "sample_points"]
+
+    def test_edgeless_values(self):
+        g = self.GRAPHS[0]
+        assert verify_weighted_ihara(g).details == {"sample_points": 0,
+                                                    "samples_consistent": True}
+        assert verify_lemma_suite(g, F(1, 2))[-1].details == {"tau": "1/2",
+                                                              "sample_points": 0}
 
 
 class TestLemmaSuite:
