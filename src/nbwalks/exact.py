@@ -11,6 +11,10 @@ left factor, so the 0/1 edge-space matrices cost what their nonzeros cost.
 That inner loop, sparse integer rows times dense integer rows, is the one
 private kernel `_int_product`; the integer walk tables of `walks` call it
 directly and build `Fraction`s only once, at the end.
+`solve`, `inverse` and `rank` clear each row to integers on its own and run
+one fraction-free elimination, `_fraction_free` (Bareiss 1968): forward for
+the rank, Gauss-Jordan for a solve, whose solution is then the eliminated
+right-hand side over a single integer denominator.
 """
 
 from __future__ import annotations
@@ -170,56 +174,27 @@ class Matrix:
         return Fraction(d) / scale
 
     def rank(self) -> int:
-        m = [list(row) for row in self.data]
-        nr, nc = self.nrows, self.ncols
-        rank = 0
-        for col in range(nc):
-            piv = None
-            for i in range(rank, nr):
-                if m[i][col]:
-                    piv = i
-                    break
-            if piv is None:
-                continue
-            m[rank], m[piv] = m[piv], m[rank]
-            prow = m[rank]
-            pval = prow[col]
-            for i in range(rank + 1, nr):
-                f = m[i][col]
-                if f:
-                    fac = f / pval
-                    m[i] = [a - fac * b if b else a for a, b in zip(m[i], prow)]
-            rank += 1
-            if rank == nr:
-                break
-        return rank
+        """Rank by fraction-free forward elimination on the rows cleared to
+        integers, each on its own (scaling a row changes no rank)."""
+        rows = [_clear_denominators(row)[0] for row in self.data]
+        return _fraction_free(rows, self.ncols, False)[0]
 
     def solve(self, rhs: "Matrix"):
-        """Solve self @ X = rhs exactly; returns None when singular."""
+        """Solve self @ X = rhs exactly; returns None when singular.
+
+        Each augmented row [A | B] is cleared to integers on its own, which
+        leaves X unchanged, and fraction-free Gauss-Jordan elimination turns
+        A into p I for the last pivot p, so that X = B' / p for what B
+        became.
+        """
         if not self.is_square() or self.nrows != rhs.nrows:
             raise ValueError("dimension mismatch")
         n = self.nrows
-        w = rhs.ncols
-        aug = [list(self.data[i]) + list(rhs.data[i]) for i in range(n)]
-        for k in range(n):
-            piv = None
-            for i in range(k, n):
-                if aug[i][k]:
-                    piv = i
-                    break
-            if piv is None:
-                return None
-            aug[k], aug[piv] = aug[piv], aug[k]
-            prow = aug[k]
-            pval = prow[k]
-            for i in range(n):
-                if i == k:
-                    continue
-                f = aug[i][k]
-                if f:
-                    fac = f / pval
-                    aug[i] = [a - fac * b if b else a for a, b in zip(aug[i], prow)]
-        return Matrix([[aug[i][n + j] / aug[i][i] for j in range(w)] for i in range(n)])
+        aug = [_clear_denominators(a + b)[0] for a, b in zip(self.data, rhs.data)]
+        rank, pivot = _fraction_free(aug, n, True)
+        if rank < n:
+            return None
+        return _int_matrix(aug, pivot)
 
     def inverse(self):
         """Exact inverse; returns None when singular."""
@@ -284,6 +259,58 @@ def _int_product(left, right, width: int) -> list[list[int]]:
                 acc = [a + c * b for a, b in zip(acc, r)]
         out.append([0] * width if acc is None else acc)
     return out
+
+
+def _fraction_free(rows, ncols: int, full: bool):
+    """Fraction-free elimination of the integer rows, in place, on their
+    first ``ncols`` columns; returns (rank, last pivot).
+
+    Column by column, the first row at or below the current rank with a
+    nonzero entry there becomes the pivot row k with pivot p_k, and each
+    other row i becomes (p_k * row_i - a_ik * row_k) // p_(k-1), p_(-1) = 1:
+    below row k only (forward Bareiss), or above it too when ``full``
+    (Gauss-Jordan).  Every entry is then a minor of the input (Sylvester's
+    identity), so each division is exact; a row with a_ik = 0 is still
+    scaled by p_k / p_(k-1).  The pivot column is then 0 in every updated
+    row but row k, where it is p_k, and in a full elimination each earlier
+    pivot row's entry there becomes p_k as well; so each step drops the
+    column from the rows it updates rather than computing it.  After a full
+    elimination of rank ``ncols`` the rows hold only their later columns,
+    over the last pivot as common denominator.  In full mode a column
+    without a pivot ends the elimination: the leading block is singular,
+    and the rank returned is below ``ncols``.
+    """
+    nr = len(rows)
+    rank, prev = 0, 1
+    for _ in range(ncols):
+        if rank == nr:
+            break
+        for piv in range(rank, nr):
+            if rows[piv][0]:
+                break
+        else:
+            if full:
+                break
+            rows[rank:] = [row[1:] for row in rows[rank:]]
+            continue
+        rowk = rows[piv]
+        rows[piv] = rows[rank]
+        pk = rowk[0]
+        rowk = rows[rank] = rowk[1:]
+        for i in range(0 if full else rank + 1, nr):
+            if i == rank:
+                continue
+            rowi = rows[i]
+            a = rowi[0]
+            if a:
+                rows[i] = [(pk * x - a * y) // prev for x, y in zip(rowi[1:], rowk)]
+            elif pk != prev:
+                rows[i] = [pk * x // prev for x in rowi[1:]]
+            else:
+                rows[i] = rowi[1:]
+        prev = pk
+        rank += 1
+    return rank, prev
 
 
 class _Fractions(dict):

@@ -6,8 +6,11 @@ stripped.  The zero polynomial has an empty coefficient tuple and degree -1
 (standing in for "minus infinity").  All arithmetic is exact; nothing in
 this module touches floating point.
 
-The matrix eliminations (``polymat_det``, ``smith_form``) run over Z[t] on
-the int coefficient lists of ``zpoly``.  The Smith form keeps every row and
+The matrix eliminations (``polymat_det``, ``smith_form``), the gcd and
+Yun's squarefree decomposition run over Z[t] on the int coefficient lists
+of ``zpoly``: the gcd by a primitive remainder sequence, and Yun's loop on
+primitive polynomials, whose divisions by primitive gcds are exact in Z[t]
+by Gauss's lemma.  The Smith form keeps every row and
 column it updates primitive by dividing out its integer content; a nonzero
 rational factor is a unit of Q[t], so this changes no invariant and keeps
 the integers small.
@@ -21,7 +24,9 @@ from fractions import Fraction
 from .errors import NotSquareError, ZeroPolynomialError
 from .exact import Matrix, _bareiss_int_det, _clear_denominators
 from .zpoly import (
+    _zderivative,
     _zdiv_exact,
+    _zgcd,
     _zhomogeneous,
     _zmul,
     _zprimitive,
@@ -222,37 +227,40 @@ class Polynomial:
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic greatest common divisor via the Euclidean algorithm."""
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+    """Monic greatest common divisor, by a primitive remainder sequence
+    over Z[t] on a and b cleared to integers."""
+    return _monic(_zgcd(_clear_denominators(a.coeffs)[0], _clear_denominators(b.coeffs)[0]))
+
+
+def _monic(ints) -> Polynomial:
+    return Polynomial([Fraction(c, ints[-1]) for c in ints]) if ints else Polynomial()
 
 
 def squarefree_decomposition(p: Polynomial):
-    """Yun decomposition: list of (factor, multiplicity) with factors squarefree.
+    """Yun decomposition: list of (factor, multiplicity) with factors
+    squarefree and monic.
 
-    The product of factor**multiplicity equals p up to a constant.
+    The product of factor**multiplicity equals p up to a constant.  Yun's
+    loop runs over Z[t] on the primitive part of p: each gcd is primitive,
+    so by Gauss's lemma every division by one is exact in Z[t].
     """
     if p.is_zero():
         raise ZeroPolynomialError("zero polynomial")
     if p.degree == 0:
         return []
-    p = p.monic()
-    dp = p.derivative()
-    a = poly_gcd(p, dp)
-    b = p // a
-    c = dp // a
-    d = c - b.derivative()
+    p = _zprimitive([_clear_denominators(p.coeffs)[0]])[0]
+    dp = _zderivative(p)
+    a = _zgcd(p, dp)
+    b = _zdiv_exact(p, a)
+    d = _zsub(_zdiv_exact(dp, a), _zderivative(b))
     out = []
     mult = 1
-    while b.degree > 0:
-        f = poly_gcd(b, d)
-        if f.degree > 0:
-            out.append((f, mult))
-        b2 = b // f
-        c2 = d // f
-        d = c2 - b2.derivative()
-        b = b2
+    while len(b) > 1:
+        f = _zgcd(b, d)
+        if len(f) > 1:
+            out.append((_monic(f), mult))
+        b = _zdiv_exact(b, f)
+        d = _zsub(_zdiv_exact(d, f), _zderivative(b))
         mult += 1
     return out
 
@@ -287,7 +295,7 @@ def sturm_chain(p: Polynomial) -> list[tuple[int, ...]]:
     both have the same primitive part.
     """
     top, _ = _clear_denominators(p.coeffs)
-    chain = [_zprimitive([q])[0] for q in (top, [k * c for k, c in enumerate(top)][1:])]
+    chain = [_zprimitive([q])[0] for q in (top, _zderivative(top))]
     while chain[-1]:
         _, _, rem = _zpseudo_divmod(chain[-2], chain[-1])
         if not rem:

@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 from .errors import IterationBudgetExceededError, NegativeEntryError
 from .exact import Matrix
@@ -45,6 +47,18 @@ class PerronResult:
     @property
     def width(self) -> Fraction:
         return self.upper - self.lower
+
+
+def _left_sum(values) -> float:
+    """The float sum of values, added one by one from 0.0, left to right.
+
+    Since Python 3.12 the built-in ``sum`` adds floats with compensated
+    summation, so its last bits, and with them the start vector and the
+    certified brackets, would depend on the Python version.  Every float
+    reduction in the package goes through this fold instead, which gives
+    the same floats as ``sum`` before 3.12 on every version.
+    """
+    return reduce(add, values, 0.0)
 
 
 def _check_nonnegative(m: Matrix) -> None:
@@ -75,7 +89,7 @@ def _float_rows(block):
     except OverflowError:
         return None
     fits = all(f or not x for row, frow in zip(block, fm) for x, f in zip(row, frow))
-    return fm if fits and all(math.isfinite(sum(row) + 1.0) for row in fm) else None
+    return fm if fits and all(math.isfinite(_left_sum(row) + 1.0) for row in fm) else None
 
 
 def _float_power_vector(fm, iterations=400):
@@ -91,7 +105,7 @@ def _float_power_vector(fm, iterations=400):
     rows = [[(k, f) for k, f in enumerate(row) if f] for row in fm]
     x = [1.0] * n
     for _ in range(iterations):
-        y = [sum(f * x[k] for k, f in row) + x[i] for i, row in enumerate(rows)]
+        y = [_left_sum(f * x[k] for k, f in row) + x[i] for i, row in enumerate(rows)]
         top = max(y)
         if top == 0:
             return [1.0] * n
@@ -104,7 +118,7 @@ def _float_power_vector(fm, iterations=400):
 
 def _log2_sum(values):
     top = max(values)
-    return top + math.log2(sum(2.0 ** (v - top) for v in values))
+    return top + math.log2(_left_sum(2.0 ** (v - top) for v in values))
 
 
 def _balancing_exponents(block, iterations=400):

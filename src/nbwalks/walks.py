@@ -14,8 +14,10 @@ the plain names are thin wrappers of it.
 
 Tables hold exact rationals.  The recurrence and the Hashimoto powers run
 on sparse integer rows scaled by one common denominator (q**k for the
-recurrence, W**k for the weighted powers) and build each table's Fractions
-once, at the end.  Enumeration is metered: every edge extension taken
+recurrence, W**k for the weighted powers), and the oracle multiplies
+integer walk weights scaled by L**(2k) for the common denominator L of the
+weights and omega; each route builds a table's Fractions once, at the end.
+Enumeration is metered: every edge extension taken
 counts against a budget so pathological inputs fail loudly instead of
 hanging, and a depth's table is only allocated once the search reaches it.
 """
@@ -39,7 +41,7 @@ from .errors import (
 from .exact import Matrix, _clear_denominators, _int_matrix, _int_product
 from .graphs import Graph
 from .laplacians import _deformed_laplacian, structure_matrices
-from .spectral import perron_radius
+from .spectral import _left_sum, perron_radius
 
 DEFAULT_BUDGET = 10**8
 
@@ -63,24 +65,15 @@ def _require_length(kmax: int) -> None:
         raise ValueError("kmax must be nonnegative")
 
 
-class _Budget:
-    __slots__ = ("left",)
-
-    def __init__(self, budget):
-        self.left = DEFAULT_BUDGET if budget is None else int(budget)
-
-    def spend(self):
-        self.left -= 1
-        if self.left < 0:
-            raise EnumerationBudgetExceededError(
-                "walk enumeration exceeded its budget; raise it explicitly "
-                "or use the recurrence method"
-            )
-
-
 def _enumerate(g: Graph, kmax: int, omega: Fraction, budget) -> tuple[Matrix, ...]:
     """Depth-first over all walks remembering the previous vertex; a walk
     weighs the product of its edge weights times omega per backtrack.
+
+    Weights run on integers: the edge weights, omega and 1 are cleared to
+    one denominator L, and each step multiplies the walk's integer weight
+    by w L times omega L if it backtracks, or times L if not.  A walk of
+    length d then carries L**(2d) times its weight, and depth d's table is
+    divided by L**(2d) once, at the end (L = 1 on unit graphs at omega = 0).
 
     Every step taken counts against the budget; a step whose weight is 0
     (a backtrack at omega = 0) is never taken and costs nothing.  A depth's
@@ -88,30 +81,41 @@ def _enumerate(g: Graph, kmax: int, omega: Fraction, budget) -> tuple[Matrix, ..
     that exhausts its budget early costs little memory at any kmax; the
     depths never reached share one zero matrix.
     """
-    meter = _Budget(budget)
+    left = DEFAULT_BUDGET if budget is None else int(budget)
     out = g.out_neighbors()
     wmap = g.weight_map()
     n = g.n
-    tables = [[[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]]
-    for start in range(g.n):
-        stack = [(start, -1, 0, _ONE)]
+    arcs = [(v, w) for v in range(n) for w in out[v]]
+    ints, den = _clear_denominators([wmap[arc] for arc in arcs] + [omega, _ONE])
+    back = ints[-2]
+    steps = [[] for _ in range(n)]
+    for (v, w), x in zip(arcs, ints):
+        steps[v].append((w, x * den, x * back))
+    tables = [[[int(i == j) for j in range(n)] for i in range(n)]]
+    for start in range(n):
+        stack = [(start, -1, 0, 1)]
         while stack:
             v, prev, depth, weight = stack.pop()
             if depth == kmax:
                 continue
-            for w in out[v]:
-                nw = weight * wmap[(v, w)]
-                if w == prev:
-                    nw *= omega
-                if not nw:
+            depth += 1
+            for w, forward, backtrack in steps[v]:
+                factor = backtrack if w == prev else forward
+                if not factor:
                     continue
-                meter.spend()
-                if depth + 1 == len(tables):
-                    tables.append([[_ZERO] * n for _ in range(n)])
-                tables[depth + 1][start][w] += nw
-                stack.append((w, v, depth + 1, nw))
+                left -= 1
+                if left < 0:
+                    raise EnumerationBudgetExceededError(
+                        "walk enumeration exceeded its budget; raise it explicitly "
+                        "or use the recurrence method"
+                    )
+                if depth == len(tables):
+                    tables.append([[0] * n for _ in range(n)])
+                nw = weight * factor
+                tables[depth][start][w] += nw
+                stack.append((w, v, depth, nw))
     unreached = (Matrix.zeros(n, n),) * (kmax + 1 - len(tables))
-    return tuple(Matrix(rows) for rows in tables) + unreached
+    return tuple(_int_matrix(rows, den ** (2 * d)) for d, rows in enumerate(tables)) + unreached
 
 
 def _omega_fraction(omega) -> Fraction:
@@ -370,4 +374,4 @@ def _finite(tab):
 def _float_product(x, y):
     """Product of float matrices given as nested lists."""
     cols = list(zip(*y))
-    return [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in x]
+    return [[_left_sum(a * b for a, b in zip(row, col)) for col in cols] for row in x]

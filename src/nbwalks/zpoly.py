@@ -113,6 +113,24 @@ def _zpseudo_divmod(a, b):
     return s, q, r
 
 
+def _zderivative(a):
+    """Derivative of an int coefficient list."""
+    return [k * c for k, c in enumerate(a)][1:]
+
+
+def _zgcd(a, b):
+    """The gcd of two int coefficient lists, primitive with a positive
+    leading coefficient (empty when both are zero), by a primitive
+    remainder sequence: each pseudo-remainder is a rational multiple of the
+    remainder over Q, so dividing it by its content keeps the sequence on
+    Euclid's up to units of Q[t]."""
+    while b:
+        _, _, r = _zpseudo_divmod(a, b)
+        a, b = b, _zprimitive([r])[0]
+    a = _zprimitive([a])[0]
+    return [-c for c in a] if a and a[-1] < 0 else a
+
+
 def _zdiv_exact(num, den):
     """num / den for int coefficient lists when den divides num in Z[t]."""
     dd = len(den) - 1

@@ -10,6 +10,7 @@ from nbwalks import (
     Graph,
     Matrix,
     PolyMatrix,
+    Polynomial,
     build_graph,
     build_unweighted,
     polymat_det,
@@ -17,6 +18,7 @@ from nbwalks import (
     smith_form,
 )
 from nbwalks.edgespace import _integer_operator
+from nbwalks.errors import EnumerationBudgetExceededError
 from nbwalks.exact import _bareiss_int_det, _clear_denominators, _int_product
 from nbwalks.laplacians import structure_matrices
 from nbwalks.zpoly import _zhomogeneous
@@ -369,3 +371,101 @@ def adjugate_sample_check(es, g_poly, rhs, count):
             return False, checked
         checked += 1
     return True, checked
+
+
+# ---- the Fraction routes the integer kernels replaced ------------------------
+
+
+def fraction_solve(a: Matrix, rhs: Matrix):
+    """Gauss-Jordan elimination on Fraction rows, first nonzero pivot:
+    the route `Matrix.solve` took before it ran fraction-free."""
+    n = a.nrows
+    aug = [list(a.data[i]) + list(rhs.data[i]) for i in range(n)]
+    for k in range(n):
+        piv = next((i for i in range(k, n) if aug[i][k]), None)
+        if piv is None:
+            return None
+        aug[k], aug[piv] = aug[piv], aug[k]
+        prow = aug[k]
+        for i in range(n):
+            f = aug[i][k]
+            if i != k and f:
+                fac = f / prow[k]
+                aug[i] = [x - fac * y for x, y in zip(aug[i], prow)]
+    return Matrix([[aug[i][n + j] / aug[i][i] for j in range(rhs.ncols)] for i in range(n)])
+
+
+def fraction_rank(a: Matrix) -> int:
+    """Row echelon form on Fraction rows: the route `Matrix.rank` took."""
+    m = [list(row) for row in a.data]
+    rank = 0
+    for col in range(a.ncols):
+        piv = next((i for i in range(rank, a.nrows) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        prow = m[rank]
+        for i in range(rank + 1, a.nrows):
+            if m[i][col]:
+                fac = m[i][col] / prow[col]
+                m[i] = [x - fac * y for x, y in zip(m[i], prow)]
+        rank += 1
+    return rank
+
+
+def fraction_enumerate(g: Graph, kmax: int, omega, budget: int):
+    """The walk oracle on Fraction weights: every walk depth first, a step
+    weighing its edge weight times omega if it backtracks.  Returns the
+    tables and the number of steps taken, or raises
+    EnumerationBudgetExceededError once more than ``budget`` are taken."""
+    out = g.out_neighbors()
+    wmap = g.weight_map()
+    n = g.n
+    tables = [[[Fraction(int(i == j)) for j in range(n)] for i in range(n)]]
+    tables += [[[Fraction(0)] * n for _ in range(n)] for _ in range(kmax)]
+    steps = 0
+    for start in range(n):
+        stack = [(start, -1, 0, Fraction(1))]
+        while stack:
+            v, prev, depth, weight = stack.pop()
+            if depth == kmax:
+                continue
+            for w in out[v]:
+                nw = weight * wmap[(v, w)] * (omega if w == prev else 1)
+                if not nw:
+                    continue
+                steps += 1
+                if steps > budget:
+                    raise EnumerationBudgetExceededError("budget")
+                tables[depth + 1][start][w] += nw
+                stack.append((w, v, depth + 1, nw))
+    return tuple(Matrix(t) for t in tables), steps
+
+
+def q_poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Monic gcd by Euclid over Q: the route `poly_gcd` took."""
+    while not b.is_zero():
+        a, b = b, a % b
+    return a.monic()
+
+
+def q_squarefree_decomposition(p: Polynomial):
+    """Yun's loop over Q on the monic p with Euclid's gcd: the route
+    `squarefree_decomposition` took."""
+    if p.degree == 0:
+        return []
+    p = p.monic()
+    dp = p.derivative()
+    a = q_poly_gcd(p, dp)
+    b, c = p // a, dp // a
+    d = c - b.derivative()
+    out = []
+    mult = 1
+    while b.degree > 0:
+        f = q_poly_gcd(b, d)
+        if f.degree > 0:
+            out.append((f, mult))
+        b, c = b // f, d // f
+        d = c - b.derivative()
+        mult += 1
+    return out

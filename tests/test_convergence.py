@@ -10,18 +10,21 @@ from nbwalks import (
     radius_btdw,
     radius_unweighted,
     radius_weighted,
+    tau_dgl,
     weighted_nbtw,
     build_edge_space,
     downweighted_transfer,
     btdw_recurrence,
 )
 from nbwalks.convergence import Bound
+from nbwalks.polys import polymat_det, squarefree_decomposition
 from nbwalks.errors import TauOutOfRangeError, WeightedUnsupportedError
 
 from helpers import (
     bowtie,
     connected_undirected_graphs,
     example1,
+    random_connected_graph,
     random_digraph,
     single_recip_edge,
     undirected_cycle,
@@ -228,6 +231,20 @@ class TestBtdwRadius:
             radius_btdw(example1(), 0)
         with pytest.raises(TauOutOfRangeError):
             radius_btdw(example1(), 2)
+
+    def test_radius_u30_shape(self):
+        # the shape of the bench ladder's u30: 30 vertices, 46 edges beyond a
+        # spanning tree, all reciprocal; det M_tau(t) is squarefree, and its
+        # smallest root in (0, 1/tau) is the radius
+        g = random_connected_graph(random.Random(30), 30, 46)
+        assert g.is_unweighted() and g.m == 2 * 75
+        for rep, tau in ((radius_unweighted(g), F(1)), (radius_btdw(g, F(1, 2)), F(1, 2))):
+            det = polymat_det(tau_dgl(g, tau))
+            assert squarefree_decomposition(det) == [(det.monic(), 1)]
+            assert rep.case_label == "SomeMultiCycle"
+            assert 0 < rep.r.lo <= rep.r.hi < 1 / tau
+            assert rep.r.kind == "exact" or rep.r.width() <= F(1, 10**12)
+            assert rep.r.overlaps(Bound.interval(1 / rep.rho.upper, 1 / rep.rho.lower))
 
     def test_mu_equals_inverse_blend_radius(self):
         g = bowtie()

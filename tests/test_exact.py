@@ -1,23 +1,29 @@
 """The row-sparse integer product and the Berkowitz characteristic
 polynomial against two oracles each, the primitive-row Bareiss determinant
-against sympy, and the vertex-space weighted-Ihara sample check against the
-edge-space adjugate route and the Fraction route before it."""
+against sympy, the fraction-free solve, inverse and rank against sympy and
+the Fraction eliminations before them, and the vertex-space weighted-Ihara
+sample check against the edge-space adjugate route and the Fraction route
+before it."""
 
 import random
 from fractions import Fraction as F
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nbwalks import Matrix, Polynomial, build_edge_space, v_similar, verify_weighted_ihara
 from nbwalks.errors import NotSquareError
-from nbwalks.exact import _bareiss_int_det, _clear_denominators
+from nbwalks.exact import _bareiss_int_det, _clear_denominators, _fraction_free
 from nbwalks.ihara import _vertex_rows, _vertex_sample_check
 
 from helpers import (
     adjugate_sample_check,
     directed_cycle,
     example1,
+    fraction_rank,
+    fraction_solve,
     random_digraph,
     single_recip_edge,
     weighted_3cycle,
@@ -416,6 +422,134 @@ def all_routes(es, step, g_poly, rhs, count):
     assert adjugate_sample_check(es, g_poly, rhs, count) == got
     assert fraction_sample_check(es, step, g_poly, rhs, count) == got
     return got
+
+
+# entries with mixed denominators, often zero, so that
+# zero pivots, pivot swaps and singular matrices all come up
+_ENTRIES = st.one_of(
+    st.just(F(0)),
+    st.builds(F, st.integers(-9, 9), st.sampled_from((1, 1, 2, 3, 4, 6, 7, 35))),
+)
+
+
+def _matrices(nrows, ncols):
+    return st.lists(st.lists(_ENTRIES, min_size=ncols, max_size=ncols),
+                    min_size=nrows, max_size=nrows).map(Matrix)
+
+
+_SYSTEMS = st.tuples(st.integers(0, 6), st.integers(0, 4)).flatmap(
+    lambda nw: st.tuples(_matrices(nw[0], nw[0]), _matrices(nw[0], nw[1])))
+_RECTANGULAR = st.tuples(st.integers(0, 6), st.integers(0, 6)).flatmap(
+    lambda shape: _matrices(*shape))
+
+
+def _low_rank(rng, nrows, ncols, rank):
+    """A product of random nrows x rank and rank x ncols factors."""
+    left = random_matrix(rng, nrows, rank, "frac")
+    return left * random_matrix(rng, rank, ncols, "frac") if rank else Matrix.zeros(nrows, ncols)
+
+
+class TestSolve:
+    """`solve`, `inverse` and `rank` on fraction-free integer rows."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_SYSTEMS)
+    def test_solve_against_sympy_and_fraction_route(self, system):
+        a, rhs = system
+        got = a.solve(rhs)
+        assert got == fraction_solve(a, rhs)
+        sa = to_sympy(a)
+        if sa.det() == 0:
+            assert got is None
+        else:
+            assert got is not None and a * got == rhs
+            expected = sa.inv() * to_sympy(rhs)
+            assert [list(row) for row in got.data] == [
+                [F(int(x.p), int(x.q)) for x in expected.row(i)] for i in range(a.nrows)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 6).flatmap(lambda n: _matrices(n, n)))
+    def test_inverse_against_sympy_and_fraction_route(self, a):
+        got = a.inverse()
+        assert got == fraction_solve(a, Matrix.identity(a.nrows))
+        if to_sympy(a).det() == 0:
+            assert got is None
+        else:
+            assert a * got == Matrix.identity(a.nrows) == got * a
+            inv = to_sympy(a).inv()
+            assert got == Matrix([[F(int(x.p), int(x.q)) for x in inv.row(i)]
+                                  for i in range(a.nrows)])
+
+    @settings(max_examples=200, deadline=None)
+    @given(_RECTANGULAR)
+    def test_rank_against_sympy_and_fraction_route(self, a):
+        got = a.rank()
+        assert got == fraction_rank(a)
+        assert got == (to_sympy(a).rank() if a.nrows and a.ncols else 0)
+
+    def test_rank_deficient_products(self):
+        rng = random.Random(12)
+        for _ in range(40):
+            nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+            rank = rng.randint(0, min(nrows, ncols))
+            a = _low_rank(rng, nrows, ncols, rank)
+            got = a.rank()
+            assert got == fraction_rank(a) == to_sympy(a).rank() <= rank
+            if a.nrows == a.ncols and got < a.nrows:
+                assert a.inverse() is None
+                assert a.solve(random_matrix(rng, nrows, 2, "frac")) is None
+
+    def test_zero_pivots_need_swaps(self):
+        # every leading entry is 0, so each step takes a row from below
+        a = Matrix([[0, 0, 2], [0, F(1, 3), 1], [F(5, 2), 1, 0]])
+        rhs = Matrix([[1, 0], [0, F(2, 7)], [F(-1, 2), 3]])
+        got = a.solve(rhs)
+        assert got == fraction_solve(a, rhs) and a * got == rhs
+        perm = Matrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+        assert perm.inverse() == perm.transpose()
+        assert perm.rank() == 3
+
+    def test_singular_and_empty(self):
+        singular = Matrix([[1, 2, 3], [2, 4, 6], [0, 1, F(1, 2)]])
+        assert singular.solve(Matrix.identity(3)) is None
+        assert singular.inverse() is None
+        assert singular.rank() == fraction_rank(singular) == 2
+        assert Matrix.zeros(3, 3).inverse() is None and Matrix.zeros(3, 2).rank() == 0
+        assert Matrix([]).inverse() == Matrix([])
+        assert Matrix([]).rank() == 0
+        assert Matrix([[F(-3, 4)]]).inverse() == Matrix([[F(-4, 3)]])
+        with pytest.raises(ValueError):
+            singular.solve(Matrix.identity(2))
+
+    def test_pivots_are_minors(self):
+        # a full elimination of [A | I] ends with the last pivot p equal to
+        # det A up to the sign of the row swaps, and the right-hand block is
+        # then p A^-1, an integer matrix
+        rng = random.Random(7)
+        for _ in range(30):
+            n = rng.randint(1, 6)
+            rows = [[rng.randint(-5, 5) if rng.random() < 0.6 else 0 for _ in range(n)]
+                    for _ in range(n)]
+            work = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+            rank, pivot = _fraction_free(work, n, True)
+            det = _bareiss_int_det(rows)
+            if det == 0:
+                assert rank < n
+            else:
+                assert rank == n and abs(pivot) == abs(det)
+                assert Matrix(rows) * Matrix(work) == Matrix.identity(n).scale(pivot)
+
+    def test_generating_function_systems(self):
+        # the systems centrality solves: M(t) on graphs and I - t B Z on
+        # the edge space, where most entries are 0
+        for g in (example1(), directed_cycle(4), weighted_3cycle(),
+                  random_digraph(random.Random(3), 6, 0.4, weighted=True)):
+            es = build_edge_space(g)
+            for t in (F(1, 5), F(2, 7)):
+                base = Matrix.identity(es.m) - v_similar(es).scale(t)
+                assert base.solve(es.target) == fraction_solve(base, es.target)
+                m = Matrix.identity(g.n) - g.adjacency().scale(t)
+                assert m.inverse() == fraction_solve(m, Matrix.identity(g.n))
 
 
 class TestWeightedIharaSamples:

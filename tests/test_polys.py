@@ -39,6 +39,8 @@ from helpers import (
     assert_index_sum,
     bowtie,
     complete_undirected,
+    q_poly_gcd,
+    q_squarefree_decomposition,
     random_connected_graph,
     undirected_cycle,
 )
@@ -818,3 +820,85 @@ class TestZtRoutes:
         assert root_multiplicity(p, F(2, 3)) == 3
         assert root_multiplicity(p, F(-2, 3)) == 0
         assert root_multiplicity(poly(0, 0, F(1, 2)), 0) == 2
+
+
+def _random_poly(rng, degree, size=9, dens=(1, 2, 3, 5)):
+    """A random polynomial of exactly the given degree, rational coefficients."""
+    coeffs = [F(rng.randint(-size, size), rng.choice(dens)) for _ in range(degree)]
+    return Polynomial(coeffs + [F(rng.choice((-1, 1)) * rng.randint(1, size), rng.choice(dens))])
+
+
+def _sympy_monic(p):
+    return tuple(F(int(c.p), int(c.q))
+                 for c in reversed(sympy.Poly(p, _T).monic().all_coeffs()))
+
+
+def _sympy_sqf(p):
+    """sympy's squarefree factors of p, each monic, with multiplicities."""
+    _, factors = sympy.sqf_list(_sympy_expr(p), _T)
+    return sorted((_sympy_monic(f), k) for f, k in factors)
+
+
+class TestZtGcd:
+    """poly_gcd and squarefree_decomposition over Z[t] against sympy and the
+    Euclid route over Q."""
+
+    def test_gcd_of_seeded_products(self):
+        rng = random.Random(41)
+        for _ in range(40):
+            common = _product(_random_poly(rng, rng.randint(0, 3)) ** rng.randint(1, 3)
+                              for _ in range(rng.randint(0, 3)))
+            a = common * _random_poly(rng, rng.randint(0, 5))
+            b = common * _random_poly(rng, rng.randint(0, 5))
+            got = poly_gcd(a, b)
+            assert got == q_poly_gcd(a, b)
+            assert got.coeffs == _sympy_monic(sympy.gcd(_sympy_expr(a), _sympy_expr(b)))
+            assert got.divides(common) or common.degree == 0
+
+    def test_high_degree_nontrivial_gcd(self):
+        # a degree-24 gcd under degree-20 cofactors with 3-digit integer
+        # coefficients: the remainder sequence runs 20 steps above it
+        rng = random.Random(43)
+        common = _random_poly(rng, 24, size=999, dens=(1,))
+        a = common * _random_poly(rng, 20, size=999, dens=(1,))
+        b = common * _random_poly(rng, 19, size=999, dens=(1, 7))
+        got = poly_gcd(a, b)
+        assert got == common.monic() == q_poly_gcd(a, b)
+        assert got.coeffs == _sympy_monic(sympy.gcd(_sympy_expr(a), _sympy_expr(b)))
+        # the Euclid route over Q takes seconds here, so sympy is the oracle
+        parts = squarefree_decomposition(a * common)
+        assert sorted((f.coeffs, k) for f, k in parts) == _sympy_sqf(a * common)
+        assert [k for _, k in parts] == [1, 2] and parts[1][0] == common.monic()
+
+    def test_zero_and_constant_arguments(self):
+        p = poly(F(1, 2), 3, F(-2, 3))
+        assert poly_gcd(Polynomial(), Polynomial()) == Polynomial()
+        assert poly_gcd(p, Polynomial()) == poly_gcd(Polynomial(), p) == p.monic()
+        assert poly_gcd(p, poly(F(-5, 7))) == poly(1)
+        assert poly_gcd(poly(3), Polynomial()) == poly(1)
+        assert squarefree_decomposition(poly(F(4, 9))) == []
+        with pytest.raises(ZeroPolynomialError):
+            squarefree_decomposition(Polynomial())
+
+    def test_squarefree_of_seeded_repeated_factors(self):
+        rng = random.Random(47)
+        for _ in range(40):
+            factors = [_random_poly(rng, rng.randint(1, 3)) for _ in range(rng.randint(1, 4))]
+            p = Polynomial([F(rng.randint(1, 9), rng.randint(1, 9))])
+            for f in factors:
+                p = p * f ** rng.randint(1, 4)
+            got = squarefree_decomposition(p)
+            assert got == q_squarefree_decomposition(p)
+            assert sorted((f.coeffs, k) for f, k in got) == _sympy_sqf(p)
+            assert all(f.leading == 1 for f, _ in got)
+
+    def test_squarefree_of_graph_determinants(self):
+        rng = random.Random(53)
+        graphs = [bowtie(), complete_undirected(4), undirected_cycle(5)]
+        graphs += [random_connected_graph(rng, 8, 3, oneway=0.3) for _ in range(2)]
+        for g in graphs:
+            for tau in (F(1), F(1, 2), F(1, 3)):
+                det = polymat_det(tau_dgl(g, tau))
+                got = squarefree_decomposition(det)
+                assert got == q_squarefree_decomposition(det), (g.edges, tau)
+                assert sorted((f.coeffs, k) for f, k in got) == _sympy_sqf(det)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -13,7 +14,13 @@ from nbwalks import (
     v_similar,
 )
 from nbwalks.errors import NegativeEntryError
-from nbwalks.spectral import _balancing_exponents, _blocks, _float_power_vector, _float_rows
+from nbwalks.spectral import (
+    _balancing_exponents,
+    _blocks,
+    _float_power_vector,
+    _float_rows,
+    _left_sum,
+)
 
 from helpers import (
     bowtie,
@@ -165,12 +172,19 @@ class TestExtremeEntries:
 
 def reference_power_vector(fm, iterations=400):
     """All 400 dense float power steps (the start vector before the sparse
-    loop); also returns the first step whose iterate repeats, or None."""
+    loop); also returns the first step whose iterate repeats, or None.
+    Each row sum adds left to right, as the package does on every Python
+    version (``sum`` compensates since 3.12)."""
     n = len(fm)
     x = [1.0] * n
     repeat = None
     for step in range(1, iterations + 1):
-        y = [sum(fm[i][k] * x[k] for k in range(n)) + x[i] for i in range(n)]
+        y = []
+        for i in range(n):
+            acc = 0.0
+            for k in range(n):
+                acc += fm[i][k] * x[k]
+            y.append(acc + x[i])
         top = max(y)
         if top == 0:
             return [1.0] * n, repeat
@@ -231,6 +245,15 @@ class TestFloatPowerVector:
         pr = perron_radius(es.hashimoto.scale(huge))
         assert pr.lower <= 2 * huge <= pr.upper
         assert pr.width <= TOL * pr.upper
+
+
+def test_float_sums_fold_left():
+    # 1e16 + 1.0 rounds back to 1e16 when added left to right, so the fold
+    # gives 0.0 where compensated summation (sum since 3.12, math.fsum)
+    # gives 1.0; the start vector and the brackets depend on that rounding
+    values = [1e16, 1.0, -1e16]
+    assert _left_sum(values) == 0.0 != math.fsum(values)
+    assert _left_sum(iter([])) == 0.0
 
 
 class TestSpectralInvariants:

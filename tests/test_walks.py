@@ -25,7 +25,7 @@ from nbwalks.errors import (
     PoleAtTError,
     WeightedUnsupportedError,
 )
-from nbwalks.walks import _recurrence, walk_tables_float
+from nbwalks.walks import _enumerate, _recurrence, walk_tables_float
 
 from helpers import (
     all_digraphs,
@@ -34,6 +34,7 @@ from helpers import (
     connected_undirected_graphs,
     directed_cycle,
     example1,
+    fraction_enumerate,
     nonisomorphic_connected_undirected,
     random_connected_graph,
     random_digraph,
@@ -104,6 +105,49 @@ class TestEnumerateNbtw:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+
+class TestIntegerOracle:
+    """`_enumerate` on integer walk weights against the Fraction oracle it
+    replaced: the same tables and the same steps charged to the budget."""
+
+    OMEGAS = (F(0), F(1), F(1, 3), F(2, 7), F(5, 6))
+
+    def graphs(self):
+        rng = random.Random(31)
+        yield example1()
+        yield bowtie()
+        yield weighted_3cycle()
+        yield single_recip_edge(F(2, 3), F(5, 4))
+        for _ in range(10):
+            yield random_digraph(rng, rng.randint(2, 5), rng.choice((0.4, 0.7)),
+                                 weighted=rng.random() < 0.7)
+
+    def test_tables_and_budget_boundary(self):
+        for g in self.graphs():
+            for omega in self.OMEGAS:
+                kmax = 5
+                expected, steps = fraction_enumerate(g, kmax, omega, 10**9)
+                assert _enumerate(g, kmax, omega, steps) == expected, (g.edges, omega)
+                with pytest.raises(EnumerationBudgetExceededError):
+                    _enumerate(g, kmax, omega, steps - 1)
+                with pytest.raises(EnumerationBudgetExceededError):
+                    fraction_enumerate(g, kmax, omega, steps - 1)
+
+    def test_public_oracles(self):
+        for g in self.graphs():
+            assert enumerate_nbtw(g, 6).tables == fraction_enumerate(g, 6, F(0), 10**9)[0]
+            if g.is_unweighted():
+                table = enumerate_btdw(g, 6, F(2, 5))
+                assert table.tables == fraction_enumerate(g, 6, F(2, 5), 10**9)[0]
+
+    def test_unreached_depths_and_zero_length(self):
+        g = single_recip_edge(F(3, 2), F(1, 5))
+        tables = _enumerate(g, 4, F(0), None)
+        assert tables == fraction_enumerate(g, 4, F(0), 10**9)[0]
+        assert tables[1] == Matrix([[0, F(3, 2)], [F(1, 5), 0]])
+        assert all(t.is_zero() for t in tables[2:])
+        assert _enumerate(g, 0, F(1, 2), 0) == (Matrix.identity(2),)
 
 
 class TestRecurrences:
