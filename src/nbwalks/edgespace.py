@@ -11,11 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .exact import Matrix, _clear_denominators
+from .exact import Matrix
 from .graphs import Graph
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -57,22 +54,22 @@ class EdgeSpace:
     def line_graph(self) -> Matrix:
         """Entry (e, f) is 1 when f leaves the vertex e enters; read off the
         tails, so that line_graph = backtrack + hashimoto is a check."""
-        return Matrix([[_ONE if x == v else _ZERO for x in self.tails] for v in self.heads])
+        return Matrix([[int(x == v) for x in self.tails] for v in self.heads])
 
     @cached_property
     def backtrack(self) -> Matrix:
-        return Matrix([[_ONE if f == r else _ZERO for f in range(self.m)] for r in self.reverse])
+        return Matrix([[int(f == r) for f in range(self.m)] for r in self.reverse])
 
     @cached_property
     def reciprocal_mask(self) -> Matrix:
-        return Matrix.diagonal([_ZERO if f is None else _ONE for f in self.reverse])
+        return Matrix.diagonal([int(f is not None) for f in self.reverse])
 
     @cached_property
     def hashimoto(self) -> Matrix:
-        rows = [[_ZERO] * self.m for _ in range(self.m)]
+        rows = [[0] * self.m for _ in range(self.m)]
         for e, continuations in enumerate(self.successors):
             for f in continuations:
-                rows[e][f] = _ONE
+                rows[e][f] = 1
         return Matrix(rows)
 
     @cached_property
@@ -114,25 +111,7 @@ def build_edge_space(g: Graph) -> EdgeSpace:
 
 def _incidence(ends, n: int) -> Matrix:
     """The len(ends)-by-n 0/1 matrix with row e the unit vector of ends[e]."""
-    return Matrix([[_ONE if j == v else _ZERO for j in range(n)] for v in ends])
-
-
-def _integer_operator(es: EdgeSpace):
-    """(W, step, lt_z, r_rows): the edge operator on integers.
-
-    W is the least common denominator of the weights and Z' = W Z.  step
-    holds the sparse rows of hashimoto @ Z' and lt_z those of source.T @ Z',
-    as (index, int) pairs for `exact._int_product`; r_rows are the dense int
-    rows of target.
-    """
-    n = es.graph.n
-    z, w = _clear_denominators(es.weights)
-    step = [[(f, z[f]) for f in row] for row in es.successors]
-    lt_z = [[] for _ in range(n)]
-    for e, u in enumerate(es.tails):
-        lt_z[u].append((e, z[e]))
-    r_rows = [[1 if j == v else 0 for j in range(n)] for v in es.heads]
-    return w, step, lt_z, r_rows
+    return Matrix([[int(j == v) for j in range(n)] for v in ends])
 
 
 def weighted_hashimoto(es: EdgeSpace) -> Matrix:
@@ -209,9 +188,9 @@ def non_k_cycling(g: Graph, k: int) -> NonKCyclingMatrix:
     paths = _open_paths(g, k - 1)
     es = g.edge_set()
     p = len(paths)
-    rows = [[_ZERO] * p for _ in range(p)]
+    rows = [[0] * p for _ in range(p)]
     for i, pi in enumerate(paths):
         for j, pj in enumerate(paths):
             if pi[1:] == pj[:-1] and pi[0] != pj[-1] and (pi[-1], pj[-1]) in es:
-                rows[i][j] = _ONE
+                rows[i][j] = 1
     return NonKCyclingMatrix(k, tuple(paths), Matrix(rows))

@@ -1,200 +1,208 @@
 """Dense matrices over arbitrary-precision rationals.
 
-Everything in here is exact: entries are `fractions.Fraction`, determinants
-use fraction-free (Bareiss) elimination on integer-scaled rows, each divided
-by its content first so that elimination runs on primitive rows, and
-characteristic polynomials come from Berkowitz's division-free algorithm on
-the matrix cleared to integers.
-Products are cleared to integers (one common denominator for the right
-factor, one per row for the left) and run sparse over the nonzeros of the
-left factor, so the 0/1 edge-space matrices cost what their nonzeros cost.
-That inner loop, sparse integer rows times dense integer rows, is the one
-private kernel `_int_product`; the integer walk tables of `walks` call it
-directly and build `Fraction`s only once, at the end.
-`solve`, `inverse` and `rank` clear each row to integers on its own and run
-one fraction-free elimination, `_fraction_free` (Bareiss 1968): forward for
-the rank, Gauss-Jordan for a solve, whose solution is then the eliminated
-right-hand side over a single integer denominator.
+Everything in here is exact.  A `Matrix` stores integer rows over one
+positive common denominator, in lowest terms, so every kernel reads
+integers directly and denominators are cleared once, when rationals enter
+(`Matrix(rows)` on rational entries); `Matrix(rows, den)` takes integer
+rows as they come out of a kernel.  The entries as `fractions.Fraction`s
+are a read-only view, `data`, built on first read.
+
+Products run sparse over the nonzeros of the left factor's rows, so the 0/1
+edge-space matrices cost what their nonzeros cost; that inner loop is the
+one product kernel `_int_product`, which the walk recurrence also calls
+directly.  Characteristic polynomials come from Berkowitz's division-free
+algorithm.  Determinants, `solve`, `inverse` and `rank` run one
+fraction-free elimination, `_fraction_free` (Bareiss 1968): forward for a
+determinant or the rank, Gauss-Jordan for a solve, whose solution is then
+the eliminated right-hand side over a single integer denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import NotSquareError
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _frac(x) -> Fraction:
     return x if type(x) is Fraction else Fraction(x)
 
 
+def _rational(x):
+    """x itself when it is an int or a Fraction, else Fraction(x)."""
+    return x if type(x) is int or type(x) is Fraction else Fraction(x)
+
+
 def _clear_denominators(values):
     """Integers sharing one denominator: returns (ints, lcm) with
     values[i] == ints[i] / lcm and lcm the least common denominator."""
-    lcm = 1
-    for x in values:
-        d = x.denominator
-        if d != 1 and lcm % d:
-            lcm = lcm * d // gcd(lcm, d)
-    if lcm == 1:
+    den = lcm(*[x.denominator for x in values])
+    if den == 1:
         return [x.numerator for x in values], 1
-    return [x.numerator * (lcm // x.denominator) for x in values], lcm
+    return [x.numerator * (den // x.denominator) for x in values], den
+
+
+def _lowest_terms(ints, den):
+    """(ints, den) over a positive den with no factor common to den and all
+    of ints; ints is a list of int sequences."""
+    g = gcd(den, *(x for row in ints for x in row))
+    if den < 0:
+        g = -g
+    if g == 1:
+        return ints, den
+    return [[x // g for x in row] for row in ints], den // g
+
+
+def _rescaled(rows, s: int):
+    return rows if s == 1 else [[s * x for x in row] for row in rows]
 
 
 class Matrix:
-    """Immutable rational matrix."""
+    """Immutable rational matrix: integer rows ``ints`` over one positive
+    denominator ``den``, in lowest terms, so that equal matrices have equal
+    ``(ints, den)``.
 
-    __slots__ = ("data", "nrows", "ncols")
+    ``Matrix(rows)`` takes rational entries (anything `Fraction` accepts);
+    ``Matrix(rows, den)`` takes integer rows standing for each entry / den.
+    """
 
-    def __init__(self, rows):
-        data = tuple(
-            tuple([x if type(x) is Fraction else Fraction(x) for x in row]) for row in rows
-        )
-        self.data = data
-        self.nrows = len(data)
-        self.ncols = len(data[0]) if data else 0
-        if any(len(r) != self.ncols for r in data):
+    __slots__ = ("ints", "den", "nrows", "ncols", "_data")
+
+    def __init__(self, rows, den=None):
+        rows = [tuple(row) for row in rows]
+        nrows = len(rows)
+        ncols = len(rows[0]) if rows else 0
+        if any(len(r) != ncols for r in rows):
             raise ValueError("ragged rows")
+        if den is None:
+            flat, den = _clear_denominators([_rational(x) for row in rows for x in row])
+            rows = [flat[i * ncols:(i + 1) * ncols] for i in range(nrows)]
+        elif den != 1:
+            rows, den = _lowest_terms(rows, den)
+        self.ints = tuple(map(tuple, rows))
+        self.den = den
+        self.nrows = nrows
+        self.ncols = ncols
+        self._data = None
+
+    @property
+    def data(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The entries as Fractions; equal entries share one Fraction."""
+        if self._data is None:
+            den = self.den
+            values = {x: Fraction(x, den) for x in {x for row in self.ints for x in row}}
+            self._data = tuple(tuple([values[x] for x in row]) for row in self.ints)
+        return self._data
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix([[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)])
+        return Matrix([[int(i == j) for j in range(n)] for i in range(n)], 1)
 
     @staticmethod
     def zeros(nrows: int, ncols: int) -> "Matrix":
-        return Matrix([[_ZERO] * ncols for _ in range(nrows)])
+        return Matrix([[0] * ncols for _ in range(nrows)], 1)
 
     @staticmethod
     def diagonal(entries) -> "Matrix":
         entries = list(entries)
         n = len(entries)
-        return Matrix(
-            [[_frac(entries[i]) if i == j else _ZERO for j in range(n)] for i in range(n)]
-        )
+        return Matrix([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.data[i][j]
+        return Fraction(self.ints[i][j], self.den)
 
     def __eq__(self, other):
-        return isinstance(other, Matrix) and self.data == other.data
+        return isinstance(other, Matrix) and self.den == other.den and self.ints == other.ints
 
     def __hash__(self):
-        return hash(self.data)
+        return hash((self.ints, self.den))
 
     def __repr__(self):
         return f"Matrix({[list(map(str, r)) for r in self.data]})"
 
+    def _aligned(self, other: "Matrix"):
+        """Both integer rows over the common denominator, and that denominator."""
+        if self.nrows != other.nrows or self.ncols != other.ncols:
+            raise ValueError("dimension mismatch")
+        den = lcm(self.den, other.den)
+        return _rescaled(self.ints, den // self.den), _rescaled(other.ints, den // other.den), den
+
     def __add__(self, other: "Matrix") -> "Matrix":
-        return Matrix(
-            [[a + b if b else a for a, b in zip(ra, rb)]
-             for ra, rb in zip(self.data, other.data)]
-        )
+        a, b, den = self._aligned(other)
+        return Matrix([[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)], den)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return Matrix(
-            [[a - b if b else a for a, b in zip(ra, rb)]
-             for ra, rb in zip(self.data, other.data)]
-        )
+        a, b, den = self._aligned(other)
+        return Matrix([[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)], den)
 
     def __neg__(self) -> "Matrix":
-        return Matrix([[-a if a else a for a in row] for row in self.data])
+        return Matrix([[-x for x in row] for row in self.ints], self.den)
 
     def scale(self, c) -> "Matrix":
         c = _frac(c)
         if c == 1:  # immutable, so the plain (tau = 1) cases pay nothing
             return self
-        return Matrix([[c * a if a else a for a in row] for row in self.data])
+        return Matrix(_rescaled(self.ints, c.numerator), self.den * c.denominator)
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
             return self.scale(other)
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch")
-        width = other.ncols
-        flat, right_den = _clear_denominators([x for row in other.data for x in row])
-        right = [flat[k * width:(k + 1) * width] for k in range(other.nrows)]
-        left, dens = [], []
-        for row in self.data:
-            ints, den = _clear_denominators(row)
-            left.append([(k, c) for k, c in enumerate(ints) if c])
-            dens.append(den * right_den)
-        out = []
-        for acc, den in zip(_int_product(left, right, width), dens):
-            if den == 1:
-                out.append([Fraction(a) for a in acc])
-            else:
-                out.append([Fraction(a, den) for a in acc])
-        return Matrix(out)
+        left = [[(k, c) for k, c in enumerate(row) if c] for row in self.ints]
+        return Matrix(_int_product(left, other.ints, other.ncols), self.den * other.den)
 
     def __rmul__(self, c):
         return self.scale(c)
 
     def transpose(self) -> "Matrix":
-        return Matrix(list(zip(*self.data))) if self.data else Matrix([])
+        return Matrix(list(zip(*self.ints)), self.den) if self.ints else Matrix([])
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.data for x in row)
+        return not any(any(row) for row in self.ints)
 
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
     def abs_sum(self) -> Fraction:
-        return sum((abs(x) for row in self.data for x in row), _ZERO)
+        return Fraction(sum(abs(x) for row in self.ints for x in row), self.den)
 
     def to_float(self):
-        return [[float(x) for x in row] for row in self.data]
+        """The entries as floats; x / den rounds exactly as float(Fraction)."""
+        den = self.den
+        return [[x / den for x in row] for row in self.ints]
 
     # ---- exact linear algebra -------------------------------------------
 
-    def _integer_rows(self):
-        """Rows scaled to integers; returns (int rows, product of scale factors)."""
-        rows = []
-        scale = _ONE
-        for row in self.data:
-            ints, lcm = _clear_denominators(row)
-            if lcm != 1:
-                scale *= lcm
-            rows.append(ints)
-        return rows, scale
-
     def det(self) -> Fraction:
-        """Exact determinant via fraction-free Bareiss elimination."""
+        """Exact determinant: the fraction-free determinant of the integer
+        rows over den**n."""
         if not self.is_square():
             raise NotSquareError(f"{self.nrows}x{self.ncols} matrix")
-        n = self.nrows
-        if n == 0:
-            return _ONE
-        rows, scale = self._integer_rows()
-        d = _bareiss_int_det(rows)
-        return Fraction(d) / scale
+        return Fraction(_bareiss_int_det(self.ints), self.den**self.nrows)
 
     def rank(self) -> int:
-        """Rank by fraction-free forward elimination on the rows cleared to
-        integers, each on its own (scaling a row changes no rank)."""
-        rows = [_clear_denominators(row)[0] for row in self.data]
-        return _fraction_free(rows, self.ncols, False)[0]
+        """Rank by fraction-free forward elimination of the integer rows."""
+        return _fraction_free(list(self.ints), self.ncols, False)[0]
 
     def solve(self, rhs: "Matrix"):
         """Solve self @ X = rhs exactly; returns None when singular.
 
-        Each augmented row [A | B] is cleared to integers on its own, which
-        leaves X unchanged, and fraction-free Gauss-Jordan elimination turns
-        A into p I for the last pivot p, so that X = B' / p for what B
+        With A = self.ints / a and B = rhs.ints / b, fraction-free
+        Gauss-Jordan elimination of the integer rows [A | B] turns A into
+        p I for the last pivot p, so that X = B' / p * a / b for what B
         became.
         """
         if not self.is_square() or self.nrows != rhs.nrows:
             raise ValueError("dimension mismatch")
         n = self.nrows
-        aug = [_clear_denominators(a + b)[0] for a, b in zip(self.data, rhs.data)]
-        rank, pivot = _fraction_free(aug, n, True)
+        aug = [a + b for a, b in zip(self.ints, rhs.ints)]
+        rank, pivot, _ = _fraction_free(aug, n, True)
         if rank < n:
             return None
-        return _int_matrix(aug, pivot)
+        return Matrix(aug, pivot * rhs.den).scale(self.den)
 
     def inverse(self):
         """Exact inverse; returns None when singular."""
@@ -203,19 +211,18 @@ class Matrix:
     def char_poly(self):
         """Coefficients of det(t*I - self), ascending, as Fractions.
 
-        Berkowitz's division-free algorithm on N = lcm * self, the matrix
-        cleared to integers: growing the leading principal block by row and
-        column r multiplies the descending coefficients of its characteristic
+        Berkowitz's division-free algorithm on the integer rows N = den *
+        self: growing the leading principal block by row and column r
+        multiplies the descending coefficients of its characteristic
         polynomial by the Toeplitz matrix of [1, -N_rr, -R C, -R A C, ...,
         -R A^(r-1) C], with C the column above the diagonal, R the row left
         of it and A the block so far.  Exact over Z with no division; the
-        coefficient of t^(n-k) is then e_k / lcm**k.  Monic, degree n.
+        coefficient of t^(n-k) is then e_k / den**k.  Monic, degree n.
         """
         if not self.is_square():
             raise NotSquareError(f"{self.nrows}x{self.ncols} matrix")
         n = self.nrows
-        flat, lcm = _clear_denominators([x for row in self.data for x in row])
-        nmat = [flat[i * n:(i + 1) * n] for i in range(n)]
+        nmat = self.ints
         coeffs = [1]
         block = []  # nonzero (k, x) of each row of the leading r x r block
         for r in range(n):
@@ -231,7 +238,7 @@ class Matrix:
                 if nmat[i][r]:
                     row.append((r, nmat[i][r]))
             block.append([(k, x) for k, x in enumerate(nmat[r][:r + 1]) if x])
-        return [Fraction(e, lcm**k) for k, e in enumerate(coeffs)][::-1]
+        return [Fraction(e, self.den**k) for k, e in enumerate(coeffs)][::-1]
 
     def det_one_minus_t(self):
         """Coefficients of det(I - t*self), ascending; reversal of char_poly."""
@@ -244,7 +251,7 @@ def _int_product(left, right, width: int) -> list[list[int]]:
     Each row of ``left`` lists its nonzero entries as (k, c) pairs; row i of
     the result is the sum of c * right[k] over them, a list of ``width``
     ints (all 0 for an empty row).  The one product kernel: `Matrix.__mul__`
-    and the integer walk tables all run on it.
+    and the walk recurrence run on it.
     """
     out = []
     for row in left:
@@ -263,7 +270,8 @@ def _int_product(left, right, width: int) -> list[list[int]]:
 
 def _fraction_free(rows, ncols: int, full: bool):
     """Fraction-free elimination of the integer rows, in place, on their
-    first ``ncols`` columns; returns (rank, last pivot).
+    first ``ncols`` columns; returns (rank, last pivot, sign of the row
+    swaps).
 
     Column by column, the first row at or below the current rank with a
     nonzero entry there becomes the pivot row k with pivot p_k, and each
@@ -278,10 +286,12 @@ def _fraction_free(rows, ncols: int, full: bool):
     elimination of rank ``ncols`` the rows hold only their later columns,
     over the last pivot as common denominator.  In full mode a column
     without a pivot ends the elimination: the leading block is singular,
-    and the rank returned is below ``ncols``.
+    and the rank returned is below ``ncols``.  A forward elimination of a
+    square matrix of full rank ends with its determinant, times the sign,
+    as the last pivot.
     """
     nr = len(rows)
-    rank, prev = 0, 1
+    rank, prev, sign = 0, 1, 1
     for _ in range(ncols):
         if rank == nr:
             break
@@ -294,7 +304,9 @@ def _fraction_free(rows, ncols: int, full: bool):
             rows[rank:] = [row[1:] for row in rows[rank:]]
             continue
         rowk = rows[piv]
-        rows[piv] = rows[rank]
+        if piv != rank:
+            rows[piv] = rows[rank]
+            sign = -sign
         pk = rowk[0]
         rowk = rows[rank] = rowk[1:]
         for i in range(0 if full else rank + 1, nr):
@@ -310,28 +322,7 @@ def _fraction_free(rows, ncols: int, full: bool):
                 rows[i] = rowi[1:]
         prev = pk
         rank += 1
-    return rank, prev
-
-
-class _Fractions(dict):
-    """Fraction(x, den) by integer numerator x, each built once."""
-
-    __slots__ = ("den",)
-
-    def __init__(self, den: int):
-        super().__init__()
-        self.den = den
-
-    def __missing__(self, x):
-        f = self[x] = Fraction(x, self.den)
-        return f
-
-
-def _int_matrix(rows, den: int = 1) -> Matrix:
-    """The matrix of Fraction(x, den) over integer rows; equal entries share
-    one immutable Fraction, so a table of small counts builds few of them."""
-    fractions = _Fractions(den)
-    return Matrix([[fractions[x] for x in row] for row in rows])
+    return rank, prev, sign
 
 
 def _bareiss_int_det(rows) -> int:
@@ -339,11 +330,12 @@ def _bareiss_int_det(rows) -> int:
 
     Each row is divided by its content (the gcd of its entries) first: the
     determinant is the product of the contents times the determinant of the
-    primitive rows, and a zero row makes it 0.  The rows are not modified.
+    primitive rows, and a zero row makes it 0.  The primitive rows then go
+    through the forward `_fraction_free` elimination, whose last pivot is
+    the determinant up to the sign of its row swaps.  The rows are not
+    modified.
     """
     n = len(rows)
-    if n == 0:
-        return 1
     m = []
     contents = 1
     for row in rows:
@@ -354,25 +346,5 @@ def _bareiss_int_det(rows) -> int:
             row = [x // c for x in row]
             contents *= c
         m.append(row)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pk = m[k][k]
-        for i in range(k + 1, n):
-            rik = m[i][k]
-            rowi = m[i]
-            rowk = m[k]
-            if rik:
-                m[i] = [(pk * a - rik * b) // prev for a, b in zip(rowi, rowk)]
-            elif prev != 1 or pk != 1:
-                m[i] = [(pk * a) // prev for a in rowi]
-        prev = pk
-    return sign * contents * m[n - 1][n - 1]
+    rank, pivot, sign = _fraction_free(m, n, False)
+    return sign * contents * pivot if rank == n else 0

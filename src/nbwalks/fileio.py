@@ -14,6 +14,7 @@ import hashlib
 import json
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
+from math import gcd
 
 from .convergence import Bound, RadiusReport
 from .errors import GraphParseError
@@ -123,12 +124,23 @@ def rational_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _ratio_strs(ints, den: int) -> list:
+    """rational_str(Fraction(x, den)) for each int x, without the Fractions."""
+    if den == 1:
+        return [f"{x}/1" for x in ints]
+    out = []
+    for x in ints:
+        g = gcd(x, den)
+        out.append(f"{x // g}/{den // g}")
+    return out
+
+
 def poly_json(p: Polynomial) -> list:
-    return [rational_str(c) for c in p.coeffs]
+    return _ratio_strs(p.ints, p.den)
 
 
 def matrix_json(m: Matrix) -> list:
-    return [[rational_str(x) for x in row] for row in m.data]
+    return [_ratio_strs(row, m.den) for row in m.ints]
 
 
 def bound_json(b: Bound | None):

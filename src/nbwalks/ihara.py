@@ -196,8 +196,8 @@ def _vertex_sample_check(es, g_poly, rhs, count):
     1 - t**2 w w' is 0; points where g(t) = 0 are skipped.
     """
     z, ell = _clear_denominators(es.weights)
-    g_ints, g_lcm = _clear_denominators(g_poly.coeffs)
-    r_ints, r_lcm = _clear_denominators(rhs.coeffs)
+    g_ints, g_lcm = g_poly.ints, g_poly.den
+    r_ints, r_lcm = rhs.ints, rhs.den
     power = es.graph.n + 4 * es.reciprocal_pair_count  # n + 2 r
     checked = 0
     candidate = 0

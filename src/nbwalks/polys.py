@@ -1,28 +1,38 @@
 """Univariate polynomials over the rationals, polynomial matrices, Smith
 normal form, and real-root isolation.
 
-Polynomials are coefficient tuples in ascending degree with trailing zeros
-stripped.  The zero polynomial has an empty coefficient tuple and degree -1
-(standing in for "minus infinity").  All arithmetic is exact; nothing in
-this module touches floating point.
+A `Polynomial` stores integer coefficients in ascending degree, trailing
+zeros stripped, over one positive common denominator, in lowest terms; the
+zero polynomial has no coefficients and degree -1 (standing in for "minus
+infinity").  Its arithmetic is the int coefficient-list kernels of
+``zpoly``, and its `Fraction` coefficients are a read-only view, `coeffs`,
+built on first read.  All arithmetic is exact; nothing in this module
+touches floating point.
 
 The matrix eliminations (``polymat_det``, ``smith_form``), the gcd and
-Yun's squarefree decomposition run over Z[t] on the int coefficient lists
-of ``zpoly``: the gcd by a primitive remainder sequence, and Yun's loop on
-primitive polynomials, whose divisions by primitive gcds are exact in Z[t]
-by Gauss's lemma.  The Smith form keeps every row and
-column it updates primitive by dividing out its integer content; a nonzero
-rational factor is a unit of Q[t], so this changes no invariant and keeps
-the integers small.
+Yun's squarefree decomposition run over Z[t] on the integer coefficients:
+the gcd by a primitive remainder sequence, and Yun's loop on primitive
+polynomials, whose divisions by primitive gcds are exact in Z[t] by Gauss's
+lemma.  The Smith form keeps every row and column it updates primitive by
+dividing out its integer content; a nonzero rational factor is a unit of
+Q[t], so this changes no invariant and keeps the integers small.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import NotSquareError, ZeroPolynomialError
-from .exact import Matrix, _bareiss_int_det, _clear_denominators
+from .exact import (
+    Matrix,
+    _bareiss_int_det,
+    _clear_denominators,
+    _frac,
+    _lowest_terms,
+    _rational,
+)
 from .zpoly import (
     _zderivative,
     _zdiv_exact,
@@ -39,20 +49,36 @@ from .zpoly import (
 _ZERO = Fraction(0)
 
 
-def _frac(x) -> Fraction:
-    return x if type(x) is Fraction else Fraction(x)
-
-
 class Polynomial:
-    """Immutable univariate polynomial with Fraction coefficients."""
+    """Immutable univariate polynomial over Q: integer coefficients ``ints``
+    over one positive denominator ``den``, in lowest terms, so that equal
+    polynomials have equal ``(ints, den)``.
 
-    __slots__ = ("coeffs",)
+    ``Polynomial(coeffs)`` takes rational coefficients, ascending;
+    ``Polynomial(ints, den)`` takes integer ones standing for each / den.
+    """
 
-    def __init__(self, coeffs=()):
-        cs = [_frac(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+    __slots__ = ("ints", "den", "_coeffs")
+
+    def __init__(self, coeffs=(), den=None):
+        if den is None:
+            ints, den = _clear_denominators([_rational(c) for c in coeffs])
+        else:
+            ints = list(coeffs)
+            if den != 1:
+                (ints,), den = _lowest_terms([ints], den)
+        while ints and not ints[-1]:
+            ints.pop()
+        self.ints = tuple(ints)
+        self.den = den
+        self._coeffs = None
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, ascending."""
+        if self._coeffs is None:
+            self._coeffs = tuple(Fraction(c, self.den) for c in self.ints)
+        return self._coeffs
 
     @staticmethod
     def variable() -> "Polynomial":
@@ -61,52 +87,53 @@ class Polynomial:
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.ints) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
 
     @property
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self.ints:
             return _ZERO
-        return self.coeffs[-1]
+        return Fraction(self.ints[-1], self.den)
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.ints)
 
     def __eq__(self, other):
         if isinstance(other, Polynomial):
-            return self.coeffs == other.coeffs
+            return self.den == other.den and self.ints == other.ints
         if isinstance(other, (int, Fraction)):
             return self == Polynomial([other])
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        """A constant hashes as its value, as it compares equal to it."""
+        if len(self.ints) <= 1:
+            return hash(Fraction(self.ints[0], self.den) if self.ints else 0)
+        return hash((self.ints, self.den))
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
+        return self - (-other)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial([-c for c in self.coeffs])
+        return Polynomial([-c for c in self.ints], self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        den = lcm(self.den, other.den)
+        return Polynomial(
+            _zsub(_zscale(self.ints, den // self.den), _zscale(other.ints, den // other.den)),
+            den,
+        )
 
     def __rsub__(self, other):
         return self._coerce(other) - self
@@ -115,16 +142,7 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Polynomial()
-        out = [_ZERO] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    if cb:
-                        out[i + j] += ca * cb
-        return Polynomial(out)
+        return Polynomial(_zmul(self.ints, other.ints), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -141,24 +159,15 @@ class Polynomial:
         return result
 
     def __divmod__(self, other):
+        """With a and b the integer numerators of self and other, the
+        pseudo-division s a = q b + r gives the quotient q other.den / (s
+        self.den) and the remainder r / (s self.den)."""
         other = self._coerce(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dv = other.coeffs
-        dd = len(dv) - 1
-        lead = dv[-1]
-        if len(rem) - 1 < dd:
-            return Polynomial(), self
-        quot = [_ZERO] * (len(rem) - dd)
-        for i in range(len(rem) - 1, dd - 1, -1):
-            c = rem[i]
-            if c:
-                q = c / lead
-                quot[i - dd] = q
-                for j in range(dd + 1):
-                    rem[i - dd + j] -= q * dv[j]
-        return Polynomial(quot), Polynomial(rem)
+        s, q, r = _zpseudo_divmod(self.ints, other.ints)
+        den = s * self.den
+        return Polynomial(_zscale(q, other.den), den), Polynomial(r, den)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -171,25 +180,20 @@ class Polynomial:
         of other by self (a positive multiple of the rational one) is 0."""
         if self.is_zero():
             return other.is_zero()
-        a, _ = _clear_denominators(other.coeffs)
-        b, _ = _clear_denominators(self.coeffs)
-        return not _zpseudo_divmod(a, b)[2]
+        return not _zpseudo_divmod(other.ints, self.ints)[2]
 
     def __call__(self, t):
         t = _frac(t)
-        acc = _ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
+        value, power = _zhomogeneous(self.ints, t.numerator, t.denominator)
+        return Fraction(value, power * self.den)
 
     def derivative(self) -> "Polynomial":
-        return Polynomial([i * c for i, c in enumerate(self.coeffs)][1:])
+        return Polynomial(_zderivative(self.ints), self.den)
 
     def monic(self) -> "Polynomial":
-        if self.is_zero() or self.leading == 1:
+        if self.is_zero() or self.ints[-1] == self.den:
             return self
-        inv = 1 / self.leading
-        return Polynomial([c * inv for c in self.coeffs])
+        return Polynomial(self.ints, self.ints[-1])
 
     def reversal(self, grade=None) -> "Polynomial":
         """t**grade * p(1/t); grade defaults to the degree."""
@@ -197,10 +201,7 @@ class Polynomial:
             grade = max(self.degree, 0)
         if grade < self.degree:
             raise ValueError("grade below degree")
-        out = [_ZERO] * (grade + 1)
-        for i, c in enumerate(self.coeffs):
-            out[grade - i] = c
-        return Polynomial(out)
+        return Polynomial([0] * (grade - self.degree) + list(reversed(self.ints)), self.den)
 
     @staticmethod
     def _coerce(x):
@@ -228,12 +229,8 @@ class Polynomial:
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic greatest common divisor, by a primitive remainder sequence
-    over Z[t] on a and b cleared to integers."""
-    return _monic(_zgcd(_clear_denominators(a.coeffs)[0], _clear_denominators(b.coeffs)[0]))
-
-
-def _monic(ints) -> Polynomial:
-    return Polynomial([Fraction(c, ints[-1]) for c in ints]) if ints else Polynomial()
+    over Z[t] on the integer coefficients."""
+    return Polynomial(_zgcd(a.ints, b.ints)).monic()
 
 
 def squarefree_decomposition(p: Polynomial):
@@ -248,7 +245,7 @@ def squarefree_decomposition(p: Polynomial):
         raise ZeroPolynomialError("zero polynomial")
     if p.degree == 0:
         return []
-    p = _zprimitive([_clear_denominators(p.coeffs)[0]])[0]
+    p = _zprimitive([p.ints])[0]
     dp = _zderivative(p)
     a = _zgcd(p, dp)
     b = _zdiv_exact(p, a)
@@ -258,7 +255,7 @@ def squarefree_decomposition(p: Polynomial):
     while len(b) > 1:
         f = _zgcd(b, d)
         if len(f) > 1:
-            out.append((_monic(f), mult))
+            out.append((Polynomial(f).monic(), mult))
         b = _zdiv_exact(b, f)
         d = _zsub(_zdiv_exact(d, f), _zderivative(b))
         mult += 1
@@ -268,14 +265,14 @@ def squarefree_decomposition(p: Polynomial):
 def root_multiplicity(p: Polynomial, r) -> int:
     """Multiplicity of the rational value r = a/b as a root of p.
 
-    p is cleared to integers once; p(a/b) = 0 is tested on its homogenized
-    value and each root is divided out exactly by b*t - a, which is
+    p(a/b) = 0 is tested on the homogenized value of p's integer
+    coefficients, and each root is divided out exactly by b*t - a, which is
     primitive, so by Gauss's lemma the quotient stays in Z[t].  The zero
     polynomial counts 0.
     """
     r = _frac(r)
     a, b = r.numerator, r.denominator
-    ints, _ = _clear_denominators(p.coeffs)
+    ints = p.ints
     count = 0
     while ints and not _zhomogeneous(ints, a, b)[0]:
         ints = _zdiv_exact(ints, [-a, b])
@@ -294,8 +291,7 @@ def sturm_chain(p: Polynomial) -> list[tuple[int, ...]]:
     pseudo-remainder is a positive multiple of the rational remainder, so
     both have the same primitive part.
     """
-    top, _ = _clear_denominators(p.coeffs)
-    chain = [_zprimitive([q])[0] for q in (top, _zderivative(top))]
+    chain = [_zprimitive([q])[0] for q in (p.ints, _zderivative(p.ints))]
     while chain[-1]:
         _, _, rem = _zpseudo_divmod(chain[-2], chain[-1])
         if not rem:
@@ -511,6 +507,8 @@ class PolyMatrix:
         return hash(self.entries)
 
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
+        if self.nrows != other.nrows or self.ncols != other.ncols:
+            raise ValueError("dimension mismatch")
         return PolyMatrix(
             [
                 [a + b for a, b in zip(ra, rb)]
@@ -564,7 +562,7 @@ def polymat_det(m: PolyMatrix) -> Polynomial:
         if _bareiss_int_det(at_t) != _zhomogeneous(det, t, 1)[0]:
             raise RuntimeError("determinant cross-check failed")
         t = -t if t > 0 else -t + 1
-    return Polynomial([Fraction(c, scale) for c in det])
+    return Polynomial(det, scale)
 
 
 def _polymat_det_bareiss(rows) -> list[int]:
@@ -711,9 +709,7 @@ def smith_form(m: PolyMatrix) -> SmithForm:
         if not a[d][d]:
             break
         d += 1
-    invariants = tuple(
-        Polynomial([Fraction(c, e[-1]) for c in e]) for e in (a[i][i] for i in range(d))
-    )
+    invariants = tuple(Polynomial(a[i][i], a[i][i][-1]) for i in range(d))
     for s, t in zip(invariants, invariants[1:]):
         if not s.divides(t):
             raise RuntimeError("invariant factors do not form a divisibility chain")

@@ -12,11 +12,10 @@ backtrack-downweighted walks, so the oracle, the recurrence and the
 generating function each have one implementation over omega or tau, and
 the plain names are thin wrappers of it.
 
-Tables hold exact rationals.  The recurrence and the Hashimoto powers run
-on sparse integer rows scaled by one common denominator (q**k for the
-recurrence, W**k for the weighted powers), and the oracle multiplies
-integer walk weights scaled by L**(2k) for the common denominator L of the
-weights and omega; each route builds a table's Fractions once, at the end.
+Tables are exact rational matrices, each integer rows over one
+denominator: q**k for the recurrence, and L**(2k) for the oracle, which
+multiplies integer walk weights scaled by the common denominator L of the
+weights and omega; the Hashimoto powers are products of `Matrix` objects.
 Enumeration is metered: every edge extension taken
 counts against a budget so pathological inputs fail loudly instead of
 hanging, and a depth's table is only allocated once the search reaches it.
@@ -26,10 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isfinite
+from math import isfinite, lcm
 
 from .convergence import radius_btdw, radius_unweighted, radius_weighted
-from .edgespace import _integer_operator, build_edge_space, v_similar
+from .edgespace import build_edge_space, v_similar
 from .errors import (
     AboveRadiusError,
     EnumerationBudgetExceededError,
@@ -38,7 +37,7 @@ from .errors import (
     PoleAtTError,
     WeightedUnsupportedError,
 )
-from .exact import Matrix, _clear_denominators, _int_matrix, _int_product
+from .exact import Matrix, _clear_denominators, _int_product
 from .graphs import Graph
 from .laplacians import _deformed_laplacian, structure_matrices
 from .spectral import _left_sum, perron_radius
@@ -73,7 +72,7 @@ def _enumerate(g: Graph, kmax: int, omega: Fraction, budget) -> tuple[Matrix, ..
     one denominator L, and each step multiplies the walk's integer weight
     by w L times omega L if it backtracks, or times L if not.  A walk of
     length d then carries L**(2d) times its weight, and depth d's table is
-    divided by L**(2d) once, at the end (L = 1 on unit graphs at omega = 0).
+    its integer rows over L**(2d) (L = 1 on unit graphs at omega = 0).
 
     Every step taken counts against the budget; a step whose weight is 0
     (a backtrack at omega = 0) is never taken and costs nothing.  A depth's
@@ -115,7 +114,7 @@ def _enumerate(g: Graph, kmax: int, omega: Fraction, budget) -> tuple[Matrix, ..
                 tables[depth][start][w] += nw
                 stack.append((w, v, depth, nw))
     unreached = (Matrix.zeros(n, n),) * (kmax + 1 - len(tables))
-    return tuple(_int_matrix(rows, den ** (2 * d)) for d, rows in enumerate(tables)) + unreached
+    return tuple(Matrix(rows, den ** (2 * d)) for d, rows in enumerate(tables)) + unreached
 
 
 def _omega_fraction(omega) -> Fraction:
@@ -153,21 +152,20 @@ def _recurrence(g: Graph, kmax: int, tau: Fraction) -> tuple[Matrix, ...]:
     common denominator of the c_j and tau**2 (1 at tau = 1):
     P_k = sum_j (q**j (-c_j)) P_{k-j}, less q**2 tau**2 I at k = 2.  Each
     step is one sparse product of the stacked rows [q (-c_1) | q**2 (-c_2) |
-    ...] with [P_{k-1}; P_{k-2}; ...], and each table becomes a Fraction
-    matrix once, at the end.
+    ...] with [P_{k-1}; P_{k-2}; ...], and table k is P_k over q**k.
     """
     m = _deformed_laplacian(g, tau)
     grade, n = m.grade, g.n
-    entries = [[(col, e.coeffs) for col, e in enumerate(row) if e] for row in m.entries]
-    _, q = _clear_denominators(
-        [x for row in entries for _, cs in row for x in cs[1:]] + [tau * tau]
-    )
-    q2tau2 = int(q * q * tau * tau)
+    tau2 = tau * tau
+    entries = [[(col, e.ints, e.den) for col, e in enumerate(row) if e] for row in m.entries]
+    # c_0 is 0 or 1, so each entry's denominator is that of its c_j, j >= 1
+    q = lcm(tau2.denominator, *(den for row in entries for _, _, den in row))
+    q2tau2 = q * q * tau2.numerator // tau2.denominator
     # row i of [q (-c_1) | q**2 (-c_2) | ...]: column (j - 1) n + col
     # multiplies row col of P_(k-j) in the stacked right factor
     stacked = [
-        [((j - 1) * n + col, int(-cs[j] * q**j))
-         for j in range(1, grade + 1) for col, cs in row if j < len(cs) and cs[j]]
+        [((j - 1) * n + col, -cs[j] * q**j // den)
+         for j in range(1, grade + 1) for col, cs, den in row if j < len(cs) and cs[j]]
         for row in entries
     ]
     # lefts[d - 1]: the first d terms, for step k with d = min(k, grade)
@@ -182,7 +180,7 @@ def _recurrence(g: Graph, kmax: int, tau: Fraction) -> tuple[Matrix, ...]:
             for i in range(n):
                 nxt[i][i] -= q2tau2
         seq.append(nxt)
-    return tuple(_int_matrix(p, q**k) for k, p in enumerate(seq))
+    return tuple(Matrix(p, q**k) for k, p in enumerate(seq))
 
 
 def nbtw_recurrence(g: Graph, kmax: int) -> WalkTable:
@@ -209,18 +207,23 @@ def weighted_nbtw(g: Graph, kmax: int) -> WalkTable:
 
     p_k = source.T @ Z @ (hashimoto @ Z)**(k-1) @ target for k >= 1.
 
-    The powers run on integers: with W the least common denominator of the
-    weights and Z' = W Z, the carriers C_k = (hashimoto @ Z')**k @ target
-    are integer, and p_k = source.T @ Z' @ C_(k-1) / W**k.
+    The carriers C_k = (hashimoto @ Z)**k @ target are kept, so that each
+    table is one more sparse product, p_k = (source.T @ Z) @ C_(k-1).
     """
     _require_length(kmax)
     n = g.n
-    w, step, lt_z, carrier = _integer_operator(build_edge_space(g))
+    es = build_edge_space(g)
+    if es.m == 0:  # the incidence factors have no rows to multiply
+        return WalkTable("nbtw", kmax, (Matrix.identity(n),) + (Matrix.zeros(n, n),) * kmax,
+                         "edgepower")
+    lt_z = es.source.transpose() * es.weight_diag
+    step = v_similar(es)
+    carrier = es.target
     seq = [Matrix.identity(n)]
     for k in range(1, kmax + 1):
-        seq.append(_int_matrix(_int_product(lt_z, carrier, n), w**k))
+        seq.append(lt_z * carrier)
         if k < kmax:
-            carrier = _int_product(step, carrier, n)
+            carrier = step * carrier
     return WalkTable("nbtw", kmax, tuple(seq), "edgepower")
 
 
@@ -303,7 +306,7 @@ def nbt_katz_centrality(g: Graph, t, mode: str = "nbtw", omega=None) -> Centrali
             f"t={t} is not certifiably below the radius of convergence"
         )
     phi = generating_function_eval(g, t, mode, omega=omega)
-    sums = tuple(sum(row, _ZERO) for row in phi.data)
+    sums = tuple(Fraction(sum(row), phi.den) for row in phi.ints)
     return CentralityResult(
         t=t,
         mode=mode,
@@ -352,10 +355,10 @@ def walk_tables_float(g: Graph, kmax: int, omega=None):
     a = a_mat.to_float()
     tau = float(exact_tau)
     c2 = [
-        [float(x) * tau for x in row]
-        for row in (d_mat - Matrix.identity(n).scale(exact_tau)).data
+        [x * tau for x in row]
+        for row in (d_mat - Matrix.identity(n).scale(exact_tau)).to_float()
     ]
-    c3 = [[float(x) * tau * tau for x in row] for row in (a_mat - s_mat).data]
+    c3 = [[x * tau * tau for x in row] for row in (a_mat - s_mat).to_float()]
     while len(tab) <= kmax:
         terms = [_float_product(c, p) for c, p in zip((a, c2, c3), tab[:-4:-1])]
         tab.append([

@@ -1,33 +1,28 @@
-"""Polynomials over Z as ascending lists of int coefficients.
+"""Polynomials over Z as ascending sequences of int coefficients.
 
-The kernels behind the fraction-free eliminations of ``polys``: a polynomial
-is a list (or, for zero, the empty tuple) of ints without trailing zeros.
-No function changes its arguments, so entries may be shared freely.
+The arithmetic of ``polys.Polynomial``, whose integer numerators these
+kernels take and return, and of the fraction-free eliminations of
+``polys``: a polynomial is a list or tuple of ints without trailing zeros
+(empty for zero).  No function changes its arguments, so entries may be
+shared freely.
 """
 
 from __future__ import annotations
 
-from math import gcd
-
-from .exact import _clear_denominators
+from math import gcd, lcm
 
 
 def _zrows(m):
-    """(rows, scale): each row of the polynomial matrix m times the lcm of
-    its denominators, as lists of int coefficient lists; scale is the
+    """(rows, scale): each row of the polynomial matrix m over the lcm of
+    its entries' denominators, as int coefficient sequences; scale is the
     product of those lcms.  Zero entries all share the empty tuple, so a
     sparse matrix costs little."""
     rows = []
     scale = 1
     for row in m.entries:
-        flat, lcm = _clear_denominators([c for e in row for c in e.coeffs])
-        scale *= lcm
-        pos, ints = 0, []
-        for e in row:
-            k = len(e.coeffs)
-            ints.append(flat[pos:pos + k] if k else ())
-            pos += k
-        rows.append(ints)
+        den = lcm(*(e.den for e in row))
+        scale *= den
+        rows.append([_zscale(e.ints, den // e.den) if e.ints else () for e in row])
     return rows, scale
 
 

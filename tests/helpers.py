@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -17,7 +18,6 @@ from nbwalks import (
     reversal,
     smith_form,
 )
-from nbwalks.edgespace import _integer_operator
 from nbwalks.errors import EnumerationBudgetExceededError
 from nbwalks.exact import _bareiss_int_det, _clear_denominators, _int_product
 from nbwalks.laplacians import structure_matrices
@@ -310,6 +310,24 @@ def reference_deformed_laplacian(g: Graph, tau) -> PolyMatrix:
     return PolyMatrix.from_coefficients(coeffs, grade=len(coeffs) - 1)
 
 
+def integer_operator(es):
+    """(W, step, lt_z, r_rows): the edge operator on integers.
+
+    W is the least common denominator of the weights and Z' = W Z.  step
+    holds the sparse rows of hashimoto @ Z' and lt_z those of source.T @ Z',
+    as (index, int) pairs for `exact._int_product`; r_rows are the dense int
+    rows of target.
+    """
+    n = es.graph.n
+    z, w = _clear_denominators(es.weights)
+    step = [[(f, z[f]) for f in row] for row in es.successors]
+    lt_z = [[] for _ in range(n)]
+    for e, u in enumerate(es.tails):
+        lt_z[u].append((e, z[e]))
+    r_rows = [[1 if j == v else 0 for j in range(n)] for v in es.heads]
+    return w, step, lt_z, r_rows
+
+
 def adjugate_sample_check(es, g_poly, rhs, count):
     """The edge-space reference for `ihara._vertex_sample_check`: the same
     points and the same (ok, checked) result, with Phi evaluated exactly
@@ -335,7 +353,7 @@ def adjugate_sample_check(es, g_poly, rhs, count):
     """
     n = es.graph.n
     m = es.m
-    ell, step, lt_z, r_rows = _integer_operator(es)
+    ell, step, lt_z, r_rows = integer_operator(es)
     scaled = [c * ell**j for j, c in enumerate(g_poly.coeffs)]
     if any(c.denominator != 1 for c in scaled):
         raise RuntimeError("determinant coefficients failed to clear denominators")
@@ -374,6 +392,48 @@ def adjugate_sample_check(es, g_poly, rhs, count):
 
 
 # ---- the Fraction routes the integer kernels replaced ------------------------
+
+
+def parent_bareiss_int_det(rows) -> int:
+    """The integer determinant with its own elimination loop, as it was
+    before it ran on `exact._fraction_free`: primitive rows, then forward
+    Bareiss with the first nonzero pivot and a sign per row swap."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    m = []
+    contents = 1
+    for row in rows:
+        c = math.gcd(*row)
+        if c == 0:
+            return 0
+        if c != 1:
+            row = [x // c for x in row]
+            contents *= c
+        m.append(row)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pk = m[k][k]
+        for i in range(k + 1, n):
+            rik = m[i][k]
+            rowi = m[i]
+            rowk = m[k]
+            if rik:
+                m[i] = [(pk * a - rik * b) // prev for a, b in zip(rowi, rowk)]
+            elif prev != 1 or pk != 1:
+                m[i] = [(pk * a) // prev for a in rowi]
+        prev = pk
+    return sign * contents * m[n - 1][n - 1]
+
 
 
 def fraction_solve(a: Matrix, rhs: Matrix):

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from nbwalks import Polynomial, parse_graph, serialize_graph
+from nbwalks import Matrix, Polynomial, parse_graph, serialize_graph
 from nbwalks.errors import (
     DuplicateEdgeError,
     GraphParseError,
@@ -15,7 +15,7 @@ from nbwalks.errors import (
 )
 from nbwalks import cli as cli_mod
 from nbwalks.cli import main, run_command
-from nbwalks.fileio import parse_weight, to_json
+from nbwalks.fileio import matrix_json, parse_weight, poly_json, rational_str, to_json
 from nbwalks.ihara import IdentityCertificate
 from nbwalks.walks import nbt_katz_centrality
 
@@ -469,3 +469,16 @@ class TestMoreInputs:
         assert code == 0
         assert doc["payload"]["case"] == "NotCharacterized"
         assert doc["payload"]["bounds"] is not None
+
+
+class TestRationalJson:
+    def test_integer_rows_format_as_reduced_fractions(self):
+        # entries sharing factors with the common denominator 12, zero,
+        # negative, and a denominator-1 matrix
+        for m in (Matrix([[F(1, 2), F(-2, 3), 0], [F(5, 12), 3, F(-1, 4)]]),
+                  Matrix([[4, -7], [0, 1]])):
+            assert matrix_json(m) == [[rational_str(x) for x in row] for row in m.data]
+        assert matrix_json(Matrix([[F(1, 2), F(-2, 3)]])) == [["1/2", "-2/3"]]
+        p = Polynomial([F(1, 2), 0, F(-3, 4), 6])
+        assert poly_json(p) == [rational_str(c) for c in p.coeffs] == ["1/2", "0/1", "-3/4", "6/1"]
+        assert poly_json(Polynomial()) == []

@@ -7,6 +7,7 @@ before it."""
 
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 import sympy
@@ -24,6 +25,7 @@ from helpers import (
     example1,
     fraction_rank,
     fraction_solve,
+    parent_bareiss_int_det,
     random_digraph,
     single_recip_edge,
     weighted_3cycle,
@@ -523,7 +525,7 @@ class TestSolve:
 
     def test_pivots_are_minors(self):
         # a full elimination of [A | I] ends with the last pivot p equal to
-        # det A up to the sign of the row swaps, and the right-hand block is
+        # det A times the sign of the row swaps, and the right-hand block is
         # then p A^-1, an integer matrix
         rng = random.Random(7)
         for _ in range(30):
@@ -531,12 +533,12 @@ class TestSolve:
             rows = [[rng.randint(-5, 5) if rng.random() < 0.6 else 0 for _ in range(n)]
                     for _ in range(n)]
             work = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-            rank, pivot = _fraction_free(work, n, True)
+            rank, pivot, sign = _fraction_free(work, n, True)
             det = _bareiss_int_det(rows)
             if det == 0:
                 assert rank < n
             else:
-                assert rank == n and abs(pivot) == abs(det)
+                assert rank == n and pivot == sign * det
                 assert Matrix(rows) * Matrix(work) == Matrix.identity(n).scale(pivot)
 
     def test_generating_function_systems(self):
@@ -673,3 +675,148 @@ class TestWeightedIharaSamples:
                 assert i_minus_x.inverse() == phi, (g.edges, t)
                 checked += 1
         assert checked > 60
+
+
+@st.composite
+def _squares(draw, max_n=5):
+    """Square matrices with mixed denominators; often the first pivot is 0
+    (a swap is needed) or a whole row is 0."""
+    n = draw(st.integers(0, max_n))
+    rows = draw(st.lists(st.lists(_ENTRIES, min_size=n, max_size=n), min_size=n, max_size=n))
+    if n and draw(st.booleans()):
+        rows[0][0] = F(0)
+    if n and draw(st.booleans()):
+        rows[draw(st.integers(0, n - 1))] = [F(0)] * n
+    return Matrix(rows)
+
+
+_PAIRS = st.tuples(st.integers(0, 4), st.integers(0, 4)).flatmap(
+    lambda shape: st.tuples(_matrices(*shape), _matrices(*shape)))
+_CHAINS = st.tuples(st.integers(1, 4), st.integers(0, 4), st.integers(0, 4)).flatmap(
+    lambda dims: st.tuples(_matrices(dims[0], dims[1]), _matrices(dims[1], dims[2])))
+_SCALARS = st.builds(F, st.integers(-12, 12), st.integers(1, 30))
+
+
+def from_sympy(sm) -> Matrix:
+    return Matrix([[F(int(x.p), int(x.q)) for x in sm.row(i)] for i in range(sm.rows)])
+
+
+def assert_canonical(a: Matrix):
+    """Integer rows over a positive denominator in lowest terms, and the
+    Fraction view agreeing with them."""
+    assert a.den > 0 and gcd(a.den, *(x for row in a.ints for x in row)) == 1
+    assert all(type(x) is int for row in a.ints for x in row)
+    assert a.data == tuple(tuple(F(x, a.den) for x in row) for row in a.ints)
+    assert hash(a) == hash((a.ints, a.den))
+
+
+class TestIntegerRepresentation:
+    """`Matrix` as integer rows over one denominator, against sympy."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_squares())
+    def test_det_and_char_poly_against_sympy(self, a):
+        assert_canonical(a)
+        sa = to_sympy(a)
+        if not a.nrows:
+            assert a.det() == 1 and a.char_poly() == [1]
+            return
+        assert a.det() == F(str(sa.det()))
+        want = sa.charpoly(sympy.Symbol("t")).all_coeffs()[::-1]
+        assert a.char_poly() == [F(str(c)) for c in want]
+
+    @settings(max_examples=150, deadline=None)
+    @given(_PAIRS, _SCALARS)
+    def test_sum_difference_scale_transpose_against_sympy(self, pair, c):
+        a, b = pair
+        if not a.nrows:  # sympy keeps the column count of an empty matrix
+            assert a + b == a - b == a.transpose() == Matrix([])
+            return
+        sa, sb = to_sympy(a), to_sympy(b)
+        for got, want in ((a + b, sa + sb), (a - b, sa - sb),
+                          (a.scale(c), sa * sympy.Rational(c.numerator, c.denominator)),
+                          (-a, -sa)):
+            assert_canonical(got)
+            assert got == from_sympy(want)
+        if a.ncols:
+            assert a.transpose() == from_sympy(sa.T)
+            assert_canonical(a.transpose())
+
+    @settings(max_examples=150, deadline=None)
+    @given(_CHAINS)
+    def test_product_against_sympy(self, pair):
+        a, b = pair
+        got = a * b
+        assert_canonical(got)
+        if b.ncols:
+            assert got == from_sympy(to_sympy(a) * to_sympy(b))
+        assert (got.nrows, got.ncols) == (a.nrows, b.ncols if b.nrows else 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_PAIRS, _SCALARS.filter(bool))
+    def test_equal_values_have_equal_rows_denominator_and_hash(self, pair, c):
+        a, _ = pair
+        routes = [
+            Matrix(a.data),
+            Matrix(a.ints, a.den),
+            Matrix([[3 * x for x in row] for row in a.ints], 3 * a.den),
+            Matrix([[-x for x in row] for row in a.ints], -a.den),
+            a.scale(c).scale(1 / c),
+            a + Matrix.zeros(a.nrows, a.ncols),
+        ]
+        if a.nrows:
+            routes += [Matrix.identity(a.nrows) * a, a * Matrix.identity(a.ncols)]
+        for b in routes:
+            assert (b.ints, b.den, hash(b)) == (a.ints, a.den, hash(a))
+            assert b == a
+
+    def test_canonical_examples(self):
+        a = Matrix([[F(1, 2), F(-1, 3)], [0, 2]])
+        assert a.ints == ((3, -2), (0, 12)) and a.den == 6
+        assert Matrix([[2, 4]], 6).ints == ((1, 2),) and Matrix([[2, 4]], 6).den == 3
+        assert Matrix([[0, 0]], 7).den == 1
+        assert Matrix([[1]], -2) == Matrix([[F(-1, 2)]])
+        assert Matrix([[F(1, 2)]]) * Matrix([[2]]) == Matrix.identity(1)
+        assert Matrix.identity(1).den == 1 and Matrix([["0.25"]]).ints == ((1,),)
+        assert Matrix([[0.5, 1]]).data == ((F(1, 2), F(1)),)
+
+    def test_sum_and_difference_need_equal_shapes(self):
+        a = Matrix([[1, 2], [3, 4]])
+        for b in (Matrix([[1]]), Matrix([[1, 2]]), Matrix([[1], [2]]), Matrix([])):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                a + b
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                a - b
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                b - a
+
+
+# integer matrices, often with zero entries, so that swaps, zero rows and
+# singular matrices come up
+_INT_SQUARES = st.integers(0, 6).flatmap(lambda n: st.lists(
+    st.lists(st.one_of(st.just(0), st.integers(-30, 30), st.integers(-(1 << 70), 1 << 70)),
+             min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+class TestMergedElimination:
+    """`_bareiss_int_det` on `_fraction_free` against its own loop before."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_INT_SQUARES)
+    def test_against_parent_loop(self, rows):
+        before = [list(r) for r in rows]
+        assert _bareiss_int_det(rows) == parent_bareiss_int_det(rows)
+        assert rows == before
+
+    def test_signs_empty_and_zero_rows(self):
+        for rows in ([[0, 1], [1, 0]], [[0, 0, 1], [0, 1, 0], [1, 0, 0]],
+                     [[0, 1, 0], [0, 0, 1], [1, 0, 0]], [[0, 2], [3, 5]], [[0, -1], [-1, 0]]):
+            want = parent_bareiss_int_det(rows)
+            assert _bareiss_int_det(rows) == want
+            assert want == int(sympy.Matrix(rows).det())
+        assert _bareiss_int_det([]) == parent_bareiss_int_det([]) == 1
+        assert _bareiss_int_det([[1, 2, 3], [0, 0, 0], [4, 5, 6]]) == 0
+        assert _bareiss_int_det([[0, 1], [0, 2]]) == 0
+        rows = [[0, 1, 2], [3, 4, 5], [6, 7, 9]]
+        assert _fraction_free([list(r) for r in rows], 3, False)[2] == -1
+        assert _bareiss_int_det(rows) == parent_bareiss_int_det(rows) == -3

@@ -445,6 +445,17 @@ class TestSmithOracles:
         assert _product(sf.invariants) == polymat_det(m).monic()
 
 
+class TestPolyMatrixShapes:
+    def test_sum_needs_equal_shapes(self):
+        a = PolyMatrix([[poly(1), poly(0, 1)]])
+        for b in (PolyMatrix([[poly(1)]]), PolyMatrix([[poly(1)], [poly(2)]])):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                a + b
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                b + a
+        assert (a + a).entries == ((poly(2), poly(0, 2)),)
+
+
 class TestReversal:
     def test_scalar(self):
         m = PolyMatrix([[poly(-1, 0, 1)]], grade=2)
@@ -820,6 +831,84 @@ class TestZtRoutes:
         assert root_multiplicity(p, F(2, 3)) == 3
         assert root_multiplicity(p, F(-2, 3)) == 0
         assert root_multiplicity(poly(0, 0, F(1, 2)), 0) == 2
+
+
+# coefficients with mixed denominators and frequent zeros, up to degree 6
+_MIXED = st.one_of(st.just(F(0)), st.builds(F, st.integers(-20, 20),
+                                            st.sampled_from((1, 2, 3, 4, 7, 12, 35))))
+_QPOLYS = st.lists(_MIXED, max_size=7).map(Polynomial)
+
+
+def _qq(p):
+    return sympy.Poly(_sympy_expr(p), _T, domain=sympy.QQ)
+
+
+def _from_qq(sp):
+    return Polynomial([F(str(c)) for c in reversed(sp.all_coeffs())])
+
+
+def _assert_canonical(p):
+    assert p.den > 0 and gcd(p.den, *p.ints) == 1
+    assert not p.ints or p.ints[-1] != 0
+    assert all(type(c) is int for c in p.ints)
+    assert p.coeffs == tuple(F(c, p.den) for c in p.ints)
+
+
+class TestPolynomialAgainstSympy:
+    """`Polynomial` as integer coefficients over one denominator, against
+    sympy.Poly over QQ."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_QPOLYS, _QPOLYS)
+    def test_ring_operations(self, a, b):
+        for got, want in ((a + b, _qq(a) + _qq(b)), (a - b, _qq(a) - _qq(b)),
+                          (a * b, _qq(a) * _qq(b)), (-a, -_qq(a))):
+            _assert_canonical(got)
+            assert got == _from_qq(want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_QPOLYS, _QPOLYS.filter(bool))
+    def test_divmod(self, a, b):
+        q, r = divmod(a, b)
+        wq, wr = _qq(a).div(_qq(b))
+        _assert_canonical(q)
+        _assert_canonical(r)
+        assert (q, r) == (_from_qq(wq), _from_qq(wr))
+        assert a // b == q and a % b == r
+
+    @settings(max_examples=200, deadline=None)
+    @given(_QPOLYS, _MIXED, st.integers(0, 3))
+    def test_value_monic_reversal_derivative(self, a, t, extra):
+        assert a(t) == F(str(_qq(a).eval(sympy.Rational(t.numerator, t.denominator))))
+        assert a.derivative() == _from_qq(_qq(a).diff(_T))
+        if a:
+            assert a.monic() == _from_qq(_qq(a).monic())
+            assert a.monic().leading == 1
+        else:
+            assert a.monic() == a
+        grade = max(a.degree, 0) + extra
+        want = sympy.expand(_T**grade * _sympy_expr(a).subs(_T, 1 / _T))
+        got = a.reversal(grade)
+        _assert_canonical(got)
+        assert got == _from_qq(sympy.Poly(want, _T, domain=sympy.QQ))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_QPOLYS, _MIXED.filter(bool))
+    def test_equal_values_have_equal_integers_denominator_and_hash(self, a, c):
+        routes = [Polynomial(a.coeffs), Polynomial(a.ints, a.den),
+                  Polynomial([5 * x for x in a.ints] + [0, 0], 5 * a.den),
+                  Polynomial([-x for x in a.ints], -a.den),
+                  a * Polynomial([c]) * Polynomial([1 / c]), a + Polynomial(), a * 1, 0 + a]
+        for b in routes:
+            assert (b.ints, b.den, hash(b)) == (a.ints, a.den, hash(a))
+
+    def test_hash_agrees_with_equality(self):
+        assert Polynomial([3]) == 3 and len({Polynomial([3]), 3}) == 1
+        assert len({Polynomial([F(1, 2)]), F(1, 2)}) == 1
+        assert len({Polynomial(), 0, F(0)}) == 1
+        p = poly(F(1, 2), F(-2, 3), 1)
+        assert (p.ints, p.den) == ((3, -4, 6), 6)
+        assert hash(p) == hash(((3, -4, 6), 6))
 
 
 def _random_poly(rng, degree, size=9, dens=(1, 2, 3, 5)):
