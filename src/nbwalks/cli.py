@@ -40,16 +40,7 @@ from .ihara import (
 )
 from .laplacians import directed_dgl, tau_dgl
 from .polys import smith_form
-from .walks import (
-    DEFAULT_BUDGET,
-    btdw_recurrence,
-    enumerate_btdw,
-    enumerate_nbtw,
-    nbt_katz_centrality,
-    nbtw_recurrence,
-    walk_tables_float,
-    weighted_nbtw,
-)
+from .walks import DEFAULT_BUDGET, nbt_katz_centrality, walk_table, walk_tables_float
 
 
 class _UsageError(Exception):
@@ -105,7 +96,8 @@ def build_parser() -> _Parser:
     p.add_argument("--method", choices=("oracle", "recurrence", "edgepower"),
                    default="recurrence")
     p.add_argument("--float", action="store_true", dest="float_mode",
-                   help="float fast path; excluded from verification")
+                   help="print the selected exact table, each entry rounded once "
+                        "to the nearest float")
 
     p = sub.add_parser("centrality", parents=[common],
                        help="walk-sum centrality row sums")
@@ -196,29 +188,19 @@ def _run(args):
     elif args.command == "walks":
         if args.k < 0:
             raise _UsageError(f"--k must be nonnegative, got {args.k}")
+        budget = _budget(args)
+        if args.omega is not None and args.method == "edgepower":
+            raise _UsageError("edgepower method applies to plain walks only")
         if args.float_mode:
-            tables = walk_tables_float(g, args.k, omega=args.omega)
             payload = {
                 "kind": "walks",
                 "float": True,
                 "walk_kind": "btdw" if args.omega is not None else "nbtw",
                 "kmax": args.k,
-                "tables": tables,
+                "tables": walk_tables_float(g, args.k, args.omega, args.method, budget),
             }
         else:
-            budget = _budget(args)
-            if args.method == "oracle" and args.omega is None:
-                table = enumerate_nbtw(g, args.k, budget=budget)
-            elif args.method == "oracle":
-                table = enumerate_btdw(g, args.k, args.omega, budget=budget)
-            elif args.omega is not None:
-                if args.method == "edgepower":
-                    raise _UsageError("edgepower method applies to plain walks only")
-                table = btdw_recurrence(g, args.k, args.omega)
-            elif args.method == "recurrence" and g.is_unweighted():
-                table = nbtw_recurrence(g, args.k)
-            else:
-                table = weighted_nbtw(g, args.k)
+            table = walk_table(g, args.k, args.omega, args.method, budget)
             payload = {"kind": "walks", "float": False, **walk_table_json(table)}
     elif args.command == "centrality":
         if args.t < 0:

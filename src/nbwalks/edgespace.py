@@ -111,7 +111,7 @@ def build_edge_space(g: Graph) -> EdgeSpace:
 
 def _incidence(ends, n: int) -> Matrix:
     """The len(ends)-by-n 0/1 matrix with row e the unit vector of ends[e]."""
-    return Matrix([[int(j == v) for j in range(n)] for v in ends])
+    return Matrix([[int(j == v) for j in range(n)] for v in ends], 1, n)
 
 
 def weighted_hashimoto(es: EdgeSpace) -> Matrix:

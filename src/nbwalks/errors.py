@@ -52,7 +52,7 @@ class EnumerationBudgetExceededError(NBWalksError):
 
 
 class FloatRangeError(NBWalksError):
-    """A value the float fast path cannot represent."""
+    """A nonzero value that overflows the float range or rounds to 0.0."""
 
 
 class IterationBudgetExceededError(NBWalksError):

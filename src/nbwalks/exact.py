@@ -65,14 +65,17 @@ class Matrix:
 
     ``Matrix(rows)`` takes rational entries (anything `Fraction` accepts);
     ``Matrix(rows, den)`` takes integer rows standing for each entry / den.
+    ``ncols`` gives the column count of a matrix with no rows; otherwise
+    it is read off the rows.
     """
 
     __slots__ = ("ints", "den", "nrows", "ncols", "_data")
 
-    def __init__(self, rows, den=None):
+    def __init__(self, rows, den=None, ncols=None):
         rows = [tuple(row) for row in rows]
         nrows = len(rows)
-        ncols = len(rows[0]) if rows else 0
+        if ncols is None:
+            ncols = len(rows[0]) if rows else 0
         if any(len(r) != ncols for r in rows):
             raise ValueError("ragged rows")
         if den is None:
@@ -101,7 +104,7 @@ class Matrix:
 
     @staticmethod
     def zeros(nrows: int, ncols: int) -> "Matrix":
-        return Matrix([[0] * ncols for _ in range(nrows)], 1)
+        return Matrix([[0] * ncols for _ in range(nrows)], 1, ncols)
 
     @staticmethod
     def diagonal(entries) -> "Matrix":
@@ -114,10 +117,11 @@ class Matrix:
         return Fraction(self.ints[i][j], self.den)
 
     def __eq__(self, other):
-        return isinstance(other, Matrix) and self.den == other.den and self.ints == other.ints
+        return (isinstance(other, Matrix) and self.ncols == other.ncols
+                and self.den == other.den and self.ints == other.ints)
 
     def __hash__(self):
-        return hash((self.ints, self.den))
+        return hash((self.ints, self.den, self.ncols))
 
     def __repr__(self):
         return f"Matrix({[list(map(str, r)) for r in self.data]})"
@@ -131,20 +135,20 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         a, b, den = self._aligned(other)
-        return Matrix([[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)], den)
+        return Matrix([[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)], den, self.ncols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         a, b, den = self._aligned(other)
-        return Matrix([[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)], den)
+        return Matrix([[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)], den, self.ncols)
 
     def __neg__(self) -> "Matrix":
-        return Matrix([[-x for x in row] for row in self.ints], self.den)
+        return Matrix([[-x for x in row] for row in self.ints], self.den, self.ncols)
 
     def scale(self, c) -> "Matrix":
         c = _frac(c)
         if c == 1:  # immutable, so the plain (tau = 1) cases pay nothing
             return self
-        return Matrix(_rescaled(self.ints, c.numerator), self.den * c.denominator)
+        return Matrix(_rescaled(self.ints, c.numerator), self.den * c.denominator, self.ncols)
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
@@ -152,13 +156,15 @@ class Matrix:
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch")
         left = [[(k, c) for k, c in enumerate(row) if c] for row in self.ints]
-        return Matrix(_int_product(left, other.ints, other.ncols), self.den * other.den)
+        return Matrix(_int_product(left, other.ints, other.ncols), self.den * other.den,
+                      other.ncols)
 
     def __rmul__(self, c):
         return self.scale(c)
 
     def transpose(self) -> "Matrix":
-        return Matrix(list(zip(*self.ints)), self.den) if self.ints else Matrix([])
+        cols = list(zip(*self.ints)) if self.ints else [()] * self.ncols
+        return Matrix(cols, self.den, self.nrows)
 
     def is_zero(self) -> bool:
         return not any(any(row) for row in self.ints)
@@ -202,7 +208,7 @@ class Matrix:
         rank, pivot, _ = _fraction_free(aug, n, True)
         if rank < n:
             return None
-        return Matrix(aug, pivot * rhs.den).scale(self.den)
+        return Matrix(aug, pivot * rhs.den, rhs.ncols).scale(self.den)
 
     def inverse(self):
         """Exact inverse; returns None when singular."""

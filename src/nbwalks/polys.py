@@ -80,10 +80,6 @@ class Polynomial:
             self._coeffs = tuple(Fraction(c, self.den) for c in self.ints)
         return self._coeffs
 
-    @staticmethod
-    def variable() -> "Polynomial":
-        return Polynomial([0, 1])
-
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
@@ -157,23 +153,6 @@ class Polynomial:
             base = base * base
             k >>= 1
         return result
-
-    def __divmod__(self, other):
-        """With a and b the integer numerators of self and other, the
-        pseudo-division s a = q b + r gives the quotient q other.den / (s
-        self.den) and the remainder r / (s self.den)."""
-        other = self._coerce(other)
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        s, q, r = _zpseudo_divmod(self.ints, other.ints)
-        den = s * self.den
-        return Polynomial(_zscale(q, other.den), den), Polynomial(r, den)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
 
     def divides(self, other: "Polynomial") -> bool:
         """Whether self divides other in Q[t]: the integer pseudo-remainder
@@ -473,20 +452,6 @@ class PolyMatrix:
         elif grade < max_deg:
             raise ValueError("grade below maximum entry degree")
         self.grade = grade
-
-    @staticmethod
-    def from_coefficients(mats, grade=None) -> "PolyMatrix":
-        """Build sum_k mats[k] * t**k from constant Matrix coefficients."""
-        if not mats:
-            raise ValueError("need at least one coefficient matrix")
-        nr, nc = mats[0].nrows, mats[0].ncols
-        entries = [
-            [Polynomial([m.data[i][j] for m in mats]) for j in range(nc)]
-            for i in range(nr)
-        ]
-        if grade is None:
-            grade = len(mats) - 1
-        return PolyMatrix(entries, grade=grade)
 
     def coefficient(self, k: int) -> Matrix:
         """Constant matrix of the t**k coefficients."""

@@ -16,16 +16,19 @@ Tables are exact rational matrices, each integer rows over one
 denominator: q**k for the recurrence, and L**(2k) for the oracle, which
 multiplies integer walk weights scaled by the common denominator L of the
 weights and omega; the Hashimoto powers are products of `Matrix` objects.
-Enumeration is metered: every edge extension taken
-counts against a budget so pathological inputs fail loudly instead of
-hanging, and a depth's table is only allocated once the search reaches it.
+`walk_table` selects a route, and `walk_tables_float` is the table it
+selects with each exact entry rounded once to the nearest float: an output
+format, not another algorithm.  Enumeration is metered: every edge
+extension taken counts against a budget so pathological inputs fail loudly
+instead of hanging, and a depth's table is only allocated once the search
+reaches it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isfinite, lcm
+from math import lcm
 
 from .convergence import radius_btdw, radius_unweighted, radius_weighted
 from .edgespace import build_edge_space, v_similar
@@ -35,12 +38,11 @@ from .errors import (
     FloatRangeError,
     OmegaOutOfRangeError,
     PoleAtTError,
-    WeightedUnsupportedError,
 )
 from .exact import Matrix, _clear_denominators, _int_product
 from .graphs import Graph
-from .laplacians import _deformed_laplacian, structure_matrices
-from .spectral import _left_sum, perron_radius
+from .laplacians import _deformed_laplacian
+from .spectral import perron_radius
 
 DEFAULT_BUDGET = 10**8
 
@@ -211,15 +213,11 @@ def weighted_nbtw(g: Graph, kmax: int) -> WalkTable:
     table is one more sparse product, p_k = (source.T @ Z) @ C_(k-1).
     """
     _require_length(kmax)
-    n = g.n
     es = build_edge_space(g)
-    if es.m == 0:  # the incidence factors have no rows to multiply
-        return WalkTable("nbtw", kmax, (Matrix.identity(n),) + (Matrix.zeros(n, n),) * kmax,
-                         "edgepower")
     lt_z = es.source.transpose() * es.weight_diag
     step = v_similar(es)
     carrier = es.target
-    seq = [Matrix.identity(n)]
+    seq = [Matrix.identity(g.n)]
     for k in range(1, kmax + 1):
         seq.append(lt_z * carrier)
         if k < kmax:
@@ -251,8 +249,6 @@ def generating_function_eval(g: Graph, t, mode: str, omega=None) -> Matrix:
         return inv.scale(1 - tau * tau * t * t)
     if mode == "weighted":
         es = build_edge_space(g)
-        if es.m == 0:
-            return Matrix.identity(g.n)
         base = Matrix.identity(es.m) - v_similar(es).scale(t)
         solved = base.solve(es.target)
         if solved is None:
@@ -316,65 +312,43 @@ def nbt_katz_centrality(g: Graph, t, mode: str = "nbtw", omega=None) -> Centrali
     )
 
 
-def walk_tables_float(g: Graph, kmax: int, omega=None):
-    """Float fast path for large tables; not part of any verification.
+def walk_table(g: Graph, kmax: int, omega=None, method: str = "recurrence",
+               budget=None) -> WalkTable:
+    """The exact table of one route: "oracle" enumerates, "recurrence" runs
+    the deformed-Laplacian recurrence (Hashimoto powers on weighted graphs
+    at omega = None), and "edgepower" runs Hashimoto powers; omega selects
+    backtrack-downweighted walks, which "edgepower" does not count."""
+    if method == "oracle":
+        if omega is None:
+            return enumerate_nbtw(g, kmax, budget=budget)
+        return enumerate_btdw(g, kmax, omega, budget=budget)
+    if method not in ("recurrence", "edgepower"):
+        raise ValueError(f"unknown method {method!r}")
+    if omega is not None:
+        if method == "edgepower":
+            raise ValueError("edgepower method applies to plain walks only")
+        return btdw_recurrence(g, kmax, omega)
+    if method == "recurrence" and g.is_unweighted():
+        return nbtw_recurrence(g, kmax)
+    return weighted_nbtw(g, kmax)
 
-    Returns plain nested lists of floats following the same recurrences.
-    Weighted graphs go through float Hashimoto powers instead.
+
+def walk_tables_float(g: Graph, kmax: int, omega=None, method: str = "recurrence",
+                      budget=None) -> list:
+    """The exact `walk_table` with each entry rounded once to the nearest
+    float, as float() of its Fraction, in plain nested lists.
+
+    Raises FloatRangeError when a nonzero entry overflows or rounds to 0.0.
     """
-    _require_length(kmax)
-    n = g.n
-    if not g.is_unweighted():
-        if omega is not None:
-            raise WeightedUnsupportedError("downweighted walks need unit weights")
-        for u, v, w in g.edges:
-            try:
-                representable = float(w) != 0
-            except OverflowError:
-                representable = False
-            if not representable:
-                raise FloatRangeError(
-                    f"weight of edge {g.labels[u]} -> {g.labels[v]} is outside the "
-                    "float range; use the exact methods"
-                )
-        es = build_edge_space(g)
-        if es.m == 0:
-            eye = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
-            return [eye] + [[[0.0] * n for _ in range(n)] for _ in range(kmax)]
-        lt_z = (es.source.transpose() * es.weight_diag).to_float()
-        step = v_similar(es).to_float()
-        carrier = es.target.to_float()
-        tab = [[[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]]
-        for _ in range(kmax):
-            tab.append(_float_product(lt_z, carrier))
-            carrier = _float_product(step, carrier)
-        return _finite(tab)
-    exact_tau = 1 - _omega_fraction(0 if omega is None else omega)
-    tab = [m.to_float() for m in _recurrence(g, min(kmax, 3), exact_tau)]
-    a_mat, s_mat, d_mat = structure_matrices(g)
-    a = a_mat.to_float()
-    tau = float(exact_tau)
-    c2 = [
-        [x * tau for x in row]
-        for row in (d_mat - Matrix.identity(n).scale(exact_tau)).to_float()
-    ]
-    c3 = [[x * tau * tau for x in row] for row in (a_mat - s_mat).to_float()]
-    while len(tab) <= kmax:
-        terms = [_float_product(c, p) for c, p in zip((a, c2, c3), tab[:-4:-1])]
-        tab.append([
-            [x - y - z for x, y, z in zip(*rows)] for rows in zip(*terms)
-        ])
-    return _finite(tab[: kmax + 1])
-
-
-def _finite(tab):
-    """The float tables, unless an entry overflowed to infinity or NaN."""
-    if not all(isfinite(x) for table in tab for row in table for x in row):
-        raise FloatRangeError("a walk count is outside the float range; use the exact methods")
-    return tab
-
-
-def _float_product(x, y):
-    """Product of float matrices given as nested lists."""
-    cols = list(zip(*y))
-    return [[_left_sum(a * b for a, b in zip(row, col)) for col in cols] for row in x]
+    tables = []
+    for m in walk_table(g, kmax, omega, method, budget).tables:
+        try:
+            rows = m.to_float()
+        except OverflowError:  # int / int refuses a quotient past the float range
+            rows = None
+        if rows is None or any(x and not y for xs, ys in zip(m.ints, rows)
+                               for x, y in zip(xs, ys)):
+            raise FloatRangeError(
+                "a walk count is outside the float range; use the exact methods")
+        tables.append(rows)
+    return tables

@@ -21,7 +21,7 @@ from nbwalks import (
 from nbwalks.errors import EnumerationBudgetExceededError
 from nbwalks.exact import _bareiss_int_det, _clear_denominators, _int_product
 from nbwalks.laplacians import structure_matrices
-from nbwalks.zpoly import _zhomogeneous
+from nbwalks.zpoly import _zhomogeneous, _zpseudo_divmod, _zscale
 
 
 def mirror(pairs):
@@ -307,7 +307,27 @@ def reference_deformed_coefficients(g: Graph, tau) -> list[Matrix]:
 
 def reference_deformed_laplacian(g: Graph, tau) -> PolyMatrix:
     coeffs = reference_deformed_coefficients(g, tau)
-    return PolyMatrix.from_coefficients(coeffs, grade=len(coeffs) - 1)
+    return polymatrix_from_coefficients(coeffs)
+
+
+def polymatrix_from_coefficients(mats, grade=None) -> PolyMatrix:
+    """sum_k mats[k] * t**k from constant Matrix coefficients; grade
+    defaults to len(mats) - 1."""
+    nr, nc = mats[0].nrows, mats[0].ncols
+    entries = [[Polynomial([m.data[i][j] for m in mats]) for j in range(nc)]
+               for i in range(nr)]
+    return PolyMatrix(entries, grade=len(mats) - 1 if grade is None else grade)
+
+
+def polynomial_divmod(a: Polynomial, b: Polynomial):
+    """Quotient and remainder of a by b != 0 in Q[t]: with the integer
+    numerators, the pseudo-division s a = q b + r gives the quotient
+    q b.den / (s a.den) and the remainder r / (s a.den)."""
+    if b.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    s, q, r = _zpseudo_divmod(a.ints, b.ints)
+    den = s * a.den
+    return Polynomial(_zscale(q, b.den), den), Polynomial(r, den)
 
 
 def integer_operator(es):
@@ -505,7 +525,7 @@ def fraction_enumerate(g: Graph, kmax: int, omega, budget: int):
 def q_poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic gcd by Euclid over Q: the route `poly_gcd` took."""
     while not b.is_zero():
-        a, b = b, a % b
+        a, b = b, polynomial_divmod(a, b)[1]
     return a.monic()
 
 
@@ -517,7 +537,7 @@ def q_squarefree_decomposition(p: Polynomial):
     p = p.monic()
     dp = p.derivative()
     a = q_poly_gcd(p, dp)
-    b, c = p // a, dp // a
+    b, c = polynomial_divmod(p, a)[0], polynomial_divmod(dp, a)[0]
     d = c - b.derivative()
     out = []
     mult = 1
@@ -525,7 +545,7 @@ def q_squarefree_decomposition(p: Polynomial):
         f = q_poly_gcd(b, d)
         if f.degree > 0:
             out.append((f, mult))
-        b, c = b // f, d // f
+        b, c = polynomial_divmod(b, f)[0], polynomial_divmod(d, f)[0]
         d = c - b.derivative()
         mult += 1
     return out

@@ -6,6 +6,8 @@ import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from nbwalks import Matrix, Polynomial, parse_graph, serialize_graph
 from nbwalks.errors import (
@@ -444,6 +446,87 @@ class TestExtremeWeights:
         assert main(["walks", "--k", "3", "--float", path]) == 1
         err = capsys.readouterr().err
         assert err.startswith("nbwalks: FloatRangeError:") and "Traceback" not in err
+
+
+def _graph_texts(weights):
+    """Graph files on up to 5 vertices, isolated vertices and arcless graphs
+    included, with arc weights drawn from ``weights``."""
+    def text(case):
+        n, arcs = case
+        seen, lines = set(), [f"{v}\n" for v in range(n)]
+        for u, v, w in arcs:
+            if u != v and (u, v) not in seen:
+                seen.add((u, v))
+                lines.append(f"{u}\t{v}\t{w}\n")
+        return "".join(lines)
+
+    return st.integers(1, 5).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                           st.sampled_from(weights)), max_size=n * (n - 1)))).map(text)
+
+
+def _outcome(argv):
+    """The payload of a run, or the type of the error it raised."""
+    try:
+        return run_command(argv)[1]["payload"]
+    except Exception as exc:  # the same error is expected from both runs
+        return type(exc)
+
+
+class TestFloatTables:
+    """``walks --float`` prints the exact table the other flags select, each
+    entry rounded once to the nearest float."""
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=st.one_of(_graph_texts(["1"]), _graph_texts(["1", "2", "1/3", "0.25", "5/7"])),
+           k=st.integers(0, 5),
+           method=st.sampled_from(["recurrence", "edgepower", "oracle"]),
+           omega=st.sampled_from([None, "0", "1/3", "1/2", "1", "7/10"]))
+    def test_entries_are_the_rounded_exact_entries(self, tmp_path, text, k, method, omega):
+        path = tmp_path / "g.tsv"
+        path.write_text(text)
+        argv = ["walks", "--k", str(k), "--method", method, str(path)]
+        if omega is not None:
+            argv[1:1] = ["--omega", omega]
+        exact = _outcome(argv)
+        rounded = _outcome(argv + ["--float"])
+        if isinstance(exact, type):
+            assert rounded is exact
+            return
+        assert rounded["float"] is True and exact["float"] is False
+        assert (rounded["walk_kind"], rounded["kmax"]) == (exact["walk_kind"], k)
+        assert len(rounded["tables"]) == len(exact["tables"]) == k + 1
+        for got, want in zip(rounded["tables"], exact["tables"]):
+            assert got == [[float(F(x)) for x in row] for row in want]
+            assert all(type(x) is float for row in got for x in row)
+
+    def test_oracle_budget_applies(self, example1_file, capsys):
+        argv = ["walks", "--k", "6", "--float", "--method", "oracle", "--budget", "1"]
+        assert main([*argv, example1_file]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("nbwalks: EnumerationBudgetExceededError:")
+
+    def test_edgepower_with_omega_is_usage_error(self, example1_file, capsys):
+        argv = ["walks", "--k", "3", "--float", "--method", "edgepower", "--omega", "1/2"]
+        assert main([*argv, example1_file]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "nbwalks: edgepower method applies to plain walks only\n"
+
+    def test_entries_past_2_to_53_round_once(self, tmp_path):
+        # K5's non-backtracking counts pass 2**53 at k = 35; from there on
+        # they are not floats, and only one rounding of each gives float()
+        path = tmp_path / "k5.tsv"
+        path.write_text("%undirected\n" + "".join(
+            f"{i}\t{j}\n" for i in range(1, 6) for j in range(i + 1, 6)))
+        k = 60
+        _, exact = run_command(["walks", "--k", str(k), str(path)])
+        _, rounded = run_command(["walks", "--k", str(k), "--float", str(path)])
+        want = [[float(F(x)) for x in row] for row in exact["payload"]["tables"][k]]
+        assert rounded["payload"]["tables"][k] == want
 
 
 class TestMoreInputs:

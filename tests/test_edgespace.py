@@ -55,8 +55,8 @@ def reference_edge_matrices(g):
             else:
                 hashi[e][f] = F(1)
     return {
-        "source": Matrix([[F(int(u == j)) for j in range(g.n)] for u, _ in edges]),
-        "target": Matrix([[F(int(v == j)) for j in range(g.n)] for _, v in edges]),
+        "source": Matrix([[F(int(u == j)) for j in range(g.n)] for u, _ in edges], ncols=g.n),
+        "target": Matrix([[F(int(v == j)) for j in range(g.n)] for _, v in edges], ncols=g.n),
         "line_graph": Matrix(line),
         "backtrack": Matrix(back),
         "reciprocal_mask": Matrix.diagonal([F(int((v, u) in index)) for u, v in edges]),
@@ -188,6 +188,16 @@ class TestBuildEdgeSpace:
     def test_empty_graph(self):
         es = build_edge_space(build_unweighted([], vertices=[1, 2]))
         assert es.m == 0 and es.hashimoto.nrows == 0
+
+    def test_arcless_incidence_shapes(self):
+        g = build_unweighted([], vertices=[1, 2, 3])
+        es = build_edge_space(g)
+        for view in (es.source, es.target):
+            assert (view.nrows, view.ncols) == (0, 3)
+        lt = es.source.transpose()
+        assert (lt.nrows, lt.ncols) == (3, 0)
+        assert lt * es.target == Matrix.zeros(3, 3)
+        assert lt * es.weight_diag * es.target == g.adjacency()
 
 
 class TestWeightedMatrices:

@@ -34,10 +34,11 @@ from helpers import (
 
 def dense_product(a: Matrix, b: Matrix) -> Matrix:
     """The dense Fraction product the sparse integer kernel replaced."""
-    cols = list(zip(*b.data))
+    cols = list(zip(*b.data)) if b.nrows else [()] * b.ncols
     return Matrix(
         [[sum((x * y for x, y in zip(row, col) if x), F(0)) for col in cols]
-         for row in a.data]
+         for row in a.data],
+        ncols=b.ncols,
     )
 
 
@@ -263,8 +264,6 @@ class TestProduct:
 
     def test_empty_shapes(self):
         empty = Matrix([])
-        # a 0 x k matrix is stored as Matrix([]), so both products below
-        # have no rows; a k x 0 times the empty matrix keeps its k rows
         assert empty * empty == dense_product(empty, empty) == empty
         k_by_0 = Matrix([[], [], []])
         assert k_by_0.nrows == 3 and k_by_0.ncols == 0
@@ -302,6 +301,44 @@ class TestProduct:
             assert lt_z * es.target == dense_product(lt_z, es.target)
             assert lt_z * es.target == g.adjacency()
             assert step * step == dense_product(step, step)
+
+
+class TestShape:
+    """A matrix with no rows keeps its column count, and the shape is part
+    of equality."""
+
+    @staticmethod
+    def shape(a: Matrix):
+        return a.nrows, a.ncols
+
+    def test_zeros_and_transpose(self):
+        assert self.shape(Matrix.zeros(0, 3)) == (0, 3)
+        assert self.shape(Matrix.zeros(3, 0)) == (3, 0)
+        assert self.shape(Matrix.zeros(0, 3).transpose()) == (3, 0)
+        assert self.shape(Matrix.zeros(3, 0).transpose()) == (0, 3)
+        assert Matrix.zeros(3, 0).transpose().transpose() == Matrix.zeros(3, 0)
+        assert self.shape(Matrix([], ncols=4)) == (0, 4)
+        with pytest.raises(ValueError, match="ragged rows"):
+            Matrix([[1, 2]], ncols=3)
+
+    def test_equality_and_hash_include_the_shape(self):
+        assert Matrix.zeros(0, 3) != Matrix.zeros(0, 0)
+        assert Matrix.zeros(0, 3) != Matrix.zeros(0, 2)
+        assert Matrix.zeros(0, 3) == Matrix([], 7, 3)
+        assert len({Matrix.zeros(0, 3), Matrix.zeros(0, 0), Matrix([], ncols=3)}) == 2
+
+    @pytest.mark.parametrize("k, m, n", [(0, 3, 2), (2, 0, 3), (3, 2, 0), (0, 0, 2), (2, 0, 0)])
+    def test_products_and_scalar_maps_keep_the_shape(self, k, m, n):
+        a, b = Matrix.zeros(k, m), Matrix.zeros(m, n)
+        assert self.shape(a * b) == (k, n)
+        assert a * b == dense_product(a, b) == Matrix.zeros(k, n)
+        for got in (a.scale(F(2, 3)), -a, a + a, a - a, a * F(5, 7)):
+            assert self.shape(got) == (k, m)
+
+    def test_solve_with_no_unknowns(self):
+        got = Matrix.identity(0).solve(Matrix.zeros(0, 3))
+        assert self.shape(got) == (0, 3)
+        assert self.shape(Matrix.identity(2).solve(Matrix.zeros(2, 0))) == (2, 0)
 
 
 class TestCharPoly:
@@ -707,7 +744,7 @@ def assert_canonical(a: Matrix):
     assert a.den > 0 and gcd(a.den, *(x for row in a.ints for x in row)) == 1
     assert all(type(x) is int for row in a.ints for x in row)
     assert a.data == tuple(tuple(F(x, a.den) for x in row) for row in a.ints)
-    assert hash(a) == hash((a.ints, a.den))
+    assert hash(a) == hash((a.ints, a.den, a.ncols))
 
 
 class TestIntegerRepresentation:

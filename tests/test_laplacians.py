@@ -37,6 +37,8 @@ from helpers import (
     directed_cycle,
     example1,
     is_strongly_connected,
+    polymatrix_from_coefficients,
+    polynomial_divmod,
     random_connected_graph,
     random_digraph,
     reference_deformed_laplacian,
@@ -50,7 +52,7 @@ from helpers import (
     weighted_3cycle,
 )
 
-X = Polynomial.variable()
+X = Polynomial([0, 1])
 
 
 class TestBuilders:
@@ -99,7 +101,7 @@ class TestBuilders:
         assert b.deformed.eval_at(-1) == b.signless_laplacian
         # deformed equals the undirected-part form plus (t^3 - t)(A - S)
         a_minus_s = b.deformed.coefficient(3)
-        bridge = PolyMatrix.from_coefficients(
+        bridge = polymatrix_from_coefficients(
             [
                 Matrix.zeros(g.n, g.n),
                 -a_minus_s,
@@ -159,7 +161,7 @@ class TestArcBuilder:
     def test_weights_kept_at_tau_zero(self):
         g = weighted_3cycle()
         m = _deformed_laplacian(g, F(0))
-        assert m == PolyMatrix.from_coefficients([Matrix.identity(3), -g.adjacency()])
+        assert m == polymatrix_from_coefficients([Matrix.identity(3), -g.adjacency()])
 
     def test_zero_entries_shared(self):
         m = _deformed_laplacian(directed_cycle(5), F(1, 2))
@@ -183,7 +185,8 @@ class TestSmithGolden:
         # downweighted pruning changes the spectra: apart from the structural
         # +-1/tau factor t^2 - 4, which both carry, the roots are disjoint
         assert poly_gcd(last, last_pruned) == t2m4
-        assert poly_gcd(last // t2m4, last_pruned // t2m4) == Polynomial([1])
+        cofactors = (polynomial_divmod(p, t2m4)[0] for p in (last, last_pruned))
+        assert poly_gcd(*cofactors) == Polynomial([1])
 
     def test_six_vertex_golden(self):
         g = six_vertex_two_component()
@@ -336,11 +339,11 @@ class TestStructuralInvariants:
         tree = undirected_path(4)
         det = polymat_det(directed_dgl(tree))
         unimodular = Polynomial([-1, 0, 1]) ** tree.n
-        assert (unimodular % det).is_zero()
+        assert polynomial_divmod(unimodular, det)[1].is_zero()
         # (b) one cycle of length 3: roots within cube roots of unity and +-1
         det1 = polymat_det(directed_dgl(example1()))
         allowed = (Polynomial([-1, 0, 0, 1]) * Polynomial([-1, 0, 1])) ** example1().n
-        assert (allowed % det1).is_zero()
+        assert polynomial_divmod(allowed, det1)[1].is_zero()
         # (c) two cycles: a root strictly inside (0, 1) exists
         from nbwalks import real_roots
 

@@ -1,5 +1,6 @@
-"""The package's zero-runtime-dependency rule: every module of
-``src/nbwalks`` imports only the standard library or, relatively, itself."""
+"""The package's import rules: every module of ``src/nbwalks`` imports only
+the standard library or, relatively, itself (zero runtime dependencies), and
+every module but ``__init__`` uses each name it imports."""
 
 import ast
 import sys
@@ -18,6 +19,18 @@ def imports(tree):
             yield node.module or "", node.level
 
 
+def unused_imports(tree):
+    """Names bound by the module's imports that no expression reads."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(a.asname or a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(a.asname or a.name for a in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(bound - read)
+
+
 def test_imports_are_stdlib_or_relative():
     assert len(SOURCES) > 10
     for path in SOURCES:
@@ -32,3 +45,16 @@ def test_the_check_sees_a_third_party_import():
     found = [(n, lv) for n, lv in imports(tree)
              if lv == 0 and n.partition(".")[0] not in sys.stdlib_module_names]
     assert found == [("numpy", 0)]
+
+
+def test_every_import_is_used():
+    for path in SOURCES:
+        if path.name != "__init__.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            assert unused_imports(tree) == [], path.name
+
+
+def test_the_check_sees_an_unused_import():
+    tree = ast.parse("from __future__ import annotations\nimport os.path\n"
+                     "from math import isfinite, lcm as least\nx = least(2, os.sep)\n")
+    assert unused_imports(tree) == ["isfinite"]
