@@ -5,15 +5,26 @@ entrywise positive x and irreducible nonnegative M,
 
     min_i (Mx)_i / x_i  <=  rho(M)  <=  max_i (Mx)_i / x_i.
 
+Every exact step reads the integer rows of the matrix over its one
+denominator (`Matrix.ints`, `Matrix.den`): the sign check, the support
+graph, the blocks and the quotients, which are compared by
+cross-multiplication so that only the two bounds become Fractions.
 Floating point is only used to find a good starting vector, by a power
-iteration over the nonzeros of each row that stops at its first exact
-repeat; the reported bounds are rational and rigorous.  A block with an
-entry a float cannot hold, or a row sum that overflows one, is first
-balanced by powers of two (a diagonal similarity and a scale, both exact)
-so that floats can find its vector.  Reducible matrices are
-split into the strongly connected blocks of their support graph and the
-radius is the maximum over blocks, which also avoids zero divisions on
-transient states.
+iteration over the nonzeros of each row.  The float step is a fixed
+function of the iterate, so the loop stops at its first repeated iterate,
+of any period, and returns the iterate the full run would end on; the
+reported bounds are rational and rigorous.
+
+A block with an entry a float cannot hold, or a row sum that overflows
+one, or whose bracket at the float vector is still too wide (a root far
+from 1 makes the float step's shift by the identity negligible), is
+balanced by powers of two: a diagonal similarity and a scale, both exact,
+give a block with root near 1 whose float vector floats can find.  From
+there, exact power steps shifted by the current upper bound tighten the
+bracket at a rate that does not depend on the size of the root.  Reducible
+matrices are split into the strongly connected blocks of their support
+graph and the radius is the maximum over blocks, which also avoids zero
+divisions on transient states.
 """
 
 from __future__ import annotations
@@ -22,14 +33,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from operator import add
+from itertools import chain, compress
+from operator import add, mul
 
 from .errors import IterationBudgetExceededError, NegativeEntryError
-from .exact import Matrix
+from .exact import Matrix, _clear_denominators
 from .graphs import _tarjan_sccs
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
+_FLOOR = Fraction(1, 10**18)  # least entry of a rational iterate
 
 DEFAULT_TOL = Fraction(1, 10**12)
 DEFAULT_ITERATIONS = 10**5
@@ -55,65 +67,81 @@ def _left_sum(values) -> float:
     Since Python 3.12 the built-in ``sum`` adds floats with compensated
     summation, so its last bits, and with them the start vector and the
     certified brackets, would depend on the Python version.  Every float
-    reduction in the package goes through this fold instead, which gives
-    the same floats as ``sum`` before 3.12 on every version.
+    reduction in the package is this fold instead (the power step spells it
+    out over its products), which gives the same floats as ``sum`` before
+    3.12 on every version.
     """
     return reduce(add, values, 0.0)
 
 
-def _check_nonnegative(m: Matrix) -> None:
-    for row in m.data:
-        for x in row:
-            if x < 0:
-                raise NegativeEntryError("matrix must be entrywise nonnegative")
+def _support(m: Matrix) -> list[list[int]]:
+    """The columns of the nonzeros of each row of a nonnegative m."""
+    if min(chain.from_iterable(m.ints), default=0) < 0:
+        raise NegativeEntryError("matrix must be entrywise nonnegative")
+    cols = range(m.nrows)
+    return [list(compress(cols, row)) for row in m.ints]
 
 
 def _blocks(m: Matrix) -> list[list[int]]:
     """Strongly connected blocks of the support digraph of a nonnegative m."""
-    _check_nonnegative(m)
-    n = m.nrows
-    return _tarjan_sccs(n, [[j for j in range(n) if m.data[i][j]] for i in range(n)])
+    return _tarjan_sccs(m.nrows, _support(m))
 
 
 def is_nilpotent(m: Matrix) -> bool:
     """True when the support digraph of a nonnegative matrix is acyclic."""
-    return all(len(b) == 1 and not m.data[b[0]][b[0]] for b in _blocks(m))
+    return all(len(b) == 1 and not m.ints[b[0]][b[0]] for b in _blocks(m))
 
 
-def _float_rows(block):
+def _floats(block, den):
+    """The sparse integer rows over den as (columns, floats) rows.  int / int
+    rounds correctly, so each float is that of the Fraction entry."""
+    return [(ks, [b / den for b in bs]) for ks, bs in block]
+
+
+def _float_rows(block, den):
     """The block in floats, or None when an entry overflows a float, a
     nonzero entry underflows to 0, or a row sum plus 1 overflows (a power
     step on a vector of entries at most 1 would then reach infinity)."""
     try:
-        fm = [[float(x) for x in row] for row in block]
+        rows = _floats(block, den)
     except OverflowError:
         return None
-    fits = all(f or not x for row, frow in zip(block, fm) for x, f in zip(row, frow))
-    return fm if fits and all(math.isfinite(_left_sum(row) + 1.0) for row in fm) else None
+    fits = all(all(fs) and math.isfinite(_left_sum(fs) + 1.0) for _, fs in rows)
+    return rows if fits else None
 
 
-def _float_power_vector(fm, iterations=400):
-    """Approximate Perron vector of fm + I in floating point.
+def _float_power_vector(rows, iterations=400):
+    """Approximate Perron vector of M + I in floating point: the iterate
+    after `iterations` normalised steps from all ones, for the rows of M
+    as (columns, floats) pairs.
 
-    Each step sums over the nonzeros of a row only: the skipped terms are
-    0.0 * x[k] = 0.0 with x finite and nonnegative, and adding them leaves a
-    float sum unchanged, so every iterate is the one of the dense step.  An
-    iterate equal to the previous one is a fixed point of the step, so the
-    loop returns it at once: the remaining steps would only repeat it.
+    Each step sums over the nonzeros of a row only, left to right from 0.0:
+    the skipped terms are 0.0 * x[k] = 0.0 with x finite and nonnegative,
+    and adding them leaves a float sum unchanged, so every iterate is the
+    one of the dense step.  The step is a fixed function of x, so once
+    iterate k equals an earlier iterate j the iterates repeat with period
+    k - j, and the loop returns iterate j + (iterations - j) mod (k - j),
+    which is the last one.
     """
-    n = len(fm)
-    rows = [[(k, f) for k, f in enumerate(row) if f] for row in fm]
-    x = [1.0] * n
-    for _ in range(iterations):
-        y = [_left_sum(f * x[k] for k, f in row) + x[i] for i, row in enumerate(rows)]
+    x = [1.0] * len(rows)
+    seen = {}
+    history = []
+    for k in range(iterations):
+        j = seen.setdefault(tuple(x), k)
+        if j != k:
+            return history[j + (iterations - j) % (k - j)]
+        history.append(x)
+        y = [reduce(add, map(mul, fs, map(x.__getitem__, ks)), 0.0) + x[i]
+             for i, (ks, fs) in enumerate(rows)]
         top = max(y)
-        if top == 0:
-            return [1.0] * n
-        y = [v / top for v in y]
-        if y == x:
-            return x
-        x = y
+        x = [v / top for v in y]
     return x
+
+
+def _start_vector(rows):
+    """The float Perron vector rationalized, clamped positive."""
+    x = [Fraction(v).limit_denominator(10**15) for v in _float_power_vector(rows)]
+    return [v if v > 0 else _FLOOR for v in x]
 
 
 def _log2_sum(values):
@@ -121,19 +149,22 @@ def _log2_sum(values):
     return top + math.log2(_left_sum(2.0 ** (v - top) for v in values))
 
 
-def _balancing_exponents(block, iterations=400):
-    """Integers s and d_i such that diag(2**-d) block diag(2**d) / 2**s has
-    Perron root near 1 and Perron vector near all ones.
+def _balancing_exponents(block, den, iterations=400):
+    """Integers s and d_i such that diag(2**-d) B diag(2**d) / 2**s has
+    Perron root near 1 and Perron vector near all ones, for B the sparse
+    integer rows block over den.
 
     Power iteration on base-2 logarithms, which no entry overflows: first
     unshifted, averaging the growth per step for log2 of the root, then
-    shifted by the identity on block / 2**s for log2 of the vector.
+    shifted by the identity on B / 2**s for log2 of the vector.
     """
-    rows = [
-        [(j, math.log2(x.numerator) - math.log2(x.denominator))
-         for j, x in enumerate(row) if x]
-        for row in block
-    ]
+    rows = []
+    for ks, bs in block:
+        # each entry in lowest terms, so that its logarithm does not depend
+        # on the denominator the block is written over
+        entries = [Fraction(b, den) for b in bs]
+        rows.append([(k, math.log2(x.numerator) - math.log2(x.denominator))
+                     for k, x in zip(ks, entries)])
     x = [0.0] * len(rows)
     growth = 0.0
     for _ in range(iterations):
@@ -150,62 +181,74 @@ def _balancing_exponents(block, iterations=400):
     return s, [round(v) for v in x]
 
 
-def _block_radius(block, tol, budget):
-    """Certified bracket for one irreducible block given as Fraction rows."""
-    n = len(block)
-    if n == 1:
-        d = block[0][0]
-        return d, d, 0
-    fm = _float_rows(block)
-    scale = _ONE
-    if fm is None:
-        # iterate on a similar block with the same Perron root over 2**s,
-        # whose entries are at most a few units (what still underflows is
-        # negligible); the unit 2**-s below keeps the stopping rule
-        # tol * max(1, upper) of the given block
-        s, d = _balancing_exponents(block)
-        two = Fraction(2)
-        scale = two**s
-        block = [
-            [x * two ** (d[j] - d[i] - s) if x else x for j, x in enumerate(row)]
-            for i, row in enumerate(block)
-        ]
-        fm = [[float(x) for x in row] for row in block]
-    unit = 1 / scale
+def _balanced(block, den):
+    """A block similar to block / 2**s with root near 1, as sparse integer
+    rows over a new denominator; returns (rows, denominator, 2**s).  Its
+    entries are at most a few units; what still underflows a float is
+    negligible."""
+    s, d = _balancing_exponents(block, den)
+    e = max(0, max(d[i] - d[k] + s for i, (ks, _) in enumerate(block) for k in ks))
+    rows = [(ks, [b << (d[k] - d[i] - s + e) for k, b in zip(ks, bs)])
+            for i, (ks, bs) in enumerate(block)]
+    return rows, den << e, Fraction(2)**s
 
-    # starting vector: rationalized float Perron vector, clamped positive
-    approx = _float_power_vector(fm)
-    floor = Fraction(1, 10**18)
-    x = []
-    for v in approx:
-        f = Fraction(v).limit_denominator(10**15)
-        x.append(f if f > 0 else floor)
 
-    support = [[(k, a) for k, a in enumerate(row) if a] for row in block]
+def _collatz_wielandt(block, xs):
+    """The least and greatest (B xs)_i / xs_i, and B xs, for the sparse
+    integer rows B and a positive integer vector xs."""
+    y = [sum(map(mul, bs, map(xs.__getitem__, ks))) for ks, bs in block]
+    lo = hi = 0
+    for i in range(1, len(y)):
+        if y[i] * xs[lo] < y[lo] * xs[i]:
+            lo = i
+        elif y[i] * xs[hi] > y[hi] * xs[i]:
+            hi = i
+    return Fraction(y[lo], xs[lo]), Fraction(y[hi], xs[hi]), y
+
+
+def _block_radius(block, den, tol, budget):
+    """Certified bracket for one irreducible block, given as sparse integer
+    rows (columns, entries) standing for each entry / den.
+
+    The float vector of the block itself comes first.  When the block is
+    out of float range, or the bracket at that vector is wider than
+    tol * max(1, upper), the balanced block gives a new vector, and exact
+    power steps from there tighten the bracket; only those steps count as
+    iterations.
+    """
+    rows = _float_rows(block, den)
+    if rows is not None:
+        xs, _ = _clear_denominators(_start_vector(rows))
+        lo, hi, _ = _collatz_wielandt(block, xs)
+        lo, hi = lo / den, hi / den
+        if hi - lo <= tol * max(1, hi):
+            return lo, hi, 0
+    block, den, unit = _balanced(block, den)
+    scale = unit / den  # from the balanced block's units to the given block's
+    x = _start_vector(_floats(block, den))
     iterations = 0
     lo_best, hi_best = _ZERO, None
     while True:
-        y = [sum((a * x[k] for k, a in row), _ZERO) for row in support]
-        ratios = [y[i] / x[i] for i in range(n)]
-        lo = min(ratios)
-        hi = max(ratios)
+        xs, _ = _clear_denominators(x)
+        lo, hi, y = _collatz_wielandt(block, xs)
+        lo, hi = lo * scale, hi * scale
         if hi_best is None or hi < hi_best:
             hi_best = hi
         if lo > lo_best:
             lo_best = lo
-        if hi_best - lo_best <= tol * max(unit, hi_best):
-            return lo_best * scale, hi_best * scale, iterations
+        if hi_best - lo_best <= tol * max(1, hi_best):
+            return lo_best, hi_best, iterations
         iterations += 1
         if iterations > budget:
             raise IterationBudgetExceededError(
                 f"bracket width {float(hi_best - lo_best)} after {budget} iterations"
             )
-        # shifted step keeps periodic blocks converging
-        top = max(y[i] + x[i] for i in range(n))
-        x = [
-            max(((y[i] + x[i]) / top).limit_denominator(10**30), floor)
-            for i in range(n)
-        ]
+        # shifted by the upper bound, so that periodic blocks converge at a
+        # rate that does not depend on the size of their root
+        shift = hi_best / scale
+        z = [shift.denominator * v + shift.numerator * w for v, w in zip(y, xs)]
+        top = max(z)
+        x = [max(Fraction(v, top).limit_denominator(10**30), _FLOOR) for v in z]
 
 
 def perron_radius(m: Matrix, tol=DEFAULT_TOL, budget=DEFAULT_ITERATIONS) -> PerronResult:
@@ -216,21 +259,27 @@ def perron_radius(m: Matrix, tol=DEFAULT_TOL, budget=DEFAULT_ITERATIONS) -> Perr
     Collatz-Wielandt brackets tightened by shifted power iteration, and the
     result is the blockwise maximum.
     """
+    support = _support(m)
     lo_all, hi_all = _ZERO, _ZERO
     iterations = 0
     trivial = True
-    for verts in _blocks(m):
+    for verts in _tarjan_sccs(m.nrows, support):
         if len(verts) == 1:
             v = verts[0]
-            d = m.data[v][v]
+            d = m.ints[v][v]
             if d:
                 trivial = False
+                d = Fraction(d, m.den)
                 lo_all = max(lo_all, d)
                 hi_all = max(hi_all, d)
             continue
         trivial = False
-        sub = [[m.data[i][j] for j in verts] for i in verts]
-        lo, hi, its = _block_radius(sub, tol, budget)
+        local = {v: i for i, v in enumerate(verts)}
+        block = []
+        for v in verts:
+            cols = [j for j in support[v] if j in local]
+            block.append(([local[j] for j in cols], list(map(m.ints[v].__getitem__, cols))))
+        lo, hi, its = _block_radius(block, m.den, tol, budget)
         iterations += its
         lo_all = max(lo_all, lo)
         hi_all = max(hi_all, hi)

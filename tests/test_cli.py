@@ -434,6 +434,20 @@ class TestExtremeWeights:
         rho = doc["payload"]["rho"]
         assert F(rho["lower"]) ** 3 <= weight <= F(rho["upper"]) ** 3
 
+    @pytest.mark.parametrize("exponent, iterations", [(8, 0), (14, 0), (300, 0), (2000, 44)])
+    def test_weighted_radius_far_from_one(self, tmp_path, exponent, iterations):
+        # the Perron root 10**(exponent/3) is far from 1, in and past the
+        # float range; the bracket still closes in a few exact steps
+        path = tmp_path / "far.tsv"
+        path.write_text(f"a\tb\t1e{exponent}\nb\tc\t1\nc\ta\t1\nb\ta\t1\n")
+        code, doc = run_command(["radius", "--mode", "weighted", str(path)])
+        assert code == 0
+        rho = doc["payload"]["rho"]
+        lower, upper = F(rho["lower"]), F(rho["upper"])
+        assert lower**3 <= 10**exponent <= upper**3
+        assert upper - lower <= F(1, 10**12) * max(1, upper)
+        assert rho["iterations"] == iterations
+
     def test_weighted_centrality(self, extreme):
         path, weight = extreme
         t = "1/10" if weight < 1 else f"1/{10**134}"

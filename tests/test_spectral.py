@@ -165,18 +165,42 @@ class TestExtremeEntries:
             assert scaled.width <= TOL * scaled.upper
 
     def test_float_range_blocks_take_the_balanced_path(self):
-        assert _float_rows([[F(0), F(1)], [F(2), F(0)]]) == [[0.0, 1.0], [2.0, 0.0]]
-        assert _float_rows([[F(0), F(10**400)], [F(1), F(0)]]) is None
-        assert _float_rows([[F(0), F(1, 10**400)], [F(1), F(0)]]) is None
+        assert _float_rows(*integer_rows([[F(0), F(1)], [F(2), F(0)]])) == [
+            ([1], [1.0]), ([0], [2.0])]
+        assert _float_rows(*integer_rows([[F(0), F(10**400)], [F(1), F(0)]])) is None
+        assert _float_rows(*integer_rows([[F(0), F(1, 10**400)], [F(1), F(0)]])) is None
+
+    @pytest.mark.parametrize("k", [6, 12, 20, 100, 300])
+    def test_root_far_from_one_within_float_range(self, k):
+        # the float step's shift by the identity is negligible against the
+        # root 10**(k/3), so the float vector of the block itself is poor;
+        # the balanced block's vector closes the bracket with no exact step
+        corner = 10**k
+        pr = perron_radius(Matrix([[0, 1, 0], [0, 0, 1], [corner, 0, 0]]), budget=5)
+        assert pr.iterations == 0
+        assert pr.lower**3 <= corner <= pr.upper**3
+        assert pr.width <= TOL * pr.upper
+
+    @pytest.mark.parametrize("k, iterations", [(2000, 44), (3000, 56)])
+    def test_rounded_balancing_scale_iterates_briefly(self, k, iterations):
+        # the balancing scale 2**s misses the root by a factor of about 2**11
+        # here; exact steps shifted by the upper bound still converge fast
+        corner = 10**k
+        pr = perron_radius(Matrix([[0, 1, 0], [0, 0, 1], [corner, 0, 0]]), budget=100)
+        assert pr.iterations == iterations
+        assert pr.lower**3 <= corner <= pr.upper**3
+        assert pr.width <= TOL * pr.upper
 
 
 def reference_power_vector(fm, iterations=400):
-    """All 400 dense float power steps (the start vector before the sparse
-    loop); also returns the first step whose iterate repeats, or None.
-    Each row sum adds left to right, as the package does on every Python
-    version (``sum`` compensates since 3.12)."""
+    """All dense float power steps (the start vector before the sparse loop
+    that stops at a repeat); also returns (j, p) for the first iterate that
+    repeats iterate j, after p steps, or None.  Each row sum adds left to
+    right, as the package does on every Python version (``sum``
+    compensates since 3.12)."""
     n = len(fm)
     x = [1.0] * n
+    seen = {tuple(x): 0}
     repeat = None
     for step in range(1, iterations + 1):
         y = []
@@ -189,10 +213,23 @@ def reference_power_vector(fm, iterations=400):
         if top == 0:
             return [1.0] * n, repeat
         y = [v / top for v in y]
-        if repeat is None and y == x:
-            repeat = step
+        if repeat is None:
+            j = seen.setdefault(tuple(y), step)
+            if j != step:
+                repeat = (j, step - j)
         x = y
     return x, repeat
+
+
+def integer_rows(block):
+    """A dense Fraction block as sparse integer rows over one denominator."""
+    m = Matrix(block)
+    return [([k for k, b in enumerate(row) if b], [b for b in row if b])
+            for row in m.ints], m.den
+
+
+def sparse_floats(fm):
+    return [([k for k, f in enumerate(row) if f], [f for f in row if f]) for row in fm]
 
 
 def irreducible_blocks(m):
@@ -201,27 +238,51 @@ def irreducible_blocks(m):
             yield [[m.data[i][j] for j in verts] for i in verts]
 
 
-class TestFloatPowerVector:
-    """The sparse loop that stops at its first exact repeat returns the
-    vector of 400 dense steps, bit for bit."""
+def hashimoto_blocks(seed, graphs=12):
+    rng = random.Random(seed)
+    for _ in range(graphs):
+        g = random_digraph(rng, rng.randint(4, 7), rng.choice([0.3, 0.5]),
+                           weighted=rng.random() < 0.5)
+        yield from irreducible_blocks(v_similar(build_edge_space(g)))
 
-    def check(self, fm):
-        want, repeat = reference_power_vector(fm)
-        got = _float_power_vector(fm)
+
+class TestFloatPowerVector:
+    """The sparse loop that stops at its first repeated iterate returns the
+    vector of all dense steps, bit for bit."""
+
+    def check(self, fm, iterations=400):
+        want, repeat = reference_power_vector(fm, iterations)
+        got = _float_power_vector(sparse_floats(fm), iterations)
         assert [v.hex() for v in got] == [v.hex() for v in want]
         return repeat
 
     def test_seeded_hashimoto_blocks(self):
-        rng = random.Random(7)
         repeats = []
-        for _ in range(12):
-            g = random_digraph(rng, rng.randint(4, 7), rng.choice([0.3, 0.5]),
-                               weighted=rng.random() < 0.5)
-            for block in irreducible_blocks(v_similar(build_edge_space(g))):
-                repeats.append(self.check(_float_rows(block)))
-        # both kinds occur: blocks that settle early and blocks that never do
-        assert None in repeats
-        assert any(r is not None and r > 1 for r in repeats)
+        for block in hashimoto_blocks(7):
+            fm = [[float(x) for x in row] for row in block]
+            # integer rows over one denominator give the Fractions' floats
+            assert _float_rows(*integer_rows(block)) == sparse_floats(fm)
+            repeats.append(self.check(fm))
+        # both kinds occur: blocks that settle on a fixed point after many
+        # steps and blocks that never do, entering a longer cycle instead
+        assert any(p == 1 and j > 1 for j, p in repeats)
+        assert any(p > 1 for _, p in repeats)
+
+    def test_blocks_that_cycle(self):
+        # iterates that enter a cycle of period 2 or more never reach a fixed
+        # point; the loop stops at the first repeat and picks the iterate
+        # the full run ends on, also where the run ends mid-period
+        periods, offsets = set(), set()
+        for block in hashimoto_blocks(5):
+            fm = [[float(x) for x in row] for row in block]
+            for iterations in (400, 401):
+                repeat = self.check(fm, iterations)
+                j, p = repeat
+                if p > 1:
+                    periods.add(p)
+                    offsets.add((iterations - j) % p)
+        assert {3, 4, 5} <= periods
+        assert len(offsets) > 1
 
     def test_balanced_block(self):
         rng = random.Random(41)
@@ -229,8 +290,8 @@ class TestFloatPowerVector:
         step = v_similar(build_edge_space(g)).scale(F(10**400))
         checked = 0
         for block in irreducible_blocks(step):
-            assert _float_rows(block) is None
-            s, d = _balancing_exponents(block)
+            assert _float_rows(*integer_rows(block)) is None
+            s, d = _balancing_exponents(*integer_rows(block))
             fm = [[float(x * F(2) ** (d[j] - d[i] - s)) for j, x in enumerate(row)]
                   for i, row in enumerate(block)]
             self.check(fm)
@@ -240,7 +301,7 @@ class TestFloatPowerVector:
     def test_row_sums_past_float_range_are_balanced(self):
         # every entry is a float, but a power step would overflow to inf
         huge = F(10**308)
-        assert _float_rows([[huge, huge], [huge, huge]]) is None
+        assert _float_rows(*integer_rows([[huge, huge], [huge, huge]])) is None
         es = build_edge_space(complete_undirected(4))
         pr = perron_radius(es.hashimoto.scale(huge))
         assert pr.lower <= 2 * huge <= pr.upper
