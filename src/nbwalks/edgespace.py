@@ -76,6 +76,14 @@ class EdgeSpace:
     def weight_diag(self) -> Matrix:
         return Matrix.diagonal(self.weights)
 
+    @cached_property
+    def ihara_det(self) -> list[Fraction]:
+        """Coefficients of det(I - t B Z), ascending, B = hashimoto and Z =
+        weight_diag.  On a unit graph Z = I and this is det(I - t B), so the
+        Ihara and weighted-Ihara certificates of one edge space share it."""
+        step = self.hashimoto if self.graph.is_unweighted() else v_similar(self)
+        return step.det_one_minus_t()
+
 
 def build_edge_space(g: Graph) -> EdgeSpace:
     """The arc arrays of a graph, in O(m * degree).

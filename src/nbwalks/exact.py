@@ -10,19 +10,24 @@ are a read-only view, `data`, built on first read.
 Products run sparse over the nonzeros of the left factor's rows, so the 0/1
 edge-space matrices cost what their nonzeros cost; that inner loop is the
 one product kernel `_int_product`, which the walk recurrence also calls
-directly.  Characteristic polynomials come from Berkowitz's division-free
-algorithm.  Determinants, `solve`, `inverse` and `rank` run one
-fraction-free elimination, `_fraction_free` (Bareiss 1968): forward for a
-determinant or the rank, Gauss-Jordan for a solve, whose solution is then
-the eliminated right-hand side over a single integer denominator.
+directly.  A characteristic polynomial is the product of those of the
+diagonal blocks that the strongly connected components of the nonzero
+pattern (`_tarjan_sccs`, the package's one SCC routine) cut the matrix
+into, each from Berkowitz's division-free algorithm.  Determinants,
+`solve`, `inverse` and `rank` run one fraction-free elimination,
+`_fraction_free` (Bareiss 1968): forward for a determinant or the rank,
+Gauss-Jordan for a solve, whose solution is then the eliminated right-hand
+side over a single integer denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 
 from .errors import NotSquareError
+from .zpoly import _zmul
 
 
 def _frac(x) -> Fraction:
@@ -217,38 +222,113 @@ class Matrix:
     def char_poly(self):
         """Coefficients of det(t*I - self), ascending, as Fractions.
 
-        Berkowitz's division-free algorithm on the integer rows N = den *
-        self: growing the leading principal block by row and column r
-        multiplies the descending coefficients of its characteristic
-        polynomial by the Toeplitz matrix of [1, -N_rr, -R C, -R A C, ...,
-        -R A^(r-1) C], with C the column above the diagonal, R the row left
-        of it and A the block so far.  Exact over Z with no division; the
-        coefficient of t^(n-k) is then e_k / den**k.  Monic, degree n.
+        Permuting rows and columns together does not change the
+        characteristic polynomial, and ordering the strongly connected
+        components of the nonzero pattern (entries of any sign) topologically
+        makes the matrix block triangular.  So it is the product of the
+        blocks' characteristic polynomials: t - a_ii for a 1x1 block, and
+        Berkowitz's division-free algorithm (`_berkowitz`) on the integer
+        rows N = den * block of a larger one.  The product is exact over Z;
+        the coefficient of t^(n-k) is then e_k / den**k.  Monic, degree n.
         """
         if not self.is_square():
             raise NotSquareError(f"{self.nrows}x{self.ncols} matrix")
         n = self.nrows
-        nmat = self.ints
+        ints = self.ints
+        cols = range(n)
         coeffs = [1]
-        block = []  # nonzero (k, x) of each row of the leading r x r block
-        for r in range(n):
-            left = [(k, x) for k, x in enumerate(nmat[r][:r]) if x]
-            t = [1, -nmat[r][r]]
-            v = [nmat[i][r] for i in range(r)]
-            for _ in range(r):
-                t.append(-sum(x * v[k] for k, x in left))
-                v = [sum(x * v[k] for k, x in row) for row in block]
-            coeffs = [sum(t[i - j] * coeffs[j] for j in range(min(i, r) + 1))
-                      for i in range(r + 2)]
-            for i, row in enumerate(block):
-                if nmat[i][r]:
-                    row.append((r, nmat[i][r]))
-            block.append([(k, x) for k, x in enumerate(nmat[r][:r + 1]) if x])
-        return [Fraction(e, self.den**k) for k, e in enumerate(coeffs)][::-1]
+        for b in _tarjan_sccs(n, [list(compress(cols, row)) for row in ints]):
+            if len(b) == 1:
+                factor = [1, -ints[b[0]][b[0]]]
+            else:  # one block is the whole matrix, read in place
+                factor = _berkowitz(ints if len(b) == n else
+                                    [[ints[i][j] for j in b] for i in b])
+            coeffs = _zmul(coeffs, factor)
+        den = self.den
+        return [Fraction(e, den**k) for k, e in enumerate(coeffs)][::-1]
 
     def det_one_minus_t(self):
         """Coefficients of det(I - t*self), ascending; reversal of char_poly."""
         return self.char_poly()[::-1]
+
+
+def _berkowitz(nmat) -> list[int]:
+    """Descending coefficients [1, e_1, ..., e_n] of det(t*I - N) for the
+    square integer rows N, by Berkowitz's division-free algorithm.
+
+    Growing the leading principal block by row and column r multiplies the
+    descending coefficients of its characteristic polynomial by the
+    Toeplitz matrix of [1, -N_rr, -R C, -R A C, ..., -R A^(r-1) C], with C
+    the column above the diagonal, R the row left of it and A the block so
+    far.  Exact over Z with no division.
+    """
+    coeffs = [1]
+    block = []  # nonzero (k, x) of each row of the leading r x r block
+    for r in range(len(nmat)):
+        left = [(k, x) for k, x in enumerate(nmat[r][:r]) if x]
+        t = [1, -nmat[r][r]]
+        v = [nmat[i][r] for i in range(r)]
+        for _ in range(r):
+            t.append(-sum(x * v[k] for k, x in left))
+            v = [sum(x * v[k] for k, x in row) for row in block]
+        coeffs = [sum(t[i - j] * coeffs[j] for j in range(min(i, r) + 1))
+                  for i in range(r + 2)]
+        for i, row in enumerate(block):
+            if nmat[i][r]:
+                row.append((r, nmat[i][r]))
+        block.append([(k, x) for k, x in enumerate(nmat[r][:r + 1]) if x])
+    return coeffs
+
+
+def _tarjan_sccs(n: int, out: list[list[int]]) -> list[list[int]]:
+    """Strongly connected components of the digraph on 0..n-1 whose vertex
+    v has the out-neighbours out[v], by iterative Tarjan; each component
+    is sorted, and they come in reverse topological order (a component
+    only reaches components listed before it)."""
+    index_of = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    sccs: list[list[int]] = []
+    counter = 0
+    for root in range(n):
+        if index_of[root] != -1:
+            continue
+        work = [(root, 0)]
+        while work:
+            v, pi = work[-1]
+            if pi == 0:
+                index_of[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = True
+            advanced = False
+            while pi < len(out[v]):
+                w = out[v][pi]
+                pi += 1
+                if index_of[w] == -1:
+                    work[-1] = (v, pi)
+                    work.append((w, 0))
+                    advanced = True
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index_of[w])
+            if advanced:
+                continue
+            work.pop()
+            if low[v] == index_of[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp.append(w)
+                    if w == v:
+                        break
+                sccs.append(sorted(comp))
+            if work:
+                u, _ = work[-1]
+                low[u] = min(low[u], low[v])
+    return sccs
 
 
 def _int_product(left, right, width: int) -> list[list[int]]:

@@ -17,7 +17,7 @@ from .errors import (
     NotUndirectedError,
     WeightedUnsupportedError,
 )
-from .exact import Matrix
+from .exact import Matrix, _tarjan_sccs
 
 _ONE = Fraction(1)
 
@@ -157,54 +157,6 @@ class ComponentReport:
 
     def cycle_classes(self) -> tuple[str, ...]:
         return tuple(c.cycle_class for c in self.components)
-
-
-def _tarjan_sccs(n: int, out: list[list[int]]) -> list[list[int]]:
-    """Strongly connected components, iterative Tarjan."""
-    index_of = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    sccs: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index_of[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index_of[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            while pi < len(out[v]):
-                w = out[v][pi]
-                pi += 1
-                if index_of[w] == -1:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index_of[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index_of[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(sorted(comp))
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
-    return sccs
 
 
 def cycle_class_of(n: int, arc_count: int, reciprocated: int) -> str:

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import prod
 
-from .edgespace import EdgeSpace, build_edge_space, downweighted_transfer, v_similar
+from .edgespace import EdgeSpace, build_edge_space, downweighted_transfer
 from .errors import TauOutOfRangeError
-from .exact import Matrix, _bareiss_int_det, _clear_denominators
+from .exact import Matrix, _bareiss_int_det, _clear_denominators, _tarjan_sccs
 from .graphs import Graph
 from .laplacians import _deformed_laplacian, structure_matrices
 from .polys import Polynomial, polymat_det
@@ -95,46 +94,52 @@ def _cross_multiply(edge_side: Polynomial, vertex_side: Polynomial, base: Polyno
 
 def _tau_ihara_sides(g: Graph, es: EdgeSpace, tau: Fraction):
     """det(I - t(tau B + (1 - tau) W)) and det M_tau(t), cross-multiplied by
-    (1 - tau**2 t**2)**(b - n)."""
-    lhs = _det_one_minus_t(downweighted_transfer(es, tau))
+    (1 - tau**2 t**2)**(b - n).  At tau = 1 the edge side is the edge
+    space's det(I - t B), shared with the weighted-Ihara check."""
+    if tau == 1:
+        lhs = Polynomial(es.ihara_det)
+    else:
+        lhs = _det_one_minus_t(downweighted_transfer(es, tau))
     rhs = polymat_det(_deformed_laplacian(g, tau))
     base = Polynomial([1, 0, -(tau * tau)])
     return _cross_multiply(lhs, rhs, base, es.reciprocal_pair_count - g.n)
 
 
-def verify_ihara_digraph(g: Graph) -> IdentityCertificate:
+def verify_ihara_digraph(g: Graph, es: EdgeSpace | None = None) -> IdentityCertificate:
     """det(I - t B) against (1 - t**2)**(b - n) det M(t), cross-multiplied:
-    the tau = 1 case of verify_tau_ihara."""
+    the tau = 1 case of verify_tau_ihara.  ``es``, when given, is the edge
+    space of g, so that a run checking several identities builds one (as
+    in every verifier here)."""
     g.require_unweighted("verify_ihara_digraph")
-    es = build_edge_space(g)
+    es = build_edge_space(g) if es is None else es
     lhs, rhs = _tau_ihara_sides(g, es, _ONE)
     return _det_certificate("ihara_digraph", lhs, rhs, _summary(g, es))
 
 
-def verify_tau_ihara(g: Graph, tau) -> IdentityCertificate:
+def verify_tau_ihara(g: Graph, tau, es: EdgeSpace | None = None) -> IdentityCertificate:
     """Downweighted identity: det(I - t(tau B + (1 - tau) W)) against
     (1 - tau**2 t**2)**(b - n) det M_tau(t)."""
     g.require_unweighted("verify_tau_ihara")
     tau = Fraction(tau)
     if not 0 <= tau <= 1:
         raise TauOutOfRangeError(f"tau={tau} outside [0, 1]")
-    es = build_edge_space(g)
+    es = build_edge_space(g) if es is None else es
     lhs, rhs = _tau_ihara_sides(g, es, tau)
     return _det_certificate(
         "tau_ihara", lhs, rhs, _summary(g, es), details={"tau": str(tau)}
     )
 
 
-def verify_flanders(g: Graph) -> IdentityCertificate:
+def verify_flanders(g: Graph, es: EdgeSpace | None = None) -> IdentityCertificate:
     """Line-graph determinant identity det(I - t W) = det(I - t A)."""
     g.require_unweighted("verify_flanders")
-    es = build_edge_space(g)
+    es = build_edge_space(g) if es is None else es
     lhs = _det_one_minus_t(es.line_graph)
     rhs = _det_one_minus_t(g.adjacency())
     return _det_certificate("flanders", lhs, rhs, _summary(g, es))
 
 
-def verify_weighted_ihara(g: Graph) -> IdentityCertificate:
+def verify_weighted_ihara(g: Graph, es: EdgeSpace | None = None) -> IdentityCertificate:
     """Weighted identity in square-root-free form.
 
     The claim det Phi(A, t) = prod_i (1 - t**2 w_i w_i') / det(I - t V) is
@@ -150,7 +155,7 @@ def verify_weighted_ihara(g: Graph) -> IdentityCertificate:
 
     The product side is enumerated straight from the reciprocal edge pairs.
     """
-    es = build_edge_space(g)
+    es = build_edge_space(g) if es is None else es
     summary = _summary(g, es)
     if es.m == 0:
         one = Polynomial([1])
@@ -165,7 +170,7 @@ def verify_weighted_ihara(g: Graph) -> IdentityCertificate:
 
     collapse = (es.hashimoto - es.line_graph) * es.weight_diag
     lhs = _det_one_minus_t(collapse)
-    g_poly = Polynomial(v_similar(es).det_one_minus_t())  # det(I - t B Z)
+    g_poly = Polynomial(es.ihara_det)  # det(I - t B Z)
 
     samples_ok, checked = _vertex_sample_check(es, g_poly, rhs, 2 * (g.n + es.m) + 1)
 
@@ -186,7 +191,7 @@ def _vertex_sample_check(es, g_poly, rhs, count):
     rational sample points, in vertex space.
 
     Woodbury gives Phi(t) = (I - X(t))^-1 for an n-by-n X(t) read off the
-    arcs (`_vertex_rows`).  At t = p/q, s = q * ell (ell the weights'
+    arcs (`_VertexPlan`).  At t = p/q, s = q * ell (ell the weights'
     common denominator), the integer rows Y have det(Y) = s**(n + 2 r) *
     P(t)**2 * det(I - X(t)), r the number of reciprocated arcs and P the
     pair product, so with g(t) = gn / (gd * g_lcm) and rhs(t) =
@@ -194,8 +199,15 @@ def _vertex_sample_check(es, g_poly, rhs, count):
     det(Y) * gd * g_lcm * rd * r_lcm == s**(n + 2 r) * gn * rn.
     Both sides are polynomial in p, so it holds also where some
     1 - t**2 w w' is 0; points where g(t) = 0 are skipped.
+
+    Y[u][v] can be nonzero off the diagonal only where the graph has the
+    arc u -> v, at every t.  So the strongly connected components of the
+    graph, ordered topologically, make every Y block triangular, and
+    det(Y) is the product of the determinants of its diagonal blocks.  The
+    plan finds them once for all the points.
     """
     z, ell = _clear_denominators(es.weights)
+    plan = _VertexPlan(es, z)
     g_ints, g_lcm = g_poly.ints, g_poly.den
     r_ints, r_lcm = rhs.ints, rhs.den
     power = es.graph.n + 4 * es.reciprocal_pair_count  # n + 2 r
@@ -209,45 +221,103 @@ def _vertex_sample_check(es, g_poly, rhs, count):
             continue
         rn, rd = _zhomogeneous(r_ints, p, q)
         s = q * ell
-        y = _bareiss_int_det(_vertex_rows(es, z, p, s))
+        y = plan.det(p, s)
         if y * gd * g_lcm * rd * r_lcm != s**power * gn * rn:
             return False, checked
         checked += 1
     return True, checked
 
 
-def _vertex_rows(es, z, p, s):
-    """Row u of I - X(t) times s * prod a_e over the reciprocated arcs e
-    leaving u, in integers, at t = p/q, s = q * ell and z = ell * w.
+class _VertexPlan:
+    """The integer rows Y of I - X(t), as a plan fixed by the arcs and the
+    integer weights z = ell * w, filled in at each t = p/q with s = q * ell.
 
-    With B = R L^T - Delta, X(t) = t L^T Z (I + t Delta Z)^-1 R: a one-way
-    arc u -> v adds t w at (u, v), an arc whose reverse has weight w' adds
-    t w / (1 - t**2 w w') at (u, v) and -t**2 w w' / (1 - t**2 w w') at
-    (u, u).  So with c_e = p**2 z_e z_rev(e) and a_e = s**2 - c_e,
-    Y[u][u] = s (prod a + sum_e c_e prod_{f != e} a_f), and Y[u][v] is
+    Row u of Y is row u of I - X(t) times s * prod a_e over the
+    reciprocated arcs e leaving u.  With B = R L^T - Delta, X(t) =
+    t L^T Z (I + t Delta Z)^-1 R: a one-way arc u -> v adds t w at (u, v),
+    an arc whose reverse has weight w' adds t w / (1 - t**2 w w') at (u, v)
+    and -t**2 w w' / (1 - t**2 w w') at (u, u).  So with c_e =
+    p**2 z_e z_rev(e) and a_e = s**2 - c_e, Y[u][u] =
+    s (prod a + sum_e c_e prod_{f != e} a_f), and Y[u][v] is
     -p z_e prod a (one-way) or -p z_e s**2 prod_{f != e} a_f.
+
+    ``arcs[u]`` holds the one-way arcs leaving u as (head, z_e) and the
+    reciprocated ones as (head, z_e, z_e z_rev(e)).  ``blocks`` are the
+    strongly connected components of the graph; ``inner`` holds, for each
+    block of two or more vertices, the same arcs restricted to the block,
+    heads numbered within it, and ``singletons`` counts the others.
     """
-    n = es.graph.n
+
+    __slots__ = ("arcs", "blocks", "inner", "singletons")
+
+    def __init__(self, es, z):
+        n = es.graph.n
+        self.arcs = [([], []) for _ in range(n)]
+        for e, (u, v, f) in enumerate(zip(es.tails, es.heads, es.reverse)):
+            if f is None:
+                self.arcs[u][0].append((v, z[e]))
+            else:
+                self.arcs[u][1].append((v, z[e], z[e] * z[f]))
+        out = [[a[0] for part in arcs for a in part] for arcs in self.arcs]
+        self.blocks = _tarjan_sccs(n, out)
+        self.singletons = sum(len(b) == 1 for b in self.blocks)
+        self.inner = []
+        for verts in self.blocks:
+            if len(verts) > 1:
+                place = {v: i for i, v in enumerate(verts)}
+                self.inner.append([
+                    ([(place[v], ze) for v, ze in self.arcs[u][0] if v in place],
+                     [(place[v], ze, zz) for v, ze, zz in self.arcs[u][1]])
+                    for u in verts])
+
+    def rows(self, p, s) -> list[list[int]]:
+        """The whole n-by-n Y at t = p/q, s = q * ell."""
+        return _plan_rows(self.arcs, p, s)
+
+    def det(self, p, s) -> int:
+        """det(Y) at t = p/q, s = q * ell: the product of the determinants
+        of the diagonal blocks.  A vertex alone in its component has no
+        reciprocated arc (its reverse would join the two ends), so its 1x1
+        block, its diagonal entry, is s."""
+        total = s**self.singletons
+        for arcs in self.inner:
+            total *= _bareiss_int_det(_plan_rows(arcs, p, s))
+            if not total:
+                return 0
+        return total
+
+
+def _plan_rows(arcs, p, s) -> list[list[int]]:
+    """The rows of Y at t = p/q, s = q * ell for the vertices whose arcs are
+    listed as in `_VertexPlan.arcs`, heads and diagonal numbered by the
+    position in ``arcs``.  prod_{f != e} a_f is the product of a prefix and
+    a suffix of the a_f, so a row costs a number of products linear in its
+    arcs."""
     s2, p2 = s * s, p * p
-    rows = [[0] * n for _ in range(n)]
-    leaving = [[] for _ in range(n)]
-    for e, u in enumerate(es.tails):
-        leaving[u].append(e)
-    for u, arcs in enumerate(leaving):
-        recip = [e for e in arcs if es.reverse[e] is not None]
-        c = [p2 * z[e] * z[es.reverse[e]] for e in recip]
-        a = [s2 - x for x in c]
-        others = [prod(a[:i]) * prod(a[i + 1:]) for i in range(len(a))]
-        whole = prod(a)
-        rows[u][u] = s * (whole + sum(x * o for x, o in zip(c, others)))
-        for e in arcs:
-            rows[u][es.heads[e]] = -p * z[e] * whole
-        for e, o in zip(recip, others):
-            rows[u][es.heads[e]] = -p * z[e] * s2 * o
+    width = len(arcs)
+    rows = []
+    for u, (oneway, recip) in enumerate(arcs):
+        c = [p2 * zz for _, _, zz in recip]
+        prefix = [1]
+        for x in c:
+            prefix.append(prefix[-1] * (s2 - x))
+        whole = prefix[-1]
+        row = [0] * width
+        for v, ze in oneway:
+            row[v] = -p * ze * whole
+        diagonal = whole
+        suffix = 1
+        for k in range(len(c) - 1, -1, -1):
+            others = prefix[k] * suffix
+            diagonal += c[k] * others
+            row[recip[k][0]] = -p * recip[k][1] * s2 * others
+            suffix *= s2 - c[k]
+        row[u] = s * diagonal
+        rows.append(row)
     return rows
 
 
-def verify_lemma_suite(g: Graph, tau) -> list[IdentityCertificate]:
+def verify_lemma_suite(g: Graph, tau, es: EdgeSpace | None = None) -> list[IdentityCertificate]:
     """Exact certificates for the structural edge-space lemmas.
 
     Covers the alternating powers of the backtrack pairing, its compression
@@ -259,7 +329,7 @@ def verify_lemma_suite(g: Graph, tau) -> list[IdentityCertificate]:
     tau = Fraction(tau)
     if not 0 <= tau <= 1:
         raise TauOutOfRangeError(f"tau={tau} outside [0, 1]")
-    es = build_edge_space(g)
+    es = build_edge_space(g) if es is None else es
     summary = _summary(g, es)
     certs = []
 

@@ -37,8 +37,7 @@ from itertools import chain, compress
 from operator import add, mul
 
 from .errors import IterationBudgetExceededError, NegativeEntryError
-from .exact import Matrix, _clear_denominators
-from .graphs import _tarjan_sccs
+from .exact import Matrix, _clear_denominators, _tarjan_sccs
 
 _ZERO = Fraction(0)
 _FLOOR = Fraction(1, 10**18)  # least entry of a rational iterate

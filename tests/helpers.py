@@ -455,6 +455,30 @@ def parent_bareiss_int_det(rows) -> int:
     return sign * contents * m[n - 1][n - 1]
 
 
+def unsplit_char_poly(a: Matrix) -> list[Fraction]:
+    """det(t I - a), ascending, by Berkowitz on the whole integer rows
+    N = den * a, as `Matrix.char_poly` computed it before it split the
+    matrix into strongly connected blocks."""
+    n = a.nrows
+    nmat = a.ints
+    coeffs = [1]
+    block = []
+    for r in range(n):
+        left = [(k, x) for k, x in enumerate(nmat[r][:r]) if x]
+        t = [1, -nmat[r][r]]
+        v = [nmat[i][r] for i in range(r)]
+        for _ in range(r):
+            t.append(-sum(x * v[k] for k, x in left))
+            v = [sum(x * v[k] for k, x in row) for row in block]
+        coeffs = [sum(t[i - j] * coeffs[j] for j in range(min(i, r) + 1))
+                  for i in range(r + 2)]
+        for i, row in enumerate(block):
+            if nmat[i][r]:
+                row.append((r, nmat[i][r]))
+        block.append([(k, x) for k, x in enumerate(nmat[r][:r + 1]) if x])
+    return [Fraction(e, a.den**k) for k, e in enumerate(coeffs)][::-1]
+
+
 
 def fraction_solve(a: Matrix, rhs: Matrix):
     """Gauss-Jordan elimination on Fraction rows, first nonzero pivot:

@@ -1,9 +1,11 @@
 """The row-sparse integer product and the Berkowitz characteristic
-polynomial against two oracles each, the primitive-row Bareiss determinant
-against sympy, the fraction-free solve, inverse and rank against sympy and
-the Fraction eliminations before them, and the vertex-space weighted-Ihara
-sample check against the edge-space adjugate route and the Fraction route
-before it."""
+polynomial against two oracles each, the block characteristic polynomial
+against the unsplit Berkowitz and sympy, the one Tarjan routine, the
+primitive-row Bareiss determinant against sympy, the fraction-free solve,
+inverse and rank against sympy and the Fraction eliminations before them,
+and the vertex-space weighted-Ihara sample check, on the graph's blocks,
+against the whole determinant, the edge-space adjugate route and the
+Fraction route before it."""
 
 import random
 from fractions import Fraction as F
@@ -16,8 +18,9 @@ from hypothesis import strategies as st
 
 from nbwalks import Matrix, Polynomial, build_edge_space, v_similar, verify_weighted_ihara
 from nbwalks.errors import NotSquareError
-from nbwalks.exact import _bareiss_int_det, _clear_denominators, _fraction_free
-from nbwalks.ihara import _vertex_rows, _vertex_sample_check
+from nbwalks import exact as exact_mod
+from nbwalks.exact import _bareiss_int_det, _clear_denominators, _fraction_free, _tarjan_sccs
+from nbwalks.ihara import _vertex_sample_check, _VertexPlan
 
 from helpers import (
     adjugate_sample_check,
@@ -26,8 +29,10 @@ from helpers import (
     fraction_rank,
     fraction_solve,
     parent_bareiss_int_det,
+    random_connected_graph,
     random_digraph,
     single_recip_edge,
+    unsplit_char_poly,
     weighted_3cycle,
 )
 
@@ -704,7 +709,7 @@ class TestWeightedIharaSamples:
                 scale = [s] * g.n
                 for e, factor in factors.items():
                     scale[es.tails[e]] *= s * s * factor
-                y = _vertex_rows(es, z, p, s)
+                y = _VertexPlan(es, z).rows(p, s)
                 i_minus_x = Matrix([[F(x) / c for x in row] for row, c in zip(y, scale)])
                 solved = (Matrix.identity(es.m) - step.scale(t)).solve(es.target)
                 phi = Matrix.identity(g.n) + (
@@ -857,3 +862,191 @@ class TestMergedElimination:
         rows = [[0, 1, 2], [3, 4, 5], [6, 7, 9]]
         assert _fraction_free([list(r) for r in rows], 3, False)[2] == -1
         assert _bareiss_int_det(rows) == parent_bareiss_int_det(rows) == -3
+
+
+@st.composite
+def _block_triangular(draw, max_n=6):
+    """A matrix that is block lower triangular after a hidden permutation:
+    diagonal blocks of 1 to 3 rows (often a 1x1 block with a zero
+    diagonal), random entries below them, zeros above, then the rows and
+    columns permuted together."""
+    sizes = []
+    while sum(sizes) < max_n and (not sizes or draw(st.booleans())):
+        sizes.append(draw(st.integers(1, min(3, max_n - sum(sizes)))))
+    n = sum(sizes)
+    rows = [[F(0)] * n for _ in range(n)]
+    start = 0
+    for size in sizes:
+        for i in range(start, start + size):
+            for j in range(start + size):
+                rows[i][j] = draw(_ENTRIES)
+        if size == 1 and draw(st.booleans()):
+            rows[start][start] = F(0)
+        start += size
+    perm = draw(st.permutations(range(n)))
+    return Matrix([[rows[perm[i]][perm[j]] for j in range(n)] for i in range(n)])
+
+
+@st.composite
+def _pairings(draw, max_n=6):
+    """Delta-like matrices: each index paired with at most one other, a
+    nonzero entry (either sign, mixed denominators) at (e, f) and (f, e)
+    for each pair, and nothing else."""
+    n = draw(st.integers(0, max_n))
+    order = draw(st.permutations(range(n)))
+    rows = [[F(0)] * n for _ in range(n)]
+    nonzero = _ENTRIES.filter(bool)
+    for k in range(draw(st.integers(0, n // 2))):
+        e, f = order[2 * k], order[2 * k + 1]
+        rows[e][f], rows[f][e] = draw(nonzero), draw(nonzero)
+    return Matrix(rows)
+
+
+class TestBlockCharPoly:
+    """`Matrix.char_poly` as a product over the strongly connected blocks of
+    the nonzero pattern, against the unsplit Berkowitz and sympy."""
+
+    def check(self, a: Matrix):
+        got = a.char_poly()
+        assert all(type(c) is F for c in got)
+        assert got == unsplit_char_poly(a)
+        if a.nrows:
+            assert got == sympy_char_poly(a)
+        return got
+
+    @settings(max_examples=200, deadline=None)
+    @given(_block_triangular())
+    def test_permuted_block_triangular(self, a):
+        self.check(a)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_pairings())
+    def test_pairings(self, a):
+        got = self.check(a)
+        # t^(unpaired) times t^2 - x y for each pair
+        want = Polynomial([1])
+        for e in range(a.nrows):
+            f = next((j for j in range(a.nrows) if a[e, j]), None)
+            if f is None:
+                want = want * Polynomial([0, 1])
+            elif e < f:
+                want = want * Polynomial([-a[e, f] * a[f, e], 0, 1])
+        assert Polynomial(got) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(_squares(max_n=6))
+    def test_mixed_denominators_and_negative_entries(self, a):
+        self.check(a)
+
+    def test_empty(self):
+        assert self.check(Matrix([])) == unsplit_char_poly(Matrix([])) == [1]
+
+    def test_blocks_are_what_berkowitz_sees(self, monkeypatch):
+        # a 2-cycle, a 3-cycle below it and two zero-diagonal singletons,
+        # permuted: Berkowitz runs on the 2x2 and the 3x3 block only
+        rows = [[0, F(-3, 2), 0, 0, 0, 0, 0],
+                [F(5, 7), 1, 0, 0, 0, 0, 0],
+                [2, 0, 0, -1, 0, 0, 0],
+                [0, 0, 0, 0, 4, 0, 0],
+                [0, F(1, 3), 7, 0, 2, 0, 0],
+                [1, 0, 0, 9, 0, 0, 0],
+                [0, 0, 0, 0, 3, -2, 0]]
+        perm = [4, 6, 1, 3, 0, 5, 2]
+        a = Matrix([[rows[perm[i]][perm[j]] for j in range(7)] for i in range(7)])
+        sizes = []
+        berkowitz = exact_mod._berkowitz
+        monkeypatch.setattr(exact_mod, "_berkowitz",
+                            lambda rows: sizes.append(len(rows)) or berkowitz(rows))
+        got = self.check(a)
+        assert sorted(sizes) == [2, 3]
+        assert got[:3] == [0, 0, F(15, 14) * 28]  # t^2 times the blocks' constants
+
+    def test_one_block_is_not_copied(self, monkeypatch):
+        a = build_edge_space(directed_cycle(5)).hashimoto
+        seen = []
+        berkowitz = exact_mod._berkowitz
+        monkeypatch.setattr(exact_mod, "_berkowitz",
+                            lambda rows: seen.append(rows) or berkowitz(rows))
+        self.check(a)
+        assert len(seen) == 1 and seen[0] is a.ints
+
+
+class TestTarjan:
+    """The package's one SCC routine."""
+
+    def test_against_reachability(self):
+        rng = random.Random(5)
+        for _ in range(40):
+            n = rng.randint(0, 9)
+            out = [[j for j in range(n) if rng.random() < 0.2] for _ in range(n)]
+            reach = [{i} for i in range(n)]
+            for _ in range(n):
+                for i in range(n):
+                    for j in list(reach[i]):
+                        reach[i].update(out[j])
+            got = _tarjan_sccs(n, out)
+            assert sorted(v for comp in got for v in comp) == list(range(n))
+            for comp in got:
+                assert comp == sorted(comp)
+                assert all(reach[u] >= set(comp) for u in comp)
+            # reverse topological: a component reaches only earlier ones
+            position = {v: k for k, comp in enumerate(got) for v in comp}
+            for u in range(n):
+                assert all(position[v] <= position[u] for v in reach[u])
+
+
+class TestVertexPlan:
+    """The weighted-Ihara sample check on the graph's strongly connected
+    blocks, on one-way digraphs with several of them."""
+
+    @staticmethod
+    def graphs():
+        rng = random.Random(20261019)
+        found = []
+        while len(found) < 8:
+            weighted = len(found) % 2 == 1
+            g = random_connected_graph(rng, rng.randint(5, 9), rng.randint(0, 3),
+                                       oneway=0.6, weighted=weighted)
+            z, _ = _clear_denominators(build_edge_space(g).weights)
+            if len(_VertexPlan(build_edge_space(g), z).blocks) >= 3:
+                found.append(g)
+        return found
+
+    def test_block_product_is_the_whole_determinant(self):
+        sizes = set()
+        for g in self.graphs():
+            es, _, g_poly, _, count = sample_inputs(g)
+            z, ell = _clear_denominators(es.weights)
+            plan = _VertexPlan(es, z)
+            sizes.update(len(b) for b in plan.blocks)
+            points, skipped = sample_points(g_poly, count)
+            for t in points + skipped:
+                p, s = t.numerator, t.denominator * ell
+                assert plan.det(p, s) == _bareiss_int_det(plan.rows(p, s)), (g.edges, t)
+        assert 1 in sizes and max(sizes) >= 3
+
+    def test_rows_keep_to_the_arcs(self):
+        for g in self.graphs():
+            es = build_edge_space(g)
+            z, ell = _clear_denominators(es.weights)
+            arcs = g.edge_set()
+            y = _VertexPlan(es, z).rows(-3, 2 * ell)
+            assert all(y[u][v] == 0 for u in range(g.n) for v in range(g.n)
+                       if u != v and (u, v) not in arcs)
+
+    def test_perturbed_sides_fail_where_they_differ(self):
+        for g in self.graphs():
+            es, step, g_poly, rhs, count = sample_inputs(g)
+            assert all_routes(es, step, g_poly, rhs, count) == (True, count)
+            t0, t1 = sample_points(g_poly, count)[0][:2]
+            # a wrong g goes unseen where it agrees with g or where rhs(t) =
+            # 0, as both sides carry the pair product there; this one
+            # agrees with g at t0
+            for bad_g in (g_poly * Polynomial([2]),
+                          g_poly + Polynomial([-t0, 1]) * Polynomial([F(1, 3)])):
+                points = sample_points(bad_g, count)[0]
+                first = next(k for k, t in enumerate(points)
+                             if bad_g(t) != g_poly(t) and rhs(t) != 0)
+                assert _vertex_sample_check(es, bad_g, rhs, count) == (False, first)
+            bad_rhs = rhs + Polynomial([-t0, 1]) * Polynomial([-t1, 1])
+            assert all_routes(es, step, g_poly, bad_rhs, count) == (False, 2)

@@ -1,6 +1,8 @@
 """The package's import rules: every module of ``src/nbwalks`` imports only
 the standard library or, relatively, itself (zero runtime dependencies), and
-every module but ``__init__`` uses each name it imports."""
+every module but ``__init__`` uses each name it imports.  And its one-routine
+rule for strongly connected components: one function in the package runs
+Tarjan's algorithm, and every SCC split calls it."""
 
 import ast
 import sys
@@ -58,3 +60,31 @@ def test_the_check_sees_an_unused_import():
     tree = ast.parse("from __future__ import annotations\nimport os.path\n"
                      "from math import isfinite, lcm as least\nx = least(2, os.sep)\n")
     assert unused_imports(tree) == ["isfinite"]
+
+
+def scc_routines(tree):
+    """Names of the functions that run Tarjan's algorithm: named after it,
+    or keeping a low-link (an assigned ``low`` or ``lowlink``)."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stores = {n.id for n in ast.walk(node)
+                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+            if "tarjan" in node.name.lower() or stores & {"low", "lowlink"}:
+                found.append(node.name)
+    return found
+
+
+def test_one_scc_routine():
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [(path.name, name) for name in scc_routines(tree)]
+    assert found == [("exact.py", "_tarjan_sccs")]
+
+
+def test_the_check_sees_a_second_scc_routine():
+    tree = ast.parse("def _tarjan(n):\n    pass\n\n"
+                     "def blocks(out):\n    low = [0] * len(out)\n    return low\n\n"
+                     "def scc_decompose(g):\n    return _tarjan(g)\n")
+    assert scc_routines(tree) == ["_tarjan", "blocks"]
