@@ -15,7 +15,6 @@ from fractions import Fraction
 
 from . import __version__
 from .convergence import radius_btdw, radius_unweighted, radius_weighted
-from .edgespace import build_edge_space
 from .errors import GraphParseError, NBWalksError
 from .fileio import (
     centrality_json,
@@ -137,13 +136,12 @@ def _budget(args) -> int:
 # (--identity value, name reported when "all" skips it on a weighted graph
 # or None when it accepts weights, verifier).  The lambdas look the
 # verifiers up at call time, so rebinding a module-level name takes effect.
-# Every verifier of one run gets the same edge space.
 _VERIFIERS = (
-    ("ihara", "ihara_digraph", lambda g, tau, es: [verify_ihara_digraph(g, es)]),
-    ("tau-ihara", "tau_ihara", lambda g, tau, es: [verify_tau_ihara(g, tau, es)]),
-    ("flanders", "flanders", lambda g, tau, es: [verify_flanders(g, es)]),
-    ("weighted-ihara", None, lambda g, tau, es: [verify_weighted_ihara(g, es)]),
-    ("lemmas", "lemma_suite", lambda g, tau, es: verify_lemma_suite(g, tau, es)),
+    ("ihara", "ihara_digraph", lambda g, tau: [verify_ihara_digraph(g)]),
+    ("tau-ihara", "tau_ihara", lambda g, tau: [verify_tau_ihara(g, tau)]),
+    ("flanders", "flanders", lambda g, tau: [verify_flanders(g)]),
+    ("weighted-ihara", None, lambda g, tau: [verify_weighted_ihara(g)]),
+    ("lemmas", "lemma_suite", lambda g, tau: verify_lemma_suite(g, tau)),
 )
 
 
@@ -155,7 +153,7 @@ def _run(args):
     exit_code = 0
 
     if args.command == "analyze":
-        es = build_edge_space(g)
+        es = g.edge_space
         rep = scc_decompose(g)
         payload = {
             "kind": "analysis",
@@ -215,12 +213,11 @@ def _run(args):
     elif args.command == "verify":
         certs = []
         skipped = []
-        es = build_edge_space(g)
         for flag, skip_name, verify in _VERIFIERS:
             if args.identity not in (flag, "all"):
                 continue
             if skip_name is None or g.is_unweighted() or args.identity == flag:
-                certs.extend(verify(g, args.tau, es))
+                certs.extend(verify(g, args.tau))
             else:
                 skipped.append(skip_name)
         payload = {

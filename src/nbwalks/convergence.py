@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 
-from .edgespace import build_edge_space, downweighted_transfer, v_similar
+from .edgespace import downweighted_transfer, v_similar
 from .errors import TauOutOfRangeError
 from .graphs import Graph, scc_decompose
 from .laplacians import _deformed_laplacian
@@ -164,7 +164,7 @@ def radius_unweighted(g: Graph) -> RadiusReport:
     """
     g.require_unweighted("radius_unweighted")
     case = _classify(g)
-    pr = perron_radius(build_edge_space(g).hashimoto)
+    pr = perron_radius(g.edge_space.hashimoto)
     provenance = {
         "case": "cycle classification of component undirectizations",
         "rho": "certified power iteration on the non-backtracking edge matrix",
@@ -201,7 +201,7 @@ def radius_weighted(g: Graph) -> RadiusReport:
     consecutive non-backtracking edge pairs; its square root bounds the
     radius from above per the one-cycle / multi-cycle cases.
     """
-    es = build_edge_space(g)
+    es = g.edge_space
     case = _classify(g)
     pr = perron_radius(v_similar(es))
     if pr.nilpotent != (case == CASE_ALL_TREES):
@@ -261,7 +261,7 @@ def radius_btdw(g: Graph, tau) -> RadiusReport:
     if not 0 < tau <= 1:
         raise TauOutOfRangeError(f"tau={tau} outside (0, 1]")
     case = _classify(g)
-    pr = perron_radius(downweighted_transfer(build_edge_space(g), tau))
+    pr = perron_radius(downweighted_transfer(g.edge_space, tau))
     provenance = {
         "case": "cycle classification of component undirectizations",
         "rho": "certified power iteration on the downweighted edge transfer matrix",

@@ -2,7 +2,10 @@
 matrix and its weighted variants, and non-k-cycling matrices.
 
 Edges are numbered in lexicographic (source, destination) index order, the
-order the Graph already stores, so every matrix here is reproducible.
+order the Graph already stores, so every matrix here is reproducible.  A
+graph's edge space is read as `Graph.edge_space`, which calls
+`build_edge_space` once per graph; this module needs `Graph` only for
+annotations.
 """
 
 from __future__ import annotations
@@ -10,9 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 from .exact import Matrix
-from .graphs import Graph
+
+if TYPE_CHECKING:
+    from .graphs import Graph
 
 
 @dataclass(frozen=True)

@@ -2,14 +2,23 @@
 
 A Graph is immutable: vertex indices follow first appearance in the input,
 edges are stored sorted by (source, destination) index so every derived
-edge-space object is reproducible bit for bit.
+edge-space object is reproducible bit for bit.  Its edge space is a
+property of the graph, built on first read and shared by every consumer.
+
+The component questions (strongly connected components with their internal
+arc counts, undirected components, bipartite components, reciprocal leaf
+pruning) each take one pass over the arcs; the component splits themselves
+run the package's one SCC routine, `exact._tarjan_sccs`.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
+from .edgespace import EdgeSpace, build_edge_space
 from .errors import (
     DuplicateEdgeError,
     LoopEdgeError,
@@ -33,6 +42,12 @@ class Graph:
     @property
     def m(self) -> int:
         return len(self.edges)
+
+    @cached_property
+    def edge_space(self) -> EdgeSpace:
+        """The arc arrays and edge matrices (B, Delta, L, R, Z) of this
+        graph, built once on first read."""
+        return build_edge_space(self)
 
     def is_unweighted(self) -> bool:
         return all(w == 1 for _, _, w in self.edges)
@@ -178,93 +193,89 @@ def scc_decompose(g: Graph) -> ComponentReport:
     """Strongly connected components with per-component cycle classification.
 
     Singleton components without internal edges are single nodes.  Components
-    are reported sorted by their smallest vertex index.
+    are reported sorted by their smallest vertex index.  One pass over the
+    arcs counts each component's internal arcs d and reciprocated arcs d_U.
     """
-    out = g.out_neighbors()
-    es = g.edge_set()
-    comps = []
-    for verts in sorted(_tarjan_sccs(g.n, out), key=lambda c: c[0]):
-        vset = set(verts)
-        internal = [(u, v) for (u, v) in es if u in vset and v in vset]
-        d = len(internal)
-        d_u = sum(1 for (u, v) in internal if (v, u) in es)
-        kind = "single" if len(verts) == 1 else "scc"
-        comps.append(
-            Component(
-                vertices=tuple(verts),
-                kind=kind,
-                n=len(verts),
-                arc_count=d,
-                reciprocated_count=d_u,
-                cycle_class=cycle_class_of(len(verts), d, d_u),
-            )
+    blocks = sorted(_tarjan_sccs(g.n, g.out_neighbors()))
+    where = [0] * g.n
+    for i, verts in enumerate(blocks):
+        for v in verts:
+            where[v] = i
+    arcs = [0] * len(blocks)
+    recip = [0] * len(blocks)
+    pairs = g.edge_set()
+    for u, v, _ in g.edges:
+        i = where[u]
+        if where[v] == i:
+            arcs[i] += 1
+            recip[i] += (v, u) in pairs
+    return ComponentReport(tuple(
+        Component(
+            vertices=tuple(verts),
+            kind="single" if len(verts) == 1 else "scc",
+            n=len(verts),
+            arc_count=d,
+            reciprocated_count=d_u,
+            cycle_class=cycle_class_of(len(verts), d, d_u),
         )
-    return ComponentReport(tuple(comps))
+        for verts, d, d_u in zip(blocks, arcs, recip)
+    ))
 
 
 def prune_reciprocal_leaves(g: Graph) -> Graph:
     """Remove reciprocal leaves one at a time until none remain.
 
     A reciprocal leaf is a vertex adjacent to exactly one other vertex,
-    through a single reciprocal edge and nothing else.
+    through a single reciprocal edge and nothing else.  The smallest-index
+    leaf goes first.  A min-heap holds the candidates, each checked again
+    when popped: removing a leaf can only make its one neighbour a leaf, or
+    stop it from being one.
     """
     g.require_unweighted("prune_reciprocal_leaves")
-    labels = list(g.labels)
-    edges = {(u, v) for u, v, _ in g.edges}
-    alive = list(range(g.n))
+    arcs = set(g.edge_set())
+    nbrs = [set(adj) for adj in _undirected_neighbours(g)]
+    alive = [True] * g.n
 
-    def leaf_of(vset, eset):
-        touch = {v: set() for v in vset}
-        for u, v in eset:
-            touch[u].add(v)
-            touch[v].add(u)
-        for v in vset:
-            others = touch[v]
-            if len(others) == 1:
-                (u,) = others
-                if (v, u) in eset and (u, v) in eset:
-                    deg = sum(1 for e in eset if v in e)
-                    if deg == 2:
-                        return v
-        return None
+    def is_leaf(v):
+        if len(nbrs[v]) != 1:
+            return False
+        (u,) = nbrs[v]
+        return (u, v) in arcs and (v, u) in arcs
 
-    while True:
-        leaf = leaf_of(alive, edges)
-        if leaf is None:
-            break
-        alive.remove(leaf)
-        edges = {(u, v) for u, v in edges if leaf not in (u, v)}
-    keep = sorted(alive)
-    relabel = {old: labels[old] for old in keep}
+    heap = [v for v in range(g.n) if is_leaf(v)]  # ascending, so a heap
+    while heap:
+        v = heapq.heappop(heap)
+        if not is_leaf(v):
+            continue
+        (u,) = nbrs[v]
+        alive[v] = False
+        nbrs[v].clear()
+        nbrs[u].discard(v)
+        arcs -= {(u, v), (v, u)}
+        if is_leaf(u):
+            heapq.heappush(heap, u)
+    labels = g.labels
     return build_unweighted(
-        sorted((relabel[u], relabel[v]) for u, v in edges),
-        vertices=[relabel[v] for v in keep],
+        sorted((labels[u], labels[v]) for u, v in arcs),
+        vertices=[labels[v] for v in range(g.n) if alive[v]],
     )
 
 
-def connected_components_undirected(g: Graph) -> list[list[int]]:
-    """Connected components ignoring edge direction."""
-    adj = [set() for _ in range(g.n)]
+def _undirected_neighbours(g: Graph) -> list[list[int]]:
+    """Neighbour lists ignoring edge direction; a reciprocated pair lists
+    each end twice."""
+    adj = g.out_neighbors()
     for u, v, _ in g.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    seen = [False] * g.n
-    comps = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        comp = []
-        queue = [start]
-        seen[start] = True
-        while queue:
-            v = queue.pop()
-            comp.append(v)
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
-        comps.append(sorted(comp))
-    return comps
+        adj[v].append(u)
+    return adj
+
+
+def connected_components_undirected(g: Graph) -> list[list[int]]:
+    """Connected components ignoring edge direction, each sorted, ordered by
+    their smallest vertex: the strongly connected components of the
+    symmetric neighbour lists, which Tarjan emits in that order because
+    each one is closed when the search from its smallest vertex returns."""
+    return _tarjan_sccs(g.n, _undirected_neighbours(g))
 
 
 def bipartite_component_count(g: Graph) -> int:
@@ -273,13 +284,10 @@ def bipartite_component_count(g: Graph) -> int:
     """
     if not g.is_symmetric():
         raise NotUndirectedError("bipartite test needs a symmetric graph")
-    adj = [set() for _ in range(g.n)]
-    for u, v, _ in g.edges:
-        adj[u].add(v)
-        adj[v].add(u)
+    adj = _undirected_neighbours(g)
     color = [-1] * g.n
     count = 0
-    for comp in connected_components_undirected(g):
+    for comp in _tarjan_sccs(g.n, adj):
         ok = True
         color[comp[0]] = 0
         queue = [comp[0]]

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .edgespace import EdgeSpace, build_edge_space, downweighted_transfer
+from .edgespace import downweighted_transfer
 from .errors import TauOutOfRangeError
 from .exact import Matrix, _bareiss_int_det, _clear_denominators, _tarjan_sccs
 from .graphs import Graph
@@ -43,7 +43,8 @@ class IdentityCertificate:
     details: dict = field(default_factory=dict)
 
 
-def _summary(g: Graph, es: EdgeSpace) -> dict:
+def _summary(g: Graph) -> dict:
+    es = g.edge_space
     return {
         "n": g.n,
         "m": es.m,
@@ -92,10 +93,11 @@ def _cross_multiply(edge_side: Polynomial, vertex_side: Polynomial, base: Polyno
     return edge_side * base ** (-exponent), vertex_side
 
 
-def _tau_ihara_sides(g: Graph, es: EdgeSpace, tau: Fraction):
+def _tau_ihara_sides(g: Graph, tau: Fraction):
     """det(I - t(tau B + (1 - tau) W)) and det M_tau(t), cross-multiplied by
     (1 - tau**2 t**2)**(b - n).  At tau = 1 the edge side is the edge
     space's det(I - t B), shared with the weighted-Ihara check."""
+    es = g.edge_space
     if tau == 1:
         lhs = Polynomial(es.ihara_det)
     else:
@@ -105,41 +107,36 @@ def _tau_ihara_sides(g: Graph, es: EdgeSpace, tau: Fraction):
     return _cross_multiply(lhs, rhs, base, es.reciprocal_pair_count - g.n)
 
 
-def verify_ihara_digraph(g: Graph, es: EdgeSpace | None = None) -> IdentityCertificate:
+def verify_ihara_digraph(g: Graph) -> IdentityCertificate:
     """det(I - t B) against (1 - t**2)**(b - n) det M(t), cross-multiplied:
-    the tau = 1 case of verify_tau_ihara.  ``es``, when given, is the edge
-    space of g, so that a run checking several identities builds one (as
-    in every verifier here)."""
+    the tau = 1 case of verify_tau_ihara."""
     g.require_unweighted("verify_ihara_digraph")
-    es = build_edge_space(g) if es is None else es
-    lhs, rhs = _tau_ihara_sides(g, es, _ONE)
-    return _det_certificate("ihara_digraph", lhs, rhs, _summary(g, es))
+    lhs, rhs = _tau_ihara_sides(g, _ONE)
+    return _det_certificate("ihara_digraph", lhs, rhs, _summary(g))
 
 
-def verify_tau_ihara(g: Graph, tau, es: EdgeSpace | None = None) -> IdentityCertificate:
+def verify_tau_ihara(g: Graph, tau) -> IdentityCertificate:
     """Downweighted identity: det(I - t(tau B + (1 - tau) W)) against
     (1 - tau**2 t**2)**(b - n) det M_tau(t)."""
     g.require_unweighted("verify_tau_ihara")
     tau = Fraction(tau)
     if not 0 <= tau <= 1:
         raise TauOutOfRangeError(f"tau={tau} outside [0, 1]")
-    es = build_edge_space(g) if es is None else es
-    lhs, rhs = _tau_ihara_sides(g, es, tau)
+    lhs, rhs = _tau_ihara_sides(g, tau)
     return _det_certificate(
-        "tau_ihara", lhs, rhs, _summary(g, es), details={"tau": str(tau)}
+        "tau_ihara", lhs, rhs, _summary(g), details={"tau": str(tau)}
     )
 
 
-def verify_flanders(g: Graph, es: EdgeSpace | None = None) -> IdentityCertificate:
+def verify_flanders(g: Graph) -> IdentityCertificate:
     """Line-graph determinant identity det(I - t W) = det(I - t A)."""
     g.require_unweighted("verify_flanders")
-    es = build_edge_space(g) if es is None else es
-    lhs = _det_one_minus_t(es.line_graph)
+    lhs = _det_one_minus_t(g.edge_space.line_graph)
     rhs = _det_one_minus_t(g.adjacency())
-    return _det_certificate("flanders", lhs, rhs, _summary(g, es))
+    return _det_certificate("flanders", lhs, rhs, _summary(g))
 
 
-def verify_weighted_ihara(g: Graph, es: EdgeSpace | None = None) -> IdentityCertificate:
+def verify_weighted_ihara(g: Graph) -> IdentityCertificate:
     """Weighted identity in square-root-free form.
 
     The claim det Phi(A, t) = prod_i (1 - t**2 w_i w_i') / det(I - t V) is
@@ -154,14 +151,10 @@ def verify_weighted_ihara(g: Graph, es: EdgeSpace | None = None) -> IdentityCert
       (NeurIPS 2009).
 
     The product side is enumerated straight from the reciprocal edge pairs.
+    On an arcless graph both sides are the constant 1 and no point is
+    sampled.
     """
-    es = build_edge_space(g) if es is None else es
-    summary = _summary(g, es)
-    if es.m == 0:
-        one = Polynomial([1])
-        return _det_certificate("weighted_ihara", one, one, summary,
-                                {"sample_points": 0, "samples_consistent": True})
-
+    es = g.edge_space
     w = es.weights
     rhs = Polynomial([1])
     for e, f in enumerate(es.reverse):
@@ -172,7 +165,8 @@ def verify_weighted_ihara(g: Graph, es: EdgeSpace | None = None) -> IdentityCert
     lhs = _det_one_minus_t(collapse)
     g_poly = Polynomial(es.ihara_det)  # det(I - t B Z)
 
-    samples_ok, checked = _vertex_sample_check(es, g_poly, rhs, 2 * (g.n + es.m) + 1)
+    count = 2 * (g.n + es.m) + 1 if es.m else 0
+    samples_ok, checked = _vertex_sample_check(es, g_poly, rhs, count)
 
     residual = lhs - rhs
     return IdentityCertificate(
@@ -181,7 +175,7 @@ def verify_weighted_ihara(g: Graph, es: EdgeSpace | None = None) -> IdentityCert
         residual=residual,
         lhs=lhs,
         rhs=rhs,
-        graph_summary=summary,
+        graph_summary=_summary(g),
         details={"sample_points": checked, "samples_consistent": samples_ok},
     )
 
@@ -317,36 +311,24 @@ def _plan_rows(arcs, p, s) -> list[list[int]]:
     return rows
 
 
-def verify_lemma_suite(g: Graph, tau, es: EdgeSpace | None = None) -> list[IdentityCertificate]:
+def verify_lemma_suite(g: Graph, tau) -> list[IdentityCertificate]:
     """Exact certificates for the structural edge-space lemmas.
 
     Covers the alternating powers of the backtrack pairing, its compression
     to degree and reciprocity matrices, its characteristic polynomial, and
     the resolvent form of the downweighted Laplacian at rational sample
-    points.
+    points (none on an arcless graph, where every lemma is empty).
     """
     g.require_unweighted("verify_lemma_suite")
     tau = Fraction(tau)
     if not 0 <= tau <= 1:
         raise TauOutOfRangeError(f"tau={tau} outside [0, 1]")
-    es = build_edge_space(g) if es is None else es
-    summary = _summary(g, es)
+    es = g.edge_space
+    summary = _summary(g)
     certs = []
 
     delta = es.backtrack
     omega_mat = es.reciprocal_mask
-    if es.m == 0:
-        zero = Fraction(0)
-        certs.append(_matrix_certificate("backtrack_powers", zero, summary))
-        certs.append(_matrix_certificate("incidence_compression", zero, summary))
-        one = Polynomial([1])
-        certs.append(_det_certificate("backtrack_char_poly", one, one, summary))
-        certs.append(
-            _matrix_certificate("resolvent_form", zero, summary,
-                                {"tau": str(tau), "sample_points": 0})
-        )
-        return certs
-
     # powers alternate between the pairing itself and the reciprocal mask
     deviation = Fraction(0)
     power = delta
@@ -374,7 +356,7 @@ def verify_lemma_suite(g: Graph, tau, es: EdgeSpace | None = None) -> list[Ident
     deviation = Fraction(0)
     points = 0
     candidate = 0
-    while points < 5:
+    while points < (5 if es.m else 0):
         candidate += 1
         t = Fraction(1, candidate + 1)
         if tau * t == 1 or tau * t == -1:

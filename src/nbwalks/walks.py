@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import lcm
 
 from .convergence import radius_btdw, radius_unweighted, radius_weighted
-from .edgespace import build_edge_space, v_similar
+from .edgespace import v_similar
 from .errors import (
     AboveRadiusError,
     EnumerationBudgetExceededError,
@@ -213,7 +213,7 @@ def weighted_nbtw(g: Graph, kmax: int) -> WalkTable:
     table is one more sparse product, p_k = (source.T @ Z) @ C_(k-1).
     """
     _require_length(kmax)
-    es = build_edge_space(g)
+    es = g.edge_space
     lt_z = es.source.transpose() * es.weight_diag
     step = v_similar(es)
     carrier = es.target
@@ -248,7 +248,7 @@ def generating_function_eval(g: Graph, t, mode: str, omega=None) -> Matrix:
             raise PoleAtTError(f"t={t} is a pole of the generating function")
         return inv.scale(1 - tau * tau * t * t)
     if mode == "weighted":
-        es = build_edge_space(g)
+        es = g.edge_space
         base = Matrix.identity(es.m) - v_similar(es).scale(t)
         solved = base.solve(es.target)
         if solved is None:

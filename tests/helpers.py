@@ -573,3 +573,69 @@ def q_squarefree_decomposition(p: Polynomial):
         d = c - b.derivative()
         mult += 1
     return out
+
+
+# ---- the rescans the one-pass component routines replaced -------------------
+
+
+def rescan_prune_reciprocal_leaves(g: Graph) -> Graph:
+    """`prune_reciprocal_leaves` by rescanning every arc after each removal:
+    the smallest-index reciprocal leaf goes first."""
+    g.require_unweighted("prune_reciprocal_leaves")
+    labels = list(g.labels)
+    edges = {(u, v) for u, v, _ in g.edges}
+    alive = list(range(g.n))
+
+    def leaf_of(vset, eset):
+        touch = {v: set() for v in vset}
+        for u, v in eset:
+            touch[u].add(v)
+            touch[v].add(u)
+        for v in vset:
+            others = touch[v]
+            if len(others) == 1:
+                (u,) = others
+                if (v, u) in eset and (u, v) in eset:
+                    deg = sum(1 for e in eset if v in e)
+                    if deg == 2:
+                        return v
+        return None
+
+    while True:
+        leaf = leaf_of(alive, edges)
+        if leaf is None:
+            break
+        alive.remove(leaf)
+        edges = {(u, v) for u, v in edges if leaf not in (u, v)}
+    keep = sorted(alive)
+    relabel = {old: labels[old] for old in keep}
+    return build_unweighted(
+        sorted((relabel[u], relabel[v]) for u, v in edges),
+        vertices=[relabel[v] for v in keep],
+    )
+
+
+def bfs_components_undirected(g: Graph) -> list[list[int]]:
+    """`connected_components_undirected` by breadth-first search from each
+    unseen vertex in index order."""
+    adj = [set() for _ in range(g.n)]
+    for u, v, _ in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    seen = [False] * g.n
+    comps = []
+    for start in range(g.n):
+        if seen[start]:
+            continue
+        comp = []
+        queue = [start]
+        seen[start] = True
+        while queue:
+            v = queue.pop()
+            comp.append(v)
+            for w in adj[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    queue.append(w)
+        comps.append(sorted(comp))
+    return comps

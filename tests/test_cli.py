@@ -273,7 +273,7 @@ class TestExitCodes:
             lhs=Polynomial([1]),
             rhs=Polynomial([0]),
         )
-        monkeypatch.setattr(cli_mod, "verify_ihara_digraph", lambda g, es=None: fake)
+        monkeypatch.setattr(cli_mod, "verify_ihara_digraph", lambda g: fake)
         assert main(["verify", "--identity", "ihara", example1_file]) == 2
 
     def test_quiet_suppresses_stdout(self, example1_file, capsys):

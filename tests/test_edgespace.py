@@ -17,6 +17,8 @@ from nbwalks import (
     v_similar,
     weighted_hashimoto,
 )
+from nbwalks import graphs as graphs_mod
+from nbwalks.cli import run_command
 from nbwalks.errors import WeightedUnsupportedError
 
 from helpers import (
@@ -275,3 +277,37 @@ class TestSpectralGapTheorem:
         nk = non_k_cycling(two_squares(), 3)
         pr = perron_radius(nk.matrix)
         assert pr.lower > 1
+
+
+class TestOneBuildPerGraph:
+    """`Graph.edge_space` builds the edge space on first read, and every
+    consumer of the graph reads that one."""
+
+    @pytest.fixture()
+    def builds(self, monkeypatch):
+        calls = []
+
+        def counting(g):
+            calls.append(g)
+            return build_edge_space(g)
+
+        monkeypatch.setattr(graphs_mod, "build_edge_space", counting)
+        return calls
+
+    def test_cached_on_the_graph(self, builds):
+        g = example1()
+        assert g.edge_space is g.edge_space
+        assert len(builds) == 1 and builds[0] is g
+
+    @pytest.mark.parametrize("argv", [
+        ["centrality", "--mode", "weighted", "--t", "1/200"],
+        ["verify"],
+        ["verify", "--identity", "weighted-ihara"],
+        ["analyze"],
+    ])
+    def test_one_build_per_command(self, builds, tmp_path, argv):
+        path = tmp_path / "g.tsv"
+        path.write_text("1\t2\n2\t1\n2\t3\n3\t4\n4\t2\n")
+        code, _ = run_command([*argv, str(path)])
+        assert code == 0
+        assert len(builds) == 1

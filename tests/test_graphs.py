@@ -1,6 +1,9 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nbwalks import (
     bipartite_component_count,
@@ -19,9 +22,10 @@ from nbwalks.errors import (
     NotUndirectedError,
     WeightedUnsupportedError,
 )
-from nbwalks.graphs import cycle_class_of
+from nbwalks.graphs import connected_components_undirected, cycle_class_of
 
 from helpers import (
+    bfs_components_undirected,
     brute_scc_partition,
     directed_cycle,
     directed_cycles,
@@ -29,6 +33,7 @@ from helpers import (
     is_strongly_connected,
     mirror,
     random_digraph,
+    rescan_prune_reciprocal_leaves,
     undirected_cycle,
     undirected_path,
     all_digraphs,
@@ -294,3 +299,92 @@ class TestCycleLemmas:
                     assert got == "one_cycle"
                 else:
                     assert got == "multi_cycle"
+
+
+# A digraph on 0..n-1 (n from 0, so isolated and absent vertices occur)
+# from a list of (u, v, both): both=True adds u -> v and v -> u, so
+# reciprocal leaves and pairs are common; loops and repeats are dropped.
+_pieces = st.integers(0, 8).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)),
+                       st.booleans()), max_size=2 * n)))
+
+
+def _digraph(case):
+    n, pieces = case
+    arcs = set()
+    for u, v, both in pieces:
+        if u != v:
+            arcs.add((u, v))
+            if both:
+                arcs.add((v, u))
+    return build_unweighted(sorted(arcs), vertices=range(n))
+
+
+def _brute_bipartite_count(g):
+    """Components (from the closure oracle of the symmetric graph) that some
+    2-colouring of their own vertices leaves with no monochrome edge."""
+    count = 0
+    for comp in brute_scc_partition(g):
+        for colours in itertools.product((0, 1), repeat=len(comp)):
+            side = dict(zip(comp, colours))
+            if all(side[u] != side[v] for u, v, _ in g.edges if u in side):
+                count += 1
+                break
+    return count
+
+
+class TestAgainstRescans:
+    """The one-pass component routines against the rescans they replaced
+    (`helpers.rescan_prune_reciprocal_leaves`, `helpers.bfs_components_undirected`)
+    and the closure oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_pieces)
+    def test_prune_matches_rescan(self, case):
+        g = _digraph(case)
+        got, want = prune_reciprocal_leaves(g), rescan_prune_reciprocal_leaves(g)
+        assert (got.labels, got.edges) == (want.labels, want.edges)
+
+    def test_prune_tie_keeps_the_later_end(self):
+        pruned = prune_reciprocal_leaves(build_unweighted([("a", "b"), ("b", "a")]))
+        assert pruned.labels == ("b",) and pruned.m == 0
+
+    def test_prune_keeps_isolated_vertices(self):
+        g = build_unweighted(mirror([(1, 2), (2, 3)]), vertices=[9, 1, 2, 3])
+        pruned = prune_reciprocal_leaves(g)
+        assert pruned.labels == rescan_prune_reciprocal_leaves(g).labels == (9, 3)
+
+    @settings(max_examples=50, deadline=None)
+    @given(_pieces, st.sampled_from([2, 3, "1/2"]))
+    def test_prune_refuses_weights(self, case, weight):
+        g = _digraph(case)
+        triples = [(u, v, 1) for u, v, _ in g.edges] + [(g.n, g.n + 1, weight)]
+        with pytest.raises(WeightedUnsupportedError):
+            prune_reciprocal_leaves(build_graph(triples, vertices=range(g.n)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_pieces)
+    def test_undirected_components_match_bfs(self, case):
+        g = _digraph(case)
+        assert connected_components_undirected(g) == bfs_components_undirected(g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_pieces)
+    def test_bipartite_count_matches_brute(self, case):
+        g = undirectization(_digraph(case))
+        assert bipartite_component_count(g) == _brute_bipartite_count(g)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_pieces)
+    def test_scc_arc_counts_match_brute(self, case):
+        g = _digraph(case)
+        arcs = g.edge_set()
+        want = []
+        for comp in brute_scc_partition(g):
+            inside = [(u, v) for u, v in arcs if u in comp and v in comp]
+            want.append((tuple(comp), len(inside),
+                         sum((v, u) in arcs for u, v in inside)))
+        got = [(c.vertices, c.arc_count, c.reciprocated_count)
+               for c in scc_decompose(g).components]
+        assert got == want

@@ -1,8 +1,9 @@
 """The package's import rules: every module of ``src/nbwalks`` imports only
 the standard library or, relatively, itself (zero runtime dependencies), and
 every module but ``__init__`` uses each name it imports.  And its one-routine
-rule for strongly connected components: one function in the package runs
-Tarjan's algorithm, and every SCC split calls it."""
+rules: one function in the package runs Tarjan's algorithm, and every SCC
+split calls it; one place builds an edge space, ``Graph.edge_space``, and
+every consumer of a graph reads that."""
 
 import ast
 import sys
@@ -88,3 +89,42 @@ def test_the_check_sees_a_second_scc_routine():
                      "def blocks(out):\n    low = [0] * len(out)\n    return low\n\n"
                      "def scc_decompose(g):\n    return _tarjan(g)\n")
     assert scc_routines(tree) == ["_tarjan", "blocks"]
+
+
+def edge_space_builds(tree):
+    """Names of the functions calling ``build_edge_space`` (by name or as an
+    attribute), one entry per call; ``<module>`` for a call outside any
+    function."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "build_edge_space":
+                    found.append(owner)
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_one_edge_space_build():
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [(path.name, name) for name in edge_space_builds(tree)]
+    assert found == [("graphs.py", "edge_space")]
+
+
+def test_the_check_sees_a_second_edge_space_build():
+    tree = ast.parse("class Graph:\n    def edge_space(self):\n"
+                     "        return build_edge_space(self)\n\n"
+                     "def radius(g):\n    es = build_edge_space(g)\n"
+                     "    return [edgespace.build_edge_space(h) for h in (g,)]\n\n"
+                     "ES = build_edge_space(G)\n")
+    assert edge_space_builds(tree) == ["edge_space", "radius", "radius", "<module>"]
