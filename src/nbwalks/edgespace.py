@@ -5,7 +5,8 @@ Edges are numbered in lexicographic (source, destination) index order, the
 order the Graph already stores, so every matrix here is reproducible.  A
 graph's edge space is read as `Graph.edge_space`, which calls
 `build_edge_space` once per graph; this module needs `Graph` only for
-annotations.
+annotations, and an edge space keeps the vertex count, not the graph, so
+that the two hold no reference cycle.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING
 
-from .exact import Matrix
+from .exact import Matrix, _bareiss_int_det, _clear_denominators, _tarjan_sccs
 
 if TYPE_CHECKING:
     from .graphs import Graph
@@ -38,7 +39,7 @@ class EdgeSpace:
     non-backtracking edge adjacency; weight_diag holds the edge weights.
     """
 
-    graph: Graph
+    n: int
     m: int
     tails: tuple[int, ...]
     heads: tuple[int, ...]
@@ -50,11 +51,11 @@ class EdgeSpace:
 
     @cached_property
     def source(self) -> Matrix:
-        return _incidence(self.tails, self.graph.n)
+        return _incidence(self.tails, self.n)
 
     @cached_property
     def target(self) -> Matrix:
-        return _incidence(self.heads, self.graph.n)
+        return _incidence(self.heads, self.n)
 
     @cached_property
     def line_graph(self) -> Matrix:
@@ -87,8 +88,14 @@ class EdgeSpace:
         """Coefficients of det(I - t B Z), ascending, B = hashimoto and Z =
         weight_diag.  On a unit graph Z = I and this is det(I - t B), so the
         Ihara and weighted-Ihara certificates of one edge space share it."""
-        step = self.hashimoto if self.graph.is_unweighted() else v_similar(self)
+        unweighted = all(w == 1 for w in self.weights)
+        step = self.hashimoto if unweighted else v_similar(self)
         return step.det_one_minus_t()
+
+    @cached_property
+    def vertex_plan(self) -> VertexPlan:
+        """The vertex-space rows of the weighted resolvent (`VertexPlan`)."""
+        return VertexPlan(self)
 
 
 def build_edge_space(g: Graph) -> EdgeSpace:
@@ -111,7 +118,7 @@ def build_edge_space(g: Graph) -> EdgeSpace:
     m = len(tails)
     b = sum(1 for f in reverse if f is not None) // 2
     return EdgeSpace(
-        graph=g,
+        n=g.n,
         m=m,
         tails=tails,
         heads=heads,
@@ -121,6 +128,101 @@ def build_edge_space(g: Graph) -> EdgeSpace:
         unreciprocated_count=m - 2 * b,
         reciprocal_pair_count=b,
     )
+
+
+class VertexPlan:
+    """The integer rows Y of I - X(t), as a plan fixed by the arcs and the
+    integer weights z = ell * w, filled in at each t = p/q with s = q * ell.
+
+    Woodbury (Mizuno & Sato, J. Combin. Theory Ser. B 91, 2004) turns the
+    weighted resolvent Phi(t) = I + t L^T Z (I - t B Z)^-1 R into
+    (I - X(t))^-1 wherever I + t Delta Z is invertible: with B = R L^T -
+    Delta, X(t) = t L^T Z (I + t Delta Z)^-1 R.  A one-way arc u -> v adds
+    t w at (u, v), an arc whose reverse has weight w' adds
+    t w / (1 - t**2 w w') at (u, v) and -t**2 w w' / (1 - t**2 w w') at
+    (u, u).  Row u of Y is row u of I - X(t) times d_u = s * prod a_e over
+    the reciprocated arcs e leaving u, with c_e = p**2 z_e z_rev(e) and
+    a_e = s**2 - c_e.  So Y[u][u] = s (prod a + sum_e c_e prod_{f != e}
+    a_f), Y[u][v] is -p z_e prod a (one-way) or -p z_e s**2
+    prod_{f != e} a_f, and Phi(t) = Y^-1 D with D = diag(d_u).
+
+    ``arcs[u]`` holds the one-way arcs leaving u as (head, z_e) and the
+    reciprocated ones as (head, z_e, z_e z_rev(e)).  ``blocks`` are the
+    strongly connected components of the graph; ``inner`` holds, for each
+    block of two or more vertices, the same arcs restricted to the block,
+    heads numbered within it, and ``singletons`` counts the others.
+    """
+
+    __slots__ = ("ell", "arcs", "blocks", "inner", "singletons")
+
+    def __init__(self, es: EdgeSpace):
+        z, self.ell = _clear_denominators(es.weights)
+        self.arcs = [([], []) for _ in range(es.n)]
+        for e, (u, v, f) in enumerate(zip(es.tails, es.heads, es.reverse)):
+            if f is None:
+                self.arcs[u][0].append((v, z[e]))
+            else:
+                self.arcs[u][1].append((v, z[e], z[e] * z[f]))
+        out = [[a[0] for part in arcs for a in part] for arcs in self.arcs]
+        self.blocks = _tarjan_sccs(es.n, out)
+        self.singletons = sum(len(b) == 1 for b in self.blocks)
+        self.inner = []
+        for verts in self.blocks:
+            if len(verts) > 1:
+                place = {v: i for i, v in enumerate(verts)}
+                self.inner.append([
+                    ([(place[v], ze) for v, ze in self.arcs[u][0] if v in place],
+                     [(place[v], ze, zz) for v, ze, zz in self.arcs[u][1]])
+                    for u in verts])
+
+    def rows(self, p, s) -> tuple[list[list[int]], list[int]]:
+        """The whole n-by-n Y at t = p/q, s = q * ell, and the d_u."""
+        return _plan_rows(self.arcs, p, s)
+
+    def det(self, p, s) -> int:
+        """det(Y) at t = p/q, s = q * ell: the product of the determinants
+        of the diagonal blocks.  Y[u][v] can be nonzero off the diagonal
+        only where the graph has the arc u -> v, so the components, in
+        topological order, make Y block triangular at every t.  A vertex
+        alone in its component has no reciprocated arc (its reverse would
+        join the two ends), so its 1x1 block, its diagonal entry, is s."""
+        total = s**self.singletons
+        for arcs in self.inner:
+            total *= _bareiss_int_det(_plan_rows(arcs, p, s)[0])
+            if not total:
+                return 0
+        return total
+
+
+def _plan_rows(arcs, p, s) -> tuple[list[list[int]], list[int]]:
+    """The rows of Y at t = p/q, s = q * ell for the vertices whose arcs are
+    listed as in `VertexPlan.arcs`, heads and diagonal numbered by the
+    position in ``arcs``, and each row's scale d_u = s * prod a_e.
+    prod_{f != e} a_f is the product of a prefix and a suffix of the a_f,
+    so a row costs a number of products linear in its arcs."""
+    s2, p2 = s * s, p * p
+    width = len(arcs)
+    rows, scales = [], []
+    for u, (oneway, recip) in enumerate(arcs):
+        c = [p2 * zz for _, _, zz in recip]
+        prefix = [1]
+        for x in c:
+            prefix.append(prefix[-1] * (s2 - x))
+        whole = prefix[-1]
+        row = [0] * width
+        for v, ze in oneway:
+            row[v] = -p * ze * whole
+        diagonal = whole
+        suffix = 1
+        for k in range(len(c) - 1, -1, -1):
+            others = prefix[k] * suffix
+            diagonal += c[k] * others
+            row[recip[k][0]] = -p * recip[k][1] * s2 * others
+            suffix *= s2 - c[k]
+        row[u] = s * diagonal
+        rows.append(row)
+        scales.append(s * whole)
+    return rows, scales
 
 
 def _incidence(ends, n: int) -> Matrix:

@@ -11,10 +11,10 @@ ascending coefficient arrays.
 from __future__ import annotations
 
 import hashlib
-import json
+from json.encoder import encode_basestring_ascii as _quote
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf
 
 from .convergence import Bound, RadiusReport
 from .errors import GraphParseError
@@ -268,7 +268,81 @@ def input_descriptor(path: str, text: str, g: Graph) -> dict:
 
 
 def to_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2, ensure_ascii=True)
+    """The bytes of ``json.dumps(doc, indent=2, ensure_ascii=True)``.
+
+    With an indent, `json.dumps` runs its pure-Python encoder on every
+    value.  This renderer spells each scalar and key as that encoder does,
+    but quotes a flat list of strings, which is what the walk tables and
+    polynomials are, in one join over the C string quoter.
+    """
+    out: list[str] = []
+    _render(doc, "\n", out)
+    return "".join(out)
+
+
+def _scalar(value) -> str:
+    """A scalar as `json.dumps` spells it."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == inf:
+            return "Infinity"
+        if value == -inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _key(key) -> str:
+    """A dictionary key as `json.dumps` spells it: quoted, and refused
+    unless it is a string, a number, a bool or None."""
+    if isinstance(key, str):
+        return _quote(key)
+    if key is None or isinstance(key, (int, float)):
+        return _quote(_scalar(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _render(value, newline: str, out: list) -> None:
+    """Append the indented JSON of value; newline is the line break and
+    indent that come before the closing bracket of this value."""
+    if isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        if all(type(x) is str for x in value):
+            out.append("[" + inner + ("," + inner).join(map(_quote, value)) + newline + "]")
+            return
+        sep = "[" + inner
+        for x in value:
+            out.append(sep)
+            _render(x, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, x in value.items():
+            out.append(sep + _key(key) + ": ")
+            _render(x, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        out.append(_scalar(value))
 
 
 def to_tsv(doc: dict) -> str:

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .edgespace import downweighted_transfer
 from .errors import TauOutOfRangeError
-from .exact import Matrix, _bareiss_int_det, _clear_denominators, _tarjan_sccs
+from .exact import Matrix
 from .graphs import Graph
 from .laplacians import _deformed_laplacian, structure_matrices
 from .polys import Polynomial, polymat_det
@@ -185,26 +185,21 @@ def _vertex_sample_check(es, g_poly, rhs, count):
     rational sample points, in vertex space.
 
     Woodbury gives Phi(t) = (I - X(t))^-1 for an n-by-n X(t) read off the
-    arcs (`_VertexPlan`).  At t = p/q, s = q * ell (ell the weights'
-    common denominator), the integer rows Y have det(Y) = s**(n + 2 r) *
-    P(t)**2 * det(I - X(t)), r the number of reciprocated arcs and P the
-    pair product, so with g(t) = gn / (gd * g_lcm) and rhs(t) =
-    rn / (rd * r_lcm) the check is the integer equality
+    arcs (`EdgeSpace.vertex_plan`).  At t = p/q, s = q * ell (ell the
+    weights' common denominator), the integer rows Y have det(Y) =
+    s**(n + 2 r) * P(t)**2 * det(I - X(t)), r the number of reciprocated
+    arcs and P the pair product, so with g(t) = gn / (gd * g_lcm) and
+    rhs(t) = rn / (rd * r_lcm) the check is the integer equality
     det(Y) * gd * g_lcm * rd * r_lcm == s**(n + 2 r) * gn * rn.
     Both sides are polynomial in p, so it holds also where some
-    1 - t**2 w w' is 0; points where g(t) = 0 are skipped.
-
-    Y[u][v] can be nonzero off the diagonal only where the graph has the
-    arc u -> v, at every t.  So the strongly connected components of the
-    graph, ordered topologically, make every Y block triangular, and
-    det(Y) is the product of the determinants of its diagonal blocks.  The
-    plan finds them once for all the points.
+    1 - t**2 w w' is 0; points where g(t) = 0 are skipped.  The plan takes
+    det(Y) over the strongly connected components of the graph, which
+    split Y at every t.
     """
-    z, ell = _clear_denominators(es.weights)
-    plan = _VertexPlan(es, z)
+    plan = es.vertex_plan
     g_ints, g_lcm = g_poly.ints, g_poly.den
     r_ints, r_lcm = rhs.ints, rhs.den
-    power = es.graph.n + 4 * es.reciprocal_pair_count  # n + 2 r
+    power = es.n + 4 * es.reciprocal_pair_count  # n + 2 r
     checked = 0
     candidate = 0
     while checked < count:
@@ -214,101 +209,12 @@ def _vertex_sample_check(es, g_poly, rhs, count):
         if gn == 0:
             continue
         rn, rd = _zhomogeneous(r_ints, p, q)
-        s = q * ell
+        s = q * plan.ell
         y = plan.det(p, s)
         if y * gd * g_lcm * rd * r_lcm != s**power * gn * rn:
             return False, checked
         checked += 1
     return True, checked
-
-
-class _VertexPlan:
-    """The integer rows Y of I - X(t), as a plan fixed by the arcs and the
-    integer weights z = ell * w, filled in at each t = p/q with s = q * ell.
-
-    Row u of Y is row u of I - X(t) times s * prod a_e over the
-    reciprocated arcs e leaving u.  With B = R L^T - Delta, X(t) =
-    t L^T Z (I + t Delta Z)^-1 R: a one-way arc u -> v adds t w at (u, v),
-    an arc whose reverse has weight w' adds t w / (1 - t**2 w w') at (u, v)
-    and -t**2 w w' / (1 - t**2 w w') at (u, u).  So with c_e =
-    p**2 z_e z_rev(e) and a_e = s**2 - c_e, Y[u][u] =
-    s (prod a + sum_e c_e prod_{f != e} a_f), and Y[u][v] is
-    -p z_e prod a (one-way) or -p z_e s**2 prod_{f != e} a_f.
-
-    ``arcs[u]`` holds the one-way arcs leaving u as (head, z_e) and the
-    reciprocated ones as (head, z_e, z_e z_rev(e)).  ``blocks`` are the
-    strongly connected components of the graph; ``inner`` holds, for each
-    block of two or more vertices, the same arcs restricted to the block,
-    heads numbered within it, and ``singletons`` counts the others.
-    """
-
-    __slots__ = ("arcs", "blocks", "inner", "singletons")
-
-    def __init__(self, es, z):
-        n = es.graph.n
-        self.arcs = [([], []) for _ in range(n)]
-        for e, (u, v, f) in enumerate(zip(es.tails, es.heads, es.reverse)):
-            if f is None:
-                self.arcs[u][0].append((v, z[e]))
-            else:
-                self.arcs[u][1].append((v, z[e], z[e] * z[f]))
-        out = [[a[0] for part in arcs for a in part] for arcs in self.arcs]
-        self.blocks = _tarjan_sccs(n, out)
-        self.singletons = sum(len(b) == 1 for b in self.blocks)
-        self.inner = []
-        for verts in self.blocks:
-            if len(verts) > 1:
-                place = {v: i for i, v in enumerate(verts)}
-                self.inner.append([
-                    ([(place[v], ze) for v, ze in self.arcs[u][0] if v in place],
-                     [(place[v], ze, zz) for v, ze, zz in self.arcs[u][1]])
-                    for u in verts])
-
-    def rows(self, p, s) -> list[list[int]]:
-        """The whole n-by-n Y at t = p/q, s = q * ell."""
-        return _plan_rows(self.arcs, p, s)
-
-    def det(self, p, s) -> int:
-        """det(Y) at t = p/q, s = q * ell: the product of the determinants
-        of the diagonal blocks.  A vertex alone in its component has no
-        reciprocated arc (its reverse would join the two ends), so its 1x1
-        block, its diagonal entry, is s."""
-        total = s**self.singletons
-        for arcs in self.inner:
-            total *= _bareiss_int_det(_plan_rows(arcs, p, s))
-            if not total:
-                return 0
-        return total
-
-
-def _plan_rows(arcs, p, s) -> list[list[int]]:
-    """The rows of Y at t = p/q, s = q * ell for the vertices whose arcs are
-    listed as in `_VertexPlan.arcs`, heads and diagonal numbered by the
-    position in ``arcs``.  prod_{f != e} a_f is the product of a prefix and
-    a suffix of the a_f, so a row costs a number of products linear in its
-    arcs."""
-    s2, p2 = s * s, p * p
-    width = len(arcs)
-    rows = []
-    for u, (oneway, recip) in enumerate(arcs):
-        c = [p2 * zz for _, _, zz in recip]
-        prefix = [1]
-        for x in c:
-            prefix.append(prefix[-1] * (s2 - x))
-        whole = prefix[-1]
-        row = [0] * width
-        for v, ze in oneway:
-            row[v] = -p * ze * whole
-        diagonal = whole
-        suffix = 1
-        for k in range(len(c) - 1, -1, -1):
-            others = prefix[k] * suffix
-            diagonal += c[k] * others
-            row[recip[k][0]] = -p * recip[k][1] * s2 * others
-            suffix *= s2 - c[k]
-        row[u] = s * diagonal
-        rows.append(row)
-    return rows
 
 
 def verify_lemma_suite(g: Graph, tau) -> list[IdentityCertificate]:

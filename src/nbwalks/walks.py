@@ -228,9 +228,14 @@ def weighted_nbtw(g: Graph, kmax: int) -> WalkTable:
 def generating_function_eval(g: Graph, t, mode: str, omega=None) -> Matrix:
     """Exact value of the walk generating function at a rational point.
 
-    mode "nbtw" uses (1 - t**2) M(t)**-1, mode "btdw" the downweighted
-    analogue, and mode "weighted" the incidence-factored resolvent
-    I + t L.T Z (I - t B Z)**-1 R.  A singular system means t is a pole.
+    mode "nbtw" uses (1 - t**2) M(t)**-1 and mode "btdw" the downweighted
+    analogue.  Mode "weighted" is the incidence-factored resolvent
+    Phi(t) = I + t L.T Z (I - t B Z)**-1 R, taken in vertex space as one
+    n-by-n solve Phi(t) = Y**-1 D (`EdgeSpace.vertex_plan`).  Where
+    t**2 w w' = 1 on a reciprocal pair, D has a zero entry and I + t Delta Z
+    is singular, so Woodbury does not apply and the m-by-m edge system is
+    solved instead.  Elsewhere det Y is a nonzero multiple of
+    det(I - t B Z), so either route's singular system means t is a pole.
     """
     t = Fraction(t)
     if mode in ("nbtw", "btdw"):
@@ -249,13 +254,18 @@ def generating_function_eval(g: Graph, t, mode: str, omega=None) -> Matrix:
         return inv.scale(1 - tau * tau * t * t)
     if mode == "weighted":
         es = g.edge_space
-        base = Matrix.identity(es.m) - v_similar(es).scale(t)
-        solved = base.solve(es.target)
-        if solved is None:
+        plan = es.vertex_plan
+        rows, scales = plan.rows(t.numerator, t.denominator * plan.ell)
+        if all(scales):
+            phi = Matrix(rows, 1).solve(Matrix.diagonal(scales))
+        else:
+            solved = (Matrix.identity(es.m) - v_similar(es).scale(t)).solve(es.target)
+            phi = None if solved is None else Matrix.identity(g.n) + (
+                es.source.transpose() * es.weight_diag * solved
+            ).scale(t)
+        if phi is None:
             raise PoleAtTError(f"t={t} is a pole of the generating function")
-        return Matrix.identity(g.n) + (
-            es.source.transpose() * es.weight_diag * solved
-        ).scale(t)
+        return phi
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -271,21 +281,73 @@ class CentralityResult:
     note: str = "raw row sums of the walk generating function; no normalization"
 
 
+def _transfer_norm(es, tau) -> Fraction:
+    """||T||_inf, the largest row sum of the nonnegative edge transfer
+    matrix T, read off the arc arrays in O(m): B Z in weighted mode (tau
+    None), whose row e sums the weights leaving the head of e but the
+    reverse of e; tau B + (1 - tau) W = B + (1 - tau) Delta in btdw mode,
+    nbtw being tau = 1; and at tau = 0 the adjacency matrix A, which the
+    classical walk series is certified on."""
+    if tau is None or tau == 0:
+        out = [_ZERO] * es.n
+        for u, w in zip(es.tails, es.weights):
+            out[u] += w
+        if tau == 0:
+            return max(out, default=_ZERO)
+        w = es.weights
+        return max((out[v] - (w[f] if f is not None else 0)
+                    for v, f in zip(es.heads, es.reverse)), default=_ZERO)
+    return max((len(row) + (1 - tau) * (f is not None)
+                for row, f in zip(es.successors, es.reverse)), default=_ZERO)
+
+
 def _certified_below(g: Graph, t: Fraction, mode: str, omega) -> bool:
+    """True when t is certified below the radius of the mode's walk series.
+
+    Each mode refuses its graphs and parameters first, as its radius report
+    would.  Then a certificate that costs O(m): with T the mode's edge
+    transfer matrix (`_transfer_norm`) and N = max(||T||_inf, 1), every t
+    with 2 t N <= 1 is accepted without the radius report.  The full report
+    accepts each such t as well, so no decision changes:
+
+    * rho(T) <= ||T||_inf <= N, and a Perron upper end is at most
+      rho + 1e-12 * max(1, upper), hence below 2 N; so t <= 1 / (2 N) lies
+      below 1 / upper, the lower end of the inverse bracket that weighted
+      mode, btdw outside the multi-cycle case and tau = 0 read;
+    * the other end of the btdw bracket is 1/tau >= 1 > t;
+    * the one-cycle radius is 1 > t, and the all-tree radius is infinite;
+    * a multi-cycle radius is the smallest determinant root in
+      (0, 1/tau), which is 1/lambda for a real eigenvalue lambda <= rho
+      of T, so at least 1/N; its Sturm bracket is at most 1e-12 wide, so
+      it starts above 1/N - 1e-12 > 1/(2 N), as N is at most the vertex
+      count on the unweighted graphs this case runs on.
+
+    Any other t goes to the full radius report.
+    """
+    if mode == "nbtw":
+        g.require_unweighted("radius_unweighted")
+        tau = _ONE
+    elif mode == "weighted":
+        tau = None
+    elif mode == "btdw":
+        if omega is None:
+            raise ValueError("btdw mode needs omega")
+        tau = 1 - _omega_fraction(omega)
+        if tau:
+            g.require_unweighted("radius_btdw")
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    if 2 * t * max(_transfer_norm(g.edge_space, tau), 1) <= 1:
+        return True
     if mode == "nbtw":
         return radius_unweighted(g).certifies_below(t)
     if mode == "weighted":
         return radius_weighted(g).certifies_below(t)
-    if mode == "btdw":
-        if omega is None:
-            raise ValueError("btdw mode needs omega")
-        tau = 1 - _omega_fraction(omega)
-        if tau == 0:
-            # classical walk series: radius is the reciprocal adjacency radius
-            pr = perron_radius(g.adjacency())
-            return pr.nilpotent or t < 1 / pr.upper
-        return radius_btdw(g, tau).certifies_below(t)
-    raise ValueError(f"unknown mode {mode!r}")
+    if tau == 0:
+        # classical walk series: radius is the reciprocal adjacency radius
+        pr = perron_radius(g.adjacency())
+        return pr.nilpotent or t < 1 / pr.upper
+    return radius_btdw(g, tau).certifies_below(t)
 
 
 def nbt_katz_centrality(g: Graph, t, mode: str = "nbtw", omega=None) -> CentralityResult:

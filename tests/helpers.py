@@ -17,6 +17,7 @@ from nbwalks import (
     polymat_det,
     reversal,
     smith_form,
+    v_similar,
 )
 from nbwalks.errors import EnumerationBudgetExceededError
 from nbwalks.exact import _bareiss_int_det, _clear_denominators, _int_product
@@ -338,7 +339,7 @@ def integer_operator(es):
     as (index, int) pairs for `exact._int_product`; r_rows are the dense int
     rows of target.
     """
-    n = es.graph.n
+    n = es.n
     z, w = _clear_denominators(es.weights)
     step = [[(f, z[f]) for f in row] for row in es.successors]
     lt_z = [[] for _ in range(n)]
@@ -371,7 +372,7 @@ def adjugate_sample_check(es, g_poly, rhs, count):
     det(N) * rd == rn * gn**(n - 1) * den, and det(N) comes from the same
     Bareiss kernel as `Matrix.det`.  Points where g(t) = 0 are skipped.
     """
-    n = es.graph.n
+    n = es.n
     m = es.m
     ell, step, lt_z, r_rows = integer_operator(es)
     scaled = [c * ell**j for j, c in enumerate(g_poly.coeffs)]
@@ -497,6 +498,19 @@ def fraction_solve(a: Matrix, rhs: Matrix):
                 fac = f / prow[k]
                 aug[i] = [x - fac * y for x, y in zip(aug[i], prow)]
     return Matrix([[aug[i][n + j] / aug[i][i] for j in range(rhs.ncols)] for i in range(n)])
+
+
+def edge_resolvent(g: Graph, t):
+    """The weighted resolvent I + t L^T Z (I - t B Z)^-1 R by the m-by-m
+    edge-space system, solved over Fractions: the reference for the
+    vertex-space route of `generating_function_eval(mode="weighted")`.
+    None where I - t B Z is singular, that is, at a pole."""
+    es = g.edge_space
+    t = Fraction(t)
+    solved = fraction_solve(Matrix.identity(es.m) - v_similar(es).scale(t), es.target)
+    if solved is None:
+        return None
+    return Matrix.identity(g.n) + (es.source.transpose() * es.weight_diag * solved).scale(t)
 
 
 def fraction_rank(a: Matrix) -> int:

@@ -343,6 +343,25 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == "nbwalks: --tau applies to --mode btdw only\n"
 
+    @pytest.mark.parametrize("text, argv, message", [
+        ("a\tb\t2\nb\tc\nc\ta\n", ["--t", "1/200"],
+         "WeightedUnsupportedError: radius_unweighted needs an unweighted graph"),
+        ("a\tb\t2\nb\tc\nc\ta\n", ["--mode", "btdw", "--omega", "1/2", "--t", "1/200"],
+         "WeightedUnsupportedError: radius_btdw needs an unweighted graph"),
+        ("%undirected\na\tb\nb\tc\nc\ta\n", ["--t", "3/2"],
+         "AboveRadiusError: t=3/2 is not certifiably below the radius of convergence"),
+        # a tree's series is a polynomial, but (1 - t**2) M(t)**-1 has M(1) singular
+        ("%undirected\na\tb\nb\tc\n", ["--t", "1"],
+         "PoleAtTError: t=1 is a pole of the generating function"),
+    ], ids=["nbtw-weighted", "btdw-weighted", "above-radius", "pole"])
+    def test_centrality_refusals(self, tmp_path, capsys, text, argv, message):
+        path = tmp_path / "g.tsv"
+        path.write_text(text)
+        assert main(["centrality", *argv, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"nbwalks: {message}\n"
+
     def test_centrality_library_keeps_value_error(self):
         with pytest.raises(ValueError, match="t must be nonnegative"):
             nbt_katz_centrality(example1(), -1)
@@ -566,6 +585,42 @@ class TestMoreInputs:
         assert code == 0
         assert doc["payload"]["case"] == "NotCharacterized"
         assert doc["payload"]["bounds"] is not None
+
+
+_JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                          st.text(), st.sampled_from(["1/2", "-3/4", "0/1"]))
+_JSON_KEYS = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(), st.none())
+_JSON_DOCS = st.recursive(_JSON_SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=5),
+    st.lists(inner, max_size=3).map(tuple),
+    st.dictionaries(_JSON_KEYS, inner, max_size=5),
+    st.lists(st.text(), max_size=6),
+    st.lists(st.lists(st.floats(), max_size=4), max_size=4),
+), max_leaves=40)
+
+
+class TestToJson:
+    """`to_json` is `json.dumps(doc, indent=2, ensure_ascii=True)`, byte
+    for byte."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=_JSON_DOCS)
+    def test_bytes_of_json_dumps(self, doc):
+        assert to_json(doc) == json.dumps(doc, indent=2, ensure_ascii=True)
+
+    @pytest.mark.parametrize("argv", [["walks", "--k", "6", "--float"], ["walks", "--k", "6"],
+                                      ["verify"], ["radius"], ["analyze"]])
+    def test_reports(self, example1_file, argv):
+        _, doc = run_command([*argv, example1_file])
+        assert to_json(doc) == json.dumps(doc, indent=2, ensure_ascii=True)
+
+    @pytest.mark.parametrize("bad", [{"a": object()}, {(1, 2): 3}, [{1, 2}]])
+    def test_refuses_what_json_refuses(self, bad):
+        with pytest.raises(TypeError) as ours:
+            to_json(bad)
+        with pytest.raises(TypeError) as theirs:
+            json.dumps(bad, indent=2, ensure_ascii=True)
+        assert str(ours.value) == str(theirs.value)
 
 
 class TestRationalJson:

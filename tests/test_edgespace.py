@@ -1,5 +1,7 @@
+import gc
 import random
 import tracemalloc
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -298,6 +300,20 @@ class TestOneBuildPerGraph:
         g = example1()
         assert g.edge_space is g.edge_space
         assert len(builds) == 1 and builds[0] is g
+
+    def test_freed_without_the_cycle_collector(self):
+        # the edge space keeps n, not the graph, so dropping the graph
+        # frees it, its edge space and the cached vertex plan at once
+        g = example1()
+        es = weakref.ref(g.edge_space)
+        assert g.edge_space.n == g.n and g.edge_space.vertex_plan.ell == 1
+        graph = weakref.ref(g)
+        gc.disable()
+        try:
+            del g
+            assert graph() is None and es() is None
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("argv", [
         ["centrality", "--mode", "weighted", "--t", "1/200"],

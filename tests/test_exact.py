@@ -20,7 +20,7 @@ from nbwalks import Matrix, Polynomial, build_edge_space, v_similar, verify_weig
 from nbwalks.errors import NotSquareError
 from nbwalks import exact as exact_mod
 from nbwalks.exact import _bareiss_int_det, _clear_denominators, _fraction_free, _tarjan_sccs
-from nbwalks.ihara import _vertex_sample_check, _VertexPlan
+from nbwalks.ihara import _vertex_sample_check
 
 from helpers import (
     adjugate_sample_check,
@@ -142,7 +142,7 @@ def fraction_det(rows):
 def fraction_sample_check(es, step, g_poly, rhs, count):
     """The sample loop the integer route replaced: each sample matrix is
     built from Fractions, and its determinant is taken over Q."""
-    n = es.graph.n
+    n = es.n
     m = es.m
     zeds, ell = _clear_denominators([es.weight_diag.data[e][e] for e in range(m)])
     rows_sparse = []
@@ -584,14 +584,18 @@ class TestSolve:
                 assert Matrix(rows) * Matrix(work) == Matrix.identity(n).scale(pivot)
 
     def test_generating_function_systems(self):
-        # the systems centrality solves: M(t) on graphs and I - t B Z on
-        # the edge space, where most entries are 0
+        # the systems centrality solves: M(t) on graphs, the vertex-space
+        # Y Phi = D of weighted mode, and I - t B Z on the edge space, where
+        # most entries are 0
         for g in (example1(), directed_cycle(4), weighted_3cycle(),
                   random_digraph(random.Random(3), 6, 0.4, weighted=True)):
             es = build_edge_space(g)
             for t in (F(1, 5), F(2, 7)):
                 base = Matrix.identity(es.m) - v_similar(es).scale(t)
                 assert base.solve(es.target) == fraction_solve(base, es.target)
+                rows, scales = es.vertex_plan.rows(t.numerator, t.denominator * es.vertex_plan.ell)
+                y, d = Matrix(rows, 1), Matrix.diagonal(scales)
+                assert y.solve(d) == fraction_solve(y, d)
                 m = Matrix.identity(g.n) - g.adjacency().scale(t)
                 assert m.inverse() == fraction_solve(m, Matrix.identity(g.n))
 
@@ -697,7 +701,7 @@ class TestWeightedIharaSamples:
         checked = 0
         for g in self.reference_graphs():
             es, step, g_poly, _, _ = sample_inputs(g)
-            z, ell = _clear_denominators(es.weights)
+            _, ell = _clear_denominators(es.weights)
             w = es.weights
             for t in points:
                 factors = {e: 1 - t * t * w[e] * w[f] for e, f in enumerate(es.reverse)
@@ -709,7 +713,8 @@ class TestWeightedIharaSamples:
                 scale = [s] * g.n
                 for e, factor in factors.items():
                     scale[es.tails[e]] *= s * s * factor
-                y = _VertexPlan(es, z).rows(p, s)
+                y, scales = es.vertex_plan.rows(p, s)
+                assert scales == scale
                 i_minus_x = Matrix([[F(x) / c for x in row] for row, c in zip(y, scale)])
                 solved = (Matrix.identity(es.m) - step.scale(t)).solve(es.target)
                 phi = Matrix.identity(g.n) + (
@@ -1007,8 +1012,7 @@ class TestVertexPlan:
             weighted = len(found) % 2 == 1
             g = random_connected_graph(rng, rng.randint(5, 9), rng.randint(0, 3),
                                        oneway=0.6, weighted=weighted)
-            z, _ = _clear_denominators(build_edge_space(g).weights)
-            if len(_VertexPlan(build_edge_space(g), z).blocks) >= 3:
+            if len(build_edge_space(g).vertex_plan.blocks) >= 3:
                 found.append(g)
         return found
 
@@ -1016,21 +1020,19 @@ class TestVertexPlan:
         sizes = set()
         for g in self.graphs():
             es, _, g_poly, _, count = sample_inputs(g)
-            z, ell = _clear_denominators(es.weights)
-            plan = _VertexPlan(es, z)
+            plan = es.vertex_plan
             sizes.update(len(b) for b in plan.blocks)
             points, skipped = sample_points(g_poly, count)
             for t in points + skipped:
-                p, s = t.numerator, t.denominator * ell
-                assert plan.det(p, s) == _bareiss_int_det(plan.rows(p, s)), (g.edges, t)
+                p, s = t.numerator, t.denominator * plan.ell
+                assert plan.det(p, s) == _bareiss_int_det(plan.rows(p, s)[0]), (g.edges, t)
         assert 1 in sizes and max(sizes) >= 3
 
     def test_rows_keep_to_the_arcs(self):
         for g in self.graphs():
             es = build_edge_space(g)
-            z, ell = _clear_denominators(es.weights)
             arcs = g.edge_set()
-            y = _VertexPlan(es, z).rows(-3, 2 * ell)
+            y = es.vertex_plan.rows(-3, 2 * es.vertex_plan.ell)[0]
             assert all(y[u][v] == 0 for u in range(g.n) for v in range(g.n)
                        if u != v and (u, v) not in arcs)
 

@@ -1,11 +1,17 @@
+import functools
+import math
 import random
 import tracemalloc
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nbwalks import (
+    Graph,
     Matrix,
+    Polynomial,
     btdw_recurrence,
     build_edge_space,
     build_graph,
@@ -21,11 +27,23 @@ from nbwalks import (
 from nbwalks.errors import (
     AboveRadiusError,
     EnumerationBudgetExceededError,
+    IterationBudgetExceededError,
     OmegaOutOfRangeError,
     PoleAtTError,
     WeightedUnsupportedError,
 )
-from nbwalks.walks import _enumerate, _recurrence, walk_tables_float
+from nbwalks import convergence as convergence_mod
+from nbwalks import walks as walks_mod
+from nbwalks.convergence import radius_btdw, radius_unweighted, radius_weighted
+from nbwalks.edgespace import downweighted_transfer
+from nbwalks.spectral import perron_radius
+from nbwalks.walks import (
+    _certified_below,
+    _enumerate,
+    _recurrence,
+    _transfer_norm,
+    walk_tables_float,
+)
 
 from helpers import (
     all_digraphs,
@@ -33,6 +51,7 @@ from helpers import (
     complete_undirected,
     connected_undirected_graphs,
     directed_cycle,
+    edge_resolvent,
     example1,
     fraction_enumerate,
     nonisomorphic_connected_undirected,
@@ -443,3 +462,232 @@ class TestFloatFastPath:
         exact = nbtw_recurrence(g, 10).tables
         approx = walk_tables_float(g, 10)
         assert approx == [[[float(x) for x in row] for row in m.data] for m in exact]
+
+
+# ---- certifying t below the radius ------------------------------------------
+
+EXTREME_WEIGHTS = tuple(F(x) for x in ("1e-30", "1e-15", "1/3", "2", "1e15", "1e30"))
+
+
+def reweighted(g: Graph, rng: random.Random, pool) -> Graph:
+    """g with every arc weight drawn from pool."""
+    return build_graph([(g.labels[u], g.labels[v], rng.choice(pool)) for u, v, _ in g.edges],
+                       vertices=g.labels)
+
+
+def regular_graphs():
+    """Graphs whose edge transfer matrices have equal row sums, so that
+    rho(T) is ||T||_inf and the full report's radius is 1 / ||T||_inf."""
+    k33 = [(i, j) for i in range(3) for j in range(3, 6)]
+    return [undirected_cycle(4), complete_undirected(4), complete_undirected(5),
+            build_unweighted(k33 + [(j, i) for i, j in k33]), directed_cycle(5)]
+
+
+@st.composite
+def shortcut_graphs(draw):
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(["random", "cycle", "regular"]))
+    if kind == "random":
+        g = random_digraph(rng, rng.randint(2, 6), rng.choice([0.2, 0.4, 0.7]))
+    elif kind == "cycle":
+        length = rng.randint(3, 6)
+        g = directed_cycle(length - 1) if rng.random() < 0.5 else undirected_cycle(length)
+    else:
+        g = rng.choice(regular_graphs())
+    weights = draw(st.sampled_from(["unit", "pool", "extreme"]))
+    if weights == "pool":
+        g = reweighted(g, rng, (F(1, 2), F(1, 3), F(2), F(3), F(5, 4)))
+    elif weights == "extreme":
+        g = reweighted(g, rng, EXTREME_WEIGHTS)
+    return g
+
+
+def full_report(g, mode, tau):
+    """The radius report's decision on t, as centrality took it before the
+    norm certificate came first."""
+    if mode == "nbtw":
+        return radius_unweighted(g).certifies_below
+    if mode == "weighted":
+        return radius_weighted(g).certifies_below
+    if tau == 0:
+        pr = walks_mod.perron_radius(g.adjacency())
+        return lambda t: pr.nilpotent or t < 1 / pr.upper
+    return radius_btdw(g, tau).certifies_below
+
+
+def dense_transfer(g, mode, tau) -> Matrix:
+    es = g.edge_space
+    if mode == "weighted":
+        return v_similar(es)
+    if tau == 0:
+        return g.adjacency()
+    return downweighted_transfer(es, tau)
+
+
+class TestNormCertificate:
+    """t with 2 t max(||T||_inf, 1) <= 1 is accepted without the radius
+    report; the full report would have accepted it too."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(g=shortcut_graphs(), scale=st.fractions(F(1, 4), F(4)))
+    def test_never_accepts_what_the_report_refuses(self, g, scale):
+        modes = [("weighted", None, None), ("btdw", 1, F(0))]
+        if g.is_unweighted():
+            modes += [("nbtw", None, F(1)), ("btdw", 0, F(1)), ("btdw", F(1, 2), F(1, 2))]
+        # a Perron bracket that does not close within 500 steps (weights
+        # 1e-30 and 1e30 on one graph can do that) leaves the report
+        # undecided; only the norm certificate answers there
+        budgeted = functools.partial(perron_radius, budget=500)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(convergence_mod, "perron_radius", budgeted)
+            patch.setattr(walks_mod, "perron_radius", budgeted)
+            for mode, omega, tau in modes:
+                norm = _transfer_norm(g.edge_space, tau)
+                dense = dense_transfer(g, mode, tau)
+                assert norm == max((sum(row) for row in dense.data), default=0)
+                big = max(norm, 1)
+                edge = 1 / (2 * big)
+                try:
+                    accepts = full_report(g, mode, tau)
+                except IterationBudgetExceededError:
+                    accepts = None
+                for t in (edge, edge * (1 - F(1, 10**6)), edge * (1 + F(1, 10**6)),
+                          edge * scale):
+                    shortcut = 2 * t * big <= 1
+                    if accepts is None:
+                        if shortcut:
+                            assert _certified_below(g, t, mode, omega)
+                        else:
+                            with pytest.raises(IterationBudgetExceededError):
+                                _certified_below(g, t, mode, omega)
+                        continue
+                    full = accepts(t)
+                    assert full or not shortcut, (g.edges, mode, omega, t)
+                    assert _certified_below(g, t, mode, omega) == full, (g.edges, mode, omega, t)
+
+    def test_regular_graphs_meet_the_norm(self):
+        # rho(B) = ||B||_inf: the bound is tight and the edge point is
+        # still accepted by the full report
+        for g in regular_graphs():
+            norm = _transfer_norm(g.edge_space, F(1))
+            pr = perron_radius(g.edge_space.hashimoto)
+            assert pr.lower <= norm <= pr.upper
+            assert radius_unweighted(g).certifies_below(1 / (2 * max(norm, 1)))
+
+    @pytest.mark.parametrize("mode, omega", [("nbtw", None), ("weighted", None),
+                                             ("btdw", F(1, 2)), ("btdw", 1)])
+    def test_small_t_builds_no_radius_report(self, monkeypatch, mode, omega):
+        def refuse(*args):
+            raise AssertionError("radius report built")
+        for name in ("radius_unweighted", "radius_weighted", "radius_btdw", "perron_radius"):
+            monkeypatch.setattr(walks_mod, name, refuse)
+        g = bowtie()
+        res = nbt_katz_centrality(g, F(1, 2 * g.n), mode=mode, omega=omega)
+        assert res.converged
+        with pytest.raises(AssertionError, match="radius report built"):
+            nbt_katz_centrality(g, F(1, 2), mode=mode, omega=omega)
+
+
+# ---- the weighted resolvent in vertex space ---------------------------------
+
+
+def square_pairs(rng: random.Random, g: Graph) -> Graph:
+    """g with about half its reciprocal pairs reweighted to w' = k**2 / w,
+    so that t**2 w w' = 1 at the rational points t = +-1/k."""
+    weights = {(u, v): w for u, v, w in g.edges}
+    for (u, v), w in sorted(weights.items()):
+        if u < v and (v, u) in weights and rng.random() < 0.5:
+            weights[v, u] = rng.choice((F(1), F(2), F(3), F(1, 2))) ** 2 / w
+    return build_graph([(g.labels[u], g.labels[v], w) for (u, v), w in weights.items()],
+                       vertices=g.labels)
+
+
+def pair_points(g: Graph) -> set:
+    """Every rational t with t**2 w w' = 1 on a reciprocal pair."""
+    es = g.edge_space
+    points = set()
+    for e, f in enumerate(es.reverse):
+        if f is not None:
+            c = es.weights[e] * es.weights[f]
+            a, b = math.isqrt(c.numerator), math.isqrt(c.denominator)
+            if F(a, b) ** 2 == c:
+                points.update({F(b, a), -F(b, a)})
+    return points
+
+
+def same_resolvent(g: Graph, t) -> bool:
+    """The vertex route equals the edge-space reference at t, and raises
+    PoleAtTError exactly where the reference is singular; True at a pole."""
+    ref = edge_resolvent(g, t)
+    try:
+        got = generating_function_eval(g, t, "weighted")
+    except PoleAtTError:
+        got = None
+    assert got == ref, (g.edges, t)
+    return ref is None
+
+
+# triangles and cycles with rational poles: a directed 3-cycle of weight 2
+# (pole 1/2, no pairs), a triangle of weight 2 one way round and 1 the
+# other (poles 1/2 and 1, pair points irrational), and the unit triangle
+# (poles at the pair points +-1)
+POLE_GRAPHS = (
+    lambda: directed_cycle(3, [2, 2, 2]),
+    lambda: build_graph([(0, 1, 2), (1, 2, 2), (2, 0, 2), (1, 0, 1), (2, 1, 1), (0, 2, 1)]),
+    lambda: undirected_cycle(3),
+)
+
+
+class TestVertexResolvent:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32), weighted=st.booleans(),
+           points=st.lists(st.fractions(F(-3), F(3), max_denominator=12), min_size=1,
+                           max_size=4))
+    def test_equals_the_edge_route(self, seed, weighted, points):
+        rng = random.Random(seed)
+        g = square_pairs(rng, random_digraph(rng, rng.randint(2, 5), rng.choice([0.3, 0.6, 0.9]),
+                                             weighted=weighted))
+        for t in sorted(set(points) | pair_points(g)):
+            same_resolvent(g, t)
+
+    def test_pair_points_and_poles(self):
+        rng = random.Random(20261019)
+        pairs = poles = 0
+        graphs = [build() for build in POLE_GRAPHS]
+        for _ in range(200):
+            n = rng.randint(3, 6)
+            g = random_connected_graph(rng, n, rng.randint(0, min(3, (n - 1) * (n - 2) // 2)),
+                                       oneway=rng.choice([0.0, 0.3]), weighted=True)
+            graphs.append(square_pairs(rng, g))
+        for g in graphs:
+            g_poly = Polynomial(g.edge_space.ihara_det)
+            candidates = {F(p, q) for p in range(-4, 5) for q in (1, 2, 3)}
+            roots = {t for t in candidates if g_poly(t) == 0}
+            for t in pair_points(g):
+                same_resolvent(g, t)
+                pairs += 1
+            for t in roots | {F(1, 7), F(-2, 5)}:
+                assert same_resolvent(g, t) == (t in roots), (g.edges, t)
+                poles += t in roots
+        assert pairs > 300 and poles >= 5
+
+    def test_one_vertex_system_away_from_pair_points(self, monkeypatch):
+        sizes = []
+        solve = Matrix.solve
+
+        def counted(self, rhs):
+            sizes.append(self.nrows)
+            return solve(self, rhs)
+
+        monkeypatch.setattr(Matrix, "solve", counted)
+        g = random_connected_graph(random.Random(5), 7, 3, oneway=0.3, weighted=True)
+        generating_function_eval(g, F(1, 50), "weighted")
+        assert sizes == [g.n] and g.m != g.n
+        sizes.clear()
+        nbt_katz_centrality(g, F(1, 50 * g.n), mode="weighted")
+        assert sizes == [g.n]
+        # t**2 w w' = 1 on the pair a <-> b: the edge system, m rows
+        sizes.clear()
+        pair = build_graph([("a", "b", 2), ("b", "a", 2), ("b", "c", 1), ("c", "a", 1)])
+        generating_function_eval(pair, F(1, 2), "weighted")
+        assert sizes == [pair.m] and pair.m != pair.n
