@@ -24,7 +24,7 @@ from .errors import (
 )
 from .exact import Matrix
 from .graphs import Graph, undirected_part, undirectization
-from .polys import PolyMatrix, Polynomial, polymat_det, root_multiplicity, smith_form
+from .polys import PolyMatrix, Polynomial, _local_partials, polymat_det, root_multiplicity
 
 
 def structure_matrices(g: Graph):
@@ -129,9 +129,13 @@ class EigenReport:
 def eigen_report(m: PolyMatrix, lam) -> EigenReport:
     """Algebraic, geometric and partial multiplicities of a rational value.
 
-    The algebraic multiplicity comes from the determinant, the geometric one
-    from the rank of the evaluated matrix, and the partial multiplicities
-    from the Smith form.  Their internal consistency is asserted.
+    The algebraic multiplicity comes from the checked determinant, the
+    geometric one from the rank of the evaluated matrix, and the partial
+    multiplicities from one elimination local to lam, truncated above the
+    algebraic multiplicity (`polys._local_partials`), not from the global
+    Smith form.  The partials must sum to the algebraic multiplicity and
+    number the geometric one; a disagreement, or a partial past the
+    truncation, raises RuntimeError.
     """
     if isinstance(lam, float):
         raise IrrationalLambdaUnsupportedError(
@@ -143,7 +147,7 @@ def eigen_report(m: PolyMatrix, lam) -> EigenReport:
         raise SingularPolyMatrixError("determinant is identically zero")
     algebraic = root_multiplicity(det, lam)
     geometric = m.nrows - m.eval_at(lam).rank()
-    partials = smith_form(m).partial_multiplicities(lam)
+    partials = _local_partials(m, lam, algebraic + 1)
     if sum(partials) != algebraic or len(partials) != geometric:
         raise RuntimeError("multiplicity bookkeeping disagrees")
     return EigenReport(lam, algebraic, geometric, partials)

@@ -15,7 +15,10 @@ the gcd by a primitive remainder sequence, and Yun's loop on primitive
 polynomials, whose divisions by primitive gcds are exact in Z[t] by Gauss's
 lemma.  The Smith form keeps every row and column it updates primitive by
 dividing out its integer content; a nonzero rational factor is a unit of
-Q[t], so this changes no invariant and keeps the integers small.
+Q[t], so this changes no invariant and keeps the integers small.  The
+partial multiplicities of one rational value need no global Smith form:
+``_local_partials`` reads them off one elimination in powers of t - lam,
+truncated at a given order.
 """
 
 from __future__ import annotations
@@ -605,8 +608,12 @@ def smith_form(m: PolyMatrix) -> SmithForm:
     column by a nonzero rational is multiplying it by a unit of Q[t], so the
     initial clearing, the scaling by s and the content division are all
     unimodular over Q[t] and leave the Smith form unchanged; they only stop
-    the coefficients from growing.  The invariants are made monic at the end
-    and the divisibility chain is verified before returning.
+    the coefficients from growing.  A pivot that is a nonzero constant c
+    ends its step after the row pass: c is a unit of Q[t], so
+    [[c, r], [0, B]] is equivalent to diag(c, B), and neither the column
+    pass nor the divisibility scan is needed.  The invariants are made
+    monic at the end and the divisibility chain is verified before
+    returning.
     """
     a = [_zprimitive(row) for row in _zrows(m)[0]]
     nr, nc = m.nrows, m.ncols
@@ -646,6 +653,10 @@ def smith_form(m: PolyMatrix) -> SmithForm:
                         dirty = True
             if dirty:
                 continue
+            if len(pivot) == 1:
+                # a constant pivot is a unit of Q[t]: [[c, r], [0, B]] is
+                # equivalent to diag(c, B), so row d needs no clearing
+                break
             # column d is now zero below the pivot, so s*col_j - q*col_d
             # changes row d's entry to r and scales the rest of column j by s
             for j in range(d + 1, nc):
@@ -659,15 +670,14 @@ def smith_form(m: PolyMatrix) -> SmithForm:
             if dirty:
                 continue
             offender = None
-            if len(pivot) > 1:
-                for i in range(d + 1, nr):
-                    for j in range(d + 1, nc):
-                        e = a[i][j]
-                        if e and _zpseudo_divmod(e, pivot)[2]:
-                            offender = i
-                            break
-                    if offender is not None:
+            for i in range(d + 1, nr):
+                for j in range(d + 1, nc):
+                    e = a[i][j]
+                    if e and _zpseudo_divmod(e, pivot)[2]:
+                        offender = i
                         break
+                if offender is not None:
+                    break
             if offender is None:
                 break
             a[d] = [_zsub(x, _zscale(y, -1)) for x, y in zip(a[d], a[offender])]
@@ -679,3 +689,76 @@ def smith_form(m: PolyMatrix) -> SmithForm:
         if not s.divides(t):
             raise RuntimeError("invariant factors do not form a divisibility chain")
     return SmithForm(invariants, nr, nc)
+
+
+def _local_partials(m: PolyMatrix, lam: Fraction, order: int) -> tuple[int, ...]:
+    """Partial multiplicities of the rational value lam = p/q, each below
+    ``order``, for a square polynomial matrix m with nonzero determinant.
+
+    They are local invariants: the exponents of s = t - lam in the Smith
+    form of m over the polynomials in s with nonzero constant term, whose
+    units are exactly those polynomials (Gohberg, Lancaster & Rodman,
+    Matrix Polynomials, 1982, ch. S1).  Working modulo s**order, one
+    elimination finds them.  Each entry e of the integer rows of m becomes
+    q**grade * e(lam + s), by Horner's rule in p + q*s, truncated below
+    s**order.  Each step takes the entry of lowest s-order k, ties broken
+    by position, and its unit part u = entry / s**k; every other row
+    becomes u*row_i - (e_i / s**k)*row_d mod s**order, with e_i its entry
+    in the pivot column, and is divided by its integer content.  The pivot
+    column is then zero off the pivot, so column operations would clear the
+    pivot row while scaling the other columns by u, a unit: the pivot's
+    row and column are dropped and k is recorded when positive.  Pivots
+    never drop in s-order, so the result is ascending.
+
+    A block that is zero modulo s**order means a partial multiplicity of
+    at least ``order`` and raises RuntimeError.
+    """
+    p, q = lam.numerator, lam.denominator
+    grade = m.grade
+    qpow = [q**j for j in range(grade + 1)]
+
+    def truncated(v):
+        v = v[:order]
+        while v and not v[-1]:
+            v.pop()
+        return v
+
+    def shifted(e):
+        # sum_j c_j q**(grade - j) (p + q s)**j, highest j first
+        v = []
+        for j in range(len(e) - 1, -1, -1):
+            v = _zmul(v, (p, q)) or [0]
+            v[0] += e[j] * qpow[grade - j]
+            v = truncated(v)
+        return v
+
+    rows = [_zprimitive([shifted(e) if e else e for e in row]) for row in _zrows(m)[0]]
+    partials = []
+    while rows:
+        best = None
+        for i, row in enumerate(rows):
+            for j, e in enumerate(row):
+                if e:
+                    k = 0
+                    while not e[k]:
+                        k += 1
+                    if best is None or k < best[0]:
+                        best = (k, i, j)
+                        if not k:
+                            break
+            if best is not None and not best[0]:
+                break
+        if best is None:
+            raise RuntimeError("a partial multiplicity reaches the truncation order")
+        k, d, c = best
+        rowd = rows.pop(d)
+        u = rowd.pop(c)[k:]
+        for i, row in enumerate(rows):
+            e = row.pop(c)
+            if e:
+                f = e[k:]
+                rows[i] = _zprimitive([truncated(_zsub(_zmul(u, x), _zmul(f, y)))
+                                       for x, y in zip(row, rowd)])
+        if k:
+            partials.append(k)
+    return tuple(partials)

@@ -226,18 +226,25 @@ def weighted_nbtw(g: Graph, kmax: int) -> WalkTable:
 
 
 def generating_function_eval(g: Graph, t, mode: str, omega=None) -> Matrix:
-    """Exact value of the walk generating function at a rational point.
+    """Exact value of the walk generating function Phi(t) at a rational
+    point; see `_generating_function_times`, here with the identity as
+    right-hand side."""
+    return _generating_function_times(g, Fraction(t), mode, omega, Matrix.identity(g.n))
 
-    mode "nbtw" uses (1 - t**2) M(t)**-1 and mode "btdw" the downweighted
-    analogue.  Mode "weighted" is the incidence-factored resolvent
-    Phi(t) = I + t L.T Z (I - t B Z)**-1 R, taken in vertex space as one
-    n-by-n solve Phi(t) = Y**-1 D (`EdgeSpace.vertex_plan`).  Where
-    t**2 w w' = 1 on a reciprocal pair, D has a zero entry and I + t Delta Z
-    is singular, so Woodbury does not apply and the m-by-m edge system is
-    solved instead.  Elsewhere det Y is a nonzero multiple of
-    det(I - t B Z), so either route's singular system means t is a pole.
+
+def _generating_function_times(g: Graph, t: Fraction, mode: str, omega, rhs: Matrix) -> Matrix:
+    """Phi(t) @ rhs by one exact solve with the columns of rhs as
+    right-hand sides.
+
+    mode "nbtw" uses Phi(t) = (1 - t**2) M(t)**-1 and mode "btdw" the
+    downweighted analogue.  Mode "weighted" is the incidence-factored
+    resolvent Phi(t) = I + t L.T Z (I - t B Z)**-1 R, taken in vertex space
+    as one n-by-n solve Phi(t) @ rhs = Y**-1 D rhs (`EdgeSpace.vertex_plan`).
+    Where t**2 w w' = 1 on a reciprocal pair, D has a zero entry and
+    I + t Delta Z is singular, so Woodbury does not apply and the m-by-m
+    edge system is solved instead.  Elsewhere det Y is a nonzero multiple
+    of det(I - t B Z), so either route's singular system means t is a pole.
     """
-    t = Fraction(t)
     if mode in ("nbtw", "btdw"):
         if mode == "nbtw":
             g.require_unweighted("generating_function_eval(mode='nbtw')")
@@ -248,25 +255,26 @@ def generating_function_eval(g: Graph, t, mode: str, omega=None) -> Matrix:
             tau = 1 - _omega_fraction(omega)
             if tau:
                 g.require_unweighted("tau_dgl")
-        inv = _deformed_laplacian(g, tau).eval_at(t).inverse()
-        if inv is None:
-            raise PoleAtTError(f"t={t} is a pole of the generating function")
-        return inv.scale(1 - tau * tau * t * t)
-    if mode == "weighted":
+        phi = _deformed_laplacian(g, tau).eval_at(t).solve(rhs)
+        if phi is not None:
+            phi = phi.scale(1 - tau * tau * t * t)
+    elif mode == "weighted":
         es = g.edge_space
         plan = es.vertex_plan
         rows, scales = plan.rows(t.numerator, t.denominator * plan.ell)
         if all(scales):
-            phi = Matrix(rows, 1).solve(Matrix.diagonal(scales))
+            d_rhs = [[s * x for x in row] for s, row in zip(scales, rhs.ints)]
+            phi = Matrix(rows, 1).solve(Matrix(d_rhs, rhs.den, rhs.ncols))
         else:
-            solved = (Matrix.identity(es.m) - v_similar(es).scale(t)).solve(es.target)
-            phi = None if solved is None else Matrix.identity(g.n) + (
+            solved = (Matrix.identity(es.m) - v_similar(es).scale(t)).solve(es.target * rhs)
+            phi = None if solved is None else rhs + (
                 es.source.transpose() * es.weight_diag * solved
             ).scale(t)
-        if phi is None:
-            raise PoleAtTError(f"t={t} is a pole of the generating function")
-        return phi
-    raise ValueError(f"unknown mode {mode!r}")
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    if phi is None:
+        raise PoleAtTError(f"t={t} is a pole of the generating function")
+    return phi
 
 
 @dataclass(frozen=True)
@@ -354,7 +362,8 @@ def nbt_katz_centrality(g: Graph, t, mode: str = "nbtw", omega=None) -> Centrali
     """Walk-sum centrality at damping t, certified below the radius.
 
     Raises AboveRadiusError unless t is provably smaller than the radius of
-    convergence for the requested walk family.
+    convergence for the requested walk family.  The row sums are
+    Phi(t) @ 1, one solve with a single right-hand side.
     """
     t = Fraction(t)
     if t < 0:
@@ -363,8 +372,9 @@ def nbt_katz_centrality(g: Graph, t, mode: str = "nbtw", omega=None) -> Centrali
         raise AboveRadiusError(
             f"t={t} is not certifiably below the radius of convergence"
         )
-    phi = generating_function_eval(g, t, mode, omega=omega)
-    sums = tuple(Fraction(sum(row), phi.den) for row in phi.ints)
+    ones = Matrix([[1]] * g.n, 1, 1)
+    col = _generating_function_times(g, t, mode, omega, ones)
+    sums = tuple(Fraction(x, col.den) for (x,) in col.ints)
     return CentralityResult(
         t=t,
         mode=mode,

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nbwalks import (
     Matrix,
@@ -29,7 +31,7 @@ from nbwalks.errors import (
 )
 from nbwalks.graphs import connected_components_undirected
 from nbwalks.laplacians import _deformed_laplacian
-from nbwalks.polys import poly_gcd
+from nbwalks.polys import _local_partials, poly_gcd, root_multiplicity
 
 from helpers import (
     all_digraphs,
@@ -246,6 +248,77 @@ class TestEigenReport:
                 assert rep.geometric <= rep.algebraic
                 assert sum(rep.partials) == rep.algebraic
                 assert len(rep.partials) == rep.geometric
+
+
+# ---- partial multiplicities by the local elimination -------------------------
+
+TAUS = (F(1), F(1, 2), F(1, 3))
+
+
+@st.composite
+def unit_digraphs(draw):
+    n = draw(st.integers(2, 6))
+    arcs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    chosen = draw(st.lists(st.sampled_from(arcs), min_size=1, unique=True))
+    return build_unweighted(chosen, vertices=range(n))
+
+
+# defective at 1/tau: the triangle and the 4-cycle at tau = 1 (partial 2),
+# the directed 3-cycle at tau = 1 (1, 1, 2), one reciprocal edge at tau = 1/2
+# (partial 2); the 4-cycle also has the partial 2 at -1
+DEFECTIVE = (
+    (undirected_cycle(3), F(1)),
+    (undirected_cycle(4), F(1)),
+    (directed_cycle(3), F(1)),
+    (single_recip_edge(), F(1, 2)),
+)
+
+
+class TestLocalPartials:
+    """`polys._local_partials` against the global Smith form as oracle."""
+
+    @staticmethod
+    def _check(g, tau):
+        m = tau_dgl(g, tau)
+        sf = smith_form(m)
+        det = polymat_det(m)
+        largest = 0
+        for lam in (1 / tau, F(1), F(-1), F(0), F(1, 2), F(2)):
+            want = sf.partial_multiplicities(lam)
+            assert _local_partials(m, lam, root_multiplicity(det, lam) + 1) == want, (lam, want)
+            largest = max(largest, *want, 0)
+        return sf.partial_multiplicities(1 / tau), largest
+
+    @settings(max_examples=80, deadline=None)
+    @given(g=unit_digraphs(), tau=st.sampled_from(TAUS))
+    @example(g=DEFECTIVE[0][0], tau=F(1))
+    @example(g=DEFECTIVE[3][0], tau=F(1, 2))
+    def test_equal_to_smith_partials(self, g, tau):
+        self._check(g, tau)
+
+    def test_lowest_order_pivot(self):
+        # [[t, 1], [t**2, 2 t]] has invariants (1, t**2): the entry 1 must
+        # be the first pivot, as the lowest in order at 0, though t comes
+        # first in its row
+        t = Polynomial([0, 1])
+        m = PolyMatrix([[t, Polynomial([1])], [t * t, 2 * t]])
+        assert _local_partials(m, F(0), 3) == (2,) == smith_form(m).partial_multiplicities(0)
+
+    def test_defective_cases(self):
+        for g, tau in DEFECTIVE:
+            assert is_one_defective(g, tau)
+            at_one, largest = self._check(g, tau)
+            assert max(at_one) == largest == 2, g.edges
+
+    def test_order_at_or_below_largest_partial_raises(self):
+        for g, tau in DEFECTIVE:
+            m = tau_dgl(g, tau)
+            lam = 1 / tau
+            partials = smith_form(m).partial_multiplicities(lam)
+            assert _local_partials(m, lam, max(partials) + 1) == partials
+            for order in range(max(partials) + 1):
+                with pytest.raises(RuntimeError):
+                    _local_partials(m, lam, order)
 
 
 class TestDefectiveness:

@@ -13,6 +13,7 @@ from nbwalks import (
     Matrix,
     PolyMatrix,
     Polynomial,
+    build_unweighted,
     directed_dgl,
     polymat_det,
     real_roots,
@@ -39,12 +40,14 @@ from helpers import (
     assert_index_sum,
     bowtie,
     complete_undirected,
+    mirror,
     polymatrix_from_coefficients,
     polynomial_divmod,
     q_poly_gcd,
     q_squarefree_decomposition,
     random_connected_graph,
     undirected_cycle,
+    undirected_path,
 )
 
 X = Polynomial([0, 1])
@@ -423,6 +426,21 @@ class TestSmithOracles:
             assert smith_form(m).invariants == _sympy_smith_invariants(m), trial
         m = directed_dgl(undirected_cycle(3))
         assert smith_form(m).invariants == _sympy_smith_invariants(m)
+
+    def test_constant_pivots_match_determinantal_divisors(self):
+        # trees and one-cycle graphs at tau = 1, where most pivots are
+        # constants and their steps end after the row pass
+        graphs = [
+            undirected_path(5),
+            build_unweighted(mirror([(0, 1), (0, 2), (0, 3), (3, 4)])),
+            build_unweighted([(0, 1), (1, 0), (1, 2), (3, 1), (2, 4), (4, 2)]),
+            undirected_cycle(4),
+            build_unweighted(mirror([(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)])),
+            build_unweighted([(0, 1), (1, 2), (2, 3), (3, 0), (3, 4), (4, 3)]),
+        ]
+        for g in graphs:
+            m = directed_dgl(g)
+            assert smith_form(m).invariants == _sympy_smith_invariants(m), g.edges
 
     def test_invariant_product_is_monic_determinant(self):
         rng = random.Random(19)

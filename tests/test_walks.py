@@ -40,6 +40,7 @@ from nbwalks.spectral import perron_radius
 from nbwalks.walks import (
     _certified_below,
     _enumerate,
+    _generating_function_times,
     _recurrence,
     _transfer_norm,
     walk_tables_float,
@@ -455,6 +456,24 @@ class TestCentrality:
         res = nbt_katz_centrality(example1(), F(1, 10), mode="btdw", omega=1)
         assert res.converged
 
+    def test_row_sums_of_the_whole_generating_function(self):
+        rng = random.Random(23)
+        for _ in range(30):
+            g = random_digraph(rng, rng.randint(2, 7), rng.choice([0.3, 0.6]))
+            w = random_digraph(rng, rng.randint(2, 7), rng.choice([0.3, 0.6]), weighted=True)
+            t = F(1, 4 * g.n)
+            for graph, mode, omega in ((g, "nbtw", None), (g, "btdw", F(1, 3)),
+                                       (g, "btdw", 1), (w, "weighted", None)):
+                phi = generating_function_eval(graph, t, mode, omega=omega)
+                res = nbt_katz_centrality(graph, t, mode=mode, omega=omega)
+                assert res.row_sums == tuple(sum(row) for row in phi.data), (graph.edges, mode)
+
+    def test_one_column_pole(self):
+        ones = Matrix([[1]] * 3, 1, 1)
+        for mode, omega in (("nbtw", None), ("btdw", F(0))):
+            with pytest.raises(PoleAtTError):
+                _generating_function_times(undirected_cycle(3), F(1), mode, omega, ones)
+
 
 class TestFloatFastPath:
     def test_close_to_exact(self):
@@ -616,14 +635,21 @@ def pair_points(g: Graph) -> set:
 
 
 def same_resolvent(g: Graph, t) -> bool:
-    """The vertex route equals the edge-space reference at t, and raises
-    PoleAtTError exactly where the reference is singular; True at a pole."""
+    """The vertex route equals the edge-space reference at t, on the
+    identity and on the all-ones column, and raises PoleAtTError exactly
+    where the reference is singular; True at a pole."""
     ref = edge_resolvent(g, t)
     try:
         got = generating_function_eval(g, t, "weighted")
     except PoleAtTError:
         got = None
     assert got == ref, (g.edges, t)
+    ones = Matrix([[1]] * g.n, 1, 1)
+    try:
+        sums = _generating_function_times(g, t, "weighted", None, ones)
+    except PoleAtTError:
+        sums = None
+    assert sums == (None if ref is None else ref * ones), (g.edges, t)
     return ref is None
 
 
