@@ -132,19 +132,22 @@ def build_edge_space(g: Graph) -> EdgeSpace:
 
 class VertexPlan:
     """The integer rows Y of I - X(t), as a plan fixed by the arcs and the
-    integer weights z = ell * w, filled in at each t = p/q with s = q * ell.
+    integer weights z = ell * w, filled in at each t = p/q with s = q * ell
+    and each tau = a/b.
 
     Woodbury (Mizuno & Sato, J. Combin. Theory Ser. B 91, 2004) turns the
-    weighted resolvent Phi(t) = I + t L^T Z (I - t B Z)^-1 R into
-    (I - X(t))^-1 wherever I + t Delta Z is invertible: with B = R L^T -
-    Delta, X(t) = t L^T Z (I + t Delta Z)^-1 R.  A one-way arc u -> v adds
-    t w at (u, v), an arc whose reverse has weight w' adds
-    t w / (1 - t**2 w w') at (u, v) and -t**2 w w' / (1 - t**2 w w') at
-    (u, u).  Row u of Y is row u of I - X(t) times d_u = s * prod a_e over
-    the reciprocated arcs e leaving u, with c_e = p**2 z_e z_rev(e) and
-    a_e = s**2 - c_e.  So Y[u][u] = s (prod a + sum_e c_e prod_{f != e}
-    a_f), Y[u][v] is -p z_e prod a (one-way) or -p z_e s**2
-    prod_{f != e} a_f, and Phi(t) = Y^-1 D with D = diag(d_u).
+    resolvent Phi(t) = I + t L^T Z (I - t T Z)^-1 R of the transfer matrix
+    T = tau B + (1 - tau) W = R L^T - tau Delta into (I - X(t))^-1 wherever
+    I + tau t Delta Z is invertible: X(t) = t L^T Z (I + tau t Delta Z)^-1 R.
+    A one-way arc u -> v adds t w at (u, v); an arc whose reverse has weight
+    w' adds t w / k at (u, v) and -tau t**2 w w' / k at (u, u), with
+    k = 1 - tau**2 t**2 w w'.  With tau = a/b, S = b s,
+    c_e = (a p)**2 z_e z_rev(e) and g_e = S**2 - c_e, row u of Y is row u of
+    I - X(t) times d_u = S * prod g_e over the reciprocated arcs e leaving
+    u: Y[u][u] = S (prod g + sum_e a b p**2 z_e z_rev(e) prod_{f != e} g_f),
+    Y[u][v] is -b p z_e prod g (one-way) or -b p z_e S**2 prod_{f != e} g_f,
+    and Phi(t) = Y^-1 D with D = diag(d_u).  Non-backtracking walks, plain
+    or weighted, are tau = 1.
 
     ``arcs[u]`` holds the one-way arcs leaving u as (head, z_e) and the
     reciprocated ones as (head, z_e, z_e z_rev(e)).  ``blocks`` are the
@@ -175,9 +178,9 @@ class VertexPlan:
                      [(place[v], ze, zz) for v, ze, zz in self.arcs[u][1]])
                     for u in verts])
 
-    def rows(self, p, s) -> tuple[list[list[int]], list[int]]:
-        """The whole n-by-n Y at t = p/q, s = q * ell, and the d_u."""
-        return _plan_rows(self.arcs, p, s)
+    def rows(self, p, s, tau=1) -> tuple[list[list[int]], list[int]]:
+        """The whole n-by-n Y at t = p/q, s = q * ell and tau, and the d_u."""
+        return _plan_rows(self.arcs, p, s, tau)
 
     def det(self, p, s) -> int:
         """det(Y) at t = p/q, s = q * ell: the product of the determinants
@@ -194,34 +197,38 @@ class VertexPlan:
         return total
 
 
-def _plan_rows(arcs, p, s) -> tuple[list[list[int]], list[int]]:
-    """The rows of Y at t = p/q, s = q * ell for the vertices whose arcs are
-    listed as in `VertexPlan.arcs`, heads and diagonal numbered by the
-    position in ``arcs``, and each row's scale d_u = s * prod a_e.
-    prod_{f != e} a_f is the product of a prefix and a suffix of the a_f,
-    so a row costs a number of products linear in its arcs."""
-    s2, p2 = s * s, p * p
+def _plan_rows(arcs, p, s, tau=1) -> tuple[list[list[int]], list[int]]:
+    """The rows of Y at t = p/q, s = q * ell and tau = a/b for the vertices
+    whose arcs are listed as in `VertexPlan.arcs`, heads and diagonal
+    numbered by the position in ``arcs``, and each row's scale
+    d_u = S * prod g_e with S = b s.  prod_{f != e} g_f is the product of a
+    prefix and a suffix of the g_f, so a row costs a number of products
+    linear in its arcs."""
+    a, b = Fraction(tau).as_integer_ratio()
+    sb = b * s
+    sb2, bp, pair, h = sb * sb, b * p, (a * p) ** 2, a * b * p * p
     width = len(arcs)
     rows, scales = [], []
     for u, (oneway, recip) in enumerate(arcs):
-        c = [p2 * zz for _, _, zz in recip]
+        c = [pair * zz for _, _, zz in recip]
         prefix = [1]
         for x in c:
-            prefix.append(prefix[-1] * (s2 - x))
+            prefix.append(prefix[-1] * (sb2 - x))
         whole = prefix[-1]
         row = [0] * width
         for v, ze in oneway:
-            row[v] = -p * ze * whole
+            row[v] = -bp * ze * whole
         diagonal = whole
         suffix = 1
         for k in range(len(c) - 1, -1, -1):
+            v, ze, zz = recip[k]
             others = prefix[k] * suffix
-            diagonal += c[k] * others
-            row[recip[k][0]] = -p * recip[k][1] * s2 * others
-            suffix *= s2 - c[k]
-        row[u] = s * diagonal
+            diagonal += h * zz * others
+            row[v] = -bp * ze * sb2 * others
+            suffix *= sb2 - c[k]
+        row[u] = sb * diagonal
         rows.append(row)
-        scales.append(s * whole)
+        scales.append(sb * whole)
     return rows, scales
 
 

@@ -377,6 +377,8 @@ def real_roots(p: Polynomial, lo, hi, width=_DEFAULT_WIDTH, include_hi=True):
 
 
 def _isolate_squarefree(p: Polynomial, lo, hi, width):
+    """Bisect (lo, hi] until each interval holds one root and is at most
+    width wide, then try its simplest rational; roots at midpoints are exact."""
     # chain[0] is p scaled by a positive rational: it has p's roots and signs
     chain = sturm_chain(p)
 
@@ -393,8 +395,10 @@ def _isolate_squarefree(p: Polynomial, lo, hi, width):
             count -= 1  # root at the right endpoint handled separately
         if count <= 0:
             continue
-        if count == 1:
-            out.append(_refine(chain, a, b, va, width))
+        if count == 1 and b - a <= width:
+            cand = simplest_rational_in(a, b)
+            exact = _sign_at(chain[0], cand) == 0
+            out.append(RootRecord(cand, cand, 1, cand) if exact else RootRecord(a, b, 1, None))
             continue
         mid = (a + b) / 2
         at_mid, vm = _sign_variations(chain, mid)
@@ -403,27 +407,6 @@ def _isolate_squarefree(p: Polynomial, lo, hi, width):
         stack.append((a, mid, va, vm, at_mid))
         stack.append((mid, b, vm, vb, at_b))
     return out
-
-
-def _refine(chain, a, b, va, width):
-    """Shrink (a, b) around its single interior root; spot rational roots.
-
-    ``va`` is the chain's sign variation count at a.
-    """
-    while b - a > width:
-        mid = (a + b) / 2
-        at_mid, vm = _sign_variations(chain, mid)
-        if at_mid == 0:
-            return RootRecord(mid, mid, 1, mid)
-        if va - vm >= 1:
-            b = mid
-        else:
-            a, va = mid, vm
-    if a < b:
-        cand = simplest_rational_in(a, b)
-        if _sign_at(chain[0], cand) == 0:
-            return RootRecord(cand, cand, 1, cand)
-    return RootRecord(a, b, 1, None)
 
 
 # ---- polynomial matrices ---------------------------------------------------

@@ -8,30 +8,32 @@ Three ways to produce the same tables:
 * powers of the Hashimoto matrix sandwiched by the incidence factors.
 
 Plain non-backtracking walks are the omega = 0 (tau = 1 - omega = 1) case of
-backtrack-downweighted walks, so the oracle, the recurrence and the
-generating function each have one implementation over omega or tau, and
-the plain names are thin wrappers of it.
+backtrack-downweighted walks, and weighted walks their weighted form, so
+the oracle, the recurrence and the generating function each have one
+implementation over omega or tau, and the plain names are thin wrappers
+of it.
 
 Tables are exact rational matrices, each integer rows over one
 denominator: q**k for the recurrence, and L**(2k) for the oracle, which
 multiplies integer walk weights scaled by the common denominator L of the
 weights and omega; the Hashimoto powers are products of `Matrix` objects.
 `walk_table` selects a route, and `walk_tables_float` is the table it
-selects with each exact entry rounded once to the nearest float: an output
-format, not another algorithm.  Enumeration is metered: every edge
-extension taken counts against a budget so pathological inputs fail loudly
-instead of hanging, and a depth's table is only allocated once the search
-reaches it.
+selects with each exact entry rounded once to the nearest float, table by
+table as the route yields them: an output format, not another algorithm.
+Enumeration is metered: every edge extension taken counts against a budget
+so pathological inputs fail loudly instead of hanging, and a depth's table
+is only allocated once the search reaches it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .convergence import radius_btdw, radius_unweighted, radius_weighted
-from .edgespace import v_similar
+from .edgespace import downweighted_transfer, v_similar
 from .errors import (
     AboveRadiusError,
     EnumerationBudgetExceededError,
@@ -143,8 +145,9 @@ def enumerate_btdw(g: Graph, kmax: int, omega, budget=None) -> WalkTable:
     return WalkTable("btdw", kmax, tables, "oracle", omega=omega)
 
 
-def _recurrence(g: Graph, kmax: int, tau: Fraction) -> tuple[Matrix, ...]:
-    """Walk tables p_k from M_tau(t) * sum_k p_k t**k = (1 - tau**2 t**2) I.
+def _recurrence(g: Graph, kmax: int, tau: Fraction) -> Iterator[Matrix]:
+    """Walk tables p_k from M_tau(t) * sum_k p_k t**k = (1 - tau**2 t**2) I,
+    yielded one at a time, k = 0 to kmax.
 
     With M_tau = I - A t + c2 t**2 + c3 t**3, reading off t**k gives
     p_0 = I, p_1 = A, p_2 = A**2 - c2 - tau**2 I, and
@@ -173,16 +176,18 @@ def _recurrence(g: Graph, kmax: int, tau: Fraction) -> tuple[Matrix, ...]:
     # lefts[d - 1]: the first d terms, for step k with d = min(k, grade)
     lefts = [[[(col, x) for col, x in row if col < d * n] for row in stacked]
              for d in range(1, grade + 1)]
-    seq = [[[int(i == j) for j in range(n)] for i in range(n)]]
+    window = [[[int(i == j) for j in range(n)] for i in range(n)]]
+    yield Matrix(window[0], 1)
     for k in range(1, kmax + 1):
         d = min(k, len(lefts))
-        right = [row for p in reversed(seq[k - d:k]) for row in p]
+        right = [row for p in reversed(window[-d:]) for row in p]
         nxt = _int_product(lefts[d - 1], right, n)
         if k == 2:
             for i in range(n):
                 nxt[i][i] -= q2tau2
-        seq.append(nxt)
-    return tuple(Matrix(p, q**k) for k, p in enumerate(seq))
+        window.append(nxt)
+        del window[:-grade]
+        yield Matrix(nxt, q**k)
 
 
 def nbtw_recurrence(g: Graph, kmax: int) -> WalkTable:
@@ -190,39 +195,37 @@ def nbtw_recurrence(g: Graph, kmax: int) -> WalkTable:
     the tau = 1 case: p_k = A p_{k-1} - (D - I) p_{k-2} - (A - S) p_{k-3}."""
     _require_length(kmax)
     g.require_unweighted("nbtw_recurrence")
-    return WalkTable("nbtw", kmax, _recurrence(g, kmax, _ONE), "recurrence")
+    return walk_table(g, kmax)
 
 
 def btdw_recurrence(g: Graph, kmax: int, omega) -> WalkTable:
     """Backtrack-downweighted tables at tau = 1 - omega; omega = 1 gives
     plain adjacency powers and omega = 0 the non-backtracking tables."""
-    _require_length(kmax)
-    g.require_unweighted("btdw_recurrence")
-    omega = _omega_fraction(omega)
-    tables = _recurrence(g, kmax, 1 - omega)
-    return WalkTable("btdw", kmax, tables, "recurrence", omega=omega)
+    return walk_table(g, kmax, omega)
 
 
 def weighted_nbtw(g: Graph, kmax: int) -> WalkTable:
     """Non-backtracking tables through Hashimoto powers; works for weighted
-    and unweighted graphs alike.
+    and unweighted graphs alike (`_hashimoto_powers`)."""
+    return walk_table(g, kmax, method="edgepower")
 
-    p_k = source.T @ Z @ (hashimoto @ Z)**(k-1) @ target for k >= 1.
+
+def _hashimoto_powers(g: Graph, kmax: int) -> Iterator[Matrix]:
+    """p_k = source.T @ Z @ (hashimoto @ Z)**(k-1) @ target for k >= 1,
+    yielded one at a time from p_0 = I.
 
     The carriers C_k = (hashimoto @ Z)**k @ target are kept, so that each
     table is one more sparse product, p_k = (source.T @ Z) @ C_(k-1).
     """
-    _require_length(kmax)
     es = g.edge_space
     lt_z = es.source.transpose() * es.weight_diag
     step = v_similar(es)
     carrier = es.target
-    seq = [Matrix.identity(g.n)]
+    yield Matrix.identity(g.n)
     for k in range(1, kmax + 1):
-        seq.append(lt_z * carrier)
+        yield lt_z * carrier
         if k < kmax:
             carrier = step * carrier
-    return WalkTable("nbtw", kmax, tuple(seq), "edgepower")
 
 
 def generating_function_eval(g: Graph, t, mode: str, omega=None) -> Matrix:
@@ -232,46 +235,57 @@ def generating_function_eval(g: Graph, t, mode: str, omega=None) -> Matrix:
     return _generating_function_times(g, Fraction(t), mode, omega, Matrix.identity(g.n))
 
 
+def _family_tau(g: Graph, mode: str, omega, nbtw_op: str, btdw_op: str) -> Fraction:
+    """The tau of a mode's walk family: 1 for "nbtw" and its weighted form
+    "weighted", 1 - omega for "btdw".  Refuses a missing or out-of-range
+    omega, and weighted graphs as nbtw_op and btdw_op (at tau > 0) do."""
+    if mode == "nbtw":
+        g.require_unweighted(nbtw_op)
+        return _ONE
+    if mode == "weighted":
+        return _ONE
+    if mode != "btdw":
+        raise ValueError(f"unknown mode {mode!r}")
+    if omega is None:
+        raise ValueError("btdw mode needs omega")
+    tau = 1 - _omega_fraction(omega)
+    if tau:
+        g.require_unweighted(btdw_op)
+    return tau
+
+
 def _generating_function_times(g: Graph, t: Fraction, mode: str, omega, rhs: Matrix) -> Matrix:
     """Phi(t) @ rhs by one exact solve with the columns of rhs as
     right-hand sides.
 
-    mode "nbtw" uses Phi(t) = (1 - t**2) M(t)**-1 and mode "btdw" the
-    downweighted analogue.  Mode "weighted" is the incidence-factored
-    resolvent Phi(t) = I + t L.T Z (I - t B Z)**-1 R, taken in vertex space
-    as one n-by-n solve Phi(t) @ rhs = Y**-1 D rhs (`EdgeSpace.vertex_plan`).
-    Where t**2 w w' = 1 on a reciprocal pair, D has a zero entry and
-    I + t Delta Z is singular, so Woodbury does not apply and the m-by-m
+    Every mode is the resolvent Phi(t) = I + t L.T Z (I - t T Z)**-1 R of
+    its transfer matrix T = tau B + (1 - tau) W at the tau of
+    `_family_tau`, taken in vertex space as one n-by-n solve
+    Phi(t) @ rhs = Y**-1 D rhs (`EdgeSpace.vertex_plan`).  Each row of Y is
+    divided, with its scale in D, by their common content first, which
+    leaves Y**-1 D as it is and keeps the entries short.  Where
+    tau**2 t**2 w w' = 1 on a reciprocal pair, D has a zero entry and
+    I + tau t Delta Z is singular, so Woodbury does not apply and the m-by-m
     edge system is solved instead.  Elsewhere det Y is a nonzero multiple
-    of det(I - t B Z), so either route's singular system means t is a pole.
+    of det(I - t T Z), so either route's singular system means t is a pole.
     """
-    if mode in ("nbtw", "btdw"):
-        if mode == "nbtw":
-            g.require_unweighted("generating_function_eval(mode='nbtw')")
-            tau = _ONE
-        else:
-            if omega is None:
-                raise ValueError("btdw mode needs omega")
-            tau = 1 - _omega_fraction(omega)
-            if tau:
-                g.require_unweighted("tau_dgl")
-        phi = _deformed_laplacian(g, tau).eval_at(t).solve(rhs)
-        if phi is not None:
-            phi = phi.scale(1 - tau * tau * t * t)
-    elif mode == "weighted":
-        es = g.edge_space
-        plan = es.vertex_plan
-        rows, scales = plan.rows(t.numerator, t.denominator * plan.ell)
-        if all(scales):
-            d_rhs = [[s * x for x in row] for s, row in zip(scales, rhs.ints)]
-            phi = Matrix(rows, 1).solve(Matrix(d_rhs, rhs.den, rhs.ncols))
-        else:
-            solved = (Matrix.identity(es.m) - v_similar(es).scale(t)).solve(es.target * rhs)
-            phi = None if solved is None else rhs + (
-                es.source.transpose() * es.weight_diag * solved
-            ).scale(t)
+    tau = _family_tau(g, mode, omega, "generating_function_eval(mode='nbtw')", "tau_dgl")
+    es = g.edge_space
+    plan = es.vertex_plan
+    rows, scales = plan.rows(t.numerator, t.denominator * plan.ell, tau)
+    if all(scales):
+        d_rhs = []
+        for row, d, xs in zip(rows, scales, rhs.ints):
+            c = gcd(d, *row)
+            row[:] = [x // c for x in row]
+            d_rhs.append([d // c * x for x in xs])
+        phi = Matrix(rows, 1).solve(Matrix(d_rhs, rhs.den, rhs.ncols))
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        step = downweighted_transfer(es, tau) * es.weight_diag
+        solved = (Matrix.identity(es.m) - step.scale(t)).solve(es.target * rhs)
+        phi = None if solved is None else rhs + (
+            es.source.transpose() * es.weight_diag * solved
+        ).scale(t)
     if phi is None:
         raise PoleAtTError(f"t={t} is a pole of the generating function")
     return phi
@@ -290,38 +304,33 @@ class CentralityResult:
 
 
 def _transfer_norm(es, tau) -> Fraction:
-    """||T||_inf, the largest row sum of the nonnegative edge transfer
-    matrix T, read off the arc arrays in O(m): B Z in weighted mode (tau
-    None), whose row e sums the weights leaving the head of e but the
-    reverse of e; tau B + (1 - tau) W = B + (1 - tau) Delta in btdw mode,
-    nbtw being tau = 1; and at tau = 0 the adjacency matrix A, which the
-    classical walk series is certified on."""
-    if tau is None or tau == 0:
-        out = [_ZERO] * es.n
-        for u, w in zip(es.tails, es.weights):
-            out[u] += w
-        if tau == 0:
-            return max(out, default=_ZERO)
-        w = es.weights
-        return max((out[v] - (w[f] if f is not None else 0)
-                    for v, f in zip(es.heads, es.reverse)), default=_ZERO)
-    return max((len(row) + (1 - tau) * (f is not None)
-                for row, f in zip(es.successors, es.reverse)), default=_ZERO)
+    """||T Z||_inf for the family's transfer matrix T = tau B + (1 - tau) W,
+    read off the arc arrays in O(m): row e of T Z sums the weights leaving
+    the head of e, less tau times the weight of the reverse of e.  At
+    tau = 0 this is ||W Z||_inf <= ||A||_inf, and W Z shares its nonzero
+    spectrum with A, whose walk series the classical mode is certified
+    on."""
+    out = [_ZERO] * es.n
+    for u, w in zip(es.tails, es.weights):
+        out[u] += w
+    return max((out[v] - (tau * es.weights[f] if f is not None else 0)
+                for v, f in zip(es.heads, es.reverse)), default=_ZERO)
 
 
 def _certified_below(g: Graph, t: Fraction, mode: str, omega) -> bool:
     """True when t is certified below the radius of the mode's walk series.
 
     Each mode refuses its graphs and parameters first, as its radius report
-    would.  Then a certificate that costs O(m): with T the mode's edge
-    transfer matrix (`_transfer_norm`) and N = max(||T||_inf, 1), every t
-    with 2 t N <= 1 is accepted without the radius report.  The full report
-    accepts each such t as well, so no decision changes:
+    would (`_family_tau`).  Then a certificate that costs O(m): with T Z the
+    mode's edge transfer matrix (`_transfer_norm`) and
+    N = max(||T Z||_inf, 1), every t with 2 t N <= 1 is accepted without
+    the radius report.  The full report accepts each such t as well, so no
+    decision changes:
 
-    * rho(T) <= ||T||_inf <= N, and a Perron upper end is at most
+    * rho(T Z) <= ||T Z||_inf <= N, and a Perron upper end is at most
       rho + 1e-12 * max(1, upper), hence below 2 N; so t <= 1 / (2 N) lies
       below 1 / upper, the lower end of the inverse bracket that weighted
-      mode, btdw outside the multi-cycle case and tau = 0 read;
+      mode, btdw outside the multi-cycle case and tau = 0 (of A) read;
     * the other end of the btdw bracket is 1/tau >= 1 > t;
     * the one-cycle radius is 1 > t, and the all-tree radius is infinite;
     * a multi-cycle radius is the smallest determinant root in
@@ -332,19 +341,7 @@ def _certified_below(g: Graph, t: Fraction, mode: str, omega) -> bool:
 
     Any other t goes to the full radius report.
     """
-    if mode == "nbtw":
-        g.require_unweighted("radius_unweighted")
-        tau = _ONE
-    elif mode == "weighted":
-        tau = None
-    elif mode == "btdw":
-        if omega is None:
-            raise ValueError("btdw mode needs omega")
-        tau = 1 - _omega_fraction(omega)
-        if tau:
-            g.require_unweighted("radius_btdw")
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    tau = _family_tau(g, mode, omega, "radius_unweighted", "radius_btdw")
     if 2 * t * max(_transfer_norm(g.edge_space, tau), 1) <= 1:
         return True
     if mode == "nbtw":
@@ -384,25 +381,36 @@ def nbt_katz_centrality(g: Graph, t, mode: str = "nbtw", omega=None) -> Centrali
     )
 
 
+def _route(g: Graph, kmax: int, omega, method: str, budget):
+    """The route `walk_table` selects, after its checks, as (kind, method,
+    omega, tables): the recurrence and the Hashimoto powers yield their
+    tables one at a time as they reach them, the oracle's come whole."""
+    if method == "oracle":
+        table = (enumerate_nbtw(g, kmax, budget=budget) if omega is None
+                 else enumerate_btdw(g, kmax, omega, budget=budget))
+        return table.kind, method, table.omega, table.tables
+    if method not in ("recurrence", "edgepower"):
+        raise ValueError(f"unknown method {method!r}")
+    if omega is not None and method == "edgepower":
+        raise ValueError("edgepower method applies to plain walks only")
+    _require_length(kmax)
+    if omega is not None:
+        g.require_unweighted("btdw_recurrence")
+        omega = _omega_fraction(omega)
+        return "btdw", method, omega, _recurrence(g, kmax, 1 - omega)
+    if method == "recurrence" and g.is_unweighted():
+        return "nbtw", method, None, _recurrence(g, kmax, _ONE)
+    return "nbtw", "edgepower", None, _hashimoto_powers(g, kmax)
+
+
 def walk_table(g: Graph, kmax: int, omega=None, method: str = "recurrence",
                budget=None) -> WalkTable:
     """The exact table of one route: "oracle" enumerates, "recurrence" runs
     the deformed-Laplacian recurrence (Hashimoto powers on weighted graphs
     at omega = None), and "edgepower" runs Hashimoto powers; omega selects
     backtrack-downweighted walks, which "edgepower" does not count."""
-    if method == "oracle":
-        if omega is None:
-            return enumerate_nbtw(g, kmax, budget=budget)
-        return enumerate_btdw(g, kmax, omega, budget=budget)
-    if method not in ("recurrence", "edgepower"):
-        raise ValueError(f"unknown method {method!r}")
-    if omega is not None:
-        if method == "edgepower":
-            raise ValueError("edgepower method applies to plain walks only")
-        return btdw_recurrence(g, kmax, omega)
-    if method == "recurrence" and g.is_unweighted():
-        return nbtw_recurrence(g, kmax)
-    return weighted_nbtw(g, kmax)
+    kind, method, omega, tables = _route(g, kmax, omega, method, budget)
+    return WalkTable(kind, kmax, tuple(tables), method, omega=omega)
 
 
 def walk_tables_float(g: Graph, kmax: int, omega=None, method: str = "recurrence",
@@ -410,10 +418,11 @@ def walk_tables_float(g: Graph, kmax: int, omega=None, method: str = "recurrence
     """The exact `walk_table` with each entry rounded once to the nearest
     float, as float() of its Fraction, in plain nested lists.
 
-    Raises FloatRangeError when a nonzero entry overflows or rounds to 0.0.
+    Raises FloatRangeError when a nonzero entry overflows or rounds to 0.0;
+    the recurrence and the Hashimoto powers build no table past that one.
     """
     tables = []
-    for m in walk_table(g, kmax, omega, method, budget).tables:
+    for m in _route(g, kmax, omega, method, budget)[3]:
         try:
             rows = m.to_float()
         except OverflowError:  # int / int refuses a quotient past the float range

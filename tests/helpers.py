@@ -17,8 +17,8 @@ from nbwalks import (
     polymat_det,
     reversal,
     smith_form,
-    v_similar,
 )
+from nbwalks.edgespace import downweighted_transfer
 from nbwalks.errors import EnumerationBudgetExceededError
 from nbwalks.exact import _bareiss_int_det, _clear_denominators, _int_product
 from nbwalks.laplacians import structure_matrices
@@ -500,14 +500,16 @@ def fraction_solve(a: Matrix, rhs: Matrix):
     return Matrix([[aug[i][n + j] / aug[i][i] for j in range(rhs.ncols)] for i in range(n)])
 
 
-def edge_resolvent(g: Graph, t):
-    """The weighted resolvent I + t L^T Z (I - t B Z)^-1 R by the m-by-m
-    edge-space system, solved over Fractions: the reference for the
-    vertex-space route of `generating_function_eval(mode="weighted")`.
-    None where I - t B Z is singular, that is, at a pole."""
+def edge_resolvent(g: Graph, t, tau=1):
+    """The resolvent I + t L^T Z (I - t T Z)^-1 R of the transfer matrix
+    T = tau B + (1 - tau) W by the m-by-m edge-space system, solved over
+    Fractions: the reference for the vertex-space route of
+    `generating_function_eval`.  None where I - t T Z is singular, that is,
+    at a pole."""
     es = g.edge_space
     t = Fraction(t)
-    solved = fraction_solve(Matrix.identity(es.m) - v_similar(es).scale(t), es.target)
+    step = downweighted_transfer(es, tau) * es.weight_diag
+    solved = fraction_solve(Matrix.identity(es.m) - step.scale(t), es.target)
     if solved is None:
         return None
     return Matrix.identity(g.n) + (es.source.transpose() * es.weight_diag * solved).scale(t)

@@ -350,10 +350,7 @@ class TestExitCodes:
          "WeightedUnsupportedError: radius_btdw needs an unweighted graph"),
         ("%undirected\na\tb\nb\tc\nc\ta\n", ["--t", "3/2"],
          "AboveRadiusError: t=3/2 is not certifiably below the radius of convergence"),
-        # a tree's series is a polynomial, but (1 - t**2) M(t)**-1 has M(1) singular
-        ("%undirected\na\tb\nb\tc\n", ["--t", "1"],
-         "PoleAtTError: t=1 is a pole of the generating function"),
-    ], ids=["nbtw-weighted", "btdw-weighted", "above-radius", "pole"])
+    ], ids=["nbtw-weighted", "btdw-weighted", "above-radius"])
     def test_centrality_refusals(self, tmp_path, capsys, text, argv, message):
         path = tmp_path / "g.tsv"
         path.write_text(text)
@@ -361,6 +358,21 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"nbwalks: {message}\n"
+
+    # Paths have infinite radius and finitely many walks, so every t is
+    # certified and each row sum is the finite sum of the walk tables at t,
+    # here at t = 1/tau, where the deformed Laplacian is singular.
+    @pytest.mark.parametrize("text, argv, sums", [
+        ("%undirected\na\tb\nb\tc\n", ["--t", "1"], ["3/1", "3/1", "3/1"]),
+        ("a\tb\nb\tc\n", ["--t", "1"], ["3/1", "2/1", "1/1"]),
+        ("a\tb\nb\tc\n", ["--mode", "btdw", "--omega", "1/2", "--t", "2"],
+         ["7/1", "3/1", "1/1"]),
+    ], ids=["path", "directed-path", "directed-path-btdw"])
+    def test_centrality_at_one_over_tau(self, tmp_path, text, argv, sums):
+        path = tmp_path / "g.tsv"
+        path.write_text(text)
+        code, doc = run_command(["centrality", *argv, str(path)])
+        assert code == 0 and doc["payload"]["row_sums"] == sums
 
     def test_centrality_library_keeps_value_error(self):
         with pytest.raises(ValueError, match="t must be nonnegative"):
@@ -560,6 +572,41 @@ class TestFloatTables:
         _, rounded = run_command(["walks", "--k", str(k), "--float", str(path)])
         want = [[float(F(x)) for x in row] for row in exact["payload"]["tables"][k]]
         assert rounded["payload"]["tables"][k] == want
+
+
+class TestCentralityFuzz:
+    """Every centrality run on a small graph file ends in a value (exit 0)
+    or a clean error (exit 1, nothing on stdout), and on unit graphs the
+    three routes to plain non-backtracking walks agree."""
+
+    FAMILIES = (("nbtw", None), ("btdw", "0"), ("btdw", "1/2"), ("btdw", "1"),
+                ("weighted", None))
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=st.one_of(_graph_texts(["1"]), _graph_texts(["1", "2", "1/2", "3/7"])),
+           t=st.sampled_from(["0", "1/(2n)", "1/2", "1", "2"]))
+    def test_exit_zero_or_clean_error(self, tmp_path, capsys, text, t):
+        path = tmp_path / "g.tsv"
+        path.write_text(text)
+        n = sum("\t" not in line for line in text.splitlines())
+        t = f"1/{2 * n}" if t == "1/(2n)" else t
+        sums = {}
+        for mode, omega in self.FAMILIES:
+            argv = ["centrality", "--mode", mode, "--t", t, str(path)]
+            if omega is not None:
+                argv[1:1] = ["--omega", omega]
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code in (0, 1) and "Traceback" not in captured.err, (argv, text)
+            if code == 1:
+                assert captured.out == "" and captured.err.startswith("nbwalks: ")
+            else:
+                sums[mode, omega] = json.loads(captured.out)["payload"]["row_sums"]
+        unit = all(line.split("\t")[2] == "1" for line in text.splitlines() if "\t" in line)
+        plain = [sums.get(key) for key in (("nbtw", None), ("btdw", "0"), ("weighted", None))]
+        if unit and None not in plain:
+            assert plain[0] == plain[1] == plain[2], (text, t)
 
 
 class TestMoreInputs:

@@ -27,6 +27,7 @@ from nbwalks import (
 from nbwalks.errors import (
     AboveRadiusError,
     EnumerationBudgetExceededError,
+    FloatRangeError,
     IterationBudgetExceededError,
     OmegaOutOfRangeError,
     PoleAtTError,
@@ -237,13 +238,14 @@ class TestIntegerTables:
     def test_recurrence_equals_reference(self):
         for g in self.graphs():
             for tau in self.TAUS:
-                assert _recurrence(g, 24, tau) == reference_recurrence(g, 24, tau), (g.edges, tau)
+                got = tuple(_recurrence(g, 24, tau))
+                assert got == reference_recurrence(g, 24, tau), (g.edges, tau)
 
     def test_recurrence_short_lengths(self):
         g = random_connected_graph(random.Random(5), 5, 2, 0.5)
         for tau in self.TAUS:
             for kmax in range(4):
-                assert _recurrence(g, kmax, tau) == reference_recurrence(g, kmax, tau)
+                assert tuple(_recurrence(g, kmax, tau)) == reference_recurrence(g, kmax, tau)
 
     def test_weighted_nbtw_equals_reference(self):
         rng = random.Random(4242)
@@ -482,6 +484,28 @@ class TestFloatFastPath:
         approx = walk_tables_float(g, 10)
         assert approx == [[[float(x) for x in row] for row in m.data] for m in exact]
 
+    @pytest.mark.parametrize("route, build, kmax", [
+        ("_recurrence", lambda: complete_undirected(5), 900),
+        ("_hashimoto_powers", lambda: directed_cycle(3, [F(10**300)] * 3), 9),
+    ])
+    def test_overflow_builds_no_later_table(self, monkeypatch, route, build, kmax):
+        built = []
+        tables = getattr(walks_mod, route)
+
+        def counted(*args):
+            for table in tables(*args):
+                built.append(table)
+                yield table
+
+        monkeypatch.setattr(walks_mod, route, counted)
+        g = build()
+        with pytest.raises(FloatRangeError):
+            walk_tables_float(g, kmax)
+        k0 = len(built) - 1
+        assert 0 < k0 < kmax
+        # tables 0 to k0 - 1 are in range, so k0 is the first one past it
+        assert len(walk_tables_float(g, k0 - 1)) == k0
+
 
 # ---- certifying t below the radius ------------------------------------------
 
@@ -534,13 +558,9 @@ def full_report(g, mode, tau):
     return radius_btdw(g, tau).certifies_below
 
 
-def dense_transfer(g, mode, tau) -> Matrix:
+def dense_transfer(g, tau) -> Matrix:
     es = g.edge_space
-    if mode == "weighted":
-        return v_similar(es)
-    if tau == 0:
-        return g.adjacency()
-    return downweighted_transfer(es, tau)
+    return downweighted_transfer(es, tau) * es.weight_diag
 
 
 class TestNormCertificate:
@@ -550,7 +570,7 @@ class TestNormCertificate:
     @settings(max_examples=60, deadline=None)
     @given(g=shortcut_graphs(), scale=st.fractions(F(1, 4), F(4)))
     def test_never_accepts_what_the_report_refuses(self, g, scale):
-        modes = [("weighted", None, None), ("btdw", 1, F(0))]
+        modes = [("weighted", None, F(1)), ("btdw", 1, F(0))]
         if g.is_unweighted():
             modes += [("nbtw", None, F(1)), ("btdw", 0, F(1)), ("btdw", F(1, 2), F(1, 2))]
         # a Perron bracket that does not close within 500 steps (weights
@@ -562,7 +582,7 @@ class TestNormCertificate:
             patch.setattr(walks_mod, "perron_radius", budgeted)
             for mode, omega, tau in modes:
                 norm = _transfer_norm(g.edge_space, tau)
-                dense = dense_transfer(g, mode, tau)
+                dense = dense_transfer(g, tau)
                 assert norm == max((sum(row) for row in dense.data), default=0)
                 big = max(norm, 1)
                 edge = 1 / (2 * big)
@@ -621,35 +641,35 @@ def square_pairs(rng: random.Random, g: Graph) -> Graph:
                        vertices=g.labels)
 
 
-def pair_points(g: Graph) -> set:
-    """Every rational t with t**2 w w' = 1 on a reciprocal pair."""
+def pair_points(g: Graph, tau=1) -> set:
+    """Every rational t with tau**2 t**2 w w' = 1 on a reciprocal pair."""
     es = g.edge_space
     points = set()
     for e, f in enumerate(es.reverse):
-        if f is not None:
+        if f is not None and tau:
             c = es.weights[e] * es.weights[f]
             a, b = math.isqrt(c.numerator), math.isqrt(c.denominator)
             if F(a, b) ** 2 == c:
-                points.update({F(b, a), -F(b, a)})
+                points.update({F(b, a) / tau, -F(b, a) / tau})
     return points
 
 
-def same_resolvent(g: Graph, t) -> bool:
-    """The vertex route equals the edge-space reference at t, on the
-    identity and on the all-ones column, and raises PoleAtTError exactly
-    where the reference is singular; True at a pole."""
-    ref = edge_resolvent(g, t)
+def same_resolvent(g: Graph, t, mode="weighted", omega=None) -> bool:
+    """The vertex route of the family equals the edge-space reference at t,
+    on the identity and on the all-ones column, and raises PoleAtTError
+    exactly where the reference is singular; True at a pole."""
+    ref = edge_resolvent(g, t, 1 if omega is None else 1 - omega)
     try:
-        got = generating_function_eval(g, t, "weighted")
+        got = generating_function_eval(g, t, mode, omega)
     except PoleAtTError:
         got = None
-    assert got == ref, (g.edges, t)
+    assert got == ref, (g.edges, mode, omega, t)
     ones = Matrix([[1]] * g.n, 1, 1)
     try:
-        sums = _generating_function_times(g, t, "weighted", None, ones)
+        sums = _generating_function_times(g, t, mode, omega, ones)
     except PoleAtTError:
         sums = None
-    assert sums == (None if ref is None else ref * ones), (g.edges, t)
+    assert sums == (None if ref is None else ref * ones), (g.edges, mode, omega, t)
     return ref is None
 
 
@@ -667,14 +687,39 @@ POLE_GRAPHS = (
 class TestVertexResolvent:
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**32), weighted=st.booleans(),
+           family=st.sampled_from([("nbtw", None), ("btdw", F(0)), ("btdw", F(1, 2)),
+                                   ("btdw", F(1)), ("weighted", None)]),
            points=st.lists(st.fractions(F(-3), F(3), max_denominator=12), min_size=1,
                            max_size=4))
-    def test_equals_the_edge_route(self, seed, weighted, points):
+    def test_equals_the_edge_route(self, seed, weighted, family, points):
+        # nbtw and btdw below omega = 1 take unit graphs only
+        mode, omega = family
         rng = random.Random(seed)
-        g = square_pairs(rng, random_digraph(rng, rng.randint(2, 5), rng.choice([0.3, 0.6, 0.9]),
-                                             weighted=weighted))
-        for t in sorted(set(points) | pair_points(g)):
-            same_resolvent(g, t)
+        g = random_digraph(rng, rng.randint(2, 5), rng.choice([0.3, 0.6, 0.9]),
+                           weighted=weighted)
+        if mode == "weighted" or omega == 1:
+            g = square_pairs(rng, g)
+        elif weighted:
+            g = build_unweighted([(g.labels[u], g.labels[v]) for u, v, _ in g.edges],
+                                 vertices=g.labels)
+        tau = 1 if omega is None else 1 - omega
+        for t in sorted(set(points) | pair_points(g, tau)):
+            same_resolvent(g, t, mode, omega)
+
+    def test_plain_families_agree_on_unit_graphs(self):
+        # nbtw, btdw at omega = 0 and weighted count the same walks, poles
+        # included, also at the pair points +-1
+        rng = random.Random(2020)
+        for _ in range(60):
+            g = random_digraph(rng, rng.randint(2, 6), rng.choice([0.3, 0.6, 0.9]))
+            for t in (F(1), F(-1), F(1, 2), F(-1, 2), F(2)):
+                values = []
+                for mode, omega in (("nbtw", None), ("btdw", 0), ("weighted", None)):
+                    try:
+                        values.append(generating_function_eval(g, t, mode, omega))
+                    except PoleAtTError:
+                        values.append(None)
+                assert values[0] == values[1] == values[2], (g.edges, t)
 
     def test_pair_points_and_poles(self):
         rng = random.Random(20261019)
@@ -707,11 +752,15 @@ class TestVertexResolvent:
 
         monkeypatch.setattr(Matrix, "solve", counted)
         g = random_connected_graph(random.Random(5), 7, 3, oneway=0.3, weighted=True)
-        generating_function_eval(g, F(1, 50), "weighted")
-        assert sizes == [g.n] and g.m != g.n
-        sizes.clear()
-        nbt_katz_centrality(g, F(1, 50 * g.n), mode="weighted")
-        assert sizes == [g.n]
+        u = random_connected_graph(random.Random(5), 7, 3, oneway=0.3)
+        for graph, mode, omega in ((g, "weighted", None), (u, "nbtw", None),
+                                   (u, "btdw", F(1, 2)), (u, "btdw", 1)):
+            sizes.clear()
+            generating_function_eval(graph, F(1, 50), mode, omega)
+            assert sizes == [graph.n] and graph.m != graph.n
+            sizes.clear()
+            nbt_katz_centrality(graph, F(1, 50 * graph.n), mode=mode, omega=omega)
+            assert sizes == [graph.n]
         # t**2 w w' = 1 on the pair a <-> b: the edge system, m rows
         sizes.clear()
         pair = build_graph([("a", "b", 2), ("b", "a", 2), ("b", "c", 1), ("c", "a", 1)])
