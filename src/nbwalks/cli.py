@@ -160,7 +160,7 @@ def _run(args):
             "n": g.n,
             "m": g.m,
             "weighted": not g.is_unweighted(),
-            "arc_count": g.arc_count(),
+            "arc_count": g.m,
             "reciprocated_arc_count": g.reciprocated_arc_count(),
             "unreciprocated_edges": es.unreciprocated_count,
             "reciprocal_pairs": es.reciprocal_pair_count,

@@ -1,12 +1,13 @@
 """Edge-indexed matrices: incidence factorization, line graph, Hashimoto
-matrix and its weighted variants, and non-k-cycling matrices.
+matrix and its weighted variants `v_similar` and `downweighted_transfer`,
+and non-k-cycling matrices.
 
 Edges are numbered in lexicographic (source, destination) index order, the
 order the Graph already stores, so every matrix here is reproducible.  A
 graph's edge space is read as `Graph.edge_space`, which calls
-`build_edge_space` once per graph; this module needs `Graph` only for
-annotations, and an edge space keeps the vertex count, not the graph, so
-that the two hold no reference cycle.
+`build_edge_space` once per graph; this module needs `Graph` and
+`Polynomial` only for annotations, and an edge space keeps the vertex
+count, not the graph, so that the two hold no reference cycle.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .exact import Matrix, _bareiss_int_det, _clear_denominators, _tarjan_sccs
 
 if TYPE_CHECKING:
     from .graphs import Graph
+    from .polys import Polynomial
 
 
 @dataclass(frozen=True)
@@ -84,8 +86,8 @@ class EdgeSpace:
         return Matrix.diagonal(self.weights)
 
     @cached_property
-    def ihara_det(self) -> list[Fraction]:
-        """Coefficients of det(I - t B Z), ascending, B = hashimoto and Z =
+    def ihara_det(self) -> Polynomial:
+        """det(I - t B Z) as a `Polynomial`, B = hashimoto and Z =
         weight_diag.  On a unit graph Z = I and this is det(I - t B), so the
         Ihara and weighted-Ihara certificates of one edge space share it."""
         unweighted = all(w == 1 for w in self.weights)
@@ -235,12 +237,6 @@ def _plan_rows(arcs, p, s, tau=1) -> tuple[list[list[int]], list[int]]:
 def _incidence(ends, n: int) -> Matrix:
     """The len(ends)-by-n 0/1 matrix with row e the unit vector of ends[e]."""
     return Matrix([[int(j == v) for j in range(n)] for v in ends], 1, n)
-
-
-def weighted_hashimoto(es: EdgeSpace) -> Matrix:
-    """Weighted Hashimoto matrix: entry (e, f) is w(e) * w(f) on the
-    non-backtracking support."""
-    return es.weight_diag * es.hashimoto * es.weight_diag
 
 
 def v_similar(es: EdgeSpace) -> Matrix:

@@ -10,10 +10,10 @@ are a read-only view, `data`, built on first read.
 Products run sparse over the nonzeros of the left factor's rows, so the 0/1
 edge-space matrices cost what their nonzeros cost; that inner loop is the
 one product kernel `_int_product`, which the walk recurrence also calls
-directly.  A characteristic polynomial is the product of those of the
-diagonal blocks that the strongly connected components of the nonzero
-pattern (`_tarjan_sccs`, the package's one SCC routine) cut the matrix
-into, each from Berkowitz's division-free algorithm.  Determinants,
+directly.  A characteristic polynomial, a `Polynomial`, is the product of
+those of the diagonal blocks that the strongly connected components of the
+nonzero pattern (`_tarjan_sccs`, the package's one SCC routine) cut the
+matrix into, each from Berkowitz's division-free algorithm.  Determinants,
 `solve`, `inverse` and `rank` run one fraction-free elimination,
 `_fraction_free` (Bareiss 1968): forward for a determinant or the rank,
 Gauss-Jordan for a solve, whose solution is then the eliminated right-hand
@@ -220,7 +220,7 @@ class Matrix:
         return self.solve(Matrix.identity(self.nrows))
 
     def char_poly(self):
-        """Coefficients of det(t*I - self), ascending, as Fractions.
+        """det(t*I - self) as a `Polynomial`: monic, degree n.
 
         Permuting rows and columns together does not change the
         characteristic polynomial, and ordering the strongly connected
@@ -229,8 +229,9 @@ class Matrix:
         blocks' characteristic polynomials: t - a_ii for a 1x1 block, and
         Berkowitz's division-free algorithm (`_berkowitz`) on the integer
         rows N = den * block of a larger one.  The product is exact over Z;
-        the coefficient of t^(n-k) is then e_k / den**k.  Monic, degree n.
+        the coefficient of t^(n-k) is then e_k * den**(n-k) / den**n.
         """
+        from .polys import Polynomial  # polys imports this module
         if not self.is_square():
             raise NotSquareError(f"{self.nrows}x{self.ncols} matrix")
         n = self.nrows
@@ -245,11 +246,11 @@ class Matrix:
                                     [[ints[i][j] for j in b] for i in b])
             coeffs = _zmul(coeffs, factor)
         den = self.den
-        return [Fraction(e, den**k) for k, e in enumerate(coeffs)][::-1]
+        return Polynomial([e * den ** (n - k) for k, e in enumerate(coeffs)][::-1], den**n)
 
     def det_one_minus_t(self):
-        """Coefficients of det(I - t*self), ascending; reversal of char_poly."""
-        return self.char_poly()[::-1]
+        """det(I - t*self) as a `Polynomial`: the reversal of char_poly."""
+        return self.char_poly().reversal()
 
 
 def _berkowitz(nmat) -> list[int]:

@@ -107,14 +107,6 @@ def load_graph(path: str) -> Graph:
         return parse_graph(fh.read())
 
 
-def serialize_graph(g: Graph) -> str:
-    """Canonical text form; parsing it back reproduces the same Graph."""
-    lines = [str(label) for label in g.labels]
-    for u, v, w in g.edges:
-        lines.append(f"{g.labels[u]}\t{g.labels[v]}\t{rational_str(w)}")
-    return "\n".join(lines) + "\n"
-
-
 # ---- JSON building blocks ---------------------------------------------------
 
 

@@ -70,10 +70,6 @@ class Graph:
             out[u].append(v)
         return out
 
-    def arc_count(self) -> int:
-        """Total number of directed edges."""
-        return len(self.edges)
-
     def reciprocated_arc_count(self) -> int:
         """Number of directed edges whose reverse is also present."""
         es = self.edge_set()
@@ -303,15 +299,3 @@ def bipartite_component_count(g: Graph) -> int:
         if ok:
             count += 1
     return count
-
-
-def is_undirected_tree(g: Graph) -> bool:
-    """True when the graph equals its undirected part and that part is a
-    connected acyclic graph."""
-    if g.edge_set() != undirected_part(g).edge_set():
-        return False
-    comps = connected_components_undirected(g)
-    if len(comps) != 1:
-        return False
-    pairs = g.m // 2
-    return pairs == g.n - 1

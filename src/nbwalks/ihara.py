@@ -1,9 +1,10 @@
 """Exact determinant-identity certificates.
 
 Each verifier computes both sides of an identity by genuinely different
-routes (edge-space characteristic polynomials against vertex-space
-Laplacian determinants, or matrix products against closed forms) and
-returns a certificate whose `equal` flag is an exact polynomial comparison.
+routes (edge-space characteristic polynomials, `Matrix.char_poly` and its
+reversal `Matrix.det_one_minus_t`, against vertex-space Laplacian
+determinants, or matrix products against closed forms) and returns a
+certificate whose `equal` flag is an exact comparison of `Polynomial`s.
 A failing certificate signals an implementation bug or a wrong identity,
 never a tolerance issue.
 """
@@ -77,10 +78,6 @@ def _matrix_certificate(name, deviation: Fraction, summary, details=None):
     )
 
 
-def _det_one_minus_t(m: Matrix) -> Polynomial:
-    return Polynomial(m.det_one_minus_t())
-
-
 def _cross_multiply(edge_side: Polynomial, vertex_side: Polynomial, base: Polynomial,
                     exponent: int):
     """Balance det identities with exponent b - n on the base polynomial.
@@ -99,9 +96,9 @@ def _tau_ihara_sides(g: Graph, tau: Fraction):
     space's det(I - t B), shared with the weighted-Ihara check."""
     es = g.edge_space
     if tau == 1:
-        lhs = Polynomial(es.ihara_det)
+        lhs = es.ihara_det
     else:
-        lhs = _det_one_minus_t(downweighted_transfer(es, tau))
+        lhs = downweighted_transfer(es, tau).det_one_minus_t()
     rhs = polymat_det(_deformed_laplacian(g, tau))
     base = Polynomial([1, 0, -(tau * tau)])
     return _cross_multiply(lhs, rhs, base, es.reciprocal_pair_count - g.n)
@@ -131,8 +128,8 @@ def verify_tau_ihara(g: Graph, tau) -> IdentityCertificate:
 def verify_flanders(g: Graph) -> IdentityCertificate:
     """Line-graph determinant identity det(I - t W) = det(I - t A)."""
     g.require_unweighted("verify_flanders")
-    lhs = _det_one_minus_t(g.edge_space.line_graph)
-    rhs = _det_one_minus_t(g.adjacency())
+    lhs = g.edge_space.line_graph.det_one_minus_t()
+    rhs = g.adjacency().det_one_minus_t()
     return _det_certificate("flanders", lhs, rhs, _summary(g))
 
 
@@ -162,8 +159,8 @@ def verify_weighted_ihara(g: Graph) -> IdentityCertificate:
             rhs = rhs * Polynomial([1, 0, -(w[e] * w[f])])
 
     collapse = (es.hashimoto - es.line_graph) * es.weight_diag
-    lhs = _det_one_minus_t(collapse)
-    g_poly = Polynomial(es.ihara_det)  # det(I - t B Z)
+    lhs = collapse.det_one_minus_t()
+    g_poly = es.ihara_det  # det(I - t B Z)
 
     count = 2 * (g.n + es.m) + 1 if es.m else 0
     samples_ok, checked = _vertex_sample_check(es, g_poly, rhs, count)
@@ -250,10 +247,9 @@ def verify_lemma_suite(g: Graph, tau) -> list[IdentityCertificate]:
     deviation += (lt * omega_mat * es.target - s_mat).abs_sum()
     certs.append(_matrix_certificate("incidence_compression", deviation, summary))
 
-    char = Polynomial(delta.char_poly())
-    expected = Polynomial([0, 1]) ** es.unreciprocated_count * Polynomial(
-        [-1, 0, 1]
-    ) ** es.reciprocal_pair_count
+    char = delta.char_poly()
+    expected = (Polynomial([0, 1]) ** es.unreciprocated_count
+                * Polynomial([-1, 0, 1]) ** es.reciprocal_pair_count)
     certs.append(_det_certificate("backtrack_char_poly", char, expected, summary))
 
     m_tau = _deformed_laplacian(g, tau)
@@ -267,10 +263,10 @@ def verify_lemma_suite(g: Graph, tau) -> list[IdentityCertificate]:
         t = Fraction(1, candidate + 1)
         if tau * t == 1 or tau * t == -1:
             continue
-        inv = (eye_m + delta.scale(tau * t)).inverse()
-        if inv is None:
+        solved = (eye_m + delta.scale(tau * t)).solve(es.target)
+        if solved is None:
             continue
-        lhs_val = (eye_n - (lt * inv * es.target).scale(t)).scale(1 - tau * tau * t * t)
+        lhs_val = (eye_n - (lt * solved).scale(t)).scale(1 - tau * tau * t * t)
         deviation += (lhs_val - m_tau.eval_at(t)).abs_sum()
         points += 1
     certs.append(

@@ -111,7 +111,7 @@ def laplacian_bundle(g: Graph, tau=None) -> LaplacianBundle:
         undirectization_dgl=directed_dgl(undirectization(g)),
         laplacian=d - s,
         signless_laplacian=d + s,
-        arc_count=g.arc_count(),
+        arc_count=g.m,
         reciprocated_count=g.reciprocated_arc_count(),
     )
 
@@ -160,6 +160,6 @@ def is_one_defective(g: Graph, tau=1) -> bool:
     """
     g.require_unweighted("is_one_defective")
     tau = Fraction(tau)
-    d = g.arc_count()
+    d = g.m
     d_u = g.reciprocated_arc_count()
     return Fraction(2 * d - d_u) == 2 * tau * g.n

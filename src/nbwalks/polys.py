@@ -416,7 +416,7 @@ class PolyMatrix:
     """Rectangular matrix of Polynomial entries with a declared grade.
 
     The grade (declared degree) is used for reversal and for eigenvalues at
-    infinity; it must dominate every entry degree.
+    infinity, so it is part of equality; it must dominate every entry degree.
     """
 
     __slots__ = ("entries", "nrows", "ncols", "grade")
@@ -451,11 +451,12 @@ class PolyMatrix:
     def __eq__(self, other):
         return (
             isinstance(other, PolyMatrix)
+            and self.grade == other.grade
             and self.entries == other.entries
         )
 
     def __hash__(self):
-        return hash(self.entries)
+        return hash((self.entries, self.grade))
 
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.nrows != other.nrows or self.ncols != other.ncols:

@@ -81,16 +81,6 @@ def _support(m: Matrix) -> list[list[int]]:
     return [list(compress(cols, row)) for row in m.ints]
 
 
-def _blocks(m: Matrix) -> list[list[int]]:
-    """Strongly connected blocks of the support digraph of a nonnegative m."""
-    return _tarjan_sccs(m.nrows, _support(m))
-
-
-def is_nilpotent(m: Matrix) -> bool:
-    """True when the support digraph of a nonnegative matrix is acyclic."""
-    return all(len(b) == 1 and not m.ints[b[0]][b[0]] for b in _blocks(m))
-
-
 def _floats(block, den):
     """The sparse integer rows over den as (columns, floats) rows.  int / int
     rounds correctly, so each float is that of the Fraction entry."""

@@ -236,13 +236,14 @@ def generating_function_eval(g: Graph, t, mode: str, omega=None) -> Matrix:
 
 
 def _family_tau(g: Graph, mode: str, omega, nbtw_op: str, btdw_op: str) -> Fraction:
-    """The tau of a mode's walk family: 1 for "nbtw" and its weighted form
-    "weighted", 1 - omega for "btdw".  Refuses a missing or out-of-range
+    """The tau of a mode's walk family: 1 for "nbtw" and "weighted", 1 - omega
+    for "btdw", the one mode that takes omega.  Refuses a missing or out-of-range
     omega, and weighted graphs as nbtw_op and btdw_op (at tau > 0) do."""
-    if mode == "nbtw":
-        g.require_unweighted(nbtw_op)
-        return _ONE
-    if mode == "weighted":
+    if mode in ("nbtw", "weighted"):
+        if omega is not None:
+            raise ValueError("omega applies to btdw mode only")
+        if mode == "nbtw":
+            g.require_unweighted(nbtw_op)
         return _ONE
     if mode != "btdw":
         raise ValueError(f"unknown mode {mode!r}")

@@ -17,10 +17,12 @@ from nbwalks import (
     polymat_det,
     reversal,
     smith_form,
+    undirected_part,
 )
 from nbwalks.edgespace import downweighted_transfer
 from nbwalks.errors import EnumerationBudgetExceededError
 from nbwalks.exact import _bareiss_int_det, _clear_denominators, _int_product
+from nbwalks.graphs import connected_components_undirected
 from nbwalks.laplacians import structure_matrices
 from nbwalks.zpoly import _zhomogeneous, _zpseudo_divmod, _zscale
 
@@ -655,3 +657,13 @@ def bfs_components_undirected(g: Graph) -> list[list[int]]:
                     queue.append(w)
         comps.append(sorted(comp))
     return comps
+
+
+def is_undirected_tree(g: Graph) -> bool:
+    """True when the graph equals its undirected part and that part is a
+    connected acyclic graph: the tree predicate of the cycle lemmas."""
+    if g.edge_set() != undirected_part(g).edge_set():
+        return False
+    if len(connected_components_undirected(g)) != 1:
+        return False
+    return g.m // 2 == g.n - 1

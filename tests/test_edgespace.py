@@ -17,7 +17,6 @@ from nbwalks import (
     non_k_cycling,
     perron_radius,
     v_similar,
-    weighted_hashimoto,
 )
 from nbwalks import graphs as graphs_mod
 from nbwalks.cli import run_command
@@ -207,23 +206,15 @@ class TestBuildEdgeSpace:
 class TestWeightedMatrices:
     def test_unit_weights_reduce_to_hashimoto(self):
         es = build_edge_space(example1())
-        assert weighted_hashimoto(es) == es.hashimoto
         assert v_similar(es) == es.hashimoto
-
-    def test_weighted_3cycle_entries(self):
-        es = build_edge_space(weighted_3cycle())
-        wh = weighted_hashimoto(es)
-        entries = sorted(x for row in wh.data for x in row if x)
-        assert entries == [6, 10, 15]
 
     def test_single_reciprocal_any_weights(self):
         es = build_edge_space(single_recip_edge(F(7, 2), F(5, 3)))
-        assert weighted_hashimoto(es).is_zero()
         assert v_similar(es).is_zero()
 
     def test_v_similar_spectrum(self):
         es = build_edge_space(weighted_3cycle())
-        cp = Polynomial(v_similar(es).char_poly())
+        cp = v_similar(es).char_poly()
         assert cp == Polynomial([-30, 0, 0, 1])
 
     def test_v_similar_zero_without_continuations(self):

@@ -9,7 +9,6 @@ from nbwalks import (
     bipartite_component_count,
     build_graph,
     build_unweighted,
-    is_undirected_tree,
     prune_reciprocal_leaves,
     scc_decompose,
     undirected_part,
@@ -31,6 +30,7 @@ from helpers import (
     directed_cycles,
     example1,
     is_strongly_connected,
+    is_undirected_tree,
     mirror,
     random_digraph,
     rescan_prune_reciprocal_leaves,

@@ -1,15 +1,19 @@
 """The package's import rules: every module of ``src/nbwalks`` imports only
 the standard library or, relatively, itself (zero runtime dependencies), and
-every module but ``__init__`` uses each name it imports.  And its one-routine
+every module but ``__init__`` uses each name it imports.  Its one-routine
 rules: one function in the package runs Tarjan's algorithm, and every SCC
 split calls it; one place builds an edge space, ``Graph.edge_space``, and
-every consumer of a graph reads that."""
+every consumer of a graph reads that.  And its surface rule: every name the
+package exports has a reader in the package, the benchmark, the acceptance
+suite or README."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "nbwalks").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "nbwalks").glob("*.py"))
 
 
 def imports(tree):
@@ -128,3 +132,45 @@ def test_the_check_sees_a_second_edge_space_build():
                      "    return [edgespace.build_edge_space(h) for h in (g,)]\n\n"
                      "ES = build_edge_space(G)\n")
     assert edge_space_builds(tree) == ["edge_space", "radius", "radius", "<module>"]
+
+
+def names_read(tree):
+    """Names the code reads, bare or as an attribute."""
+    return ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
+             and isinstance(n.ctx, ast.Load)}
+            | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+               and isinstance(n.ctx, ast.Load)})
+
+
+def unused_exports(exported, readers, acceptance, readme):
+    """Exported names that no reader tree reads, the acceptance tree does
+    not import from the package, and README does not name in backticks."""
+    used = set().union(*map(names_read, readers))
+    used |= {a.name for n in ast.walk(acceptance)
+             if isinstance(n, ast.ImportFrom) and (n.module or "").startswith("nbwalks")
+             for a in n.names}
+    used |= set(re.findall(r"`([A-Za-z_]\w*)`", readme))
+    return sorted(set(exported) - used)
+
+
+def test_every_export_has_a_reader():
+    init = ast.parse((ROOT / "src" / "nbwalks" / "__init__.py").read_text(encoding="utf-8"))
+    exported = next(ast.literal_eval(n.value) for n in init.body if isinstance(n, ast.Assign)
+                     and any(getattr(t, "id", None) == "__all__" for t in n.targets))
+    assert len(exported) > 40
+    readers = [ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+               for p in SOURCES + sorted((ROOT / "bench").glob("*.py"))
+               if p.name != "__init__.py"]
+    acceptance = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert unused_exports(exported, readers, acceptance, readme) == []
+
+
+def test_the_check_sees_an_unused_export():
+    readers = [ast.parse("import nbwalks\nx = nbwalks.a(b)\nc = 1\n"),
+               ast.parse("def d():\n    return e\n")]
+    acceptance = ast.parse("from nbwalks import f\nfrom helpers import g\nimport h\n")
+    readme = "`i` and `j()` and k, `nbwalks.l`\n```python\nm\n```\n"
+    exported = list("abcdefghijklm")
+    assert unused_exports(exported, readers, acceptance, readme) == [
+        "c", "d", "g", "h", "j", "k", "l", "m"]

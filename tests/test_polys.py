@@ -125,7 +125,7 @@ class TestPolymatDet:
             )
             eye = Matrix.identity(n)
             pm = polymatrix_from_coefficients([eye, -x], grade=1)
-            assert polymat_det(pm) == Polynomial(x.det_one_minus_t())
+            assert polymat_det(pm) == x.det_one_minus_t()
 
     def test_singular_matrix(self):
         m = PolyMatrix([[poly(0, 1), poly(0, 1)], [poly(0, 1), poly(0, 1)]])
@@ -491,6 +491,14 @@ class TestReversal:
     def test_zero_matrix(self):
         m = PolyMatrix([[poly(0)]], grade=2)
         assert reversal(m).entries[0][0].is_zero()
+
+    def test_grade_is_part_of_equality(self):
+        # equal entries, different grades: the reversals differ, so the
+        # matrices must too
+        low, high = PolyMatrix([[poly(1)]], grade=0), PolyMatrix([[poly(1)]], grade=2)
+        assert reversal(low).entries != reversal(high).entries
+        assert low != high and len({low, high}) == 2
+        assert low == PolyMatrix([[1]]) and hash(low) == hash(PolyMatrix([[1]]))
 
 
 class TestRealRoots:

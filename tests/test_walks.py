@@ -458,6 +458,14 @@ class TestCentrality:
         res = nbt_katz_centrality(example1(), F(1, 10), mode="btdw", omega=1)
         assert res.converged
 
+    def test_omega_outside_btdw_refused(self):
+        for g, mode in ((example1(), "nbtw"), (weighted_3cycle(), "weighted")):
+            for omega in (F(1, 2), 0, 5):
+                with pytest.raises(ValueError, match="omega applies to btdw mode only"):
+                    nbt_katz_centrality(g, F(1, 10), mode=mode, omega=omega)
+                with pytest.raises(ValueError, match="omega applies to btdw mode only"):
+                    generating_function_eval(g, F(1, 10), mode, omega=omega)
+
     def test_row_sums_of_the_whole_generating_function(self):
         rng = random.Random(23)
         for _ in range(30):
@@ -731,7 +739,7 @@ class TestVertexResolvent:
                                        oneway=rng.choice([0.0, 0.3]), weighted=True)
             graphs.append(square_pairs(rng, g))
         for g in graphs:
-            g_poly = Polynomial(g.edge_space.ihara_det)
+            g_poly = g.edge_space.ihara_det
             candidates = {F(p, q) for p in range(-4, 5) for q in (1, 2, 3)}
             roots = {t for t in candidates if g_poly(t) == 0}
             for t in pair_points(g):
