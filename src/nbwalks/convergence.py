@@ -5,7 +5,8 @@ components: each component's undirectization is a tree, has exactly one
 cycle, or has at least two, and the trichotomy decides whether the series
 converges everywhere, up to 1, or up to the smallest deformed-Laplacian
 root inside the unit interval.  Weighted graphs get the exact reciprocal
-of the certified Hashimoto radius instead.
+of the certified Hashimoto radius instead.  Every Perron bracket here is
+taken on the sparse edge transfer rows (`EdgeSpace.transfer_rows`).
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 
-from .edgespace import downweighted_transfer, v_similar
 from .errors import TauOutOfRangeError
 from .graphs import Graph, scc_decompose
 from .laplacians import _deformed_laplacian
@@ -164,7 +164,7 @@ def radius_unweighted(g: Graph) -> RadiusReport:
     """
     g.require_unweighted("radius_unweighted")
     case = _classify(g)
-    pr = perron_radius(g.edge_space.hashimoto)
+    pr = perron_radius(g.edge_space.transfer_rows())
     provenance = {
         "case": "cycle classification of component undirectizations",
         "rho": "certified power iteration on the non-backtracking edge matrix",
@@ -203,7 +203,7 @@ def radius_weighted(g: Graph) -> RadiusReport:
     """
     es = g.edge_space
     case = _classify(g)
-    pr = perron_radius(v_similar(es))
+    pr = perron_radius(es.transfer_rows())
     if pr.nilpotent != (case == CASE_ALL_TREES):
         raise RuntimeError("nilpotency disagrees with the cycle classification")
 
@@ -261,7 +261,7 @@ def radius_btdw(g: Graph, tau) -> RadiusReport:
     if not 0 < tau <= 1:
         raise TauOutOfRangeError(f"tau={tau} outside (0, 1]")
     case = _classify(g)
-    pr = perron_radius(downweighted_transfer(g.edge_space, tau))
+    pr = perron_radius(g.edge_space.transfer_rows(tau))
     provenance = {
         "case": "cycle classification of component undirectizations",
         "rho": "certified power iteration on the downweighted edge transfer matrix",

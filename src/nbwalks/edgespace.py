@@ -2,6 +2,13 @@
 matrix and its weighted variants `v_similar` and `downweighted_transfer`,
 and non-k-cycling matrices.
 
+The walk powers and the Perron brackets read the edge transfer matrix
+(tau B + (1 - tau) W) Z as sparse integer rows straight off the arc arrays
+(`EdgeSpace.transfer_rows`), at most one row of nonzeros per arc, as long
+as the out-degree of its head.  The dense m-by-m views serve the
+edge-side characteristic polynomials of the identity certificates, the
+independent route there.
+
 Edges are numbered in lexicographic (source, destination) index order, the
 order the Graph already stores, so every matrix here is reproducible.  A
 graph's edge space is read as `Graph.edge_space`, which calls
@@ -39,6 +46,7 @@ class EdgeSpace:
     unreciprocated edges), reciprocal_mask is its square: a diagonal 0/1
     matrix marking reciprocated edges.  hashimoto is the unweighted
     non-backtracking edge adjacency; weight_diag holds the edge weights.
+    `transfer_rows` gives the transfer matrix T Z without any of them.
     """
 
     n: int
@@ -98,6 +106,26 @@ class EdgeSpace:
     def vertex_plan(self) -> VertexPlan:
         """The vertex-space rows of the weighted resolvent (`VertexPlan`)."""
         return VertexPlan(self)
+
+    def transfer_rows(self, tau=1) -> tuple[list[tuple[list[int], list[int]]], int]:
+        """T Z for T = tau B + (1 - tau) W, read off the arc arrays, as
+        sparse integer rows (columns, entries) over one denominator.
+
+        With tau = a/b and z = ell * w the weights cleared to integers, row
+        e lists the arcs f leaving heads[e], ascending: the entry is b z_f
+        for a successor of e and (b - a) z_f for reverse[e], all over
+        b * ell.  Weights are positive, so the one zero entry, the reverse
+        arc's at tau = 1, is left out.  This is
+        `downweighted_transfer(es, tau) * es.weight_diag` entry for entry,
+        with no m-by-m matrix.
+        """
+        a, b = Fraction(tau).as_integer_ratio()
+        z, ell = _clear_denominators(self.weights)
+        rows = []
+        for succ, rev in zip(self.successors, self.reverse):
+            cols = list(succ) if rev is None or a == b else sorted(succ + (rev,))
+            rows.append((cols, [(b - a if f == rev else b) * z[f] for f in cols]))
+        return rows, b * ell
 
 
 def build_edge_space(g: Graph) -> EdgeSpace:

@@ -5,10 +5,13 @@ entrywise positive x and irreducible nonnegative M,
 
     min_i (Mx)_i / x_i  <=  rho(M)  <=  max_i (Mx)_i / x_i.
 
-Every exact step reads the integer rows of the matrix over its one
-denominator (`Matrix.ints`, `Matrix.den`): the sign check, the support
-graph, the blocks and the quotients, which are compared by
-cross-multiplication so that only the two bounds become Fractions.
+Every exact step reads sparse integer rows over one denominator: the rows
+(columns, entries) of a `Matrix`'s nonzeros over `Matrix.den`, or the edge
+transfer rows of `EdgeSpace.transfer_rows` as they come, so no dense edge
+matrix is built for a radius.  The sign check, the support graph, the
+blocks and the quotients all read those rows, and the quotients are
+compared by cross-multiplication so that only the two bounds become
+Fractions.
 Floating point is only used to find a good starting vector, by a power
 iteration over the nonzeros of each row.  The float step is a fixed
 function of the iterate, so the loop stops at its first repeated iterate,
@@ -73,12 +76,11 @@ def _left_sum(values) -> float:
     return reduce(add, values, 0.0)
 
 
-def _support(m: Matrix) -> list[list[int]]:
-    """The columns of the nonzeros of each row of a nonnegative m."""
-    if min(chain.from_iterable(m.ints), default=0) < 0:
-        raise NegativeEntryError("matrix must be entrywise nonnegative")
+def _support(m: Matrix) -> list[tuple[list[int], list[int]]]:
+    """The nonzeros of each row of m as (columns, integer entries) over
+    m.den: the rows `perron_radius` runs on."""
     cols = range(m.nrows)
-    return [list(compress(cols, row)) for row in m.ints]
+    return [(list(compress(cols, row)), [x for x in row if x]) for row in m.ints]
 
 
 def _floats(block, den):
@@ -240,25 +242,31 @@ def _block_radius(block, den, tol, budget):
         x = [max(Fraction(v, top).limit_denominator(10**30), _FLOOR) for v in z]
 
 
-def perron_radius(m: Matrix, tol=DEFAULT_TOL, budget=DEFAULT_ITERATIONS) -> PerronResult:
-    """Certified Perron radius of a nonnegative square matrix.
+def perron_radius(m, tol=DEFAULT_TOL, budget=DEFAULT_ITERATIONS) -> PerronResult:
+    """Certified Perron radius of a nonnegative square matrix, given as a
+    `Matrix` or as sparse integer rows over one denominator, the pair
+    (rows, den) of `EdgeSpace.transfer_rows`; a `Matrix` is read as those
+    rows (`_support`).
 
     Nilpotent support gives rho = 0 exactly.  Otherwise the support graph is
     split into strongly connected blocks; each block gets exact
     Collatz-Wielandt brackets tightened by shifted power iteration, and the
     result is the blockwise maximum.
     """
-    support = _support(m)
+    rows, den = (_support(m), m.den) if isinstance(m, Matrix) else m
+    if min(chain.from_iterable(xs for _, xs in rows), default=0) < 0:
+        raise NegativeEntryError("matrix must be entrywise nonnegative")
     lo_all, hi_all = _ZERO, _ZERO
     iterations = 0
     trivial = True
-    for verts in _tarjan_sccs(m.nrows, support):
+    for verts in _tarjan_sccs(len(rows), [cols for cols, _ in rows]):
         if len(verts) == 1:
             v = verts[0]
-            d = m.ints[v][v]
+            cols, xs = rows[v]
+            d = next((x for k, x in zip(cols, xs) if k == v), 0)
             if d:
                 trivial = False
-                d = Fraction(d, m.den)
+                d = Fraction(d, den)
                 lo_all = max(lo_all, d)
                 hi_all = max(hi_all, d)
             continue
@@ -266,9 +274,9 @@ def perron_radius(m: Matrix, tol=DEFAULT_TOL, budget=DEFAULT_ITERATIONS) -> Perr
         local = {v: i for i, v in enumerate(verts)}
         block = []
         for v in verts:
-            cols = [j for j in support[v] if j in local]
-            block.append(([local[j] for j in cols], list(map(m.ints[v].__getitem__, cols))))
-        lo, hi, its = _block_radius(block, m.den, tol, budget)
+            pairs = [(local[k], x) for k, x in zip(*rows[v]) if k in local]
+            block.append(([k for k, _ in pairs], [x for _, x in pairs]))
+        lo, hi, its = _block_radius(block, den, tol, budget)
         iterations += its
         lo_all = max(lo_all, lo)
         hi_all = max(hi_all, hi)

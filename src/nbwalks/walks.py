@@ -14,9 +14,11 @@ implementation over omega or tau, and the plain names are thin wrappers
 of it.
 
 Tables are exact rational matrices, each integer rows over one
-denominator: q**k for the recurrence, and L**(2k) for the oracle, which
+denominator: q**k for the recurrence, L**(2k) for the oracle, which
 multiplies integer walk weights scaled by the common denominator L of the
-weights and omega; the Hashimoto powers are products of `Matrix` objects.
+weights and omega, and ell**k for the Hashimoto powers, sparse integer
+products with the edge transfer rows `EdgeSpace.transfer_rows` (weights
+cleared to the denominator ell), which build no dense edge matrix.
 `walk_table` selects a route, and `walk_tables_float` is the table it
 selects with each exact entry rounded once to the nearest float, table by
 table as the route yields them: an output format, not another algorithm.
@@ -33,7 +35,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .convergence import radius_btdw, radius_unweighted, radius_weighted
-from .edgespace import downweighted_transfer, v_similar
+from .edgespace import downweighted_transfer
 from .errors import (
     AboveRadiusError,
     EnumerationBudgetExceededError,
@@ -211,21 +213,29 @@ def weighted_nbtw(g: Graph, kmax: int) -> WalkTable:
 
 
 def _hashimoto_powers(g: Graph, kmax: int) -> Iterator[Matrix]:
-    """p_k = source.T @ Z @ (hashimoto @ Z)**(k-1) @ target for k >= 1,
-    yielded one at a time from p_0 = I.
+    """p_k = L.T Z (B Z)**(k-1) R for k >= 1, yielded one at a time from
+    p_0 = I, on integers like `_recurrence`.
 
-    The carriers C_k = (hashimoto @ Z)**k @ target are kept, so that each
-    table is one more sparse product, p_k = (source.T @ Z) @ C_(k-1).
+    With z = ell w the weights cleared to integers, B z is the transfer rows
+    at tau = 1 (`EdgeSpace.transfer_rows`) and the rows of L.T z are read
+    off the tails.  The carriers C_k = (B z)**k R start from the 0/1 rows
+    of R, and each step is one sparse product: P_k = (L.T z) C_(k-1) and
+    C_k = (B z) C_(k-1).  Table k is P_k over ell**k.
     """
     es = g.edge_space
-    lt_z = es.source.transpose() * es.weight_diag
-    step = v_similar(es)
-    carrier = es.target
-    yield Matrix.identity(g.n)
+    n = g.n
+    rows, ell = es.transfer_rows()
+    step = [list(zip(*row)) for row in rows]
+    z = _clear_denominators(es.weights)[0]
+    lt_z = [[] for _ in range(n)]
+    for e, u in enumerate(es.tails):
+        lt_z[u].append((e, z[e]))
+    carrier = [[int(j == v) for j in range(n)] for v in es.heads]
+    yield Matrix.identity(n)
     for k in range(1, kmax + 1):
-        yield lt_z * carrier
+        yield Matrix(_int_product(lt_z, carrier, n), ell**k, n)
         if k < kmax:
-            carrier = step * carrier
+            carrier = _int_product(step, carrier, n)
 
 
 def generating_function_eval(g: Graph, t, mode: str, omega=None) -> Matrix:
@@ -305,25 +315,22 @@ class CentralityResult:
 
 
 def _transfer_norm(es, tau) -> Fraction:
-    """||T Z||_inf for the family's transfer matrix T = tau B + (1 - tau) W,
-    read off the arc arrays in O(m): row e of T Z sums the weights leaving
-    the head of e, less tau times the weight of the reverse of e.  At
-    tau = 0 this is ||W Z||_inf <= ||A||_inf, and W Z shares its nonzero
-    spectrum with A, whose walk series the classical mode is certified
-    on."""
-    out = [_ZERO] * es.n
-    for u, w in zip(es.tails, es.weights):
-        out[u] += w
-    return max((out[v] - (tau * es.weights[f] if f is not None else 0)
-                for v, f in zip(es.heads, es.reverse)), default=_ZERO)
+    """||T Z||_inf for the family's transfer matrix T = tau B + (1 - tau) W:
+    the largest row sum of the transfer rows (`EdgeSpace.transfer_rows`)
+    over their denominator.  Row e of T Z sums the weights leaving the head
+    of e, less tau times the weight of the reverse of e.  At tau = 0 this is
+    ||W Z||_inf <= ||A||_inf, and W Z shares its nonzero spectrum with A,
+    whose walk series the classical mode is certified on."""
+    rows, den = es.transfer_rows(tau)
+    return Fraction(max((sum(xs) for _, xs in rows), default=0), den)
 
 
 def _certified_below(g: Graph, t: Fraction, mode: str, omega) -> bool:
     """True when t is certified below the radius of the mode's walk series.
 
     Each mode refuses its graphs and parameters first, as its radius report
-    would (`_family_tau`).  Then a certificate that costs O(m): with T Z the
-    mode's edge transfer matrix (`_transfer_norm`) and
+    would (`_family_tau`).  Then a certificate that costs one pass over the
+    nonzeros of T Z, the mode's edge transfer matrix (`_transfer_norm`): with
     N = max(||T Z||_inf, 1), every t with 2 t N <= 1 is accepted without
     the radius report.  The full report accepts each such t as well, so no
     decision changes:

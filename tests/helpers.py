@@ -7,11 +7,14 @@ import math
 import random
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from nbwalks import (
     Graph,
     Matrix,
     PolyMatrix,
     Polynomial,
+    build_edge_space,
     build_graph,
     build_unweighted,
     polymat_det,
@@ -19,7 +22,7 @@ from nbwalks import (
     smith_form,
     undirected_part,
 )
-from nbwalks.edgespace import downweighted_transfer
+from nbwalks.edgespace import downweighted_transfer, v_similar
 from nbwalks.errors import EnumerationBudgetExceededError
 from nbwalks.exact import _bareiss_int_det, _clear_denominators, _int_product
 from nbwalks.graphs import connected_components_undirected
@@ -245,6 +248,21 @@ def _maybe_weighted(rng, arcs, n, weighted) -> Graph:
     if not weighted:
         return build_unweighted(arcs, vertices=range(n))
     return build_graph([(u, v, rng.choice(WEIGHT_POOL)) for u, v in arcs], vertices=range(n))
+
+
+@st.composite
+def digraphs(draw, max_n=7, weighted=None):
+    """A hypothesis strategy for digraphs on 0..max_n vertices, arcs
+    included or not at random, n = 0 and m = 0 among them; weights in
+    [1/9, 9] with denominators up to 9, unit when ``weighted`` is false and
+    either when it is None."""
+    n = draw(st.integers(0, max_n))
+    if weighted is None:
+        weighted = draw(st.booleans())
+    weight = st.fractions(Fraction(1, 9), 9, max_denominator=9) if weighted else st.just(1)
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return build_graph([(u, v, draw(weight)) for u, v in chosen], vertices=range(n))
 
 
 def random_connected_graph(rng: random.Random, n: int, extra: int, oneway=0.0,
@@ -515,6 +533,20 @@ def edge_resolvent(g: Graph, t, tau=1):
     if solved is None:
         return None
     return Matrix.identity(g.n) + (es.source.transpose() * es.weight_diag * solved).scale(t)
+
+
+def dense_hashimoto_powers(g: Graph, kmax: int) -> tuple[Matrix, ...]:
+    """p_k = L^T Z (B Z)^(k-1) R as products of dense `Matrix` objects, on a
+    fresh edge space: the route before the integer transfer rows."""
+    es = build_edge_space(g)
+    lt_z = es.source.transpose() * es.weight_diag
+    step = v_similar(es)
+    seq = [Matrix.identity(g.n)]
+    carrier = es.target
+    for _ in range(1, kmax + 1):
+        seq.append(lt_z * carrier)
+        carrier = step * carrier
+    return tuple(seq)
 
 
 def fraction_rank(a: Matrix) -> int:

@@ -1,4 +1,5 @@
 import gc
+import math
 import random
 import tracemalloc
 import weakref
@@ -18,6 +19,7 @@ from nbwalks import (
     perron_radius,
     v_similar,
 )
+from nbwalks.edgespace import downweighted_transfer
 from nbwalks import graphs as graphs_mod
 from nbwalks.cli import run_command
 from nbwalks.errors import WeightedUnsupportedError
@@ -25,6 +27,7 @@ from nbwalks.errors import WeightedUnsupportedError
 from helpers import (
     bowtie,
     complete_undirected,
+    digraphs,
     directed_cycle,
     example1,
     random_digraph,
@@ -222,6 +225,66 @@ class TestWeightedMatrices:
         es = build_edge_space(g)
         assert es.reciprocal_pair_count == 0
         assert v_similar(es).is_zero()
+
+
+def dense_rows(rows, den, m):
+    """The transfer rows as an m-by-m `Matrix`."""
+    dense = [[0] * m for _ in range(m)]
+    for e, (cols, xs) in enumerate(rows):
+        for f, x in zip(cols, xs):
+            dense[e][f] = F(x, den)
+    return Matrix(dense, ncols=m)
+
+
+class TestTransferRows:
+    """`EdgeSpace.transfer_rows` is T Z = (tau B + (1 - tau) W) Z read off
+    the arc arrays, as sparse integer rows over b * ell."""
+
+    TAUS = (F(0), F(1, 3), F(1, 2), F(1))
+
+    def check(self, g, tau):
+        es = build_edge_space(g)
+        rows, den = es.transfer_rows(tau)
+        assert den == F(tau).denominator * math.lcm(*(w.denominator for w in es.weights))
+        assert len(rows) == es.m
+        for e, (cols, xs) in enumerate(rows):
+            assert cols == sorted(cols)
+            assert all(xs) and len(cols) == len(xs)
+            assert all(es.tails[f] == es.heads[e] for f in cols)
+        assert dense_rows(rows, den, es.m) == downweighted_transfer(es, tau) * es.weight_diag
+
+    @settings(max_examples=60, deadline=None)
+    @given(g=digraphs(weighted=False))
+    def test_unit_graphs_at_every_tau(self, g):
+        for tau in self.TAUS:
+            self.check(g, tau)
+
+    @settings(max_examples=60, deadline=None)
+    @given(g=digraphs(weighted=True))
+    def test_weighted_graphs(self, g):
+        for tau in self.TAUS:
+            self.check(g, tau)
+
+    def test_denominator_and_reverse_entry(self):
+        g = build_graph([(0, 1, F(1, 2)), (1, 0, F(2, 3)), (1, 2, 3), (2, 0, 1)])
+        es = build_edge_space(g)
+        # arcs 0->1, 1->0, 1->2, 2->0; ell = 6, z = (3, 4, 18, 6)
+        assert es.transfer_rows() == ([([2], [18]), ([], []), ([3], [6]), ([0], [3])], 6)
+        # tau = 1/3: b = 3, reverse entries (b - a) z = 2 z
+        rows, den = es.transfer_rows(F(1, 3))
+        assert den == 18
+        assert rows == [([1, 2], [8, 54]), ([0], [6]), ([3], [18]), ([0], [9])]
+
+    def test_no_arcs_and_no_vertices(self):
+        for g in (build_unweighted([], vertices=[1, 2]), build_unweighted([], vertices=[])):
+            for tau in self.TAUS:
+                assert build_edge_space(g).transfer_rows(tau) == ([], F(tau).denominator)
+
+    def test_builds_no_view(self):
+        es = build_edge_space(example1())
+        for tau in self.TAUS:
+            es.transfer_rows(tau)
+        assert not set(VIEWS) & set(vars(es))
 
 
 class TestNonKCycling:

@@ -1018,3 +1018,77 @@ class TestZtGcd:
                 got = squarefree_decomposition(det)
                 assert got == q_squarefree_decomposition(det), (g.edges, tau)
                 assert sorted((f.coeffs, k) for f, k in got) == _sympy_sqf(det)
+
+
+@st.composite
+def _root_cases(draw):
+    """(p, lo, hi, include_hi): p has rational roots of multiplicity up to
+    3 times a random factor that may be squared, so repeated rational and
+    irrational roots both occur; lo and hi are drawn from the rational
+    roots as often as not, so roots sit at either end."""
+    small = st.builds(F, st.integers(-9, 9), st.integers(1, 4))
+    roots = draw(st.lists(st.tuples(small, st.integers(1, 3)), max_size=3))
+    p = Polynomial([draw(_RATIONALS.filter(lambda c: c != 0))])
+    for r, k in roots:
+        p = p * Polynomial([-r, 1]) ** k
+    other = draw(_QPOLYS.filter(lambda q: not q.is_zero()))
+    p = p * (other * other if draw(st.booleans()) else other)
+    ends = st.sampled_from([r for r, _ in roots]) if roots else small
+    lo, hi = sorted([draw(st.one_of(ends, small)), draw(st.one_of(ends, small))])
+    if lo == hi:
+        hi = lo + F(1, draw(st.integers(1, 3)))
+    return p, lo, hi, draw(st.booleans())
+
+
+def _roots_in(factor, lo, hi):
+    """Distinct roots of a sympy Poly in the half-open (lo, hi]."""
+    return factor.count_roots(lo, hi) - (factor.eval(lo) == 0)
+
+
+class TestRealRootsSympy:
+    """`real_roots` against sympy's root counts and its squarefree
+    factorization: the count in (lo, hi] (or (lo, hi)), one sympy root in
+    each returned interval or value, and each root's multiplicity."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_root_cases())
+    def test_counts_intervals_and_multiplicities(self, case):
+        p, lo, hi, include_hi = case
+        sp = _qq(p)
+        slo = sympy.Rational(lo.numerator, lo.denominator)
+        shi = sympy.Rational(hi.numerator, hi.denominator)
+        records = real_roots(p, lo, hi, include_hi=include_hi)
+        want = _roots_in(sp, slo, shi) - (not include_hi and sp.eval(shi) == 0)
+        assert len(records) == want
+        factors = [(sympy.Poly(f, _T, domain=sympy.QQ), k) for f, k in sp.sqf_list()[1]]
+        previous = None
+        for rec in records:
+            if rec.is_exact:
+                v = sympy.Rational(rec.value.numerator, rec.value.denominator)
+                assert lo < rec.value <= hi and (include_hi or rec.value < hi)
+                assert sp.eval(v) == 0
+                mults = [k for f, k in factors if f.eval(v) == 0]
+                start, end = rec.value, rec.value
+            else:
+                assert lo <= rec.lo < rec.hi <= hi
+                assert rec.hi - rec.lo <= F(1, 10**12)
+                a = sympy.Rational(rec.lo.numerator, rec.lo.denominator)
+                b = sympy.Rational(rec.hi.numerator, rec.hi.denominator)
+                assert _roots_in(sp, a, b) == 1
+                mults = [k for f, k in factors if _roots_in(f, a, b)]
+                start, end = rec.lo, rec.hi
+            assert mults == [rec.multiplicity]
+            # sorted and disjoint, so no sympy root is reported twice
+            if previous is not None:
+                assert start > previous or (start == previous and not rec.is_exact)
+            previous = end
+
+    def test_repeated_roots_at_both_ends(self):
+        # (t - 1)**2 (t - 2)**3 (t**2 - 2)**2 on (1, 2]: sqrt 2 twice and 2
+        # three times; 1 is outside
+        p = poly(-1, 1) ** 2 * poly(-2, 1) ** 3 * poly(-2, 0, 1) ** 2
+        got = real_roots(p, 1, 2)
+        assert [(r.is_exact, r.multiplicity) for r in got] == [(False, 2), (True, 3)]
+        assert got[0].lo < F(1414213562373095, 10**15) < got[0].hi
+        assert [r.multiplicity for r in real_roots(p, 1, 2, include_hi=False)] == [2]
+        assert [r.multiplicity for r in real_roots(p, 0, 2)] == [2, 2, 3]

@@ -3,15 +3,19 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
 
 from nbwalks import (
     Matrix,
     Polynomial,
     build_edge_space,
+    build_graph,
+    build_unweighted,
     downweighted_transfer,
     perron_radius,
     v_similar,
 )
+from nbwalks.convergence import radius_btdw, radius_unweighted, radius_weighted
 from nbwalks.errors import NegativeEntryError
 from nbwalks.exact import _tarjan_sccs
 from nbwalks.spectral import (
@@ -25,9 +29,11 @@ from nbwalks.spectral import (
 from helpers import (
     bowtie,
     complete_undirected,
+    digraphs,
     directed_cycle,
     example1,
     random_digraph,
+    two_squares,
     undirected_cycle,
     undirected_path,
     weighted_3cycle,
@@ -233,7 +239,7 @@ def sparse_floats(fm):
 
 
 def irreducible_blocks(m):
-    for verts in _tarjan_sccs(m.nrows, _support(m)):
+    for verts in _tarjan_sccs(m.nrows, [cols for cols, _ in _support(m)]):
         if len(verts) > 1:
             yield [[m.data[i][j] for j in verts] for i in verts]
 
@@ -351,3 +357,71 @@ class TestSpectralInvariants:
             for tau in (F(1, 4), F(1, 2), F(3, 4)):
                 blended = perron_radius(downweighted_transfer(es, tau))
                 assert blended.upper >= base.lower
+
+
+class TestTransferRowInput:
+    """`perron_radius` on the sparse transfer rows returns the result it
+    gives on the dense `Matrix` of the same entries."""
+
+    TAUS = (F(0), F(1, 3), F(1, 2), F(1))
+
+    def check(self, g, taus):
+        es = build_edge_space(g)
+        for tau in taus:
+            rows = es.transfer_rows(tau)
+            dense = downweighted_transfer(es, tau) * es.weight_diag
+            assert perron_radius(rows) == perron_radius(dense), (g.edges, tau)
+
+    @settings(max_examples=50, deadline=None)
+    @given(g=digraphs(weighted=False))
+    def test_unit_graphs(self, g):
+        self.check(g, self.TAUS)
+
+    @settings(max_examples=50, deadline=None)
+    @given(g=digraphs(weighted=True))
+    def test_weighted_graphs(self, g):
+        self.check(g, (F(1),))
+
+    def test_nilpotent(self):
+        # trees and a directed path: B is nilpotent, T_tau is not below 1
+        for g in (undirected_path(4), build_unweighted([(0, 1), (1, 2), (2, 3)])):
+            es = build_edge_space(g)
+            assert perron_radius(es.transfer_rows()).nilpotent
+            self.check(g, self.TAUS)
+
+    def test_reducible(self):
+        # a directed cycle with a tail and a second cycle: blocks of
+        # different radius, singletons between them
+        g = build_unweighted([(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 3), (4, 5)])
+        self.check(g, self.TAUS)
+        self.check(two_squares(), self.TAUS)
+
+    def test_weighted(self):
+        g = build_graph([(0, 1, F(7, 3)), (1, 2, F(1, 5)), (2, 0, 4), (1, 0, F(2, 9)),
+                         (2, 3, 6), (3, 1, F(1, 2))])
+        self.check(g, (F(1),))
+        self.check(weighted_3cycle(), (F(1),))
+
+    def test_extreme_weights_take_the_balanced_path(self):
+        g = build_graph([(0, 1, F(10**400)), (1, 2, F(1, 10**400)), (2, 0, 3), (1, 0, 2)])
+        self.check(g, (F(1),))
+
+    @pytest.mark.parametrize("scale", [1, 3, 10**20])
+    def test_any_common_denominator(self, scale):
+        # rows not in lowest terms give the same bracket
+        m = Matrix([[0, F(1, 2), 3], [F(2, 7), 0, 0], [1, F(5, 3), 0]])
+        rows = [(cols, [scale * x for x in xs]) for cols, xs in _support(m)]
+        assert perron_radius((rows, scale * m.den)) == perron_radius(m)
+
+    def test_negative_rows_rejected(self):
+        with pytest.raises(NegativeEntryError):
+            perron_radius(([([1], [1]), ([0], [-1])], 1))
+
+    def test_radius_reports_build_no_edge_matrix(self):
+        weighted = build_graph([(0, 1, F(1, 2)), (1, 2, 3), (2, 0, 1), (1, 0, 2), (2, 1, 1)])
+        for g, report in ((bowtie(), radius_unweighted), (undirected_cycle(5), radius_unweighted),
+                          (bowtie(), lambda g: radius_btdw(g, F(1, 2))),
+                          (undirected_path(3), lambda g: radius_btdw(g, F(1, 3))),
+                          (weighted, radius_weighted), (bowtie(), radius_weighted)):
+            report(g)
+            assert not {"hashimoto", "weight_diag", "line_graph"} & set(vars(g.edge_space))

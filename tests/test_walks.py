@@ -13,7 +13,6 @@ from nbwalks import (
     Matrix,
     Polynomial,
     btdw_recurrence,
-    build_edge_space,
     build_graph,
     build_unweighted,
     enumerate_btdw,
@@ -21,7 +20,6 @@ from nbwalks import (
     generating_function_eval,
     nbt_katz_centrality,
     nbtw_recurrence,
-    v_similar,
     weighted_nbtw,
 )
 from nbwalks.errors import (
@@ -42,8 +40,10 @@ from nbwalks.walks import (
     _certified_below,
     _enumerate,
     _generating_function_times,
+    _hashimoto_powers,
     _recurrence,
     _transfer_norm,
+    walk_table,
     walk_tables_float,
 )
 
@@ -52,6 +52,8 @@ from helpers import (
     bowtie,
     complete_undirected,
     connected_undirected_graphs,
+    dense_hashimoto_powers,
+    digraphs,
     directed_cycle,
     edge_resolvent,
     example1,
@@ -209,22 +211,6 @@ def reference_recurrence(g, kmax, tau):
     return tuple(seq)
 
 
-def reference_weighted_nbtw(g, kmax):
-    """Hashimoto powers on Fraction matrices (the route before the integer
-    carriers)."""
-    es = build_edge_space(g)
-    if es.m == 0:
-        return (Matrix.identity(g.n),) + (Matrix.zeros(g.n, g.n),) * kmax
-    lt_z = es.source.transpose() * es.weight_diag
-    step = v_similar(es)
-    seq = [Matrix.identity(g.n)]
-    carrier = es.target
-    for _ in range(1, kmax + 1):
-        seq.append(lt_z * carrier)
-        carrier = step * carrier
-    return tuple(seq)
-
-
 class TestIntegerTables:
     TAUS = (F(1), F(1, 2), F(2, 3), F(1, 7), F(0))
 
@@ -256,7 +242,23 @@ class TestIntegerTables:
         for g in graphs:
             for kmax in (0, 1, 2, 9):
                 table = weighted_nbtw(g, kmax).tables
-                assert table == reference_weighted_nbtw(g, kmax), (g.edges, kmax)
+                assert table == dense_hashimoto_powers(g, kmax), (g.edges, kmax)
+
+
+class TestHashimotoPowers:
+    """The Hashimoto powers on the integer transfer rows equal the dense
+    `Matrix` products, and build no dense edge matrix."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(g=digraphs(), kmax=st.integers(0, 8))
+    def test_equal_dense_products(self, g, kmax):
+        assert tuple(_hashimoto_powers(g, kmax)) == dense_hashimoto_powers(g, kmax)
+
+    def test_edgepower_table_builds_no_edge_matrix(self):
+        for g in (bowtie(), weighted_3cycle(), example1(),
+                  random_digraph(random.Random(3), 6, 0.5, weighted=True)):
+            walk_table(g, 9, method="edgepower")
+            assert not {"hashimoto", "weight_diag", "line_graph"} & set(vars(g.edge_space))
 
 
 class TestNegativeLength:
