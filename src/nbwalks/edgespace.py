@@ -7,7 +7,7 @@ The walk powers and the Perron brackets read the edge transfer matrix
 (`EdgeSpace.transfer_rows`), at most one row of nonzeros per arc, as long
 as the out-degree of its head.  The dense m-by-m views serve the
 edge-side characteristic polynomials of the identity certificates, the
-independent route there.
+independent route there, and the weighted radius report's bracket.
 
 Edges are numbered in lexicographic (source, destination) index order, the
 order the Graph already stores, so every matrix here is reproducible.  A
@@ -103,6 +103,12 @@ class EdgeSpace:
         return step.det_one_minus_t()
 
     @cached_property
+    def cleared_weights(self) -> tuple[list[int], int]:
+        """(z, ell): the weights as integers over their least common
+        denominator, weights[e] = z[e] / ell."""
+        return _clear_denominators(self.weights)
+
+    @cached_property
     def vertex_plan(self) -> VertexPlan:
         """The vertex-space rows of the weighted resolvent (`VertexPlan`)."""
         return VertexPlan(self)
@@ -120,7 +126,7 @@ class EdgeSpace:
         with no m-by-m matrix.
         """
         a, b = Fraction(tau).as_integer_ratio()
-        z, ell = _clear_denominators(self.weights)
+        z, ell = self.cleared_weights
         rows = []
         for succ, rev in zip(self.successors, self.reverse):
             cols = list(succ) if rev is None or a == b else sorted(succ + (rev,))
@@ -189,7 +195,7 @@ class VertexPlan:
     __slots__ = ("ell", "arcs", "blocks", "inner", "singletons")
 
     def __init__(self, es: EdgeSpace):
-        z, self.ell = _clear_denominators(es.weights)
+        z, self.ell = es.cleared_weights
         self.arcs = [([], []) for _ in range(es.n)]
         for e, (u, v, f) in enumerate(zip(es.tails, es.heads, es.reverse)):
             if f is None:

@@ -9,15 +9,16 @@ are a read-only view, `data`, built on first read.
 
 Products run sparse over the nonzeros of the left factor's rows, so the 0/1
 edge-space matrices cost what their nonzeros cost; that inner loop is the
-one product kernel `_int_product`, which the walk recurrence also calls
-directly.  A characteristic polynomial, a `Polynomial`, is the product of
-those of the diagonal blocks that the strongly connected components of the
-nonzero pattern (`_tarjan_sccs`, the package's one SCC routine) cut the
-matrix into, each from Berkowitz's division-free algorithm.  Determinants,
-`solve`, `inverse` and `rank` run one fraction-free elimination,
-`_fraction_free` (Bareiss 1968): forward for a determinant or the rank,
-Gauss-Jordan for a solve, whose solution is then the eliminated right-hand
-side over a single integer denominator.
+one product kernel `_int_product`, which the walk routes also call
+directly on rows of (columns, entries), the sparse row format
+`spectral.perron_radius` reads too.  A characteristic polynomial, a
+`Polynomial`, is the product of those of the diagonal blocks that the
+strongly connected components of the nonzero pattern (`_tarjan_sccs`, the
+package's one SCC routine) cut the matrix into, each from Berkowitz's
+division-free algorithm.  Determinants, `solve`, `inverse` and `rank` run
+one fraction-free elimination, `_fraction_free` (Bareiss 1968): forward for
+a determinant or the rank, Gauss-Jordan for a solve, whose solution is then
+the eliminated right-hand side over a single integer denominator.
 """
 
 from __future__ import annotations
@@ -160,9 +161,8 @@ class Matrix:
             return self.scale(other)
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch")
-        left = [[(k, c) for k, c in enumerate(row) if c] for row in self.ints]
-        return Matrix(_int_product(left, other.ints, other.ncols), self.den * other.den,
-                      other.ncols)
+        return Matrix(_int_product(_nonzero_rows(self.ints, self.ncols), other.ints, other.ncols),
+                      self.den * other.den, other.ncols)
 
     def __rmul__(self, c):
         return self.scale(c)
@@ -332,18 +332,26 @@ def _tarjan_sccs(n: int, out: list[list[int]]) -> list[list[int]]:
     return sccs
 
 
+def _nonzero_rows(ints, ncols: int) -> list[tuple[list[int], list[int]]]:
+    """The nonzeros of each integer row as (columns, entries): the sparse
+    row format of `_int_product` and `spectral.perron_radius`."""
+    cols = range(ncols)
+    return [(list(compress(cols, row)), [x for x in row if x]) for row in ints]
+
+
 def _int_product(left, right, width: int) -> list[list[int]]:
     """Integer product of sparse rows times dense rows.
 
-    Each row of ``left`` lists its nonzero entries as (k, c) pairs; row i of
-    the result is the sum of c * right[k] over them, a list of ``width``
-    ints (all 0 for an empty row).  The one product kernel: `Matrix.__mul__`
-    and the walk recurrence run on it.
+    Each row of ``left`` lists its nonzero entries as (columns, entries),
+    as `_nonzero_rows` gives them; row i of the result is the sum of
+    c * right[k] over them, a list of ``width`` ints (all 0 for an empty
+    row).  The one product kernel: `Matrix.__mul__`, the walk recurrence
+    and the Hashimoto powers run on it.
     """
     out = []
-    for row in left:
+    for ks, cs in left:
         acc = None
-        for k, c in row:
+        for k, c in zip(ks, cs):
             r = right[k]
             if acc is None:
                 acc = list(r) if c == 1 else [c * b for b in r]

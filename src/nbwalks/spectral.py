@@ -5,13 +5,13 @@ entrywise positive x and irreducible nonnegative M,
 
     min_i (Mx)_i / x_i  <=  rho(M)  <=  max_i (Mx)_i / x_i.
 
-Every exact step reads sparse integer rows over one denominator: the rows
-(columns, entries) of a `Matrix`'s nonzeros over `Matrix.den`, or the edge
-transfer rows of `EdgeSpace.transfer_rows` as they come, so no dense edge
-matrix is built for a radius.  The sign check, the support graph, the
-blocks and the quotients all read those rows, and the quotients are
-compared by cross-multiplication so that only the two bounds become
-Fractions.
+Every exact step reads sparse integer rows (columns, entries) over one
+denominator: those of a `Matrix`'s nonzeros over `Matrix.den`
+(`exact._nonzero_rows`), or the edge transfer rows as
+`EdgeSpace.transfer_rows` reads them off the arc arrays.  The sign check,
+the support graph, the blocks and the quotients all read those rows, and
+the quotients are compared by cross-multiplication so that only the two
+bounds become Fractions.
 Floating point is only used to find a good starting vector, by a power
 iteration over the nonzeros of each row.  The float step is a fixed
 function of the iterate, so the loop stops at its first repeated iterate,
@@ -36,11 +36,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, compress
+from itertools import chain
 from operator import add, mul
 
 from .errors import IterationBudgetExceededError, NegativeEntryError
-from .exact import Matrix, _clear_denominators, _tarjan_sccs
+from .exact import Matrix, _clear_denominators, _nonzero_rows, _tarjan_sccs
 
 _ZERO = Fraction(0)
 _FLOOR = Fraction(1, 10**18)  # least entry of a rational iterate
@@ -74,13 +74,6 @@ def _left_sum(values) -> float:
     3.12 on every version.
     """
     return reduce(add, values, 0.0)
-
-
-def _support(m: Matrix) -> list[tuple[list[int], list[int]]]:
-    """The nonzeros of each row of m as (columns, integer entries) over
-    m.den: the rows `perron_radius` runs on."""
-    cols = range(m.nrows)
-    return [(list(compress(cols, row)), [x for x in row if x]) for row in m.ints]
 
 
 def _floats(block, den):
@@ -246,14 +239,14 @@ def perron_radius(m, tol=DEFAULT_TOL, budget=DEFAULT_ITERATIONS) -> PerronResult
     """Certified Perron radius of a nonnegative square matrix, given as a
     `Matrix` or as sparse integer rows over one denominator, the pair
     (rows, den) of `EdgeSpace.transfer_rows`; a `Matrix` is read as those
-    rows (`_support`).
+    rows (`exact._nonzero_rows`).
 
     Nilpotent support gives rho = 0 exactly.  Otherwise the support graph is
     split into strongly connected blocks; each block gets exact
     Collatz-Wielandt brackets tightened by shifted power iteration, and the
     result is the blockwise maximum.
     """
-    rows, den = (_support(m), m.den) if isinstance(m, Matrix) else m
+    rows, den = (_nonzero_rows(m.ints, m.ncols), m.den) if isinstance(m, Matrix) else m
     if min(chain.from_iterable(xs for _, xs in rows), default=0) < 0:
         raise NegativeEntryError("matrix must be entrywise nonnegative")
     lo_all, hi_all = _ZERO, _ZERO

@@ -175,8 +175,10 @@ def _recurrence(g: Graph, kmax: int, tau: Fraction) -> Iterator[Matrix]:
          for j in range(1, grade + 1) for col, cs, den in row if j < len(cs) and cs[j]]
         for row in entries
     ]
-    # lefts[d - 1]: the first d terms, for step k with d = min(k, grade)
-    lefts = [[[(col, x) for col, x in row if col < d * n] for row in stacked]
+    # lefts[d - 1]: the first d terms, for step k with d = min(k, grade),
+    # as (columns, entries) rows
+    lefts = [[([col for col, _ in row if col < d * n], [x for col, x in row if col < d * n])
+              for row in stacked]
              for d in range(1, grade + 1)]
     window = [[[int(i == j) for j in range(n)] for i in range(n)]]
     yield Matrix(window[0], 1)
@@ -219,18 +221,18 @@ def _hashimoto_powers(g: Graph, kmax: int) -> Iterator[Matrix]:
     With z = ell w the weights cleared to integers, B z is the transfer rows
     at tau = 1 (`EdgeSpace.transfer_rows`) and the rows of L.T z are read
     off the tails.  The carriers C_k = (B z)**k R start from the 0/1 rows
-    of R, and each step is one sparse product: P_k = (L.T z) C_(k-1) and
+    of R (`EdgeSpace.target`), and each step is one sparse product: P_k = (L.T z) C_(k-1) and
     C_k = (B z) C_(k-1).  Table k is P_k over ell**k.
     """
     es = g.edge_space
     n = g.n
-    rows, ell = es.transfer_rows()
-    step = [list(zip(*row)) for row in rows]
-    z = _clear_denominators(es.weights)[0]
-    lt_z = [[] for _ in range(n)]
+    step, ell = es.transfer_rows()
+    z = es.cleared_weights[0]
+    lt_z = [([], []) for _ in range(n)]
     for e, u in enumerate(es.tails):
-        lt_z[u].append((e, z[e]))
-    carrier = [[int(j == v) for j in range(n)] for v in es.heads]
+        lt_z[u][0].append(e)
+        lt_z[u][1].append(z[e])
+    carrier = es.target.ints
     yield Matrix.identity(n)
     for k in range(1, kmax + 1):
         yield Matrix(_int_product(lt_z, carrier, n), ell**k, n)
@@ -315,22 +317,25 @@ class CentralityResult:
 
 
 def _transfer_norm(es, tau) -> Fraction:
-    """||T Z||_inf for the family's transfer matrix T = tau B + (1 - tau) W:
-    the largest row sum of the transfer rows (`EdgeSpace.transfer_rows`)
-    over their denominator.  Row e of T Z sums the weights leaving the head
-    of e, less tau times the weight of the reverse of e.  At tau = 0 this is
-    ||W Z||_inf <= ||A||_inf, and W Z shares its nonzero spectrum with A,
-    whose walk series the classical mode is certified on."""
-    rows, den = es.transfer_rows(tau)
-    return Fraction(max((sum(xs) for _, xs in rows), default=0), den)
+    """||T Z||_inf for the family's transfer matrix T = tau B + (1 - tau) W,
+    read off the arc arrays in O(m): row e of T Z (`EdgeSpace.transfer_rows`)
+    sums the weights leaving the head of e, less tau times the weight of the
+    reverse of e.  At tau = 0 this is ||W Z||_inf <= ||A||_inf, and W Z
+    shares its nonzero spectrum with A, whose walk series the classical
+    mode is certified on."""
+    out = [_ZERO] * es.n
+    for u, w in zip(es.tails, es.weights):
+        out[u] += w
+    return max((out[v] - (tau * es.weights[f] if f is not None else 0)
+                for v, f in zip(es.heads, es.reverse)), default=_ZERO)
 
 
 def _certified_below(g: Graph, t: Fraction, mode: str, omega) -> bool:
     """True when t is certified below the radius of the mode's walk series.
 
     Each mode refuses its graphs and parameters first, as its radius report
-    would (`_family_tau`).  Then a certificate that costs one pass over the
-    nonzeros of T Z, the mode's edge transfer matrix (`_transfer_norm`): with
+    would (`_family_tau`).  Then a certificate that costs O(m): with T Z the
+    mode's edge transfer matrix (`_transfer_norm`) and
     N = max(||T Z||_inf, 1), every t with 2 t N <= 1 is accepted without
     the radius report.  The full report accepts each such t as well, so no
     decision changes:

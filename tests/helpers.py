@@ -356,15 +356,16 @@ def integer_operator(es):
 
     W is the least common denominator of the weights and Z' = W Z.  step
     holds the sparse rows of hashimoto @ Z' and lt_z those of source.T @ Z',
-    as (index, int) pairs for `exact._int_product`; r_rows are the dense int
-    rows of target.
+    as (columns, entries) for `exact._int_product`; r_rows are the dense
+    int rows of target.
     """
     n = es.n
     z, w = _clear_denominators(es.weights)
-    step = [[(f, z[f]) for f in row] for row in es.successors]
-    lt_z = [[] for _ in range(n)]
+    step = [(list(row), [z[f] for f in row]) for row in es.successors]
+    lt_z = [([], []) for _ in range(n)]
     for e, u in enumerate(es.tails):
-        lt_z[u].append((e, z[e]))
+        lt_z[u][0].append(e)
+        lt_z[u][1].append(z[e])
     r_rows = [[1 if j == v else 0 for j in range(n)] for v in es.heads]
     return w, step, lt_z, r_rows
 

@@ -594,6 +594,8 @@ class TestNormCertificate:
                 norm = _transfer_norm(g.edge_space, tau)
                 dense = dense_transfer(g, tau)
                 assert norm == max((sum(row) for row in dense.data), default=0)
+                rows, den = g.edge_space.transfer_rows(tau)
+                assert norm == F(max((sum(xs) for _, xs in rows), default=0), den)
                 big = max(norm, 1)
                 edge = 1 / (2 * big)
                 try:
