@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import (
     IrrationalLambdaUnsupportedError,
@@ -24,7 +25,7 @@ from .errors import (
 )
 from .exact import Matrix
 from .graphs import Graph, undirected_part, undirectization
-from .polys import PolyMatrix, Polynomial, _local_partials, polymat_det, root_multiplicity
+from .polys import PolyMatrix, _local_partials, polymat_det, root_multiplicity
 
 
 def structure_matrices(g: Graph):
@@ -42,34 +43,41 @@ def structure_matrices(g: Graph):
 
 
 def _deformed_laplacian(g: Graph, tau: Fraction) -> PolyMatrix:
-    """M_tau(t) straight from the arc list, weights kept (tau = 0 gives
-    I - A*t on weighted graphs too).
+    """M_tau(t) written as integer coefficient rows straight from the arc
+    list, weights kept (tau = 0 gives I - A*t on weighted graphs too).
 
-    An arc u -> v of weight w gives the entry -w*t when v -> u is also an
-    arc and -w*t + tau**2*w*t**3 otherwise; the diagonal is
-    1 + tau*(d_u - tau)*t**2 with d_u the weight over u's reciprocated
-    out-arcs.  Zero entries share one Polynomial.  The grade is 1 at
-    tau = 0, 2 when every arc is reciprocated (no cubic term) and 3
-    otherwise.
+    With tau = a/b and z = ell*w the weights cleared by the lcm ell of
+    their denominators, the rows stand over den = b**2 * ell.  An arc
+    u -> v gives the entry -w*t when v -> u is also an arc and
+    -w*t + tau**2*w*t**3 otherwise, that is (0, -b**2 z) or
+    (0, -b**2 z, 0, a**2 z); the diagonal 1 + tau*(d_u - tau)*t**2, with d_u
+    the weight over u's reciprocated out-arcs, is (den, 0, a*ell*(b*d_u - a)).
+    The grade is 1 at tau = 0, 2 when every arc is reciprocated (no cubic
+    term) and 3 otherwise.
     """
     es = g.edge_set()
     n = g.n
-    zero = Polynomial()
-    rows = [[zero] * n for _ in range(n)]
-    degrees = [Fraction(0)] * n
+    a, b = tau.numerator, tau.denominator
+    ell = lcm(*(w.denominator for _, _, w in g.edges))
+    den = b * b * ell
+    rows = [[()] * n for _ in range(n)]
+    degrees = [0] * n
     one_way = False
-    tau2 = tau * tau
     for u, v, w in g.edges:
+        z = w.numerator * (ell // w.denominator)
         if (v, u) in es:
-            rows[u][v] = Polynomial((0, -w))
-            degrees[u] += w
-        else:
-            rows[u][v] = Polynomial((0, -w, 0, tau2 * w))
+            rows[u][v] = (0, -b * b * z)
+            degrees[u] += z
+        elif a:
+            rows[u][v] = (0, -b * b * z, 0, a * a * z)
             one_way = True
+        else:
+            rows[u][v] = (0, -z)
     for u in range(n):
-        rows[u][u] = Polynomial((1, 0, tau * (degrees[u] - tau)))
-    grade = 1 if tau == 0 else 3 if one_way else 2
-    return PolyMatrix(rows, grade=grade)
+        c = a * (b * degrees[u] - a * ell)
+        rows[u][u] = (den, 0, c) if c else (den,)
+    grade = 1 if not a else 3 if one_way else 2
+    return PolyMatrix(rows, grade, den)
 
 
 def directed_dgl(g: Graph) -> PolyMatrix:

@@ -6,8 +6,11 @@ zeros stripped, over one positive common denominator, in lowest terms; the
 zero polynomial has no coefficients and degree -1 (standing in for "minus
 infinity").  Its arithmetic is the int coefficient-list kernels of
 ``zpoly``, and its `Fraction` coefficients are a read-only view, `coeffs`,
-built on first read.  All arithmetic is exact; nothing in this module
-touches floating point.
+built on first read.  A `PolyMatrix` is laid out the same way: integer
+coefficient rows over one positive denominator, with its `Polynomial`
+entries a read-only view, so the matrix kernels read its integers directly
+and no entry is cleared of denominators twice.  All arithmetic is exact;
+nothing in this module touches floating point.
 
 The matrix eliminations (``polymat_det``, ``smith_form``), the gcd and
 Yun's squarefree decomposition run over Z[t] on the integer coefficients:
@@ -25,7 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
 
 from .errors import NotSquareError, ZeroPolynomialError
 from .exact import (
@@ -44,7 +48,6 @@ from .zpoly import (
     _zmul,
     _zprimitive,
     _zpseudo_divmod,
-    _zrows,
     _zscale,
     _zsub,
 )
@@ -413,68 +416,110 @@ def _isolate_squarefree(p: Polynomial, lo, hi, width):
 
 
 class PolyMatrix:
-    """Rectangular matrix of Polynomial entries with a declared grade.
+    """Immutable rectangular matrix over Q[t] with a declared grade: integer
+    coefficient rows ``ints`` over one positive denominator ``den``, in
+    lowest terms, so that equal matrices have equal ``(ints, den, grade)``.
+
+    Each entry of ``ints`` is a tuple of ints, ascending, without trailing
+    zeros, and every zero entry is the one empty tuple.
+    ``PolyMatrix(entries, grade)`` takes `Polynomial` or rational entries;
+    ``PolyMatrix(rows, grade, den)`` takes integer coefficient rows as they
+    come out of a kernel, each entry standing for its coefficients / den and
+    already without trailing zeros.  The entries as Polynomials are a
+    read-only view, `entries`, built on first read.
 
     The grade (declared degree) is used for reversal and for eigenvalues at
-    infinity, so it is part of equality; it must dominate every entry degree.
+    infinity, so it is part of equality; it must dominate every entry degree
+    and defaults to the largest one.
     """
 
-    __slots__ = ("entries", "nrows", "ncols", "grade")
+    __slots__ = ("ints", "den", "nrows", "ncols", "grade", "_entries")
 
-    def __init__(self, entries, grade=None):
-        rows = tuple(
-            tuple(e if isinstance(e, Polynomial) else Polynomial([e]) for e in row)
-            for row in entries
-        )
-        self.entries = rows
+    def __init__(self, entries, grade=None, den=None):
+        if den is None:
+            polys = [[e if isinstance(e, Polynomial) else Polynomial([e]) for e in row]
+                     for row in entries]
+            den = lcm(*(e.den for row in polys for e in row))
+            rows = [[_zscale(e.ints, den // e.den) for e in row] for row in polys]
+        else:
+            rows = list(entries)
+            if den != 1:
+                g = gcd(den, *chain.from_iterable(chain.from_iterable(rows)))
+                if den < 0:
+                    g = -g
+                if g != 1:
+                    rows = [[[c // g for c in e] for e in row] for row in rows]
+                    den //= g
+        self.ints = tuple(tuple(map(tuple, row)) for row in rows)
+        self.den = den
         self.nrows = len(rows)
         self.ncols = len(rows[0]) if rows else 0
         if any(len(r) != self.ncols for r in rows):
             raise ValueError("ragged rows")
-        max_deg = max((e.degree for row in rows for e in row), default=0)
-        max_deg = max(max_deg, 0)
+        max_deg = max(max(map(len, chain.from_iterable(self.ints)), default=0) - 1, 0)
         if grade is None:
             grade = max_deg
         elif grade < max_deg:
             raise ValueError("grade below maximum entry degree")
         self.grade = grade
+        self._entries = None
+
+    @property
+    def entries(self) -> tuple[tuple[Polynomial, ...], ...]:
+        """The entries as Polynomials; equal entries share one Polynomial."""
+        if self._entries is None:
+            den = self.den
+            view = {e: Polynomial(e, den) for e in {e for row in self.ints for e in row}}
+            self._entries = tuple(tuple([view[e] for e in row]) for row in self.ints)
+        return self._entries
 
     def coefficient(self, k: int) -> Matrix:
         """Constant matrix of the t**k coefficients."""
-        return Matrix(
-            [
-                [e.coeffs[k] if k <= e.degree else _ZERO for e in row]
-                for row in self.entries
-            ]
-        )
+        return Matrix([[e[k] if k < len(e) else 0 for e in row] for row in self.ints],
+                      self.den, self.ncols)
 
     def __eq__(self, other):
         return (
             isinstance(other, PolyMatrix)
             and self.grade == other.grade
-            and self.entries == other.entries
+            and self.den == other.den
+            and self.ints == other.ints
         )
 
     def __hash__(self):
-        return hash((self.entries, self.grade))
+        return hash((self.ints, self.den, self.grade))
 
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise ValueError("dimension mismatch")
+        den = lcm(self.den, other.den)
+        sa, sb = den // self.den, -(den // other.den)
         return PolyMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ],
-            grade=max(self.grade, other.grade),
+            [[_zsub(_zscale(a, sa), _zscale(b, sb)) for a, b in zip(ra, rb)]
+             for ra, rb in zip(self.ints, other.ints)],
+            max(self.grade, other.grade),
+            den,
         )
 
     def scale(self, p) -> "PolyMatrix":
+        """p times every entry; the grade grows by the degree of p."""
         p = Polynomial._coerce(p)
-        return PolyMatrix([[p * e for e in row] for row in self.entries])
+        return PolyMatrix([[_zmul(p.ints, e) for e in row] for row in self.ints],
+                          self.grade + max(p.degree, 0), self.den * p.den)
 
     def eval_at(self, t) -> Matrix:
-        return Matrix([[e(t) for e in row] for row in self.entries])
+        """The value at the rational t = p/q: each entry's homogenized value
+        over q**grade, all over den * q**grade."""
+        t = _frac(t)
+        p, q = t.numerator, t.denominator
+        grade = self.grade
+        qpow = [q**j for j in range(grade + 1)]
+        return Matrix(
+            [[_zhomogeneous(e, p, q)[0] * qpow[grade + 1 - len(e)] if e else 0 for e in row]
+             for row in self.ints],
+            self.den * qpow[grade],
+            self.ncols,
+        )
 
     def is_square(self) -> bool:
         return self.nrows == self.ncols
@@ -486,26 +531,32 @@ class PolyMatrix:
 def reversal(m: PolyMatrix) -> PolyMatrix:
     """Entrywise coefficient reversal with respect to the declared grade."""
     k = m.grade
-    return PolyMatrix(
-        [[e.reversal(k) for e in row] for row in m.entries], grade=k
-    )
+
+    def reversed_entry(e):
+        # e's zeros of low order would become trailing zeros
+        order = 0
+        while not e[order]:
+            order += 1
+        return (0,) * (k + 1 - len(e)) + e[order:][::-1]
+
+    return PolyMatrix([[reversed_entry(e) if e else e for e in row] for row in m.ints], k, m.den)
 
 
 def polymat_det(m: PolyMatrix) -> Polynomial:
     """Exact determinant of a square polynomial matrix.
 
-    Fraction-free Bareiss elimination over Z[t] on the rows of m, each
-    cleared to integers, cross-checked at the integer points t = 0, 1, -1,
-    2, -2, ... (degree bound + 1 of them): the integer rows evaluated there
-    by integer Horner give an integer matrix whose Bareiss determinant must
-    equal the Z[t] determinant's value at t.  A disagreement means a bug
-    and raises RuntimeError.
+    Fraction-free Bareiss elimination over Z[t] on the integer rows of m,
+    whose determinant is det m times den**n, cross-checked at the integer
+    points t = 0, 1, -1, 2, -2, ... (degree bound + 1 of them): the integer
+    rows evaluated there by integer Horner give an integer matrix whose
+    Bareiss determinant must equal the Z[t] determinant's value at t.  A
+    disagreement means a bug and raises RuntimeError.
     """
     if not m.is_square():
         raise NotSquareError(f"{m.nrows}x{m.ncols} polynomial matrix")
     if m.nrows == 0:
         return Polynomial([1])
-    rows, scale = _zrows(m)
+    rows = m.ints
     det = _polymat_det_bareiss(rows)
     bound = max(sum(max(len(e) for e in row) - 1 for row in rows), 0)
     t = 0
@@ -514,15 +565,16 @@ def polymat_det(m: PolyMatrix) -> Polynomial:
         if _bareiss_int_det(at_t) != _zhomogeneous(det, t, 1)[0]:
             raise RuntimeError("determinant cross-check failed")
         t = -t if t > 0 else -t + 1
-    return Polynomial(det, scale)
+    return Polynomial(det, m.den**m.nrows)
 
 
 def _polymat_det_bareiss(rows) -> list[int]:
     """Fraction-free Bareiss elimination over Z[t].
 
-    ``rows`` are the integer rows of ``zpoly._zrows`` (entries ascending
-    int coefficient lists without trailing zeros, or empty) and are not
-    modified.  Returns the determinant's int coefficients, ascending.
+    ``rows`` are integer coefficient rows as in `PolyMatrix.ints` (entries
+    ascending int coefficient sequences without trailing zeros, or empty)
+    and are not modified.  Returns the determinant's int coefficients,
+    ascending.
     """
     n = len(rows)
     a = list(rows)
@@ -580,8 +632,8 @@ class SmithForm:
 def smith_form(m: PolyMatrix) -> SmithForm:
     """Smith normal form over Q[t], computed by elimination over Z[t].
 
-    Each row is cleared of denominators once and made primitive; entries are
-    then ascending int coefficient lists.  Iterative gcd-driven
+    Each integer row of m (`PolyMatrix.ints`) is made primitive; entries
+    are ascending int coefficient sequences.  Iterative gcd-driven
     diagonalization with row and column operations: the pivot is always the
     lowest-degree nonzero entry of the working submatrix (ties broken by
     position), which makes the reduction deterministic.  An entry e is
@@ -589,17 +641,17 @@ def smith_form(m: PolyMatrix) -> SmithForm:
     dividing a power of the pivot's leading coefficient, and its row (or
     column) becomes s*row - q*row_d (or s*col - q*col_d).  That row (or
     column) is then divided by its integer content.  Multiplying a row or
-    column by a nonzero rational is multiplying it by a unit of Q[t], so the
-    initial clearing, the scaling by s and the content division are all
-    unimodular over Q[t] and leave the Smith form unchanged; they only stop
-    the coefficients from growing.  A pivot that is a nonzero constant c
+    column by a nonzero rational is multiplying it by a unit of Q[t], so
+    taking m's integer rows, the scaling by s and the content division are
+    all unimodular over Q[t] and leave the Smith form unchanged; they only
+    stop the coefficients from growing.  A pivot that is a nonzero constant c
     ends its step after the row pass: c is a unit of Q[t], so
     [[c, r], [0, B]] is equivalent to diag(c, B), and neither the column
     pass nor the divisibility scan is needed.  The invariants are made
     monic at the end and the divisibility chain is verified before
     returning.
     """
-    a = [_zprimitive(row) for row in _zrows(m)[0]]
+    a = [_zprimitive(list(row)) for row in m.ints]
     nr, nc = m.nrows, m.ncols
     limit = min(nr, nc)
     d = 0
@@ -683,9 +735,9 @@ def _local_partials(m: PolyMatrix, lam: Fraction, order: int) -> tuple[int, ...]
     form of m over the polynomials in s with nonzero constant term, whose
     units are exactly those polynomials (Gohberg, Lancaster & Rodman,
     Matrix Polynomials, 1982, ch. S1).  Working modulo s**order, one
-    elimination finds them.  Each entry e of the integer rows of m becomes
-    q**grade * e(lam + s), by Horner's rule in p + q*s, truncated below
-    s**order.  Each step takes the entry of lowest s-order k, ties broken
+    elimination finds them.  Each entry e of the integer rows of m
+    (`PolyMatrix.ints`) becomes q**grade * e(lam + s), by Horner's rule in
+    p + q*s, truncated below s**order.  Each step takes the entry of lowest s-order k, ties broken
     by position, and its unit part u = entry / s**k; every other row
     becomes u*row_i - (e_i / s**k)*row_d mod s**order, with e_i its entry
     in the pivot column, and is divided by its integer content.  The pivot
@@ -716,7 +768,7 @@ def _local_partials(m: PolyMatrix, lam: Fraction, order: int) -> tuple[int, ...]
             v = truncated(v)
         return v
 
-    rows = [_zprimitive([shifted(e) if e else e for e in row]) for row in _zrows(m)[0]]
+    rows = [_zprimitive([shifted(e) if e else e for e in row]) for row in m.ints]
     partials = []
     while rows:
         best = None

@@ -155,24 +155,24 @@ def _recurrence(g: Graph, kmax: int, tau: Fraction) -> Iterator[Matrix]:
     p_0 = I, p_1 = A, p_2 = A**2 - c2 - tau**2 I, and
     p_k = A p_{k-1} - c2 p_{k-2} - c3 p_{k-3} from k = 3 on.
 
-    The recurrence runs on the integers P_k = q**k p_k, with q the least
-    common denominator of the c_j and tau**2 (1 at tau = 1):
+    The recurrence runs on the integers P_k = q**k p_k, with q the lcm of
+    tau**2's denominator and that of the integer rows of M_tau
+    (`PolyMatrix.den`, 1 at tau = 1 on unit graphs):
     P_k = sum_j (q**j (-c_j)) P_{k-j}, less q**2 tau**2 I at k = 2.  Each
     step is one sparse product of the stacked rows [q (-c_1) | q**2 (-c_2) |
     ...] with [P_{k-1}; P_{k-2}; ...], and table k is P_k over q**k.
     """
     m = _deformed_laplacian(g, tau)
-    grade, n = m.grade, g.n
+    grade, n, den = m.grade, g.n, m.den
     tau2 = tau * tau
-    entries = [[(col, e.ints, e.den) for col, e in enumerate(row) if e] for row in m.entries]
-    # c_0 is 0 or 1, so each entry's denominator is that of its c_j, j >= 1
-    q = lcm(tau2.denominator, *(den for row in entries for _, _, den in row))
+    entries = [[(col, cs) for col, cs in enumerate(row) if cs] for row in m.ints]
+    q = lcm(tau2.denominator, den)
     q2tau2 = q * q * tau2.numerator // tau2.denominator
     # row i of [q (-c_1) | q**2 (-c_2) | ...]: column (j - 1) n + col
     # multiplies row col of P_(k-j) in the stacked right factor
     stacked = [
         [((j - 1) * n + col, -cs[j] * q**j // den)
-         for j in range(1, grade + 1) for col, cs, den in row if j < len(cs) and cs[j]]
+         for j in range(1, grade + 1) for col, cs in row if j < len(cs) and cs[j]]
         for row in entries
     ]
     # lefts[d - 1]: the first d terms, for step k with d = min(k, grade),

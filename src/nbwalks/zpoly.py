@@ -2,28 +2,15 @@
 
 The arithmetic of ``polys.Polynomial``, whose integer numerators these
 kernels take and return, and of the fraction-free eliminations of
-``polys``: a polynomial is a list or tuple of ints without trailing zeros
-(empty for zero).  No function changes its arguments, so entries may be
-shared freely.
+``polys``, which read the entries of ``PolyMatrix.ints`` as they are: a
+polynomial is a list or tuple of ints without trailing zeros (empty for
+zero).  No function changes its arguments, so entries may be shared
+freely.
 """
 
 from __future__ import annotations
 
-from math import gcd, lcm
-
-
-def _zrows(m):
-    """(rows, scale): each row of the polynomial matrix m over the lcm of
-    its entries' denominators, as int coefficient sequences; scale is the
-    product of those lcms.  Zero entries all share the empty tuple, so a
-    sparse matrix costs little."""
-    rows = []
-    scale = 1
-    for row in m.entries:
-        den = lcm(*(e.den for e in row))
-        scale *= den
-        rows.append([_zscale(e.ints, den // e.den) if e.ints else () for e in row])
-    return rows, scale
+from math import gcd
 
 
 def _zmul(a, b):

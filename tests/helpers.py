@@ -327,8 +327,27 @@ def reference_deformed_coefficients(g: Graph, tau) -> list[Matrix]:
 
 
 def reference_deformed_laplacian(g: Graph, tau) -> PolyMatrix:
-    coeffs = reference_deformed_coefficients(g, tau)
-    return polymatrix_from_coefficients(coeffs)
+    """M_tau(t) from the arc list with one `Polynomial` per entry (the
+    builder before the integer coefficient rows): -w*t for an arc whose
+    reverse is an arc, -w*t + tau**2*w*t**3 for a one-way arc, and
+    1 + tau*(d_u - tau)*t**2 on the diagonal."""
+    tau = Fraction(tau)
+    es = g.edge_set()
+    n = g.n
+    zero = Polynomial()
+    rows = [[zero] * n for _ in range(n)]
+    degrees = [Fraction(0)] * n
+    one_way = False
+    for u, v, w in g.edges:
+        if (v, u) in es:
+            rows[u][v] = Polynomial((0, -w))
+            degrees[u] += w
+        else:
+            rows[u][v] = Polynomial((0, -w, 0, tau * tau * w))
+            one_way = True
+    for u in range(n):
+        rows[u][u] = Polynomial((1, 0, tau * (degrees[u] - tau)))
+    return PolyMatrix(rows, grade=1 if tau == 0 else 3 if one_way else 2)
 
 
 def polymatrix_from_coefficients(mats, grade=None) -> PolyMatrix:

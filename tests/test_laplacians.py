@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -36,6 +37,7 @@ from nbwalks.polys import _local_partials, poly_gcd, root_multiplicity
 from helpers import (
     all_digraphs,
     bowtie,
+    digraphs,
     directed_cycle,
     example1,
     is_strongly_connected,
@@ -43,6 +45,7 @@ from helpers import (
     polynomial_divmod,
     random_connected_graph,
     random_digraph,
+    reference_deformed_coefficients,
     reference_deformed_laplacian,
     sec4_graph,
     single_recip_edge,
@@ -117,7 +120,8 @@ class TestBuilders:
 
 
 class TestArcBuilder:
-    """M_tau(t) read off the arc list against the dense A, S, D reference."""
+    """M_tau(t) read off the arc list against the dense A, S, D reference
+    and the builder with one Polynomial per entry."""
 
     TAUS = (F(0), F(1, 3), F(1, 2), F(1))
     WEIGHTS = (F(1), F(2), F(3), F(1, 2), F(2, 3), F(5, 4), F(7, 3))
@@ -146,9 +150,10 @@ class TestArcBuilder:
         for g in self.graphs():
             for tau in self.TAUS:
                 got = _deformed_laplacian(g, tau)
-                want = reference_deformed_laplacian(g, tau)
-                assert got.entries == want.entries, (g, tau)
-                assert got.grade == want.grade, (g, tau)
+                dense = polymatrix_from_coefficients(reference_deformed_coefficients(g, tau))
+                for want in (dense, reference_deformed_laplacian(g, tau)):
+                    assert got.entries == want.entries, (g, tau)
+                    assert got.grade == want.grade, (g, tau)
                 assert (got.nrows, got.ncols) == (g.n, g.n)
                 grades.add(got.grade)
         assert grades == {1, 2, 3}
@@ -169,6 +174,97 @@ class TestArcBuilder:
         m = _deformed_laplacian(directed_cycle(5), F(1, 2))
         zeros = {id(e) for row in m.entries for e in row if e.is_zero()}
         assert len(zeros) == 1
+        assert len({id(e) for row in m.ints for e in row if not e}) == 1
+
+
+# unit digraphs at every tau, weighted ones at tau = 0 (the only tau the
+# weighted builder serves); n = 0 and arcless graphs are among them
+_LAPLACIAN_CASES = st.one_of(
+    st.tuples(digraphs(max_n=6, weighted=False), st.sampled_from(TestArcBuilder.TAUS)),
+    st.tuples(digraphs(max_n=6, weighted=True), st.just(F(0))),
+)
+_POINTS = (F(0), F(-1), F(2), F(1, 3), F(-5, 7))
+
+
+def _with_polynomial_view(case):
+    g, tau = case
+    return g, _deformed_laplacian(g, tau), reference_deformed_laplacian(g, tau)
+
+
+class TestIntegerRows:
+    """The integer coefficient rows of M_tau(t) against the builder with one
+    Polynomial per entry."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=_LAPLACIAN_CASES)
+    @example(case=(build_graph([]), F(1, 3)))
+    @example(case=(build_unweighted([], vertices=[1, 2]), F(1, 2)))
+    @example(case=(build_unweighted([(1, 2), (2, 3), (3, 2)]), F(1, 3)))
+    def test_equal_matrix(self, case):
+        _, got, want = _with_polynomial_view(case)
+        assert got == want and hash(got) == hash(want)
+        assert got.entries == want.entries
+        assert got.grade == want.grade
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=_LAPLACIAN_CASES, k=st.sampled_from([1, 2, 3, 6, -1, -4]))
+    def test_canonical_rows(self, case, k):
+        """The same value from Polynomial entries, from the builder's rows
+        and from those rows times k over k * den has one (ints, den)."""
+        _, got, want = _with_polynomial_view(case)
+        from_polys = PolyMatrix(want.entries, want.grade)
+        from_rows = PolyMatrix([[[k * c for c in e] for e in row] for row in got.ints],
+                               got.grade, k * got.den)
+        for m in (from_polys, from_rows):
+            assert (m.ints, m.den, m.grade) == (got.ints, got.den, got.grade)
+        coefficients = [c for row in got.ints for e in row for c in e]
+        assert got.den > 0 and gcd(got.den, *coefficients) == 1
+        assert all(type(e) is tuple and (not e or e[-1]) for row in got.ints for e in row)
+        assert len({id(e) for row in got.ints for e in row if not e}) <= 1
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=_LAPLACIAN_CASES)
+    def test_eval_at_and_coefficients(self, case):
+        g, got, want = _with_polynomial_view(case)
+        for t in _POINTS:
+            assert got.eval_at(t) == Matrix([[e(t) for e in row] for row in want.entries],
+                                            ncols=g.n), t
+        for k in range(got.grade + 2):
+            assert got.coefficient(k) == Matrix(
+                [[e.coeffs[k] if k <= e.degree else 0 for e in row] for row in want.entries],
+                ncols=g.n), k
+
+
+class TestKernelsOnIntegerRows:
+    """polymat_det, smith_form and _local_partials read the integer rows
+    directly: they must agree with the same kernels on the Polynomial-entry
+    reference and on a copy whose rows are scaled by nonzero rationals
+    (a unit of Q[t] per row, so the Smith form and the partial
+    multiplicities stay, and the determinant scales by their product)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(g=digraphs(max_n=7, weighted=False),
+           tau=st.sampled_from([F(1, 3), F(1, 2), F(1)]),
+           scales=st.lists(st.sampled_from([F(1), F(-2), F(3, 5), F(-7, 4)]),
+                           min_size=7, max_size=7))
+    def test_kernels_agree(self, g, tau, scales):
+        got, want = _deformed_laplacian(g, tau), reference_deformed_laplacian(g, tau)
+        scaled = PolyMatrix([[c * e for e in row] for c, row in zip(scales, want.entries)],
+                            want.grade)
+        det = polymat_det(got)
+        assert det == polymat_det(want)
+        product = F(1)
+        for c in scales[:g.n]:
+            product *= c
+        assert polymat_det(scaled) == det * product
+        sf = smith_form(got)
+        assert sf.invariants == smith_form(want).invariants == smith_form(scaled).invariants
+        for lam in {1 / tau, F(1), F(-1)}:
+            order = root_multiplicity(det, lam) + 1
+            partials = _local_partials(got, lam, order)
+            assert partials == sf.partial_multiplicities(lam)
+            assert partials == _local_partials(want, lam, order)
+            assert partials == _local_partials(scaled, lam, order)
 
 
 class TestSmithGolden:

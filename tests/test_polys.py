@@ -34,7 +34,7 @@ from nbwalks.polys import (
     squarefree_decomposition,
     sturm_chain,
 )
-from nbwalks.zpoly import _zpseudo_divmod, _zrows
+from nbwalks.zpoly import _zpseudo_divmod
 
 from helpers import (
     assert_index_sum,
@@ -152,8 +152,7 @@ class TestPolymatDet:
                 n, n, [sum(sympy.Rational(c.numerator, c.denominator) * t**k
                            for k, c in enumerate(e.coeffs)) for row in entries for e in row]
             ).det(method="berkowitz")
-            rows, scale = _zrows(m)
-            got = Polynomial([F(c, scale) for c in _polymat_det_bareiss(rows)])
+            got = Polynomial([F(c, m.den**n) for c in _polymat_det_bareiss(m.ints)])
             assert sympy.expand(want - sum(
                 sympy.Rational(c.numerator, c.denominator) * t**k
                 for k, c in enumerate(got.coeffs))) == 0, trial
@@ -476,6 +475,66 @@ class TestPolyMatrixShapes:
         assert (a + a).entries == ((poly(2), poly(0, 2)),)
 
 
+_RATIONALS = st.fractions(-5, 5, max_denominator=6)
+_POLYS = st.lists(_RATIONALS, max_size=4).map(Polynomial)
+
+
+@st.composite
+def _poly_matrix_pairs(draw):
+    """Two polynomial matrices of one shape, rational coefficients with
+    mixed denominators, zero entries and the zero matrix among them."""
+    nr, nc = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    return tuple(PolyMatrix(draw(st.lists(st.lists(_POLYS, min_size=nc, max_size=nc),
+                                          min_size=nr, max_size=nr)),
+                            grade=draw(st.integers(3, 5)))
+                 for _ in range(2))
+
+
+class TestPolyMatrixLayout:
+    """The integer coefficient rows against the same operations entry by
+    entry on the Polynomial view."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(pair=_poly_matrix_pairs(), p=_POLYS, t=_RATIONALS)
+    def test_operations_match_entrywise(self, pair, p, t):
+        a, b = pair
+        for m in (a, b):
+            assert m.den > 0 and gcd(m.den, *(c for row in m.ints for e in row for c in e)) == 1
+            assert all(not e or e[-1] for row in m.ints for e in row)
+            assert PolyMatrix(m.ints, m.grade, m.den) == m
+            assert PolyMatrix([[[3 * c for c in e] for e in row] for row in m.ints],
+                              m.grade, 3 * m.den) == m
+        total = a + b
+        assert total.entries == tuple(tuple(x + y for x, y in zip(ra, rb))
+                                      for ra, rb in zip(a.entries, b.entries))
+        assert total.grade == max(a.grade, b.grade)
+        scaled = a.scale(p)
+        assert scaled.entries == tuple(tuple(p * e for e in row) for row in a.entries)
+        assert scaled.grade == a.grade + max(p.degree, 0)
+        rev = reversal(a)
+        assert rev.entries == tuple(tuple(e.reversal(a.grade) for e in row)
+                                    for row in a.entries)
+        assert a.eval_at(t) == Matrix([[e(t) for e in row] for row in a.entries])
+        for k in range(a.grade + 2):
+            assert a.coefficient(k) == Matrix(
+                [[e.coeffs[k] if k <= e.degree else 0 for e in row] for row in a.entries])
+
+
+class TestPolyMatrixScale:
+    def test_grade_grows_by_the_degree(self):
+        m = PolyMatrix([[1]], grade=2)
+        assert m.scale(3).grade == 2
+        assert m.scale(F(1, 3)) == PolyMatrix([[F(1, 3)]], grade=2)
+        assert m.scale(X) == PolyMatrix([[X]], grade=3)
+        assert m.scale(X * X + 1).grade == 4
+        assert m.scale(0) == PolyMatrix([[0]], grade=2)
+
+    def test_reversal_of_a_scaled_matrix(self):
+        # t at the declared grade 3: t**3 * (1/t) = t**2
+        m = PolyMatrix([[1]], grade=2).scale(X)
+        assert reversal(m).entries[0][0] == poly(0, 0, 1)
+
+
 class TestReversal:
     def test_scalar(self):
         m = PolyMatrix([[poly(-1, 0, 1)]], grade=2)
@@ -761,18 +820,17 @@ class TestPolymatDetCrossCheck:
             want = []
             _fraction_cross_check(m, det, lambda t, at: want.append(at))
             assert len(seen) == len(want) > 0
-            row_lcms = [_clear_denominators([c for e in row for c in e.coeffs])[1]
-                        for row in m.entries]
-            # each integer matrix is m(t) at the reference's point, row i
-            # scaled by the lcm of row i's denominators
+            # each integer matrix is m(t) at the reference's point times the
+            # lcm of all the entries' denominators
+            den = _clear_denominators([c for row in m.entries for e in row for c in e.coeffs])[1]
             for got, at in zip(seen, want):
-                assert got == [[x * s for x in row] for row, s in zip(at.data, row_lcms)]
+                assert got == [[x * den for x in row] for row in at.data]
 
     @pytest.mark.parametrize("delta", [1, -1])
     def test_wrong_coefficient_is_caught(self, monkeypatch, delta):
         elimination = polys_mod._polymat_det_bareiss
         for m in self.matrices():
-            det = elimination(_zrows(m)[0])
+            det = elimination(m.ints)
             for k in range(max(len(det), 1)):
                 def off_by_one(rows, k=k):
                     out = list(elimination(rows)) or [0]
@@ -783,7 +841,7 @@ class TestPolymatDetCrossCheck:
                 with pytest.raises(RuntimeError, match="determinant cross-check failed"):
                     polymat_det(m)
             monkeypatch.setattr(polys_mod, "_polymat_det_bareiss", elimination)
-            assert polymat_det(m) == Polynomial([F(c, _zrows(m)[1]) for c in det])
+            assert polymat_det(m) == Polynomial([F(c, m.den**m.nrows) for c in det])
 
 
 def _fraction_root_multiplicity(p, r):
