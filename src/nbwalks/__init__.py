@@ -16,7 +16,6 @@ from .edgespace import (
     EdgeSpace,
     NonKCyclingMatrix,
     build_edge_space,
-    downweighted_transfer,
     non_k_cycling,
     v_similar,
 )
@@ -100,7 +99,6 @@ __all__ = [
     "build_graph",
     "build_unweighted",
     "directed_dgl",
-    "downweighted_transfer",
     "eigen_report",
     "enumerate_btdw",
     "enumerate_nbtw",

@@ -7,8 +7,8 @@ converges everywhere, up to 1, or up to the smallest deformed-Laplacian
 root inside the unit interval.  Weighted graphs get the exact reciprocal
 of the certified Hashimoto radius instead.  The nbtw and btdw Perron
 brackets are taken on the sparse edge transfer rows
-(`EdgeSpace.transfer_rows`); the weighted one still on the dense
-`v_similar` (ROADMAP item 1).
+(`EdgeSpace.transfer_rows`); the weighted one still on the dense product
+`v_similar`, equal to `EdgeSpace.transfer()` (ROADMAP item 1).
 """
 
 from __future__ import annotations

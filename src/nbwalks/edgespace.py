@@ -1,13 +1,12 @@
 """Edge-indexed matrices: incidence factorization, line graph, Hashimoto
-matrix and its weighted variants `v_similar` and `downweighted_transfer`,
-and non-k-cycling matrices.
+matrix, the edge transfer matrix, and non-k-cycling matrices.
 
-The walk powers and the Perron brackets read the edge transfer matrix
-(tau B + (1 - tau) W) Z as sparse integer rows straight off the arc arrays
-(`EdgeSpace.transfer_rows`), at most one row of nonzeros per arc, as long
-as the out-degree of its head.  The dense m-by-m views serve the
-edge-side characteristic polynomials of the identity certificates, the
-independent route there, and the weighted radius report's bracket.
+The edge transfer matrix T Z = (tau B + (1 - tau) W) Z is read off the arc
+arrays as sparse integer rows (`EdgeSpace.transfer_rows`), one per arc, as
+long as the out-degree of its head: the walk powers and the Perron brackets
+read them, the certificates and the walk resolvent's edge fallback read
+them written out (`EdgeSpace.transfer`).  The other dense views are built
+independently, for the certificates' other routes.
 
 Edges are numbered in lexicographic (source, destination) index order, the
 order the Graph already stores, so every matrix here is reproducible.  A
@@ -46,7 +45,8 @@ class EdgeSpace:
     unreciprocated edges), reciprocal_mask is its square: a diagonal 0/1
     matrix marking reciprocated edges.  hashimoto is the unweighted
     non-backtracking edge adjacency; weight_diag holds the edge weights.
-    `transfer_rows` gives the transfer matrix T Z without any of them.
+    `transfer_rows` gives the transfer matrix T Z without any of them, and
+    `transfer` writes those rows out densely.
     """
 
     n: int
@@ -95,12 +95,10 @@ class EdgeSpace:
 
     @cached_property
     def ihara_det(self) -> Polynomial:
-        """det(I - t B Z) as a `Polynomial`, B = hashimoto and Z =
-        weight_diag.  On a unit graph Z = I and this is det(I - t B), so the
-        Ihara and weighted-Ihara certificates of one edge space share it."""
-        unweighted = all(w == 1 for w in self.weights)
-        step = self.hashimoto if unweighted else v_similar(self)
-        return step.det_one_minus_t()
+        """det(I - t B Z) as a `Polynomial`, read off `transfer()`.  On a
+        unit graph Z = I and this is det(I - t B), so the Ihara and
+        weighted-Ihara certificates of one edge space share it."""
+        return self.transfer().det_one_minus_t()
 
     @cached_property
     def cleared_weights(self) -> tuple[list[int], int]:
@@ -121,9 +119,7 @@ class EdgeSpace:
         e lists the arcs f leaving heads[e], ascending: the entry is b z_f
         for a successor of e and (b - a) z_f for reverse[e], all over
         b * ell.  Weights are positive, so the one zero entry, the reverse
-        arc's at tau = 1, is left out.  This is
-        `downweighted_transfer(es, tau) * es.weight_diag` entry for entry,
-        with no m-by-m matrix.
+        arc's at tau = 1, is left out.
         """
         a, b = Fraction(tau).as_integer_ratio()
         z, ell = self.cleared_weights
@@ -132,6 +128,15 @@ class EdgeSpace:
             cols = list(succ) if rev is None or a == b else sorted(succ + (rev,))
             rows.append((cols, [(b - a if f == rev else b) * z[f] for f in cols]))
         return rows, b * ell
+
+    def transfer(self, tau=1) -> Matrix:
+        """T Z as the dense m-by-m `Matrix` of `transfer_rows(tau)`."""
+        rows, den = self.transfer_rows(tau)
+        dense = [[0] * self.m for _ in rows]
+        for row, (cols, xs) in zip(dense, rows):
+            for f, x in zip(cols, xs):
+                row[f] = x
+        return Matrix(dense, den, self.m)
 
 
 def build_edge_space(g: Graph) -> EdgeSpace:
@@ -278,18 +283,12 @@ def v_similar(es: EdgeSpace) -> Matrix:
     Hashimoto matrix.
 
     The square root itself has irrational entries; hashimoto @ weight_diag
-    has the same spectrum and keeps the whole pipeline rational.
+    has the same spectrum and keeps the whole pipeline rational.  It equals
+    `es.transfer()`, but stays a `Matrix` product for the weighted radius
+    report, the one dense product the bench's traced `radius_walks` test
+    asserts (ROADMAP item 1).
     """
     return es.hashimoto * es.weight_diag
-
-
-def downweighted_transfer(es: EdgeSpace, tau: Fraction) -> Matrix:
-    """tau-blend of Hashimoto and line-graph transitions:
-    tau * hashimoto + (1 - tau) * line_graph."""
-    tau = Fraction(tau)
-    if tau == 1:
-        return es.hashimoto
-    return es.hashimoto.scale(tau) + es.line_graph.scale(1 - tau)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,8 @@ routes (edge-space characteristic polynomials, `Matrix.char_poly` and its
 reversal `Matrix.det_one_minus_t`, against vertex-space Laplacian
 determinants, or matrix products against closed forms) and returns a
 certificate whose `equal` flag is an exact comparison of `Polynomial`s.
+The Ihara-type edge sides read `EdgeSpace.transfer`: the transfer rows the
+radius reports and the walk tables run on, so the certificates check them.
 A failing certificate signals an implementation bug or a wrong identity,
 never a tolerance issue.
 """
@@ -14,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .edgespace import downweighted_transfer
 from .errors import TauOutOfRangeError
 from .exact import Matrix
 from .graphs import Graph
@@ -92,13 +93,11 @@ def _cross_multiply(edge_side: Polynomial, vertex_side: Polynomial, base: Polyno
 
 def _tau_ihara_sides(g: Graph, tau: Fraction):
     """det(I - t(tau B + (1 - tau) W)) and det M_tau(t), cross-multiplied by
-    (1 - tau**2 t**2)**(b - n).  At tau = 1 the edge side is the edge
-    space's det(I - t B), shared with the weighted-Ihara check."""
+    (1 - tau**2 t**2)**(b - n).  The edge side is read off
+    `EdgeSpace.transfer(tau)`; at tau = 1 it is the edge space's
+    det(I - t B), shared with the weighted-Ihara check."""
     es = g.edge_space
-    if tau == 1:
-        lhs = es.ihara_det
-    else:
-        lhs = downweighted_transfer(es, tau).det_one_minus_t()
+    lhs = es.ihara_det if tau == 1 else es.transfer(tau).det_one_minus_t()
     rhs = polymat_det(_deformed_laplacian(g, tau))
     base = Polynomial([1, 0, -(tau * tau)])
     return _cross_multiply(lhs, rhs, base, es.reciprocal_pair_count - g.n)

@@ -35,7 +35,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .convergence import radius_btdw, radius_unweighted, radius_weighted
-from .edgespace import downweighted_transfer
 from .errors import (
     AboveRadiusError,
     EnumerationBudgetExceededError,
@@ -294,8 +293,7 @@ def _generating_function_times(g: Graph, t: Fraction, mode: str, omega, rhs: Mat
             d_rhs.append([d // c * x for x in xs])
         phi = Matrix(rows, 1).solve(Matrix(d_rhs, rhs.den, rhs.ncols))
     else:
-        step = downweighted_transfer(es, tau) * es.weight_diag
-        solved = (Matrix.identity(es.m) - step.scale(t)).solve(es.target * rhs)
+        solved = (Matrix.identity(es.m) - es.transfer(tau).scale(t)).solve(es.target * rhs)
         phi = None if solved is None else rhs + (
             es.source.transpose() * es.weight_diag * solved
         ).scale(t)

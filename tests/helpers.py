@@ -22,7 +22,7 @@ from nbwalks import (
     smith_form,
     undirected_part,
 )
-from nbwalks.edgespace import downweighted_transfer, v_similar
+from nbwalks.edgespace import EdgeSpace, v_similar
 from nbwalks.errors import EnumerationBudgetExceededError
 from nbwalks.exact import _bareiss_int_det, _clear_denominators, _int_product
 from nbwalks.graphs import connected_components_undirected
@@ -538,6 +538,14 @@ def fraction_solve(a: Matrix, rhs: Matrix):
                 fac = f / prow[k]
                 aug[i] = [x - fac * y for x, y in zip(aug[i], prow)]
     return Matrix([[aug[i][n + j] / aug[i][i] for j in range(rhs.ncols)] for i in range(n)])
+
+
+def downweighted_transfer(es: EdgeSpace, tau) -> Matrix:
+    """T = tau * hashimoto + (1 - tau) * line_graph by dense `Matrix`
+    arithmetic on the views: the reference for `EdgeSpace.transfer(tau)`,
+    which is T times weight_diag."""
+    tau = Fraction(tau)
+    return es.hashimoto.scale(tau) + es.line_graph.scale(1 - tau)
 
 
 def edge_resolvent(g: Graph, t, tau=1):

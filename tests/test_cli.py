@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nbwalks import Matrix, Polynomial, parse_graph
+from nbwalks import EdgeSpace, Matrix, Polynomial, parse_graph
 from nbwalks.errors import (
     DuplicateEdgeError,
     GraphParseError,
@@ -411,6 +411,31 @@ class TestExitCodes:
         assert "payload.case\tSomeOneCycleNoneMore" in out
 
 
+class TestCertificatesReadTheTransferRows:
+    """The edge sides of the Ihara-type certificates are read off
+    `EdgeSpace.transfer_rows`, the rows the radius reports and the walk
+    tables read, so one wrong entry there makes each certificate unequal."""
+
+    @pytest.mark.parametrize("identity", ["ihara", "tau-ihara", "weighted-ihara"])
+    def test_doubled_entry_exits_two(self, tmp_path, monkeypatch, capsys, identity):
+        path = tmp_path / "two_cycles.tsv"
+        path.write_text("%undirected\n1\t2\n2\t3\n3\t1\n3\t4\n4\t1\n")
+        argv = ["verify", "--identity", identity, str(path)]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["payload"]["all_equal"] is True
+        transfer_rows = EdgeSpace.transfer_rows
+
+        def doubled(es, tau=1):
+            rows, den = transfer_rows(es, tau)
+            cols, xs = rows[0]
+            rows[0] = (cols, [2 * xs[0], *xs[1:]])
+            return rows, den
+
+        monkeypatch.setattr(EdgeSpace, "transfer_rows", doubled)
+        assert main(argv) == 2
+        assert json.loads(capsys.readouterr().out)["payload"]["all_equal"] is False
+
+
 class TestWeightedInput:
     @pytest.fixture()
     def weighted_file(self, tmp_path):
@@ -600,6 +625,44 @@ class TestCentralityFuzz:
         plain = [sums.get(key) for key in (("nbtw", None), ("btdw", "0"), ("weighted", None))]
         if unit and None not in plain:
             assert plain[0] == plain[1] == plain[2], (text, t)
+
+
+class TestCommandFuzz:
+    """Every command but centrality (`TestCentralityFuzz`) on a small graph
+    file ends in a report (exit 0) or a clean error (exit 1, nothing on
+    stdout): never an unequal certificate (exit 2) or a traceback.  The
+    graphs have at most 5 vertices, so that no case can run long."""
+
+    COMMANDS = (
+        ["analyze"],
+        ["radius", "--mode", "nbtw"],
+        ["radius", "--mode", "btdw"],
+        ["radius", "--mode", "weighted"],
+        ["walks", "--k", "5", "--method", "recurrence"],
+        ["walks", "--k", "5", "--method", "edgepower"],
+        ["walks", "--k", "5", "--method", "oracle"],
+        ["walks", "--k", "5", "--omega", "1/2"],
+        ["walks", "--k", "5", "--float"],
+        ["verify", "--tau", "1/2"],
+        ["verify", "--tau", "0"],
+        ["verify", "--tau", "1"],
+        ["smith"],
+        ["smith", "--tau", "1/2"],
+    )
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=st.one_of(_graph_texts(["1"]), _graph_texts(["1", "2", "1/2", "3/7"])))
+    def test_exit_zero_or_clean_error(self, tmp_path, capsys, text):
+        path = tmp_path / "g.tsv"
+        path.write_text(text)
+        for command in self.COMMANDS:
+            argv = [*command, str(path)]
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code in (0, 1) and "Traceback" not in captured.err, (argv, text)
+            if code == 1:
+                assert captured.out == "" and captured.err.startswith("nbwalks: "), (argv, text)
 
 
 class TestMoreInputs:

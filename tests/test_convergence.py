@@ -13,7 +13,6 @@ from nbwalks import (
     tau_dgl,
     weighted_nbtw,
     build_edge_space,
-    downweighted_transfer,
     btdw_recurrence,
 )
 from nbwalks.convergence import Bound
@@ -23,6 +22,7 @@ from nbwalks.errors import TauOutOfRangeError, WeightedUnsupportedError
 from helpers import (
     bowtie,
     connected_undirected_graphs,
+    downweighted_transfer,
     example1,
     random_connected_graph,
     random_digraph,

@@ -19,7 +19,6 @@ from nbwalks import (
     perron_radius,
     v_similar,
 )
-from nbwalks.edgespace import downweighted_transfer
 from nbwalks import graphs as graphs_mod
 from nbwalks.cli import run_command
 from nbwalks.errors import WeightedUnsupportedError
@@ -29,6 +28,7 @@ from helpers import (
     complete_undirected,
     digraphs,
     directed_cycle,
+    downweighted_transfer,
     example1,
     random_digraph,
     single_recip_edge,
@@ -238,7 +238,8 @@ def dense_rows(rows, den, m):
 
 class TestTransferRows:
     """`EdgeSpace.transfer_rows` is T Z = (tau B + (1 - tau) W) Z read off
-    the arc arrays, as sparse integer rows over b * ell."""
+    the arc arrays, as sparse integer rows over b * ell, and
+    `EdgeSpace.transfer` is those rows written out densely."""
 
     TAUS = (F(0), F(1, 3), F(1, 2), F(1))
 
@@ -251,7 +252,13 @@ class TestTransferRows:
             assert cols == sorted(cols)
             assert all(xs) and len(cols) == len(xs)
             assert all(es.tails[f] == es.heads[e] for f in cols)
-        assert dense_rows(rows, den, es.m) == downweighted_transfer(es, tau) * es.weight_diag
+        dense = es.transfer(tau)
+        assert dense == dense_rows(rows, den, es.m)
+        assert dense == downweighted_transfer(es, tau) * es.weight_diag
+        if tau == 1:
+            assert dense == v_similar(es)
+            if all(w == 1 for w in es.weights):
+                assert dense == es.hashimoto
 
     @settings(max_examples=60, deadline=None)
     @given(g=digraphs(weighted=False))
@@ -278,12 +285,15 @@ class TestTransferRows:
     def test_no_arcs_and_no_vertices(self):
         for g in (build_unweighted([], vertices=[1, 2]), build_unweighted([], vertices=[])):
             for tau in self.TAUS:
-                assert build_edge_space(g).transfer_rows(tau) == ([], F(tau).denominator)
+                es = build_edge_space(g)
+                assert es.transfer_rows(tau) == ([], F(tau).denominator)
+                assert es.transfer(tau) == Matrix.zeros(0, 0)
 
     def test_builds_no_view(self):
         es = build_edge_space(example1())
         for tau in self.TAUS:
             es.transfer_rows(tau)
+            es.transfer(tau)
         assert not set(VIEWS) & set(vars(es))
 
 

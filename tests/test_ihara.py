@@ -8,7 +8,6 @@ from nbwalks import (
     build_edge_space,
     build_unweighted,
     directed_dgl,
-    downweighted_transfer,
     polymat_det,
     real_roots,
     tau_dgl,
@@ -25,6 +24,7 @@ from helpers import (
     bowtie,
     complete_undirected,
     directed_cycle,
+    downweighted_transfer,
     example1,
     random_connected_graph,
     random_digraph,

@@ -11,7 +11,6 @@ from nbwalks import (
     build_edge_space,
     build_graph,
     build_unweighted,
-    downweighted_transfer,
     perron_radius,
     v_similar,
 )
@@ -30,6 +29,7 @@ from helpers import (
     complete_undirected,
     digraphs,
     directed_cycle,
+    downweighted_transfer,
     example1,
     random_digraph,
     two_squares,

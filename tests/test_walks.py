@@ -34,7 +34,6 @@ from nbwalks.errors import (
 from nbwalks import convergence as convergence_mod
 from nbwalks import walks as walks_mod
 from nbwalks.convergence import radius_btdw, radius_unweighted, radius_weighted
-from nbwalks.edgespace import downweighted_transfer
 from nbwalks.spectral import perron_radius
 from nbwalks.walks import (
     _certified_below,
@@ -55,6 +54,7 @@ from helpers import (
     dense_hashimoto_powers,
     digraphs,
     directed_cycle,
+    downweighted_transfer,
     edge_resolvent,
     example1,
     fraction_enumerate,
