@@ -49,8 +49,13 @@ class Graph:
         graph, built once on first read."""
         return build_edge_space(self)
 
-    def is_unweighted(self) -> bool:
+    @cached_property
+    def _unweighted(self) -> bool:
+        """Whether every weight is 1, compared once per graph."""
         return all(w == 1 for _, _, w in self.edges)
+
+    def is_unweighted(self) -> bool:
+        return self._unweighted
 
     def edge_set(self) -> frozenset[tuple[int, int]]:
         return frozenset((u, v) for u, v, _ in self.edges)

@@ -365,8 +365,7 @@ def real_roots(p: Polynomial, lo, hi, width=_DEFAULT_WIDTH, include_hi=True):
     """
     if p.is_zero():
         raise ZeroPolynomialError("cannot isolate roots of the zero polynomial")
-    lo = _frac(lo)
-    hi = _frac(hi)
+    lo, hi, width = _frac(lo), _frac(hi), _frac(width)
     records = []
     for factor, mult in squarefree_decomposition(p):
         for rec in _isolate_squarefree(factor, lo, hi, width):
@@ -381,7 +380,16 @@ def real_roots(p: Polynomial, lo, hi, width=_DEFAULT_WIDTH, include_hi=True):
 
 def _isolate_squarefree(p: Polynomial, lo, hi, width):
     """Bisect (lo, hi] until each interval holds one root and is at most
-    width wide, then try its simplest rational; roots at midpoints are exact."""
+    width wide, then try its simplest rational; roots at midpoints are exact.
+
+    The Sturm chain counts the roots of each interval.  Once (a, b] holds
+    one root and p(b) != 0, that root is simple and p changes sign across
+    it, so `_refine` bisects on the sign of p alone, compared with its sign
+    at b.  Only an interval whose one inner root comes with a root at b
+    keeps bisecting on the whole chain.  Both halve the same dyadic
+    intervals and stop by the same rule, so every record is the one the
+    whole chain would give.
+    """
     # chain[0] is p scaled by a positive rational: it has p's roots and signs
     chain = sturm_chain(p)
 
@@ -398,10 +406,11 @@ def _isolate_squarefree(p: Polynomial, lo, hi, width):
             count -= 1  # root at the right endpoint handled separately
         if count <= 0:
             continue
+        if count == 1 and at_b:
+            out.append(_refine(chain[0], a, b, at_b, width))
+            continue
         if count == 1 and b - a <= width:
-            cand = simplest_rational_in(a, b)
-            exact = _sign_at(chain[0], cand) == 0
-            out.append(RootRecord(cand, cand, 1, cand) if exact else RootRecord(a, b, 1, None))
+            out.append(_simplest_record(chain[0], a, b))
             continue
         mid = (a + b) / 2
         at_mid, vm = _sign_variations(chain, mid)
@@ -410,6 +419,43 @@ def _isolate_squarefree(p: Polynomial, lo, hi, width):
         stack.append((a, mid, va, vm, at_mid))
         stack.append((mid, b, vm, vb, at_b))
     return out
+
+
+def _refine(ints, a: Fraction, b: Fraction, at_b: int, width) -> RootRecord:
+    """The record of the one root of the integer polynomial ``ints`` in
+    (a, b), where its sign at b is at_b != 0.
+
+    Halves (a, b] until it is at most width wide, keeping the half where
+    the sign changes: a midpoint with the sign at b moves b, any other
+    moves a, and a zero there is the root.  The endpoints are integer
+    numerators over one denominator that doubles each step, so each sign
+    is one `_zhomogeneous` and no Fraction is built until the end.
+    """
+    den = lcm(a.denominator, b.denominator)
+    an = a.numerator * (den // a.denominator)
+    bn = b.numerator * (den // b.denominator)
+    wn, wd = width.numerator, width.denominator
+    while (bn - an) * wd > wn * den:
+        mn = an + bn
+        den <<= 1
+        value, _ = _zhomogeneous(ints, mn, den)
+        if not value:
+            mid = Fraction(mn, den)
+            return RootRecord(mid, mid, 1, mid)
+        if (value > 0) == (at_b > 0):
+            an, bn = an << 1, mn
+        else:
+            an, bn = mn, bn << 1
+    return _simplest_record(ints, Fraction(an, den), Fraction(bn, den))
+
+
+def _simplest_record(ints, a: Fraction, b: Fraction) -> RootRecord:
+    """The record of the one root in (a, b]: the simplest rational inside
+    when it is the root, else the interval."""
+    cand = simplest_rational_in(a, b)
+    if _sign_at(ints, cand) == 0:
+        return RootRecord(cand, cand, 1, cand)
+    return RootRecord(a, b, 1, None)
 
 
 # ---- polynomial matrices ---------------------------------------------------

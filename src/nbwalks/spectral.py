@@ -13,10 +13,14 @@ the support graph, the blocks and the quotients all read those rows, and
 the quotients are compared by cross-multiplication so that only the two
 bounds become Fractions.
 Floating point is only used to find a good starting vector, by a power
-iteration over the nonzeros of each row.  The float step is a fixed
-function of the iterate, so the loop stops at its first repeated iterate,
-of any period, and returns the iterate the full run would end on; the
-reported bounds are rational and rigorous.
+iteration over the nonzeros of each row, run in column passes over the rows
+sorted longest first so that each row still sums left to right.  The float
+step is a fixed function of the iterate, so the loop stops at its first
+repeated iterate, of any period, and returns the iterate the full run would
+end on.  Its entries are rationalized by an integer continued fraction
+(`_limit`, equal to ``Fraction.limit_denominator(10**15)``) straight to the
+integer vector the quotients read; the reported bounds are rational and
+rigorous.
 
 A block with an entry a float cannot hold, or a row sum that overflows
 one, or whose bracket at the float vector is still too wide (a root far
@@ -44,6 +48,7 @@ from .exact import Matrix, _clear_denominators, _nonzero_rows, _tarjan_sccs
 
 _ZERO = Fraction(0)
 _FLOOR = Fraction(1, 10**18)  # least entry of a rational iterate
+_FLOOR_RATIO = _FLOOR.as_integer_ratio()
 
 DEFAULT_TOL = Fraction(1, 10**12)
 DEFAULT_ITERATIONS = 10**5
@@ -69,9 +74,9 @@ def _left_sum(values) -> float:
     Since Python 3.12 the built-in ``sum`` adds floats with compensated
     summation, so its last bits, and with them the start vector and the
     certified brackets, would depend on the Python version.  Every float
-    reduction in the package is this fold instead (the power step spells it
-    out over its products), which gives the same floats as ``sum`` before
-    3.12 on every version.
+    reduction in the package is this fold instead (the power step adds its
+    products in column passes, which keeps each row's order), which gives
+    the same floats as ``sum`` before 3.12 on every version.
     """
     return reduce(add, values, 0.0)
 
@@ -102,30 +107,86 @@ def _float_power_vector(rows, iterations=400):
     Each step sums over the nonzeros of a row only, left to right from 0.0:
     the skipped terms are 0.0 * x[k] = 0.0 with x finite and nonnegative,
     and adding them leaves a float sum unchanged, so every iterate is the
-    one of the dense step.  The step is a fixed function of x, so once
-    iterate k equals an earlier iterate j the iterates repeat with period
-    k - j, and the loop returns iterate j + (iterations - j) mod (k - j),
-    which is the last one.
+    one of the dense step.  The step runs in column passes over the rows
+    sorted longest first: pass j adds the j-th product of each row that has
+    one, pass 0 starting from the product itself (0.0 + p == p for p >= 0),
+    and x_i comes last, so each row still sums left to right.  The step is
+    a fixed function of x, so once iterate k equals an earlier iterate j
+    the iterates repeat with period k - j, and the loop returns iterate
+    j + (iterations - j) mod (k - j), which is the last one.
     """
-    x = [1.0] * len(rows)
+    n = len(rows)
+    order = sorted(range(n), key=lambda i: -len(rows[i][0]))
+    where = [0] * n
+    for r, i in enumerate(order):
+        where[i] = r
+    # pass j: the j-th floats and renumbered columns of the rows that have
+    # a j-th product, which come first in this order
+    ranked = [rows[i] for i in order]
+    passes = []
+    for j in range(len(ranked[0][0]) if n else 0):
+        have = [(ks, fs) for ks, fs in ranked if len(ks) > j]
+        passes.append(([fs[j] for _, fs in have], [where[ks[j]] for ks, _ in have]))
+    empty = [0.0] * (n - len(passes[0][0]) if passes else n)  # rows with no product
+    x = [1.0] * n
     seen = {}
     history = []
     for k in range(iterations):
         j = seen.setdefault(tuple(x), k)
         if j != k:
-            return history[j + (iterations - j) % (k - j)]
+            x = history[j + (iterations - j) % (k - j)]
+            break
         history.append(x)
-        y = [reduce(add, map(mul, fs, map(x.__getitem__, ks)), 0.0) + x[i]
-             for i, (ks, fs) in enumerate(rows)]
+        get = x.__getitem__
+        y = []
+        for fs, ks in passes:
+            terms = map(mul, fs, map(get, ks))
+            y[:len(fs)] = map(add, y, terms) if y else terms
+        y = list(map(add, y + empty, x))
         top = max(y)
         x = [v / top for v in y]
-    return x
+    return [x[r] for r in where]
 
 
-def _start_vector(rows):
-    """The float Perron vector rationalized, clamped positive."""
-    x = [Fraction(v).limit_denominator(10**15) for v in _float_power_vector(rows)]
-    return [v if v > 0 else _FLOOR for v in x]
+_MAX_DEN = 10**15  # of a rationalized start vector entry
+
+
+def _limit(n: int, d: int) -> tuple[int, int]:
+    """``Fraction(n, d).limit_denominator(10**15)`` as (numerator,
+    denominator), in lowest terms, for n >= 0 and d > 0 coprime.
+
+    The continued fraction of n/d runs until the next convergent's
+    denominator passes the bound; of the last convergent p1/q1 and the
+    semiconvergent (p0 + k p1)/(q0 + k q1) with the largest denominator in
+    bound, the closer one wins, the convergent on a tie, as in the stdlib.
+    """
+    if d <= _MAX_DEN:
+        return n, d
+    whole = d
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > _MAX_DEN:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (_MAX_DEN - q0) // q1
+    # the distance between the two is 1/(q1 (q0 + k q1)), and that from the
+    # convergent to n/d is d/(q1 whole)
+    if 2 * d * (q0 + k * q1) <= whole:
+        return p1, q1
+    return p0 + k * p1, q0 + k * q1
+
+
+def _start_vector(rows) -> list[int]:
+    """The float Perron vector rationalized, clamped positive (an entry
+    that rationalizes to 0 becomes _FLOOR), as integers over their least
+    common denominator."""
+    ratios = [_limit(*v.as_integer_ratio()) for v in _float_power_vector(rows)]
+    ratios = [(p, q) if p else _FLOOR_RATIO for p, q in ratios]
+    den = math.lcm(*[q for _, q in ratios])
+    return [p * (den // q) for p, q in ratios]
 
 
 def _log2_sum(values):
@@ -202,18 +263,16 @@ def _block_radius(block, den, tol, budget):
     """
     rows = _float_rows(block, den)
     if rows is not None:
-        xs, _ = _clear_denominators(_start_vector(rows))
-        lo, hi, _ = _collatz_wielandt(block, xs)
+        lo, hi, _ = _collatz_wielandt(block, _start_vector(rows))
         lo, hi = lo / den, hi / den
         if hi - lo <= tol * max(1, hi):
             return lo, hi, 0
     block, den, unit = _balanced(block, den)
     scale = unit / den  # from the balanced block's units to the given block's
-    x = _start_vector(_floats(block, den))
+    xs = _start_vector(_floats(block, den))
     iterations = 0
     lo_best, hi_best = _ZERO, None
     while True:
-        xs, _ = _clear_denominators(x)
         lo, hi, y = _collatz_wielandt(block, xs)
         lo, hi = lo * scale, hi * scale
         if hi_best is None or hi < hi_best:
@@ -233,6 +292,7 @@ def _block_radius(block, den, tol, budget):
         z = [shift.denominator * v + shift.numerator * w for v, w in zip(y, xs)]
         top = max(z)
         x = [max(Fraction(v, top).limit_denominator(10**30), _FLOOR) for v in z]
+        xs, _ = _clear_denominators(x)
 
 
 def perron_radius(m, tol=DEFAULT_TOL, budget=DEFAULT_ITERATIONS) -> PerronResult:

@@ -27,6 +27,13 @@ from nbwalks.errors import EnumerationBudgetExceededError
 from nbwalks.exact import _bareiss_int_det, _clear_denominators, _int_product
 from nbwalks.graphs import connected_components_undirected
 from nbwalks.laplacians import structure_matrices
+from nbwalks.polys import (
+    RootRecord,
+    _sign_at,
+    simplest_rational_in,
+    squarefree_decomposition,
+    sturm_chain,
+)
 from nbwalks.zpoly import _zhomogeneous, _zpseudo_divmod, _zscale
 
 
@@ -727,3 +734,55 @@ def is_undirected_tree(g: Graph) -> bool:
     if len(connected_components_undirected(g)) != 1:
         return False
     return g.m // 2 == g.n - 1
+
+
+def _chain_signs(chain, x):
+    """(sign of chain[0] at x, sign variations of the chain at x)."""
+    signs = [_sign_at(q, x) for q in chain]
+    nonzero = [s for s in signs if s]
+    return signs[0], sum(1 for a, b in zip(nonzero, nonzero[1:]) if a != b)
+
+
+def full_chain_isolate(p: Polynomial, lo, hi, width):
+    """Root isolation that evaluates the whole Sturm chain at every
+    bisection step, down to width: the routine before the one-sign
+    refinement, kept as a reference for `real_roots`."""
+    chain = sturm_chain(p)
+    out = []
+    at_hi, v_hi = _chain_signs(chain, hi)
+    if at_hi == 0:
+        out.append(RootRecord(hi, hi, 1, hi))
+    stack = [(lo, hi, _chain_signs(chain, lo)[1], v_hi, at_hi)]
+    while stack:
+        a, b, va, vb, at_b = stack.pop()
+        count = va - vb
+        if at_b == 0:
+            count -= 1
+        if count <= 0:
+            continue
+        if count == 1 and b - a <= width:
+            cand = simplest_rational_in(a, b)
+            exact = _sign_at(chain[0], cand) == 0
+            out.append(RootRecord(cand, cand, 1, cand) if exact else RootRecord(a, b, 1, None))
+            continue
+        mid = (a + b) / 2
+        at_mid, vm = _chain_signs(chain, mid)
+        if at_mid == 0:
+            out.append(RootRecord(mid, mid, 1, mid))
+        stack.append((a, mid, va, vm, at_mid))
+        stack.append((mid, b, vm, vb, at_b))
+    return out
+
+
+def full_chain_real_roots(p: Polynomial, lo, hi, width=Fraction(1, 10**12), include_hi=True):
+    """`real_roots` on `full_chain_isolate`."""
+    lo, hi, width = Fraction(lo), Fraction(hi), Fraction(width)
+    records = [
+        RootRecord(rec.lo, rec.hi, mult, rec.value)
+        for factor, mult in squarefree_decomposition(p)
+        for rec in full_chain_isolate(factor, lo, hi, width)
+    ]
+    if not include_hi:
+        records = [r for r in records if not (r.value is not None and r.value == hi)]
+    records.sort(key=lambda r: r.midpoint())
+    return records

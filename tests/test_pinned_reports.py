@@ -1,11 +1,16 @@
-"""Pinned `verify` reports of seeded weighted and one-way digraphs.
+"""Pinned `verify` and `radius` reports of seeded weighted and one-way
+digraphs.
 
-Each graph below is drawn from a fixed seed and has several strongly
+Each graph in CASES is drawn from a fixed seed and has several strongly
 connected components, so its edge matrices and its weighted-Ihara sample
 matrices are block triangular.  The sha256 of each report (the JSON as the
 CLI prints it, with ``input.path`` removed) was recorded before the block
 kernels existed: any change to a certificate, a sample count or a
 polynomial shows up here as a different digest.
+
+The `radius` digests were recorded before the one-sign root refinement and
+the column-pass Perron start vector: any change to an isolating interval or
+a Collatz-Wielandt bracket shows up the same way.
 """
 
 import hashlib
@@ -48,6 +53,47 @@ CASES = {
 }
 
 
+# (graph name, radius arguments) -> digest of the `radius` report; the
+# graphs are those of CASES and one multi-cycle graph with n = 20
+RADIUS_GRAPHS = {
+    **{name: make for name, (make, _) in CASES.items()},
+    "unit-multicycle-n20": lambda rng: random_connected_graph(rng, 20, 6),
+}
+NBTW, BTDW, WEIGHTED = (), ("--mode", "btdw", "--tau", "1/2"), ("--mode", "weighted")
+RADIUS_CASES = {
+    ("unit-tree-oneway", NBTW):
+        "5813eb8f5e2f8b75abeaeb7183279f5f8cfd467db6c664ac77d5293199aa5ed1",
+    ("unit-tree-oneway", BTDW):
+        "bdaa400ef9b81bcf2e2bb1443b12c475b8a44a533178de58e0a8042678e2e923",
+    ("unit-tree-oneway", WEIGHTED):
+        "9b53d785451f8ede678b43d30747e6f58f3150989c9685d59732cdafb2b9e77c",
+    ("unit-cycles-oneway", NBTW):
+        "968496e553f728273b4db7f300dd733aa40707103d3cf2163197253bea66675e",
+    ("unit-cycles-oneway", BTDW):
+        "05e16e64c7c10cee8d804f911c8abf48583388b109967fa667025c3f3465e0e4",
+    ("unit-cycles-oneway", WEIGHTED):
+        "c4af0c34e7ca856e4be97e8bde77823f79d5884ca023b575ecfd259180c63a75",
+    ("unit-sparse-digraph", NBTW):
+        "fb88e73007332207b4bb92c9a33086f2a3daa211af3f8b378998d5ac5c024f63",
+    ("unit-sparse-digraph", BTDW):
+        "8fbe0062b0535d2a33cc224c5f20696edc24ab5f3b686b40bfadc34a8cae5d7f",
+    ("unit-sparse-digraph", WEIGHTED):
+        "9e40f40fdced08c7484b75c97403820444a3ba51fd055403cd5ec284142e0c6e",
+    ("weighted-tree-oneway", WEIGHTED):
+        "581deb29b0a63fcb388a7582ae216b8ff2879e88f9fb739323ba8dfb8833b82e",
+    ("weighted-cycles-oneway", WEIGHTED):
+        "bb10524ce5e0f9fd6b1752cb07f1ade17775037be9f65b55ccc8dda951daad84",
+    ("weighted-sparse-digraph", WEIGHTED):
+        "8e482b0e5d48fced81571510984c37500b4e42bbe51efdd312fd5918d4ca60f1",
+    ("unit-multicycle-n20", NBTW):
+        "8e95164222cd121d3f3d3392182ecb316c9995989fd9b9813a34ccc4f8503663",
+    ("unit-multicycle-n20", BTDW):
+        "cf7eecfba15ec7e7e8848f9f354f45cb30acd6f640bfad22df77dabea2f842fe",
+    ("unit-multicycle-n20", WEIGHTED):
+        "f35c9c690204a5e877d7a60a98fdbaa6fa86ff3c2a2c38e84698d7bde1c741e3",
+}
+
+
 def graph_text(g) -> str:
     return "".join(f"{g.labels[u]}\t{g.labels[v]}\t{w}\n" for u, v, w in g.edges)
 
@@ -68,3 +114,16 @@ def test_verify_report_bytes(name, tmp_path):
     code, doc = run_command(["verify", str(path)])
     assert code == 0 and doc["payload"]["all_equal"] is True
     assert report_digest(doc) == want
+
+
+@pytest.mark.parametrize(
+    "name, args", sorted(RADIUS_CASES),
+    ids=[f"{name}-{args[1] if args else 'nbtw'}" for name, args in sorted(RADIUS_CASES)],
+)
+def test_radius_report_bytes(name, args, tmp_path):
+    g = RADIUS_GRAPHS[name](random.Random(f"pinned-{name}"))
+    path = tmp_path / f"{name}.tsv"
+    path.write_text(graph_text(g), encoding="utf-8")
+    code, doc = run_command(["radius", *args, str(path)])
+    assert code == 0
+    assert report_digest(doc) == RADIUS_CASES[name, args]

@@ -40,6 +40,7 @@ from helpers import (
     assert_index_sum,
     bowtie,
     complete_undirected,
+    full_chain_real_roots,
     mirror,
     polymatrix_from_coefficients,
     polynomial_divmod,
@@ -1150,3 +1151,79 @@ class TestRealRootsSympy:
         assert got[0].lo < F(1414213562373095, 10**15) < got[0].hi
         assert [r.multiplicity for r in real_roots(p, 1, 2, include_hi=False)] == [2]
         assert [r.multiplicity for r in real_roots(p, 0, 2)] == [2, 2, 3]
+
+
+def _with_roots(c, roots, other):
+    """c times the product of (t - r)**k over roots, times other."""
+    p = Polynomial([c])
+    for r, k in roots:
+        p = p * Polynomial([-r, 1]) ** k
+    return p * other
+
+
+_ENDS = st.tuples(st.builds(F, st.integers(-9, 9), st.integers(1, 4)),
+                  st.builds(F, st.integers(1, 16), st.integers(1, 4)))
+_OTHER = _QPOLYS.filter(lambda q: not q.is_zero())
+_WIDTH = st.sampled_from([F(1, 10**12), F(1, 10**6), F(1, 3)])
+_MULT = st.integers(1, 3)
+
+
+class TestOneSignRefinement:
+    """`real_roots` refines each root it has isolated by the sign of the
+    polynomial alone; the records equal those of the whole-chain bisection
+    (`full_chain_real_roots`), in value, interval, multiplicity and order."""
+
+    def check(self, p, lo, hi, width, include_hi):
+        got = real_roots(p, lo, hi, width, include_hi)
+        assert got == full_chain_real_roots(p, lo, hi, width, include_hi)
+        return got
+
+    @settings(max_examples=80, deadline=None)
+    @given(_ENDS, st.lists(st.tuples(st.integers(1, 40), st.integers(0, 2**40), _MULT),
+                           min_size=1, max_size=3),
+           _OTHER, _WIDTH, st.booleans())
+    def test_roots_at_dyadic_midpoints(self, ends, picks, other, width, include_hi):
+        # lo + (hi - lo) k / 2**j is a bisection midpoint of (lo, hi]: 1/2
+        # and 3/8 of (0, 1], and points the refinement reaches deep down
+        lo, span = ends
+        roots = [(lo + span * F(2 * (k % 2**(j - 1)) + 1, 2**j), mult)
+                 for j, k, mult in picks]
+        self.check(_with_roots(1, roots, other), lo, lo + span, width, include_hi)
+
+    def test_halves_and_three_eighths(self):
+        p = _with_roots(F(2, 3), [(F(1, 2), 1), (F(3, 8), 2)], poly(-2, 0, 1))
+        got = self.check(p, 0, 1, F(1, 10**12), True)
+        assert [(r.value, r.multiplicity) for r in got] == [(F(3, 8), 2), (F(1, 2), 1)]
+
+    @settings(max_examples=80, deadline=None)
+    @given(_ENDS, _MULT, _OTHER, _WIDTH, st.booleans())
+    def test_root_at_hi(self, ends, mult, other, width, include_hi):
+        lo, span = ends
+        hi = lo + span
+        got = self.check(_with_roots(-1, [(hi, mult)], other), lo, hi, width, include_hi)
+        assert any(r.value == hi for r in got) == include_hi
+
+    @settings(max_examples=80, deadline=None)
+    @given(_ENDS, _MULT, _OTHER, _WIDTH, st.booleans())
+    def test_root_at_lo(self, ends, mult, other, width, include_hi):
+        lo, span = ends
+        got = self.check(_with_roots(3, [(lo, mult)], other), lo, lo + span, width, include_hi)
+        assert all(r.value != lo and r.lo >= lo for r in got)
+
+    @settings(max_examples=80, deadline=None)
+    @given(_ENDS, st.integers(0, 2**20), st.integers(10**9 + 1, 10**13), _MULT,
+           st.booleans(), _OTHER, st.booleans())
+    def test_two_roots_closer_than_1e_9(self, ends, where, split, mult, irrational, other,
+                                        include_hi):
+        # r and r + 1/split, or the irrational pair r +- 1/(2 sqrt(2) split),
+        # which lies 1/(sqrt(2) split) apart
+        lo, span = ends
+        r = lo + span * F(where + 1, 2**20 + 2)
+        if irrational:
+            pair = Polynomial([r * r - F(1, 8 * split * split), -2 * r, 1])
+            p = _with_roots(1, [], pair**mult * other)
+        else:
+            p = _with_roots(1, [(r, mult), (r + F(1, split), 1)], other)
+        got = self.check(p, lo, lo + span, F(1, 10**12), include_hi)
+        near = [rec for rec in got if r - 1 < rec.midpoint() < r + 1 and rec.hi - rec.lo < 10**-9]
+        assert len(near) >= 2

@@ -3,7 +3,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nbwalks import (
     Matrix,
@@ -16,12 +17,15 @@ from nbwalks import (
 )
 from nbwalks.convergence import radius_btdw, radius_unweighted, radius_weighted
 from nbwalks.errors import NegativeEntryError
-from nbwalks.exact import _nonzero_rows, _tarjan_sccs
+from nbwalks.exact import _clear_denominators, _nonzero_rows, _tarjan_sccs
 from nbwalks.spectral import (
+    _FLOOR,
     _balancing_exponents,
     _float_power_vector,
     _float_rows,
     _left_sum,
+    _limit,
+    _start_vector,
 )
 
 from helpers import (
@@ -251,6 +255,40 @@ def hashimoto_blocks(seed, graphs=12):
         yield from irreducible_blocks(v_similar(build_edge_space(g)))
 
 
+_FLOAT_ENTRIES = st.floats(1 / 64, 64)
+
+
+@st.composite
+def float_blocks(draw, lengths, entries):
+    """A dense float block on 1 to 8 vertices whose rows have a drawn
+    number of nonzeros, at drawn columns, each a drawn entry."""
+    n = draw(st.integers(1, 8))
+    fm = []
+    for _ in range(n):
+        k = min(draw(lengths), n)
+        cols = draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True))
+        row = [0.0] * n
+        for c in cols:
+            row[c] = draw(entries)
+        fm.append(row)
+    return fm
+
+
+def cycling_blocks(max_n=16):
+    """Seeded Hashimoto blocks on at most max_n edges whose float power
+    iterates repeat with period 2 or more."""
+    out = []
+    for seed in (5, 7):
+        for block in hashimoto_blocks(seed):
+            fm = [[float(x) for x in row] for row in block]
+            if len(fm) <= max_n and reference_power_vector(fm)[1][1] > 1:
+                out.append(fm)
+    return out
+
+
+CYCLING_BLOCKS = cycling_blocks()
+
+
 class TestFloatPowerVector:
     """The sparse loop that stops at its first repeated iterate returns the
     vector of all dense steps, bit for bit."""
@@ -303,6 +341,36 @@ class TestFloatPowerVector:
             checked += 1
         assert checked
 
+    @settings(max_examples=40, deadline=None)
+    @given(float_blocks(st.just(1), _FLOAT_ENTRIES))
+    def test_one_entry_rows(self, fm):
+        self.check_both(fm)
+
+    @settings(max_examples=40, deadline=None)
+    @given(float_blocks(st.integers(1, 8), st.just(1.0)))
+    def test_all_one_rows(self, fm):
+        self.check_both(fm)
+
+    @settings(max_examples=40, deadline=None)
+    @given(float_blocks(st.integers(0, 8), _FLOAT_ENTRIES))
+    def test_mixed_row_lengths(self, fm):
+        # rows of every length from none to full, so the column passes
+        # cover a shrinking prefix of the rows sorted longest first
+        self.check_both(fm)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(CYCLING_BLOCKS), st.randoms(use_true_random=False))
+    def test_permuted_blocks_that_cycle(self, fm, rng):
+        # seeded blocks whose iterates repeat with period 2 or more, with
+        # their vertices renumbered; most renumberings still cycle
+        perm = list(range(len(fm)))
+        rng.shuffle(perm)
+        self.check_both([[fm[i][j] for j in perm] for i in perm])
+
+    def check_both(self, fm):
+        for iterations in (400, 401):
+            self.check(fm, iterations)
+
     def test_row_sums_past_float_range_are_balanced(self):
         # every entry is a float, but a power step would overflow to inf
         huge = F(10**308)
@@ -311,6 +379,93 @@ class TestFloatPowerVector:
         pr = perron_radius(es.hashimoto.scale(huge))
         assert pr.lower <= 2 * huge <= pr.upper
         assert pr.width <= TOL * pr.upper
+
+
+_MAX_DEN = 10**15
+
+
+def stdlib_limit(n, d):
+    f = F(n, d).limit_denominator(_MAX_DEN)
+    return f.numerator, f.denominator
+
+
+def farey_neighbours(a, b):
+    """a/b and its right neighbour r/s among the fractions with
+    denominators at most 10**15, where r b - a s = 1: their midpoint lies
+    at the same distance from both, so rationalizing it is a tie."""
+    s = -pow(a, -1, b) % b
+    s += (_MAX_DEN - s) // b * b
+    return F(a, b), F((1 + a * s) // b, s)
+
+
+class TestLimit:
+    """`_limit` is ``Fraction.limit_denominator(10**15)`` in integers, on
+    every Python version: 3.12 rewrote the stdlib's tie test, and both
+    pick the convergent."""
+
+    @settings(max_examples=300)
+    @given(st.floats(0, 1, exclude_min=True))
+    @example(1.0)
+    def test_unit_interval(self, v):
+        assert _limit(*v.as_integer_ratio()) == stdlib_limit(*v.as_integer_ratio())
+
+    @settings(max_examples=200)
+    @given(st.floats(0, 2.2250738585072014e-308, exclude_min=True))
+    @example(5e-324)
+    @example(2.225073858507201e-308)
+    def test_subnormals(self, v):
+        assert _limit(*v.as_integer_ratio()) == stdlib_limit(*v.as_integer_ratio()) == (0, 1)
+
+    @settings(max_examples=200)
+    @given(st.fractions(0, 1, max_denominator=_MAX_DEN) | st.integers(0, 2**49).map(
+        lambda k: F(k, 2**49)))
+    @example(F(1, _MAX_DEN))
+    @example(F(_MAX_DEN - 1, _MAX_DEN))
+    def test_short_denominators_are_kept(self, f):
+        assert _limit(f.numerator, f.denominator) == (f.numerator, f.denominator)
+
+    @settings(max_examples=200)
+    @given(st.floats(0, 1 / (2 * _MAX_DEN), exclude_min=True, exclude_max=True))
+    def test_tiny_floats_rationalize_to_zero(self, v):
+        assert _limit(*v.as_integer_ratio()) == stdlib_limit(*v.as_integer_ratio()) == (0, 1)
+
+    @settings(max_examples=200)
+    @given(st.integers(2, _MAX_DEN).flatmap(
+        lambda b: st.tuples(st.integers(1, b - 1).filter(lambda a: math.gcd(a, b) == 1),
+                            st.just(b))))
+    @example((1, 2 * _MAX_DEN // 3))
+    def test_near_ties(self, pair):
+        left, right = farey_neighbours(*pair)
+        mid = (left + right) / 2
+        got = _limit(mid.numerator, mid.denominator)
+        assert got == stdlib_limit(mid.numerator, mid.denominator)
+        assert F(*got) in (left, right)
+        x = float(mid)
+        for v in (x, math.nextafter(x, 0), math.nextafter(x, 1)):
+            assert _limit(*v.as_integer_ratio()) == stdlib_limit(*v.as_integer_ratio())
+
+
+def reference_start_vector(rows):
+    """The start vector before the integer rationalizer: Fractions from
+    ``limit_denominator``, clamped positive, over their least common
+    denominator."""
+    x = [F(v).limit_denominator(_MAX_DEN) for v in _float_power_vector(rows)]
+    return _clear_denominators([v if v > 0 else _FLOOR for v in x])[0]
+
+
+class TestStartVector:
+    def test_seeded_hashimoto_blocks(self):
+        for block in hashimoto_blocks(7):
+            rows = _float_rows(*integer_rows(block))
+            assert _start_vector(rows) == reference_start_vector(rows)
+
+    @pytest.mark.parametrize("k", [6, 12, 20, 100, 300])
+    def test_entries_that_rationalize_to_zero_are_clamped(self, k):
+        # the cycle with corner 10**k: at k = 20 the float vector has an
+        # entry below 1/(2 10**15), which rationalizes to 0
+        rows = [([1], [1.0]), ([2], [1.0]), ([0], [float(10**k)])]
+        got = _start_vector(rows)
+        assert got == reference_start_vector(rows) and min(got) > 0
 
 
 def test_float_sums_fold_left():
