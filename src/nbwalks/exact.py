@@ -15,10 +15,16 @@ directly on rows of (columns, entries), the sparse row format
 `Polynomial`, is the product of those of the diagonal blocks that the
 strongly connected components of the nonzero pattern (`_tarjan_sccs`, the
 package's one SCC routine) cut the matrix into, each from Berkowitz's
-division-free algorithm.  Determinants, `solve`, `inverse` and `rank` run
-one fraction-free elimination, `_fraction_free` (Bareiss 1968): forward for
-a determinant or the rank, Gauss-Jordan for a solve, whose solution is then
-the eliminated right-hand side over a single integer denominator.
+division-free algorithm.  `Matrix.det`, `solve`, `inverse` and `rank` run
+one dense fraction-free elimination, `_fraction_free` (Bareiss 1968):
+forward for a determinant or the rank, Gauss-Jordan for a solve, whose
+solution is then the eliminated right-hand side over a single integer
+denominator.  The determinants sampled at many points of one nonzero
+pattern, the weighted-Ihara and `polymat_det` point checks, run instead on
+an elimination plan made once for the pattern (`_elimination_plan`, a
+minimum-degree order and its fill): `_planned_det` takes Bareiss steps
+only where the pivot column has entries, and falls back to the dense
+`_bareiss_int_det` at a zero pivot.
 """
 
 from __future__ import annotations
@@ -443,3 +449,89 @@ def _bareiss_int_det(rows) -> int:
         m.append(row)
     rank, pivot, sign = _fraction_free(m, n, False)
     return sign * contents * pivot if rank == n else 0
+
+
+def _elimination_plan(n: int, nonzeros):
+    """A fixed elimination order for the n-by-n matrices whose row i can be
+    nonzero only in the columns nonzeros[i] (and on the diagonal).
+
+    Greedy minimum degree (George & Liu 1981) on the symmetrized pattern,
+    ties broken by index: each step eliminates a vertex of fewest
+    neighbours and joins those neighbours into a clique, the fill of its
+    elimination.  Returns (order, below): row and column k of the planned
+    matrix are row and column order[k] of the input, and below[k] lists,
+    ascending, the later planned rows that can hold column k once the
+    earlier pivots have been eliminated.  Elimination without pivoting
+    fills no more than the symmetrized pattern does, so every other later
+    row has a 0 there.
+    """
+    adj = [set() for _ in range(n)]
+    for i, cols in enumerate(nonzeros):
+        for j in cols:
+            if i != j:
+                adj[i].add(j)
+                adj[j].add(i)
+    left = set(range(n))
+    order, fill = [], []
+    for _ in range(n):
+        v = min(left, key=lambda u: (len(adj[u]), u))
+        left.remove(v)
+        nbrs = adj[v]
+        for u in nbrs:
+            adj[u] |= nbrs
+            adj[u] -= {u, v}
+        order.append(v)
+        fill.append(nbrs)
+    position = {v: k for k, v in enumerate(order)}
+    return order, [sorted(position[u] for u in nbrs) for nbrs in fill]
+
+
+def _planned_det(rows, below) -> int:
+    """Fraction-free determinant of the square integer rows, already in the
+    order of an `_elimination_plan` whose ``below`` is given; a symmetric
+    permutation keeps the determinant, so there is no sign to track.
+
+    Each row is divided by its content first, as in `_bareiss_int_det`.
+    Step k then runs Bareiss's update row_i <- (p_k row_i - a_ik row_k) / p_s
+    only on the rows of below[k] with a nonzero in column k, p_s being the
+    pivot of the step that last updated row i (p_(-1) = 1).  The other
+    rows would only be scaled by p_k / p_(k-1), so each row stays as its
+    last update left it, over the columns after that step: by Sylvester's
+    identity its current entries are those times p_(k-1) / p_s, exactly,
+    which the update above and the pivot row, brought up to date before
+    its step, take into account.  The last pivot is the determinant.  A
+    zero pivot needs a row swap the plan does not have: the determinant is
+    then `_bareiss_int_det` of the input rows, which are never modified.
+    """
+    work = []
+    contents = 1
+    for row in rows:
+        c = gcd(*row)
+        if c == 0:
+            return 0
+        if c != 1:
+            row = [x // c for x in row]
+            contents *= c
+        work.append(row)
+    stamp = [-1] * len(work)  # the step that last updated each row
+    pivots = [1]  # pivots[k + 1] = p_k
+    for k, targets in enumerate(below):
+        s = stamp[k]
+        rowk = work[k][k - s - 1:]  # columns k, k + 1, ...
+        if s != k - 1:
+            prev, ps = pivots[-1], pivots[s + 1]
+            rowk = [x * prev // ps for x in rowk]
+        pk = rowk[0]
+        if not pk:
+            return _bareiss_int_det(rows)
+        del rowk[0]
+        for i in targets:
+            rowi = work[i]
+            s = stamp[i]
+            a = rowi[k - s - 1]
+            if a:
+                ps = pivots[s + 1]
+                work[i] = [(pk * x - a * y) // ps for x, y in zip(rowi[k - s:], rowk)]
+                stamp[i] = k
+        pivots.append(pk)
+    return contents * pivots[-1]

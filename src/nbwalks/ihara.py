@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 from .errors import TauOutOfRangeError
 from .exact import Matrix
@@ -190,17 +191,26 @@ def _vertex_sample_check(es, g_poly, rhs, count):
     Both sides are polynomial in p, so it holds also where some
     1 - t**2 w w' is 0; points where g(t) = 0 are skipped.  The plan takes
     det(Y) over the strongly connected components of the graph, which
-    split Y at every t.
+    split Y at every t, each on its fixed elimination order.
+
+    Divided by s**(n + 2 r), det(Y) is a polynomial in t of degree at most
+    n + 2 r: row u over s**(1 + 2 r_u), r_u the reciprocated arcs leaving
+    u, has entries of degree at most 1 + 2 r_u.  The other side, g(t)
+    rhs(t), has degree at most m + r.  As r <= m, the difference of the
+    two sides has degree at most n + 2 m, so it is the zero polynomial
+    once it vanishes at n + 2 m + 1 distinct points, and the
+    2 (n + m) + 1 points checked are enough wherever they lie.  They are
+    taken by least height (`_least_height_points`), which keeps the
+    integers small.
     """
     plan = es.vertex_plan
     g_ints, g_lcm = g_poly.ints, g_poly.den
     r_ints, r_lcm = rhs.ints, rhs.den
     power = es.n + 4 * es.reciprocal_pair_count  # n + 2 r
     checked = 0
-    candidate = 0
+    points = _least_height_points()
     while checked < count:
-        candidate += 1
-        p, q = (candidate, 2) if candidate % 2 else (-candidate // 2, 1)
+        p, q = next(points)
         gn, gd = _zhomogeneous(g_ints, p, q)
         if gn == 0:
             continue
@@ -211,6 +221,22 @@ def _vertex_sample_check(es, g_poly, rhs, count):
             return False, checked
         checked += 1
     return True, checked
+
+
+def _least_height_points():
+    """The rationals p/q, as (p, q) in lowest terms with q > 0, in order of
+    height max(|p|, q): 0, 1, -1, 2, -2, 1/2, -1/2, 3, -3, 3/2, -3/2, 1/3,
+    -1/3, 2/3, -2/3, 4, ...; within one height by q, then |p|, each
+    positive point before its negative."""
+    yield 0, 1
+    h = 1
+    while True:
+        for q in range(1, h + 1):
+            for p in (range(1, h + 1) if q == h else (h,)):
+                if gcd(p, q) == 1:
+                    yield p, q
+                    yield -p, q
+        h += 1
 
 
 def verify_lemma_suite(g: Graph, tau) -> list[IdentityCertificate]:

@@ -396,6 +396,17 @@ def integer_operator(es):
     return w, step, lt_z, r_rows
 
 
+def least_height_candidates():
+    """The weighted-Ihara sample candidates as Fractions, without end: by
+    height max(|p|, q), and within one height by denominator, then |p|,
+    the positive point first."""
+    yield Fraction(0)
+    for h in itertools.count(1):
+        level = {t for t in (Fraction(p, q) for q in range(1, h + 1) for p in range(-h, h + 1))
+                 if t and max(abs(t.numerator), t.denominator) == h}
+        yield from sorted(level, key=lambda t: (t.denominator, abs(t.numerator), t < 0))
+
+
 def adjugate_sample_check(es, g_poly, rhs, count):
     """The edge-space reference for `ihara._vertex_sample_check`: the same
     points and the same (ok, checked) result, with Phi evaluated exactly
@@ -435,10 +446,10 @@ def adjugate_sample_check(es, g_poly, rhs, count):
         k_ints.append([x for row in _int_product(lt_z, carrier, n) for x in row])
 
     checked = 0
-    candidate = 0
-    while checked < count:
-        candidate += 1
-        p, q = (candidate, 2) if candidate % 2 else (-candidate // 2, 1)
+    for t in least_height_candidates():
+        if checked == count:
+            break
+        p, q = t.numerator, t.denominator
         base = q * ell
         gn, den = _zhomogeneous(h, p, base)
         if gn == 0:

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -16,7 +17,9 @@ from nbwalks.errors import (
     NonPositiveWeightError,
 )
 from nbwalks import cli as cli_mod
+from nbwalks import edgespace as edgespace_mod
 from nbwalks.cli import main, run_command
+from nbwalks.exact import _planned_det
 from nbwalks.fileio import matrix_json, parse_weight, poly_json, rational_str, to_json
 from nbwalks.ihara import IdentityCertificate
 from nbwalks.walks import nbt_katz_centrality
@@ -433,6 +436,22 @@ class TestCertificatesReadTheTransferRows:
 
         monkeypatch.setattr(EdgeSpace, "transfer_rows", doubled)
         assert main(argv) == 2
+        assert json.loads(capsys.readouterr().out)["payload"]["all_equal"] is False
+
+
+class TestPlannedDeterminantFailure:
+    def test_off_by_one_at_one_point_exits_two(self, example1_file, monkeypatch, capsys):
+        argv = ["verify", "--identity", "weighted-ihara", example1_file]
+        assert main(argv) == 0
+        capsys.readouterr()
+        step = itertools.count()
+
+        def off_by_one(rows, below):
+            return _planned_det(rows, below) + (next(step) == 4)
+
+        monkeypatch.setattr(edgespace_mod, "_planned_det", off_by_one)
+        assert main(argv) == 2
+        assert next(step) == 5  # the check stops at the point that failed
         assert json.loads(capsys.readouterr().out)["payload"]["all_equal"] is False
 
 

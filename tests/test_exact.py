@@ -3,9 +3,10 @@ polynomial against two oracles each, the block characteristic polynomial
 against the unsplit Berkowitz and sympy, the one Tarjan routine, the
 primitive-row Bareiss determinant against sympy, the fraction-free solve,
 inverse and rank against sympy and the Fraction eliminations before them,
-and the vertex-space weighted-Ihara sample check, on the graph's blocks,
-against the whole determinant, the edge-space adjugate route and the
-Fraction route before it."""
+the planned determinant and its elimination plan against the dense one and
+sympy, and the vertex-space weighted-Ihara sample check, on the graph's
+blocks, against the whole determinant, the edge-space adjugate route and
+the Fraction route before it."""
 
 import random
 from fractions import Fraction as F
@@ -18,8 +19,16 @@ from hypothesis import strategies as st
 
 from nbwalks import Matrix, Polynomial, build_edge_space, v_similar, verify_weighted_ihara
 from nbwalks.errors import NotSquareError
+from nbwalks import edgespace as edgespace_mod
 from nbwalks import exact as exact_mod
-from nbwalks.exact import _bareiss_int_det, _clear_denominators, _fraction_free, _tarjan_sccs
+from nbwalks.exact import (
+    _bareiss_int_det,
+    _clear_denominators,
+    _elimination_plan,
+    _fraction_free,
+    _planned_det,
+    _tarjan_sccs,
+)
 from nbwalks.ihara import _vertex_sample_check
 
 from helpers import (
@@ -28,6 +37,7 @@ from helpers import (
     example1,
     fraction_rank,
     fraction_solve,
+    least_height_candidates,
     parent_bareiss_int_det,
     random_connected_graph,
     random_digraph,
@@ -180,10 +190,9 @@ def fraction_sample_check(es, step, g_poly, rhs, count):
         prev = nxt
 
     checked = 0
-    candidate = 0
-    while checked < count:
-        candidate += 1
-        t = F(candidate, 2) if candidate % 2 else F(-candidate // 2)
+    for t in least_height_candidates():
+        if checked == count:
+            break
         gt = g_poly(t)
         if gt == 0:
             continue
@@ -216,10 +225,10 @@ def sample_inputs(g):
 def sample_points(g_poly, count):
     """The first ``count`` candidate points at which g does not vanish, and
     the candidates skipped on the way."""
-    points, skipped, candidate = [], [], 0
-    while len(points) < count:
-        candidate += 1
-        t = F(candidate, 2) if candidate % 2 else F(-candidate // 2)
+    points, skipped = [], []
+    for t in least_height_candidates():
+        if len(points) == count:
+            break
         (skipped if g_poly(t) == 0 else points).append(t)
     return points, skipped
 
@@ -603,10 +612,12 @@ class TestSolve:
 
 class TestWeightedIharaSamples:
     GRAPHS = (example1, weighted_3cycle, lambda: single_recip_edge(F(5, 2), F(3, 7)))
-    # g(t) = det(I - t B Z) vanishes at a sample candidate: 1 - t^4 at t = -1
-    # for the unit 4-cycle, 1 - 8 t^3 at t = 1/2 for the 3-cycle of weight 2
+    # g(t) = det(I - t B Z) vanishes at sample candidates: 1 - t^4 at t = 1
+    # and t = -1 for the unit 4-cycle, 1 - 8 t^3 at t = 1/2 for the 3-cycles
+    # of weight product 8
     SKIPPING = (lambda: directed_cycle(4), lambda: directed_cycle(3, [2, 2, 2]),
                 lambda: directed_cycle(3, [F(1, 2), 4, 4]))
+    SKIPPED = ([F(1), F(-1)], [F(1, 2)], [F(1, 2)])
 
     def reference_graphs(self):
         rng = random.Random(20261018)
@@ -641,30 +652,32 @@ class TestWeightedIharaSamples:
             ok, checked = all_routes(es, step, g_poly, bad, count)
             assert ok is False and checked < count
 
-    @pytest.mark.parametrize("build", SKIPPING, ids=["unit-4-cycle", "3-cycle-2-2-2",
-                                                     "3-cycle-half-4-4"])
-    def test_skipped_candidate(self, build):
+    @pytest.mark.parametrize("build, expected", zip(SKIPPING, SKIPPED),
+                             ids=["unit-4-cycle", "3-cycle-2-2-2", "3-cycle-half-4-4"])
+    def test_skipped_candidate(self, build, expected):
         es, step, g_poly, rhs, count = sample_inputs(build())
         points, skipped = sample_points(g_poly, count)
-        assert len(skipped) == 1
+        assert skipped == expected
         assert all_routes(es, step, g_poly, rhs, count) == (True, count)
         # a wrong rhs is caught at a point after the skipped one
         bad = rhs + Polynomial([-points[1], 1]) * Polynomial([-points[0], 1])
         assert all_routes(es, step, g_poly, bad, count) == (False, 2)
 
     def test_point_where_a_pair_factor_vanishes(self):
-        # with unit weights 1 - t^2 w w' is 0 at t = -1, the second candidate;
-        # it is checked, and a rhs wrong only there fails there
+        # with unit weights 1 - t^2 w w' is 0 at t = 1 and t = -1, the second
+        # and third candidates; both are checked, and a rhs wrong only at
+        # one of them fails there
         es, step, g_poly, rhs, count = sample_inputs(single_recip_edge(1, 1))
         points, skipped = sample_points(g_poly, count)
-        assert not skipped and points[1] == -1 and rhs(F(-1)) == 0
+        assert not skipped and points[1:3] == [1, -1] and rhs(F(1)) == rhs(F(-1)) == 0
         assert all_routes(es, step, g_poly, rhs, count) == (True, count)
-        vanishing = Polynomial([1])
-        for t in points[:1] + points[2:]:
-            vanishing = vanishing * Polynomial([-t, 1])
-        bad = rhs + vanishing
-        assert [t for t in points if bad(t) != rhs(t)] == [F(-1)]
-        assert all_routes(es, step, g_poly, bad, count) == (False, 1)
+        for k in (1, 2):
+            vanishing = Polynomial([1])
+            for t in points[:k] + points[k + 1:]:
+                vanishing = vanishing * Polynomial([-t, 1])
+            bad = rhs + vanishing
+            assert [t for t in points if bad(t) != rhs(t)] == [points[k]]
+            assert all_routes(es, step, g_poly, bad, count) == (False, k)
 
     def test_matches_fraction_route(self):
         graphs = self.reference_graphs()
@@ -684,7 +697,8 @@ class TestWeightedIharaSamples:
             points, _ = sample_points(g_poly, count)
             t0, t1 = points[0], points[1]
             perturbed = [
-                (rhs + Polynomial([0, 0, 0, F(1, 5)]), 0),
+                # agrees at t = 0, the first checked point, only
+                (rhs + Polynomial([0, 0, 0, F(1, 5)]), 1),
                 (rhs * Polynomial([F(3, 2)]), 0),
                 (-rhs, 0),
                 # agrees at the first checked point only
@@ -1053,3 +1067,188 @@ class TestVertexPlan:
                 assert _vertex_sample_check(es, bad_g, rhs, count) == (False, first)
             bad_rhs = rhs + Polynomial([-t0, 1]) * Polynomial([-t1, 1])
             assert all_routes(es, step, g_poly, bad_rhs, count) == (False, 2)
+
+
+def planned(rows):
+    """The rows in the order of their own `_elimination_plan`, and its
+    ``below``."""
+    n = len(rows)
+    order, below = _elimination_plan(n, [[j for j, x in enumerate(row) if x] for row in rows])
+    return [[rows[i][j] for j in order] for i in order], below
+
+
+@st.composite
+def _patterned(draw, max_n=8):
+    """Integer rows on a random pattern, symmetric or one-way, whose
+    entries are often 0 anyway; rows often share a factor, and a diagonal
+    entry is often 0."""
+    n = draw(st.integers(0, max_n))
+    density = draw(st.sampled_from((0.15, 0.3, 0.6, 1.0)))
+    symmetric = draw(st.booleans())
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    pattern = [[j for j in range(n) if j != i and rng.random() < density] for i in range(n)]
+    if symmetric:
+        for i in range(n):
+            pattern[i] = sorted(set(pattern[i]) | {j for j in range(n) if i in pattern[j]})
+    entries = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-(1 << 40), 1 << 40))
+    rows = []
+    for i in range(n):
+        factor = draw(st.sampled_from((1, 1, 2, -3, 6 ** 5)))
+        row = [0] * n
+        for j in pattern[i] + [i]:
+            row[j] = factor * draw(entries)
+        rows.append(row)
+    return rows
+
+
+class TestPlannedDet:
+    """`_elimination_plan` and `_planned_det` against the dense
+    `_bareiss_int_det` and sympy."""
+
+    def check(self, rows, below):
+        before = [list(r) for r in rows]
+        got = _planned_det(rows, below)
+        assert rows == before
+        assert type(got) is int
+        assert got == _bareiss_int_det(rows)
+        return got
+
+    @settings(max_examples=300, deadline=None)
+    @given(_patterned())
+    def test_random_patterns(self, rows):
+        got = self.check(*planned(rows))
+        assert got == (sympy.Matrix(rows).det() if rows else 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_patterned())
+    def test_plan_covers_the_fill(self, rows):
+        # the structural fill of elimination without pivoting in plan order,
+        # the one-way pattern as it is: at step k, row i gains row k's
+        # columns when it has column k, and then only rows of below[k] may
+        n = len(rows)
+        order, below = _elimination_plan(n, [[j for j, x in enumerate(r) if x] for r in rows])
+        assert sorted(order) == list(range(n))
+        where = {v: k for k, v in enumerate(order)}
+        struct = [{where[j] for j, x in enumerate(rows[i]) if x} | {k}
+                  for k, i in enumerate(order)]
+        for k in range(n):
+            assert below[k] == sorted(set(below[k])) and all(i > k for i in below[k])
+            hit = {i for i in range(k + 1, n) if k in struct[i]}
+            assert hit <= set(below[k])
+            for i in hit:
+                struct[i] |= {j for j in struct[k] if j > k}
+
+    def test_minimum_degree_order(self):
+        # an arrow: vertex 0 sees every other, which see only 0; the leaves
+        # go first, each with 0 alone below it, and nothing fills in (0 and
+        # the last leaf tie at the end)
+        n = 6
+        arrow = [list(range(1, n))] + [[0] for _ in range(1, n)]
+        order, below = _elimination_plan(n, arrow)
+        assert order == [1, 2, 3, 4, 0, 5]
+        assert below == [[4]] * 4 + [[5], []]
+        # a path 3 - 0 - 2 - 1: an end first, ties by index, then the new
+        # end; no fill
+        order, below = _elimination_plan(4, [[2], [], [1], [0]])
+        assert order == [1, 2, 0, 3] and below == [[1], [2], [3], []]
+        # a 4-cycle: eliminating 0 joins 1 and 3
+        order, below = _elimination_plan(4, [[1], [2], [3], [0]])
+        assert order == [0, 1, 2, 3] and below == [[1, 3], [2, 3], [3], []]
+        assert _elimination_plan(0, []) == ([], [])
+
+    def test_zero_pivots_take_the_fallback(self, monkeypatch):
+        calls = []
+
+        def spy(rows):
+            calls.append([list(r) for r in rows])
+            return _bareiss_int_det(rows)
+
+        monkeypatch.setattr(exact_mod, "_bareiss_int_det", spy)
+        full = [[1, 2, 3], [4, 5, 6], [7, 8, 10]]
+        below = [[1, 2], [2], []]
+        # a zero first pivot
+        rows = [[0, 2, 3], [4, 5, 6], [7, 8, 10]]
+        assert self.check(rows, below) == int(sympy.Matrix(rows).det())
+        assert calls == [rows]
+        # a pivot that turns 0 at the second step: 1 * 1 - 1 * 1
+        calls.clear()
+        rows = [[1, 1, 0], [1, 1, 1], [0, 1, 1]]
+        assert self.check(rows, below) == -1
+        assert calls == [rows]
+        # the same after rows were rescaled and updated: content 2 and 3
+        calls.clear()
+        rows = [[2, 4, 6], [3, 6, 9 + 3], [5, 1, 1]]
+        assert self.check(rows, below) == int(sympy.Matrix(rows).det())
+        assert calls == [rows]
+        calls.clear()
+        assert self.check(full, below) == -3 and not calls
+
+    def test_lazy_rows_and_contents(self):
+        # row 2 has a 0 in columns 0 and 1, so it is only updated at step 2
+        # after both pivots went past it; the rows have contents 2, 3 and 5
+        rows = [[2, 4, 0, 6], [3, 9, 0, 6], [0, 0, 5, 10], [2, 6, 4, 8]]
+        assert self.check(rows, [[1, 3], [3], [3], []]) == int(sympy.Matrix(rows).det())
+
+    def test_singular_and_zero_rows(self):
+        below = [[1, 2], [2], []]
+        assert self.check([[1, 2, 3], [0, 0, 0], [4, 5, 6]], below) == 0
+        assert self.check([[2, 4, 6], [1, 2, 3], [7, -1, 5]], below) == 0
+        assert self.check([[1, 2, 3], [4, 5, 6], [7, 8, 9]], below) == 0
+        assert self.check([[0, 0], [0, 0]], [[1], []]) == 0
+        assert _planned_det([], []) == 1
+        assert self.check([[-12]], [[]]) == -12
+        rng = random.Random(7)
+        for _ in range(40):
+            n = rng.randint(2, 7)
+            base = [[rng.randint(-9, 9) if rng.random() < 0.5 else 0 for _ in range(n)]
+                    for _ in range(n - 1)]
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            base.insert(rng.randrange(n), [a * x + b * y for x, y in zip(base[0], base[-1])])
+            rows, below = planned(base)
+            assert self.check(rows, below) == 0
+
+    def test_pattern_entries_that_are_zero(self):
+        # the plan is made for a denser pattern than the values have
+        rng = random.Random(8)
+        for _ in range(60):
+            n = rng.randint(1, 7)
+            order, below = _elimination_plan(n, [list(range(n)) for _ in range(n)])
+            rows = [[rng.randint(-5, 5) if rng.random() < 0.4 else 0 for _ in range(n)]
+                    for _ in range(n)]
+            self.check([[rows[i][j] for j in order] for i in order], below)
+
+
+class TestPlannedCertificates:
+    """A planned determinant off by one at a single sample point fails the
+    weighted-Ihara certificate."""
+
+    @staticmethod
+    def off_by_one(monkeypatch, module, at):
+        planned_det = exact_mod._planned_det
+        calls = [0]
+
+        def wrong(rows, below):
+            value = planned_det(rows, below)
+            calls[0] += 1
+            return value + 1 if calls[0] - 1 == at else value
+
+        monkeypatch.setattr(module, "_planned_det", wrong)
+        return calls
+
+    def test_weighted_ihara_fails(self, monkeypatch):
+        # det(Y) is the product of the block determinants, so a change in
+        # one block goes unseen where another is 0; that needs two blocks
+        # with a pair factor 1 - t**2 w w' vanishing at one point, as on the
+        # unit graphs at t = 1 and -1.  These graphs have one such block at
+        # most: example1 is one block, the others are weighted.
+        graphs = [example1(), weighted_3cycle()] + TestVertexPlan.graphs()[1:5:2]
+        for g in graphs:
+            es = build_edge_space(g)
+            calls = self.off_by_one(monkeypatch, edgespace_mod, -1)
+            assert verify_weighted_ihara(g).equal
+            total = calls[0]
+            assert total >= 2 * (g.n + es.m) + 1
+            for at in range(total):
+                self.off_by_one(monkeypatch, edgespace_mod, at)
+                cert = verify_weighted_ihara(g)
+                assert not cert.equal and cert.details["samples_consistent"] is False, (g.edges, at)

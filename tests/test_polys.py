@@ -24,7 +24,7 @@ from nbwalks import (
 )
 from nbwalks.errors import NotSquareError, ZeroPolynomialError
 from nbwalks import polys as polys_mod
-from nbwalks.exact import _bareiss_int_det, _clear_denominators
+from nbwalks.exact import _clear_denominators, _planned_det
 from nbwalks.polys import (
     RootRecord,
     _polymat_det_bareiss,
@@ -808,24 +808,54 @@ class TestPolymatDetCrossCheck:
             yield tau_dgl(g, F(1, 3))
 
     def test_same_points_as_fraction_check(self, monkeypatch):
-        seen = []
+        seen, orders = [], []
+        elimination_plan = polys_mod._elimination_plan
 
-        def spy(rows):
+        def plan_spy(n, nonzeros):
+            order, below = elimination_plan(n, nonzeros)
+            orders.append(order)
+            return order, below
+
+        def spy(rows, below):
             seen.append([list(r) for r in rows])
-            return _bareiss_int_det(rows)
+            return _planned_det(rows, below)
 
-        monkeypatch.setattr(polys_mod, "_bareiss_int_det", spy)
+        monkeypatch.setattr(polys_mod, "_elimination_plan", plan_spy)
+        monkeypatch.setattr(polys_mod, "_planned_det", spy)
         for m in self.matrices():
             seen.clear()
+            orders.clear()
             det = polymat_det(m)
             want = []
             _fraction_cross_check(m, det, lambda t, at: want.append(at))
             assert len(seen) == len(want) > 0
+            assert len(orders) == 1 and sorted(orders[0]) == list(range(m.nrows))
             # each integer matrix is m(t) at the reference's point times the
-            # lcm of all the entries' denominators
+            # lcm of all the entries' denominators, its rows and columns
+            # both in the plan's order
             den = _clear_denominators([c for row in m.entries for e in row for c in e.coeffs])[1]
+            order = orders[0]
             for got, at in zip(seen, want):
-                assert got == [[x * den for x in row] for row in at.data]
+                assert got == [[at.data[i][j] * den for j in order] for i in order]
+
+    def test_wrong_point_value_is_caught(self, monkeypatch):
+        # the planned determinant off by one at a single point
+        for m in self.matrices():
+            calls = []
+
+            def count(rows, below):
+                calls.append(1)
+                return _planned_det(rows, below)
+
+            monkeypatch.setattr(polys_mod, "_planned_det", count)
+            polymat_det(m)
+            for at in range(len(calls)):
+                def off_by_one(rows, below, step=itertools.count(), at=at):
+                    return _planned_det(rows, below) + (next(step) == at)
+
+                monkeypatch.setattr(polys_mod, "_planned_det", off_by_one)
+                with pytest.raises(RuntimeError, match="determinant cross-check failed"):
+                    polymat_det(m)
 
     @pytest.mark.parametrize("delta", [1, -1])
     def test_wrong_coefficient_is_caught(self, monkeypatch, delta):
