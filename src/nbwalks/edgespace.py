@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING
 
-from .exact import Matrix, _clear_denominators, _elimination_plan, _planned_det, _tarjan_sccs
+from .exact import Matrix, _bareiss_int_det, _clear_denominators, _elimination_plan, _tarjan_sccs
 
 if TYPE_CHECKING:
     from .graphs import Graph
@@ -195,8 +195,7 @@ class VertexPlan:
     strongly connected components of the graph; ``inner`` holds, for each
     block of two or more vertices, the same arcs restricted to the block
     with its vertices numbered in the order of the block's
-    `_elimination_plan`, and that plan's ``below``; ``singletons`` counts
-    the other blocks.
+    `_elimination_plan`; ``singletons`` counts the other blocks.
     """
 
     __slots__ = ("ell", "arcs", "blocks", "inner", "singletons")
@@ -216,14 +215,14 @@ class VertexPlan:
         for verts in self.blocks:
             if len(verts) > 1:
                 local = {v: i for i, v in enumerate(verts)}
-                order, below = _elimination_plan(
+                order = _elimination_plan(
                     len(verts), [[local[v] for v in out[u] if v in local] for u in verts])
                 verts = [verts[i] for i in order]
                 place = {v: i for i, v in enumerate(verts)}
-                self.inner.append(([
+                self.inner.append([
                     ([(place[v], ze) for v, ze in self.arcs[u][0] if v in place],
                      [(place[v], ze, zz) for v, ze, zz in self.arcs[u][1]])
-                    for u in verts], below))
+                    for u in verts])
 
     def rows(self, p, s, tau=1) -> tuple[list[list[int]], list[int]]:
         """The whole n-by-n Y at t = p/q, s = q * ell and tau, and the d_u."""
@@ -237,11 +236,11 @@ class VertexPlan:
         alone in its component has no reciprocated arc (its reverse would
         join the two ends), so its 1x1 block, its diagonal entry, is s.
         Y has the graph's pattern at every t, so each larger block's rows
-        come out in the order of its plan, made once, and `_planned_det`
-        eliminates them on it."""
+        come out in the order of its plan, made once, and
+        `_bareiss_int_det` eliminates them in that order."""
         total = s**self.singletons
-        for arcs, below in self.inner:
-            total *= _planned_det(_plan_rows(arcs, p, s)[0], below)
+        for arcs in self.inner:
+            total *= _bareiss_int_det(_plan_rows(arcs, p, s)[0])
             if not total:
                 return 0
         return total

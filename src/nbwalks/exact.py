@@ -15,16 +15,16 @@ directly on rows of (columns, entries), the sparse row format
 `Polynomial`, is the product of those of the diagonal blocks that the
 strongly connected components of the nonzero pattern (`_tarjan_sccs`, the
 package's one SCC routine) cut the matrix into, each from Berkowitz's
-division-free algorithm.  `Matrix.det`, `solve`, `inverse` and `rank` run
-one dense fraction-free elimination, `_fraction_free` (Bareiss 1968):
-forward for a determinant or the rank, Gauss-Jordan for a solve, whose
-solution is then the eliminated right-hand side over a single integer
-denominator.  The determinants sampled at many points of one nonzero
-pattern, the weighted-Ihara and `polymat_det` point checks, run instead on
-an elimination plan made once for the pattern (`_elimination_plan`, a
-minimum-degree order and its fill): `_planned_det` takes Bareiss steps
-only where the pivot column has entries, and falls back to the dense
-`_bareiss_int_det` at a zero pivot.
+division-free algorithm.  Every integer determinant, rank and solve runs
+one fraction-free elimination, `_fraction_free` (Bareiss 1968): forward
+for a determinant or the rank, Gauss-Jordan for a solve, whose solution
+is then the eliminated right-hand side over a single integer denominator.
+Each step updates only the rows with an entry in the pivot column and
+leaves the others to be rescaled lazily (Sylvester's identity), so a
+sparse matrix costs what its fill costs.  The determinants sampled at many
+points of one nonzero pattern, the weighted-Ihara and `polymat_det` point
+checks, take their rows in a minimum-degree order found once for the
+pattern (`_elimination_plan`), which keeps that fill small.
 """
 
 from __future__ import annotations
@@ -372,58 +372,79 @@ def _int_product(left, right, width: int) -> list[list[int]]:
 def _fraction_free(rows, ncols: int, full: bool):
     """Fraction-free elimination of the integer rows, in place, on their
     first ``ncols`` columns; returns (rank, last pivot, sign of the row
-    swaps).
+    swaps).  Each row is replaced, never changed, so rows may be tuples.
 
     Column by column, the first row at or below the current rank with a
-    nonzero entry there becomes the pivot row k with pivot p_k, and each
-    other row i becomes (p_k * row_i - a_ik * row_k) // p_(k-1), p_(-1) = 1:
-    below row k only (forward Bareiss), or above it too when ``full``
-    (Gauss-Jordan).  Every entry is then a minor of the input (Sylvester's
-    identity), so each division is exact; a row with a_ik = 0 is still
-    scaled by p_k / p_(k-1).  The pivot column is then 0 in every updated
-    row but row k, where it is p_k, and in a full elimination each earlier
-    pivot row's entry there becomes p_k as well; so each step drops the
-    column from the rows it updates rather than computing it.  After a full
-    elimination of rank ``ncols`` the rows hold only their later columns,
-    over the last pivot as common denominator.  In full mode a column
-    without a pivot ends the elimination: the leading block is singular,
-    and the rank returned is below ``ncols``.  A forward elimination of a
-    square matrix of full rank ends with its determinant, times the sign,
-    as the last pivot.
+    nonzero entry there becomes the pivot row k with pivot p_k.  Bareiss's
+    step (1968) turns each other row i into
+    (p_k row_i - a_ik row_k) / p_(k-1), p_(-1) = 1: below row k only
+    (forward), or above it too when ``full`` (Gauss-Jordan).  Every entry
+    is then a minor of the input (Sylvester's identity), so each division
+    is exact, and a row with a_ik = 0 would only be scaled by
+    p_k / p_(k-1).  So a step updates only the rows with a nonzero in the
+    pivot column, by (p_k row_i - a_ik row_k) // p_s, p_s the pivot of the
+    step that last updated row i.  Every other row stays as that step left
+    it, and its true entries are those times p_(k-1) / p_s; it is brought
+    up to date when it becomes the pivot row and, in a full elimination,
+    at the end.  The pivot column is 0 in every updated row but row k,
+    where it is p_k, and in a full elimination each earlier pivot row's
+    entry there becomes p_k as well; so each step drops the column from the
+    rows it updates rather than computing it.
+
+    After a full elimination of rank ``ncols`` the rows hold only their
+    later columns, over the last pivot as common denominator.  In full mode
+    a column without a pivot ends the elimination: the leading block is
+    singular, and the rank returned is below ``ncols``.  A forward
+    elimination leaves the rows partly eliminated; for a square matrix of
+    full rank its last pivot is the determinant, times the sign.
     """
     nr = len(rows)
-    rank, prev, sign = 0, 1, 1
-    for _ in range(ncols):
+    start = [0] * nr  # the column of each row's first stored entry
+    stamp = [0] * nr  # pivots[stamp[i]] = p_s for row i
+    pivots = [1]
+    rank, sign = 0, 1
+    for j in range(ncols):
         if rank == nr:
             break
         for piv in range(rank, nr):
-            if rows[piv][0]:
+            if rows[piv][j - start[piv]]:
                 break
         else:
             if full:
                 break
-            rows[rank:] = [row[1:] for row in rows[rank:]]
             continue
-        rowk = rows[piv]
         if piv != rank:
-            rows[piv] = rows[rank]
+            rows[piv], rows[rank] = rows[rank], rows[piv]
+            start[piv], start[rank] = start[rank], start[piv]
+            stamp[piv], stamp[rank] = stamp[rank], stamp[piv]
             sign = -sign
+        step = len(pivots)
+        rowk = rows[rank][j - start[rank]:]
+        if stamp[rank] != step - 1:
+            prev, ps = pivots[-1], pivots[stamp[rank]]
+            rowk = [x * prev // ps for x in rowk]
         pk = rowk[0]
         rowk = rows[rank] = rowk[1:]
+        start[rank], stamp[rank] = j + 1, step
         for i in range(0 if full else rank + 1, nr):
             if i == rank:
                 continue
             rowi = rows[i]
-            a = rowi[0]
+            at = j - start[i]
+            a = rowi[at]
             if a:
-                rows[i] = [(pk * x - a * y) // prev for x, y in zip(rowi[1:], rowk)]
-            elif pk != prev:
-                rows[i] = [pk * x // prev for x in rowi[1:]]
-            else:
-                rows[i] = rowi[1:]
-        prev = pk
+                ps = pivots[stamp[i]]
+                rows[i] = [(pk * x - a * y) // ps for x, y in zip(rowi[at + 1:], rowk)]
+                start[i], stamp[i] = j + 1, step
+        pivots.append(pk)
         rank += 1
-    return rank, prev, sign
+    last = pivots[-1]
+    if full and rank == ncols:
+        for i in range(nr):
+            ps = pivots[stamp[i]]
+            row = rows[i][ncols - start[i]:]
+            rows[i] = row if ps == last else [x * last // ps for x in row]
+    return rank, last, sign
 
 
 def _bareiss_int_det(rows) -> int:
@@ -451,19 +472,18 @@ def _bareiss_int_det(rows) -> int:
     return sign * contents * pivot if rank == n else 0
 
 
-def _elimination_plan(n: int, nonzeros):
+def _elimination_plan(n: int, nonzeros) -> list[int]:
     """A fixed elimination order for the n-by-n matrices whose row i can be
-    nonzero only in the columns nonzeros[i] (and on the diagonal).
+    nonzero only in the columns nonzeros[i] (and on the diagonal).  Row and
+    column k of the planned matrix are row and column order[k] of the
+    input for the order returned: a symmetric permutation, which keeps the
+    determinant.
 
     Greedy minimum degree (George & Liu 1981) on the symmetrized pattern,
     ties broken by index: each step eliminates a vertex of fewest
     neighbours and joins those neighbours into a clique, the fill of its
-    elimination.  Returns (order, below): row and column k of the planned
-    matrix are row and column order[k] of the input, and below[k] lists,
-    ascending, the later planned rows that can hold column k once the
-    earlier pivots have been eliminated.  Elimination without pivoting
-    fills no more than the symmetrized pattern does, so every other later
-    row has a 0 there.
+    elimination.  `_fraction_free` updates only the rows with an entry in
+    the pivot column, so in this order a step's arithmetic is that fill.
     """
     adj = [set() for _ in range(n)]
     for i, cols in enumerate(nonzeros):
@@ -472,7 +492,7 @@ def _elimination_plan(n: int, nonzeros):
                 adj[i].add(j)
                 adj[j].add(i)
     left = set(range(n))
-    order, fill = [], []
+    order = []
     for _ in range(n):
         v = min(left, key=lambda u: (len(adj[u]), u))
         left.remove(v)
@@ -481,57 +501,4 @@ def _elimination_plan(n: int, nonzeros):
             adj[u] |= nbrs
             adj[u] -= {u, v}
         order.append(v)
-        fill.append(nbrs)
-    position = {v: k for k, v in enumerate(order)}
-    return order, [sorted(position[u] for u in nbrs) for nbrs in fill]
-
-
-def _planned_det(rows, below) -> int:
-    """Fraction-free determinant of the square integer rows, already in the
-    order of an `_elimination_plan` whose ``below`` is given; a symmetric
-    permutation keeps the determinant, so there is no sign to track.
-
-    Each row is divided by its content first, as in `_bareiss_int_det`.
-    Step k then runs Bareiss's update row_i <- (p_k row_i - a_ik row_k) / p_s
-    only on the rows of below[k] with a nonzero in column k, p_s being the
-    pivot of the step that last updated row i (p_(-1) = 1).  The other
-    rows would only be scaled by p_k / p_(k-1), so each row stays as its
-    last update left it, over the columns after that step: by Sylvester's
-    identity its current entries are those times p_(k-1) / p_s, exactly,
-    which the update above and the pivot row, brought up to date before
-    its step, take into account.  The last pivot is the determinant.  A
-    zero pivot needs a row swap the plan does not have: the determinant is
-    then `_bareiss_int_det` of the input rows, which are never modified.
-    """
-    work = []
-    contents = 1
-    for row in rows:
-        c = gcd(*row)
-        if c == 0:
-            return 0
-        if c != 1:
-            row = [x // c for x in row]
-            contents *= c
-        work.append(row)
-    stamp = [-1] * len(work)  # the step that last updated each row
-    pivots = [1]  # pivots[k + 1] = p_k
-    for k, targets in enumerate(below):
-        s = stamp[k]
-        rowk = work[k][k - s - 1:]  # columns k, k + 1, ...
-        if s != k - 1:
-            prev, ps = pivots[-1], pivots[s + 1]
-            rowk = [x * prev // ps for x in rowk]
-        pk = rowk[0]
-        if not pk:
-            return _bareiss_int_det(rows)
-        del rowk[0]
-        for i in targets:
-            rowi = work[i]
-            s = stamp[i]
-            a = rowi[k - s - 1]
-            if a:
-                ps = pivots[s + 1]
-                work[i] = [(pk * x - a * y) // ps for x, y in zip(rowi[k - s:], rowk)]
-                stamp[i] = k
-        pivots.append(pk)
-    return contents * pivots[-1]
+    return order

@@ -188,10 +188,12 @@ def _vertex_sample_check(es, g_poly, rhs, count):
     arcs and P the pair product, so with g(t) = gn / (gd * g_lcm) and
     rhs(t) = rn / (rd * r_lcm) the check is the integer equality
     det(Y) * gd * g_lcm * rd * r_lcm == s**(n + 2 r) * gn * rn.
-    Both sides are polynomial in p, so it holds also where some
-    1 - t**2 w w' is 0; points where g(t) = 0 are skipped.  The plan takes
-    det(Y) over the strongly connected components of the graph, which
-    split Y at every t, each on its fixed elimination order.
+    Both sides are polynomial in p, so it would hold also where some
+    1 - t**2 w w' is 0; but points where g(t) = 0 or rhs(t) = 0 are
+    skipped.  So det(Y) is nonzero at every point that passes, and a
+    wrong determinant of any one block shows.  The plan takes det(Y) over
+    the strongly connected components of the graph, which split Y at every
+    t, each in its fixed elimination order.
 
     Divided by s**(n + 2 r), det(Y) is a polynomial in t of degree at most
     n + 2 r: row u over s**(1 + 2 r_u), r_u the reciprocated arcs leaving
@@ -215,6 +217,8 @@ def _vertex_sample_check(es, g_poly, rhs, count):
         if gn == 0:
             continue
         rn, rd = _zhomogeneous(r_ints, p, q)
+        if rn == 0:
+            continue
         s = q * plan.ell
         y = plan.det(p, s)
         if y * gd * g_lcm * rd * r_lcm != s**power * gn * rn:

@@ -34,11 +34,11 @@ from math import gcd, lcm
 from .errors import NotSquareError, ZeroPolynomialError
 from .exact import (
     Matrix,
+    _bareiss_int_det,
     _clear_denominators,
     _elimination_plan,
     _frac,
     _lowest_terms,
-    _planned_det,
     _rational,
 )
 from .zpoly import (
@@ -599,8 +599,8 @@ def polymat_det(m: PolyMatrix) -> Polynomial:
     determinant must equal the Z[t] determinant's value at t.  Those
     matrices all have the nonzero pattern of m, so the rows are permuted
     once into the order of its `_elimination_plan` and each point's
-    determinant is `_planned_det`'s.  A disagreement means a bug and raises
-    RuntimeError.
+    determinant is `_bareiss_int_det`'s in that order.  A disagreement
+    means a bug and raises RuntimeError.
     """
     if not m.is_square():
         raise NotSquareError(f"{m.nrows}x{m.ncols} polynomial matrix")
@@ -609,13 +609,12 @@ def polymat_det(m: PolyMatrix) -> Polynomial:
     rows = m.ints
     det = _polymat_det_bareiss(rows)
     bound = max(sum(max(len(e) for e in row) - 1 for row in rows), 0)
-    order, below = _elimination_plan(m.nrows, [[j for j, e in enumerate(row) if e]
-                                               for row in rows])
+    order = _elimination_plan(m.nrows, [[j for j, e in enumerate(row) if e] for row in rows])
     planned = [[rows[i][j] for j in order] for i in order]
     t = 0
     for _ in range(bound + 1):
         at_t = [[_zhomogeneous(e, t, 1)[0] if e else 0 for e in row] for row in planned]
-        if _planned_det(at_t, below) != _zhomogeneous(det, t, 1)[0]:
+        if _bareiss_int_det(at_t) != _zhomogeneous(det, t, 1)[0]:
             raise RuntimeError("determinant cross-check failed")
         t = -t if t > 0 else -t + 1
     return Polynomial(det, m.den**m.nrows)

@@ -428,7 +428,8 @@ def adjugate_sample_check(es, g_poly, rhs, count):
     den**n * g(t)**n * det(Phi), the check det(Phi) * g(t) == rhs(t) with
     rhs(t) = rn / rd is the integer equality
     det(N) * rd == rn * gn**(n - 1) * den, and det(N) comes from the same
-    Bareiss kernel as `Matrix.det`.  Points where g(t) = 0 are skipped.
+    Bareiss kernel as `Matrix.det`.  Points where g(t) = 0 or rhs(t) = 0
+    are skipped.
     """
     n = es.n
     m = es.m
@@ -452,7 +453,8 @@ def adjugate_sample_check(es, g_poly, rhs, count):
         p, q = t.numerator, t.denominator
         base = q * ell
         gn, den = _zhomogeneous(h, p, base)
-        if gn == 0:
+        rn, rd = _zhomogeneous(r_ints, p, q)  # rhs(t) = rn / (rd * r_lcm)
+        if gn == 0 or rn == 0:
             continue
         # sum_j K_j p**j base**(m-1-j) by integer Horner
         acc = k_ints[m - 1]
@@ -463,7 +465,6 @@ def adjugate_sample_check(es, g_poly, rhs, count):
         nmat = [[p * x for x in acc[i * n:(i + 1) * n]] for i in range(n)]
         for i in range(n):
             nmat[i][i] += gn
-        rn, rd = _zhomogeneous(r_ints, p, q)  # rhs(t) = rn / (rd * r_lcm)
         if _bareiss_int_det(nmat) * rd * r_lcm != rn * gn ** (n - 1) * den:
             return False, checked
         checked += 1

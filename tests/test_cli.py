@@ -19,7 +19,7 @@ from nbwalks.errors import (
 from nbwalks import cli as cli_mod
 from nbwalks import edgespace as edgespace_mod
 from nbwalks.cli import main, run_command
-from nbwalks.exact import _planned_det
+from nbwalks.exact import _bareiss_int_det
 from nbwalks.fileio import matrix_json, parse_weight, poly_json, rational_str, to_json
 from nbwalks.ihara import IdentityCertificate
 from nbwalks.walks import nbt_katz_centrality
@@ -446,10 +446,10 @@ class TestPlannedDeterminantFailure:
         capsys.readouterr()
         step = itertools.count()
 
-        def off_by_one(rows, below):
-            return _planned_det(rows, below) + (next(step) == 4)
+        def off_by_one(rows):
+            return _bareiss_int_det(rows) + (next(step) == 4)
 
-        monkeypatch.setattr(edgespace_mod, "_planned_det", off_by_one)
+        monkeypatch.setattr(edgespace_mod, "_bareiss_int_det", off_by_one)
         assert main(argv) == 2
         assert next(step) == 5  # the check stops at the point that failed
         assert json.loads(capsys.readouterr().out)["payload"]["all_equal"] is False

@@ -3,10 +3,11 @@ polynomial against two oracles each, the block characteristic polynomial
 against the unsplit Berkowitz and sympy, the one Tarjan routine, the
 primitive-row Bareiss determinant against sympy, the fraction-free solve,
 inverse and rank against sympy and the Fraction eliminations before them,
-the planned determinant and its elimination plan against the dense one and
-sympy, and the vertex-space weighted-Ihara sample check, on the graph's
-blocks, against the whole determinant, the edge-space adjugate route and
-the Fraction route before it."""
+the one lazy fraction-free elimination on sparse patterns and in plan order
+against the determinant loop before it, the Fraction routes and sympy, and
+the vertex-space weighted-Ihara sample check, on the graph's blocks,
+against the whole determinant, the edge-space adjugate route and the
+Fraction route before it."""
 
 import random
 from fractions import Fraction as F
@@ -26,7 +27,6 @@ from nbwalks.exact import (
     _clear_denominators,
     _elimination_plan,
     _fraction_free,
-    _planned_det,
     _tarjan_sccs,
 )
 from nbwalks.ihara import _vertex_sample_check
@@ -194,7 +194,7 @@ def fraction_sample_check(es, step, g_poly, rhs, count):
         if checked == count:
             break
         gt = g_poly(t)
-        if gt == 0:
+        if gt == 0 or rhs(t) == 0:
             continue
         p, q = t.numerator, t.denominator
         base = q * ell
@@ -222,14 +222,14 @@ def sample_inputs(g):
     return es, step, g_poly, verify_weighted_ihara(g).rhs, 2 * (g.n + es.m) + 1
 
 
-def sample_points(g_poly, count):
-    """The first ``count`` candidate points at which g does not vanish, and
-    the candidates skipped on the way."""
+def sample_points(g_poly, rhs, count):
+    """The first ``count`` candidate points at which neither g nor rhs
+    vanishes, and the candidates skipped on the way."""
     points, skipped = [], []
     for t in least_height_candidates():
         if len(points) == count:
             break
-        (skipped if g_poly(t) == 0 else points).append(t)
+        (skipped if g_poly(t) == 0 or rhs(t) == 0 else points).append(t)
     return points, skipped
 
 
@@ -656,7 +656,7 @@ class TestWeightedIharaSamples:
                              ids=["unit-4-cycle", "3-cycle-2-2-2", "3-cycle-half-4-4"])
     def test_skipped_candidate(self, build, expected):
         es, step, g_poly, rhs, count = sample_inputs(build())
-        points, skipped = sample_points(g_poly, count)
+        points, skipped = sample_points(g_poly, rhs, count)
         assert skipped == expected
         assert all_routes(es, step, g_poly, rhs, count) == (True, count)
         # a wrong rhs is caught at a point after the skipped one
@@ -665,19 +665,21 @@ class TestWeightedIharaSamples:
 
     def test_point_where_a_pair_factor_vanishes(self):
         # with unit weights 1 - t^2 w w' is 0 at t = 1 and t = -1, the second
-        # and third candidates; both are checked, and a rhs wrong only at
-        # one of them fails there
+        # and third candidates; rhs is 0 there, so both are skipped, but a
+        # rhs wrong only at one of them is not 0 there, and fails there
         es, step, g_poly, rhs, count = sample_inputs(single_recip_edge(1, 1))
-        points, skipped = sample_points(g_poly, count)
-        assert not skipped and points[1:3] == [1, -1] and rhs(F(1)) == rhs(F(-1)) == 0
+        points, skipped = sample_points(g_poly, rhs, count)
+        assert skipped == [1, -1] and rhs(F(1)) == rhs(F(-1)) == 0
         assert all_routes(es, step, g_poly, rhs, count) == (True, count)
+        candidates = points[:1] + skipped + points[1:]
         for k in (1, 2):
             vanishing = Polynomial([1])
-            for t in points[:k] + points[k + 1:]:
+            for t in candidates[:k] + candidates[k + 1:]:
                 vanishing = vanishing * Polynomial([-t, 1])
             bad = rhs + vanishing
-            assert [t for t in points if bad(t) != rhs(t)] == [points[k]]
-            assert all_routes(es, step, g_poly, bad, count) == (False, k)
+            assert [t for t in candidates if bad(t) != rhs(t)] == [candidates[k]]
+            # the other of t = 1 and -1 is still skipped
+            assert all_routes(es, step, g_poly, bad, count) == (False, 1)
 
     def test_matches_fraction_route(self):
         graphs = self.reference_graphs()
@@ -692,9 +694,10 @@ class TestWeightedIharaSamples:
                 assert adjugate_sample_check(es, g_poly, rhs, few) == (True, few)
 
     def test_perturbed_rhs_matches_fraction_route(self):
+        same = 0
         for g in self.reference_graphs():
             es, step, g_poly, rhs, count = sample_inputs(g)
-            points, _ = sample_points(g_poly, count)
+            points, _ = sample_points(g_poly, rhs, count)
             t0, t1 = points[0], points[1]
             perturbed = [
                 # agrees at t = 0, the first checked point, only
@@ -706,8 +709,18 @@ class TestWeightedIharaSamples:
                 # agrees at the first two checked points only
                 (rhs + Polynomial([-t0, 1]) * Polynomial([-t1, 1]), 2),
             ]
-            for bad, first_failure in perturbed:
-                assert all_routes(es, step, g_poly, bad, count) == (False, first_failure)
+            for bad, stated in perturbed:
+                # the check skips the zeros of the rhs it is given: where
+                # rhs(t) = 0 but bad(t) != 0, t is one of bad's points and
+                # fails there; where both have the same points, the stated
+                # point is the first to fail
+                bad_points = sample_points(g_poly, bad, count)[0]
+                first = next(k for k, t in enumerate(bad_points) if bad(t) != rhs(t))
+                if bad_points[:stated + 1] == points[:stated + 1]:
+                    assert first == stated
+                    same += 1
+                assert all_routes(es, step, g_poly, bad, count) == (False, first)
+        assert same >= 40
 
     def test_vertex_rows_invert_phi(self):
         # (I - X(t))^-1 == Phi(t) = I + t L^T Z (I - t B Z)^-1 R wherever no
@@ -1034,10 +1047,10 @@ class TestVertexPlan:
     def test_block_product_is_the_whole_determinant(self):
         sizes = set()
         for g in self.graphs():
-            es, _, g_poly, _, count = sample_inputs(g)
+            es, _, g_poly, rhs, count = sample_inputs(g)
             plan = es.vertex_plan
             sizes.update(len(b) for b in plan.blocks)
-            points, skipped = sample_points(g_poly, count)
+            points, skipped = sample_points(g_poly, rhs, count)
             for t in points + skipped:
                 p, s = t.numerator, t.denominator * plan.ell
                 assert plan.det(p, s) == _bareiss_int_det(plan.rows(p, s)[0]), (g.edges, t)
@@ -1055,26 +1068,27 @@ class TestVertexPlan:
         for g in self.graphs():
             es, step, g_poly, rhs, count = sample_inputs(g)
             assert all_routes(es, step, g_poly, rhs, count) == (True, count)
-            t0, t1 = sample_points(g_poly, count)[0][:2]
-            # a wrong g goes unseen where it agrees with g or where rhs(t) =
-            # 0, as both sides carry the pair product there; this one
-            # agrees with g at t0
+            t0, t1 = sample_points(g_poly, rhs, count)[0][:2]
+            # a wrong g goes unseen where it agrees with g; this one agrees
+            # with g at t0
             for bad_g in (g_poly * Polynomial([2]),
                           g_poly + Polynomial([-t0, 1]) * Polynomial([F(1, 3)])):
-                points = sample_points(bad_g, count)[0]
-                first = next(k for k, t in enumerate(points)
-                             if bad_g(t) != g_poly(t) and rhs(t) != 0)
+                points = sample_points(bad_g, rhs, count)[0]
+                first = next(k for k, t in enumerate(points) if bad_g(t) != g_poly(t))
                 assert _vertex_sample_check(es, bad_g, rhs, count) == (False, first)
+            # bad_rhs agrees with rhs at t0 and t1 only, and is checked
+            # where rhs(t) = 0 but bad_rhs(t) != 0
             bad_rhs = rhs + Polynomial([-t0, 1]) * Polynomial([-t1, 1])
-            assert all_routes(es, step, g_poly, bad_rhs, count) == (False, 2)
+            points = sample_points(g_poly, bad_rhs, count)[0]
+            first = next(k for k, t in enumerate(points) if bad_rhs(t) != rhs(t))
+            assert first == 2 or rhs(points[first]) == 0
+            assert all_routes(es, step, g_poly, bad_rhs, count) == (False, first)
 
 
 def planned(rows):
-    """The rows in the order of their own `_elimination_plan`, and its
-    ``below``."""
-    n = len(rows)
-    order, below = _elimination_plan(n, [[j for j, x in enumerate(row) if x] for row in rows])
-    return [[rows[i][j] for j in order] for i in order], below
+    """The rows in the order of their own `_elimination_plan`."""
+    order = _elimination_plan(len(rows), [[j for j, x in enumerate(row) if x] for row in rows])
+    return [[rows[i][j] for j in order] for i in order]
 
 
 @st.composite
@@ -1102,101 +1116,59 @@ def _patterned(draw, max_n=8):
 
 
 class TestPlannedDet:
-    """`_elimination_plan` and `_planned_det` against the dense
-    `_bareiss_int_det` and sympy."""
+    """`_bareiss_int_det` on rows in the order of their `_elimination_plan`
+    against the determinant loop before it and sympy."""
 
-    def check(self, rows, below):
+    def check(self, rows):
         before = [list(r) for r in rows]
-        got = _planned_det(rows, below)
+        got = _bareiss_int_det(rows)
         assert rows == before
         assert type(got) is int
-        assert got == _bareiss_int_det(rows)
+        assert got == parent_bareiss_int_det(rows)
         return got
 
     @settings(max_examples=300, deadline=None)
     @given(_patterned())
     def test_random_patterns(self, rows):
-        got = self.check(*planned(rows))
+        got = self.check(planned(rows))
         assert got == (sympy.Matrix(rows).det() if rows else 1)
-
-    @settings(max_examples=150, deadline=None)
-    @given(_patterned())
-    def test_plan_covers_the_fill(self, rows):
-        # the structural fill of elimination without pivoting in plan order,
-        # the one-way pattern as it is: at step k, row i gains row k's
-        # columns when it has column k, and then only rows of below[k] may
-        n = len(rows)
-        order, below = _elimination_plan(n, [[j for j, x in enumerate(r) if x] for r in rows])
-        assert sorted(order) == list(range(n))
-        where = {v: k for k, v in enumerate(order)}
-        struct = [{where[j] for j, x in enumerate(rows[i]) if x} | {k}
-                  for k, i in enumerate(order)]
-        for k in range(n):
-            assert below[k] == sorted(set(below[k])) and all(i > k for i in below[k])
-            hit = {i for i in range(k + 1, n) if k in struct[i]}
-            assert hit <= set(below[k])
-            for i in hit:
-                struct[i] |= {j for j in struct[k] if j > k}
 
     def test_minimum_degree_order(self):
         # an arrow: vertex 0 sees every other, which see only 0; the leaves
-        # go first, each with 0 alone below it, and nothing fills in (0 and
-        # the last leaf tie at the end)
+        # go first (0 and the last leaf tie at the end)
         n = 6
         arrow = [list(range(1, n))] + [[0] for _ in range(1, n)]
-        order, below = _elimination_plan(n, arrow)
-        assert order == [1, 2, 3, 4, 0, 5]
-        assert below == [[4]] * 4 + [[5], []]
-        # a path 3 - 0 - 2 - 1: an end first, ties by index, then the new
-        # end; no fill
-        order, below = _elimination_plan(4, [[2], [], [1], [0]])
-        assert order == [1, 2, 0, 3] and below == [[1], [2], [3], []]
+        assert _elimination_plan(n, arrow) == [1, 2, 3, 4, 0, 5]
+        # a path 3 - 0 - 2 - 1: an end first, ties by index, then the new end
+        assert _elimination_plan(4, [[2], [], [1], [0]]) == [1, 2, 0, 3]
         # a 4-cycle: eliminating 0 joins 1 and 3
-        order, below = _elimination_plan(4, [[1], [2], [3], [0]])
-        assert order == [0, 1, 2, 3] and below == [[1, 3], [2, 3], [3], []]
-        assert _elimination_plan(0, []) == ([], [])
+        assert _elimination_plan(4, [[1], [2], [3], [0]]) == [0, 1, 2, 3]
+        assert _elimination_plan(0, []) == []
 
-    def test_zero_pivots_take_the_fallback(self, monkeypatch):
-        calls = []
-
-        def spy(rows):
-            calls.append([list(r) for r in rows])
-            return _bareiss_int_det(rows)
-
-        monkeypatch.setattr(exact_mod, "_bareiss_int_det", spy)
-        full = [[1, 2, 3], [4, 5, 6], [7, 8, 10]]
-        below = [[1, 2], [2], []]
-        # a zero first pivot
-        rows = [[0, 2, 3], [4, 5, 6], [7, 8, 10]]
-        assert self.check(rows, below) == int(sympy.Matrix(rows).det())
-        assert calls == [rows]
-        # a pivot that turns 0 at the second step: 1 * 1 - 1 * 1
-        calls.clear()
-        rows = [[1, 1, 0], [1, 1, 1], [0, 1, 1]]
-        assert self.check(rows, below) == -1
-        assert calls == [rows]
-        # the same after rows were rescaled and updated: content 2 and 3
-        calls.clear()
-        rows = [[2, 4, 6], [3, 6, 9 + 3], [5, 1, 1]]
-        assert self.check(rows, below) == int(sympy.Matrix(rows).det())
-        assert calls == [rows]
-        calls.clear()
-        assert self.check(full, below) == -3 and not calls
+    def test_zero_diagonal_in_plan_order_swaps(self):
+        # a zero first pivot; a pivot that turns 0 at step 2 (1 * 1 - 1 * 1);
+        # the same after rows were divided by their contents 2 and 3; and a
+        # lazy row, untouched at step 0, swapped in and rescaled by p_0 = 2
+        for rows in ([[0, 2, 3], [4, 5, 6], [7, 8, 10]], [[1, 1, 0], [1, 1, 1], [0, 1, 1]],
+                     [[2, 4, 6], [3, 6, 9 + 3], [5, 1, 1]],
+                     [[2, 1, 0, 0], [2, 1, 1, 0], [0, 1, 1, 1], [0, 0, 1, 3]]):
+            assert _fraction_free([list(r) for r in rows], len(rows), False)[2] == -1
+            assert self.check(rows) == int(sympy.Matrix(rows).det())
+        assert self.check([[1, 2, 3], [4, 5, 6], [7, 8, 10]]) == -3
 
     def test_lazy_rows_and_contents(self):
         # row 2 has a 0 in columns 0 and 1, so it is only updated at step 2
         # after both pivots went past it; the rows have contents 2, 3 and 5
         rows = [[2, 4, 0, 6], [3, 9, 0, 6], [0, 0, 5, 10], [2, 6, 4, 8]]
-        assert self.check(rows, [[1, 3], [3], [3], []]) == int(sympy.Matrix(rows).det())
+        assert self.check(rows) == int(sympy.Matrix(rows).det())
 
     def test_singular_and_zero_rows(self):
-        below = [[1, 2], [2], []]
-        assert self.check([[1, 2, 3], [0, 0, 0], [4, 5, 6]], below) == 0
-        assert self.check([[2, 4, 6], [1, 2, 3], [7, -1, 5]], below) == 0
-        assert self.check([[1, 2, 3], [4, 5, 6], [7, 8, 9]], below) == 0
-        assert self.check([[0, 0], [0, 0]], [[1], []]) == 0
-        assert _planned_det([], []) == 1
-        assert self.check([[-12]], [[]]) == -12
+        assert self.check([[1, 2, 3], [0, 0, 0], [4, 5, 6]]) == 0
+        assert self.check([[2, 4, 6], [1, 2, 3], [7, -1, 5]]) == 0
+        assert self.check([[1, 2, 3], [4, 5, 6], [7, 8, 9]]) == 0
+        assert self.check([[0, 0], [0, 0]]) == 0
+        assert self.check([]) == 1
+        assert self.check([[-12]]) == -12
         rng = random.Random(7)
         for _ in range(40):
             n = rng.randint(2, 7)
@@ -1204,45 +1176,140 @@ class TestPlannedDet:
                     for _ in range(n - 1)]
             a, b = rng.randint(-3, 3), rng.randint(-3, 3)
             base.insert(rng.randrange(n), [a * x + b * y for x, y in zip(base[0], base[-1])])
-            rows, below = planned(base)
-            assert self.check(rows, below) == 0
+            assert self.check(planned(base)) == 0
 
     def test_pattern_entries_that_are_zero(self):
         # the plan is made for a denser pattern than the values have
         rng = random.Random(8)
         for _ in range(60):
             n = rng.randint(1, 7)
-            order, below = _elimination_plan(n, [list(range(n)) for _ in range(n)])
+            order = _elimination_plan(n, [list(range(n)) for _ in range(n)])
             rows = [[rng.randint(-5, 5) if rng.random() < 0.4 else 0 for _ in range(n)]
                     for _ in range(n)]
-            self.check([[rows[i][j] for j in order] for i in order], below)
+            self.check([[rows[i][j] for j in order] for i in order])
+
+
+@st.composite
+def _sparse_rows(draw, min_n=0, max_n=9, square=True):
+    """Integer rows on the patterns where rows stay lazy for many steps:
+    an arrow (a hub row and column, else only the diagonal), 2x2
+    reciprocal blocks as in I + tau t Delta, or random; rows and columns
+    then permuted, independently or together, so that diagonal entries in
+    the order given are often 0.  Some rows are zero or tuples."""
+    nrows = draw(st.integers(min_n, max_n))
+    ncols = nrows if square else draw(st.integers(min_n, max_n))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(("arrow", "pairs", "random")))
+    k = max(nrows, ncols)
+    if kind == "arrow":
+        hub = rng.randrange(k) if k else 0
+        pattern = [{i, hub} if i != hub else set(range(k)) for i in range(k)]
+    elif kind == "pairs":
+        perm = list(range(k))
+        rng.shuffle(perm)
+        mate = {}
+        for a, b in zip(perm[::2], perm[1::2]):
+            mate[a], mate[b] = b, a
+        pattern = [{i, mate.get(i, i)} for i in range(k)]
+    else:
+        density = rng.choice((0.1, 0.25, 0.5))
+        pattern = [{i} | {j for j in range(k) if rng.random() < density} for i in range(k)]
+    big = draw(st.booleans())
+    rows = []
+    for i in range(nrows):
+        row = [0] * ncols
+        if rng.random() > 0.1:
+            for j in pattern[i]:
+                if j < ncols:
+                    row[j] = rng.randint(-(1 << 60), 1 << 60) if big else rng.randint(-4, 4)
+        rows.append(row)
+    cols = list(range(ncols))
+    rng.shuffle(cols)
+    order = list(range(nrows))
+    if square and draw(st.booleans()):
+        order = cols[:]
+    else:
+        rng.shuffle(order)
+    return [tuple(rows[i][j] for j in cols) if rng.random() < 0.3 else
+            [rows[i][j] for j in cols] for i in order]
+
+
+class TestLazyElimination:
+    """`_fraction_free`, the one integer elimination, in each of its three
+    uses, on sparse patterns where rows stay lazy for many steps: forward
+    for a determinant, forward for the rank, and Gauss-Jordan for a solve,
+    against the Fraction routes and the determinant loop before it, and
+    sympy."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_sparse_rows())
+    def test_determinant(self, rows):
+        before = [(type(r), list(r)) for r in rows]
+        got = _bareiss_int_det(rows)
+        assert [(type(r), list(r)) for r in rows] == before
+        assert got == parent_bareiss_int_det(rows)
+        assert got == (sympy.Matrix(rows).det() if rows else 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_sparse_rows(square=False))
+    def test_rank(self, rows):
+        ncols = len(rows[0]) if rows else 0
+        a = Matrix(rows, 1, ncols)
+        got = a.rank()
+        assert got == fraction_rank(a)
+        assert got == (sympy.Matrix(rows).rank() if rows and ncols else 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_sparse_rows(min_n=1), st.integers(0, 3), st.integers(0, 2**32))
+    def test_solve(self, rows, width, seed):
+        rng = random.Random(seed)
+        n = len(rows)
+        a = Matrix(rows, 1, n)
+        rhs = Matrix([[F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(width)]
+                      for _ in range(n)], ncols=width)
+        got = a.solve(rhs)
+        assert got == fraction_solve(a, rhs)
+        det = parent_bareiss_int_det(rows)
+        if det == 0:
+            assert got is None
+        else:
+            assert a * got == rhs
+        # [A | I]: the last pivot is det A times the sign, the right-hand
+        # block p A^-1
+        work = [tuple(row) + tuple(int(i == j) for j in range(n)) for i, row in enumerate(rows)]
+        rank, pivot, sign = _fraction_free(work, n, True)
+        if det == 0:
+            assert rank < n
+        else:
+            assert rank == n and pivot == sign * det
+            assert a * Matrix(work, 1, n) == Matrix.identity(n).scale(pivot)
 
 
 class TestPlannedCertificates:
-    """A planned determinant off by one at a single sample point fails the
+    """A block determinant off by one at a single sample point fails the
     weighted-Ihara certificate."""
 
     @staticmethod
     def off_by_one(monkeypatch, module, at):
-        planned_det = exact_mod._planned_det
+        bareiss_int_det = exact_mod._bareiss_int_det
         calls = [0]
 
-        def wrong(rows, below):
-            value = planned_det(rows, below)
+        def wrong(rows):
+            value = bareiss_int_det(rows)
             calls[0] += 1
             return value + 1 if calls[0] - 1 == at else value
 
-        monkeypatch.setattr(module, "_planned_det", wrong)
+        monkeypatch.setattr(module, "_bareiss_int_det", wrong)
         return calls
 
     def test_weighted_ihara_fails(self, monkeypatch):
         # det(Y) is the product of the block determinants, so a change in
-        # one block goes unseen where another is 0; that needs two blocks
-        # with a pair factor 1 - t**2 w w' vanishing at one point, as on the
-        # unit graphs at t = 1 and -1.  These graphs have one such block at
-        # most: example1 is one block, the others are weighted.
-        graphs = [example1(), weighted_3cycle()] + TestVertexPlan.graphs()[1:5:2]
-        for g in graphs:
+        # one block would go unseen where another is 0; the check skips the
+        # points where rhs(t) = 0, so no block is 0 at a checked point.  The
+        # first TestVertexPlan graph is a unit graph with blocks of 2, 2 and
+        # 3 vertices, all three 0 at t = 1 and -1.
+        found = TestVertexPlan.graphs()
+        for g in (example1(), weighted_3cycle(), found[0], found[1], found[3]):
             es = build_edge_space(g)
             calls = self.off_by_one(monkeypatch, edgespace_mod, -1)
             assert verify_weighted_ihara(g).equal

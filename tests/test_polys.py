@@ -24,7 +24,7 @@ from nbwalks import (
 )
 from nbwalks.errors import NotSquareError, ZeroPolynomialError
 from nbwalks import polys as polys_mod
-from nbwalks.exact import _clear_denominators, _planned_det
+from nbwalks.exact import _bareiss_int_det, _clear_denominators
 from nbwalks.polys import (
     RootRecord,
     _polymat_det_bareiss,
@@ -812,16 +812,16 @@ class TestPolymatDetCrossCheck:
         elimination_plan = polys_mod._elimination_plan
 
         def plan_spy(n, nonzeros):
-            order, below = elimination_plan(n, nonzeros)
+            order = elimination_plan(n, nonzeros)
             orders.append(order)
-            return order, below
+            return order
 
-        def spy(rows, below):
+        def spy(rows):
             seen.append([list(r) for r in rows])
-            return _planned_det(rows, below)
+            return _bareiss_int_det(rows)
 
         monkeypatch.setattr(polys_mod, "_elimination_plan", plan_spy)
-        monkeypatch.setattr(polys_mod, "_planned_det", spy)
+        monkeypatch.setattr(polys_mod, "_bareiss_int_det", spy)
         for m in self.matrices():
             seen.clear()
             orders.clear()
@@ -839,21 +839,21 @@ class TestPolymatDetCrossCheck:
                 assert got == [[at.data[i][j] * den for j in order] for i in order]
 
     def test_wrong_point_value_is_caught(self, monkeypatch):
-        # the planned determinant off by one at a single point
+        # the point determinant off by one at a single point
         for m in self.matrices():
             calls = []
 
-            def count(rows, below):
+            def count(rows):
                 calls.append(1)
-                return _planned_det(rows, below)
+                return _bareiss_int_det(rows)
 
-            monkeypatch.setattr(polys_mod, "_planned_det", count)
+            monkeypatch.setattr(polys_mod, "_bareiss_int_det", count)
             polymat_det(m)
             for at in range(len(calls)):
-                def off_by_one(rows, below, step=itertools.count(), at=at):
-                    return _planned_det(rows, below) + (next(step) == at)
+                def off_by_one(rows, step=itertools.count(), at=at):
+                    return _bareiss_int_det(rows) + (next(step) == at)
 
-                monkeypatch.setattr(polys_mod, "_planned_det", off_by_one)
+                monkeypatch.setattr(polys_mod, "_bareiss_int_det", off_by_one)
                 with pytest.raises(RuntimeError, match="determinant cross-check failed"):
                     polymat_det(m)
 
