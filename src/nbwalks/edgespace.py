@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING
 
-from .exact import Matrix, _bareiss_int_det, _clear_denominators, _elimination_plan, _tarjan_sccs
+from .exact import Matrix, _batched_dets, _clear_denominators, _elimination_plan, _tarjan_sccs
 
 if TYPE_CHECKING:
     from .graphs import Graph
@@ -226,58 +226,65 @@ class VertexPlan:
 
     def rows(self, p, s, tau=1) -> tuple[list[list[int]], list[int]]:
         """The whole n-by-n Y at t = p/q, s = q * ell and tau, and the d_u."""
-        return _plan_rows(self.arcs, p, s, tau)
+        rows, scales = _plan_rows(self.arcs, [p], [s], tau)
+        return [[0 if e is None else e[0] for e in row] for row in rows], [d[0] for d in scales]
 
-    def det(self, p, s) -> int:
-        """det(Y) at t = p/q, s = q * ell: the product of the determinants
-        of the diagonal blocks.  Y[u][v] can be nonzero off the diagonal
-        only where the graph has the arc u -> v, so the components, in
-        topological order, make Y block triangular at every t.  A vertex
-        alone in its component has no reciprocated arc (its reverse would
-        join the two ends), so its 1x1 block, its diagonal entry, is s.
-        Y has the graph's pattern at every t, so each larger block's rows
-        come out in the order of its plan, made once, and
-        `_bareiss_int_det` eliminates them in that order."""
-        total = s**self.singletons
+    def dets(self, ps, ss) -> list[int]:
+        """det(Y) at each point t = p/q of the lists ps and ss, s = q * ell:
+        the product of the determinants of the diagonal blocks.  Y[u][v]
+        can be nonzero off the diagonal only where the graph has the arc
+        u -> v, so the components, in topological order, make Y block
+        triangular at every t.  A vertex alone in its component has no
+        reciprocated arc (its reverse would join the two ends), so its 1x1
+        block, its diagonal entry, is s.  Y has the graph's pattern at every
+        t, so each larger block's rows come out in the order of its plan,
+        made once, and `_batched_dets` eliminates them at all the points in
+        one pass."""
+        total = [s**self.singletons for s in ss]
         for arcs in self.inner:
-            total *= _bareiss_int_det(_plan_rows(arcs, p, s)[0])
-            if not total:
-                return 0
+            block = _batched_dets(_plan_rows(arcs, ps, ss)[0], len(ps))
+            total = [x * y for x, y in zip(total, block)]
         return total
 
 
-def _plan_rows(arcs, p, s, tau=1) -> tuple[list[list[int]], list[int]]:
-    """The rows of Y at t = p/q, s = q * ell and tau = a/b for the vertices
-    whose arcs are listed as in `VertexPlan.arcs`, heads and diagonal
-    numbered by the position in ``arcs``, and each row's scale
-    d_u = S * prod g_e with S = b s.  prod_{f != e} g_f is the product of a
+def _plan_rows(arcs, ps, ss, tau=1) -> tuple[list[list], list[list[int]]]:
+    """The rows of Y at the points t = p/q of the lists ps and ss,
+    s = q * ell, and tau = a/b, for the vertices whose arcs are listed as
+    in `VertexPlan.arcs`, heads and diagonal numbered by the position in
+    ``arcs``, and each row's scale d_u = S * prod g_e with S = b s.  Each
+    entry is the list of its values at the points, or None off the arcs and
+    the diagonal; so is each scale.  prod_{f != e} g_f is the product of a
     prefix and a suffix of the g_f, so a row costs a number of products
     linear in its arcs."""
     a, b = Fraction(tau).as_integer_ratio()
-    sb = b * s
-    sb2, bp, pair, h = sb * sb, b * p, (a * p) ** 2, a * b * p * p
+    sb = [b * s for s in ss]
+    sb2 = [x * x for x in sb]
+    bp = [-b * p for p in ps]
+    pair = [(a * p) ** 2 for p in ps]
+    h = [a * b * p * p for p in ps]
+    ones = [1] * len(ps)
     width = len(arcs)
     rows, scales = [], []
     for u, (oneway, recip) in enumerate(arcs):
-        c = [pair * zz for _, _, zz in recip]
-        prefix = [1]
-        for x in c:
-            prefix.append(prefix[-1] * (sb2 - x))
+        row = [None] * width
+        g = [[y - zz * x for x, y in zip(pair, sb2)] for _, _, zz in recip]
+        prefix = [ones]
+        for x in g:
+            prefix.append([y * z for y, z in zip(prefix[-1], x)])
         whole = prefix[-1]
-        row = [0] * width
         for v, ze in oneway:
-            row[v] = -bp * ze * whole
+            row[v] = [x * ze * w for x, w in zip(bp, whole)]
         diagonal = whole
-        suffix = 1
-        for k in range(len(c) - 1, -1, -1):
+        suffix = ones
+        for k in range(len(g) - 1, -1, -1):
             v, ze, zz = recip[k]
-            others = prefix[k] * suffix
-            diagonal += h * zz * others
-            row[v] = -bp * ze * sb2 * others
-            suffix *= sb2 - c[k]
-        row[u] = sb * diagonal
+            others = [x * y for x, y in zip(prefix[k], suffix)]
+            diagonal = [d + x * zz * o for d, x, o in zip(diagonal, h, others)]
+            row[v] = [x * ze * y * o for x, y, o in zip(bp, sb2, others)]
+            suffix = [x * y for x, y in zip(suffix, g[k])]
+        row[u] = [x * d for x, d in zip(sb, diagonal)]
         rows.append(row)
-        scales.append(sb * whole)
+        scales.append([x * w for x, w in zip(sb, whole)])
     return rows, scales
 
 

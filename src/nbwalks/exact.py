@@ -15,8 +15,8 @@ directly on rows of (columns, entries), the sparse row format
 `Polynomial`, is the product of those of the diagonal blocks that the
 strongly connected components of the nonzero pattern (`_tarjan_sccs`, the
 package's one SCC routine) cut the matrix into, each from Berkowitz's
-division-free algorithm.  Every integer determinant, rank and solve runs
-one fraction-free elimination, `_fraction_free` (Bareiss 1968): forward
+division-free algorithm.  Every integer determinant, rank and solve of
+one matrix runs one fraction-free elimination, `_fraction_free` (Bareiss 1968): forward
 for a determinant or the rank, Gauss-Jordan for a solve, whose solution
 is then the eliminated right-hand side over a single integer denominator.
 Each step updates only the rows with an entry in the pivot column and
@@ -24,7 +24,10 @@ leaves the others to be rescaled lazily (Sylvester's identity), so a
 sparse matrix costs what its fill costs.  The determinants sampled at many
 points of one nonzero pattern, the weighted-Ihara and `polymat_det` point
 checks, take their rows in a minimum-degree order found once for the
-pattern (`_elimination_plan`), which keeps that fill small.
+pattern (`_elimination_plan`), which keeps that fill small, and run the
+same steps for a group of points at once (`_batched_dets`), each entry
+the list of its values at the points; a point whose planned pivot is 0 is
+recomputed alone by `_fraction_free`, which swaps rows.
 """
 
 from __future__ import annotations
@@ -472,6 +475,82 @@ def _bareiss_int_det(rows) -> int:
     return sign * contents * pivot if rank == n else 0
 
 
+# sample points per `_batched_dets` call: enough that the per-step work is
+# shared, few enough that the rows of one group stay small
+_POINT_GROUP = 32
+
+
+def _batched_dets(rows, count: int) -> list[int]:
+    """Determinants of ``count`` n-by-n integer matrices of one nonzero
+    pattern, in one fraction-free elimination of all of them.
+
+    rows[i][j] is the list of entry (i, j)'s values in the matrices, or None
+    where the pattern has no entry; the rows are not modified.  Each row is
+    divided by its content, matrix by matrix, as `_bareiss_int_det` does.
+    Then the steps of the forward `_fraction_free` run with the diagonal as
+    pivots, the order an `_elimination_plan` gives: a step updates, value by
+    value, only the rows with an entry in the pivot column, and the others
+    stay lazy (Sylvester's identity).  A matrix whose planned pivot is 0 is
+    set aside: its values become 0 and its pivots 1 from then on, and its
+    determinant is `_bareiss_int_det`'s, which swaps rows.
+    """
+    n = len(rows)
+    ones = [1] * count
+    contents = ones
+    work = []
+    for row in rows:
+        entries = [e for e in row if e is not None]
+        if not entries:
+            return [0] * count
+        cs = [gcd(*col) for col in zip(*entries)]
+        if cs.count(1) != count:
+            cs = [c or 1 for c in cs]  # a zero row's pivot will be 0
+            row = [e if e is None else [x // c for x, c in zip(e, cs)] for e in row]
+            contents = [x * c for x, c in zip(contents, cs)]
+        work.append(row)
+    start = [0] * n  # the column of each row's first stored entry
+    stamp = [0] * n  # pivots[stamp[i]] = p_s for row i
+    pivots = [ones]
+    aside = set()
+    for j in range(n):
+        rowk = work[j][j - start[j]:]
+        if stamp[j] != j:
+            prev, ps = pivots[j], pivots[stamp[j]]
+            rowk = [e if e is None else [x * p // s for x, p, s in zip(e, prev, ps)]
+                    for e in rowk]
+        pk = rowk[0]
+        rowk = rowk[1:]
+        if pk is None or 0 in pk:
+            new = {k for k in range(count) if pk is None or not pk[k]} - aside
+            pk = ones if pk is None else [x or 1 for x in pk]
+            if new:
+                aside |= new
+                mask = [int(k not in new) for k in range(count)]
+                for i in range(j + 1, n):
+                    work[i] = [e if e is None else [x * b for x, b in zip(e, mask)]
+                               for e in work[i]]
+                rowk = [e if e is None else [x * b for x, b in zip(e, mask)] for e in rowk]
+        for i in range(j + 1, n):
+            rowi = work[i]
+            at = j - start[i]
+            a = rowi[at]
+            if a is None:
+                continue
+            ps = pivots[stamp[i]]
+            work[i] = [
+                None if x is None and y is None else
+                [p * u // s for p, u, s in zip(pk, x, ps)] if y is None else
+                [-b * v // s for b, v, s in zip(a, y, ps)] if x is None else
+                [(p * u - b * v) // s for p, u, b, v, s in zip(pk, x, a, y, ps)]
+                for x, y in zip(rowi[at + 1:], rowk)]
+            start[i], stamp[i] = j + 1, j + 1
+        pivots.append(pk)
+    dets = [c * p for c, p in zip(contents, pivots[-1])]
+    for k in sorted(aside):
+        dets[k] = _bareiss_int_det([[0 if e is None else e[k] for e in row] for row in rows])
+    return dets
+
+
 def _elimination_plan(n: int, nonzeros) -> list[int]:
     """A fixed elimination order for the n-by-n matrices whose row i can be
     nonzero only in the columns nonzeros[i] (and on the diagonal).  Row and
@@ -482,8 +561,9 @@ def _elimination_plan(n: int, nonzeros) -> list[int]:
     Greedy minimum degree (George & Liu 1981) on the symmetrized pattern,
     ties broken by index: each step eliminates a vertex of fewest
     neighbours and joins those neighbours into a clique, the fill of its
-    elimination.  `_fraction_free` updates only the rows with an entry in
-    the pivot column, so in this order a step's arithmetic is that fill.
+    elimination.  `_fraction_free` and `_batched_dets` update only the
+    rows with an entry in the pivot column, so in this order a step's
+    arithmetic is that fill.
     """
     adj = [set() for _ in range(n)]
     for i, cols in enumerate(nonzeros):

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import TauOutOfRangeError
-from .exact import Matrix
+from .exact import _POINT_GROUP, Matrix
 from .graphs import Graph
 from .laplacians import _deformed_laplacian, structure_matrices
 from .polys import Polynomial, polymat_det
@@ -193,7 +193,9 @@ def _vertex_sample_check(es, g_poly, rhs, count):
     skipped.  So det(Y) is nonzero at every point that passes, and a
     wrong determinant of any one block shows.  The plan takes det(Y) over
     the strongly connected components of the graph, which split Y at every
-    t, each in its fixed elimination order.
+    t, each in its fixed elimination order, for a group of points at a
+    time (`VertexPlan.dets`); the points are compared in order, and the
+    index of the first that fails is reported.
 
     Divided by s**(n + 2 r), det(Y) is a polynomial in t of degree at most
     n + 2 r: row u over s**(1 + 2 r_u), r_u the reciprocated arcs leaving
@@ -209,9 +211,9 @@ def _vertex_sample_check(es, g_poly, rhs, count):
     g_ints, g_lcm = g_poly.ints, g_poly.den
     r_ints, r_lcm = rhs.ints, rhs.den
     power = es.n + 4 * es.reciprocal_pair_count  # n + 2 r
-    checked = 0
+    ps, ss, sides = [], [], []
     points = _least_height_points()
-    while checked < count:
+    while len(ps) < count:
         p, q = next(points)
         gn, gd = _zhomogeneous(g_ints, p, q)
         if gn == 0:
@@ -220,11 +222,16 @@ def _vertex_sample_check(es, g_poly, rhs, count):
         if rn == 0:
             continue
         s = q * plan.ell
-        y = plan.det(p, s)
-        if y * gd * g_lcm * rd * r_lcm != s**power * gn * rn:
-            return False, checked
-        checked += 1
-    return True, checked
+        ps.append(p)
+        ss.append(s)
+        sides.append((gd * g_lcm * rd * r_lcm, s**power * gn * rn))
+    for lo in range(0, count, _POINT_GROUP):
+        hi = lo + _POINT_GROUP
+        for k, (y, (left, right)) in enumerate(zip(plan.dets(ps[lo:hi], ss[lo:hi]),
+                                                    sides[lo:hi]), lo):
+            if y * left != right:
+                return False, k
+    return True, count
 
 
 def _least_height_points():

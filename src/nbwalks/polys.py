@@ -33,8 +33,9 @@ from math import gcd, lcm
 
 from .errors import NotSquareError, ZeroPolynomialError
 from .exact import (
+    _POINT_GROUP,
     Matrix,
-    _bareiss_int_det,
+    _batched_dets,
     _clear_denominators,
     _elimination_plan,
     _frac,
@@ -51,6 +52,7 @@ from .zpoly import (
     _zpseudo_divmod,
     _zscale,
     _zsub,
+    _zvalues,
 )
 
 _ZERO = Fraction(0)
@@ -595,12 +597,13 @@ def polymat_det(m: PolyMatrix) -> Polynomial:
     Fraction-free Bareiss elimination over Z[t] on the integer rows of m,
     whose determinant is det m times den**n, cross-checked at the integer
     points t = 0, 1, -1, 2, -2, ... (degree bound + 1 of them): the integer
-    rows evaluated there by integer Horner give an integer matrix whose
-    determinant must equal the Z[t] determinant's value at t.  Those
-    matrices all have the nonzero pattern of m, so the rows are permuted
-    once into the order of its `_elimination_plan` and each point's
-    determinant is `_bareiss_int_det`'s in that order.  A disagreement
-    means a bug and raises RuntimeError.
+    rows evaluated there give integer matrices whose determinants must
+    equal the Z[t] determinant's values.  Those matrices all have the
+    nonzero pattern of m, so the rows are permuted once into the order of
+    its `_elimination_plan`; then, a group of points at a time, each
+    distinct entry is evaluated at all of them in one Horner pass and
+    `_batched_dets` eliminates them together in that order.  A
+    disagreement means a bug and raises RuntimeError.
     """
     if not m.is_square():
         raise NotSquareError(f"{m.nrows}x{m.ncols} polynomial matrix")
@@ -611,12 +614,14 @@ def polymat_det(m: PolyMatrix) -> Polynomial:
     bound = max(sum(max(len(e) for e in row) - 1 for row in rows), 0)
     order = _elimination_plan(m.nrows, [[j for j, e in enumerate(row) if e] for row in rows])
     planned = [[rows[i][j] for j in order] for i in order]
-    t = 0
-    for _ in range(bound + 1):
-        at_t = [[_zhomogeneous(e, t, 1)[0] if e else 0 for e in row] for row in planned]
-        if _bareiss_int_det(at_t) != _zhomogeneous(det, t, 1)[0]:
+    distinct = {e for row in planned for e in row if e}
+    points = [(k + 1) // 2 * (1 if k % 2 else -1) for k in range(bound + 1)]
+    for lo in range(0, bound + 1, _POINT_GROUP):
+        ts = points[lo:lo + _POINT_GROUP]
+        values = {e: _zvalues(e, ts) for e in distinct}
+        at = [[values[e] if e else None for e in row] for row in planned]
+        if _batched_dets(at, len(ts)) != _zvalues(det, ts):
             raise RuntimeError("determinant cross-check failed")
-        t = -t if t > 0 else -t + 1
     return Polynomial(det, m.den**m.nrows)
 
 
@@ -627,36 +632,57 @@ def _polymat_det_bareiss(rows) -> list[int]:
     ascending int coefficient sequences without trailing zeros, or empty)
     and are not modified.  Returns the determinant's int coefficients,
     ascending.
+
+    Column by column, the row at or below k whose entry in column k has
+    the lowest degree becomes the pivot row, with pivot p_k.  As in
+    `exact._fraction_free`, a step updates only the rows with an entry in
+    the pivot column, to (p_k a_ij - a_ik a_kj) / p_s with p_s the pivot of
+    the step that last updated row i; every other row stays as it was, its
+    true entries those times p_(k-1) / p_s (Sylvester's identity), and is
+    brought up to date when it becomes the pivot row.
     """
     n = len(rows)
     a = list(rows)
+    stamp = [0] * n  # pivots[stamp[i]] = p_s for row i
+    pivots = [[1]]
     sign = 1
-    prev = [1]
-    for k in range(n - 1):
+    for k in range(n):
+        prev = pivots[k]
         piv = None
         best = None
         for i in range(k, n):
             e = a[i][k]
-            if e and (best is None or len(e) < best):
-                best = len(e)
-                piv = i
+            if e:
+                size = len(e) + len(prev) - len(pivots[stamp[i]])  # of the true entry
+                if best is None or size < best:
+                    best = size
+                    piv = i
         if piv is None:
             return []
         if piv != k:
             a[k], a[piv] = a[piv], a[k]
+            stamp[k], stamp[piv] = stamp[piv], stamp[k]
             sign = -sign
-        rowk = a[k]
-        pk = rowk[k]
+        rowk = a[k][k:]
+        if stamp[k] != k:
+            ps = pivots[stamp[k]]
+            rowk = [_zdiv_exact(_zmul(e, prev), ps) if e else e for e in rowk]
+        pk = rowk[0]
+        rowk = rowk[1:]
         for i in range(k + 1, n):
             rowi = a[i]
             rik = rowi[k]
+            if not rik:
+                continue
+            ps = pivots[stamp[i]]
             new_row = [[]] * (k + 1)
-            for j in range(k + 1, n):
-                num = _zsub(_zmul(pk, rowi[j]), _zmul(rik, rowk[j]))
-                new_row.append(_zdiv_exact(num, prev) if num else num)
+            for x, y in zip(rowi[k + 1:], rowk):
+                num = _zsub(_zmul(pk, x), _zmul(rik, y))
+                new_row.append(_zdiv_exact(num, ps) if num else num)
             a[i] = new_row
-        prev = pk
-    return _zscale(a[n - 1][n - 1], sign)
+            stamp[i] = k + 1
+        pivots.append(pk)
+    return _zscale(pivots[-1], sign)
 
 
 @dataclass(frozen=True)

@@ -143,3 +143,12 @@ def _zhomogeneous(coeffs, p, q):
         power *= q
         value = value * p + c * power
     return value, power
+
+
+def _zvalues(coeffs, ts):
+    """The values of the polynomial at each of the ints ts, by one Horner
+    pass over all of them; all 0 for no coefficients."""
+    values = [coeffs[-1] if coeffs else 0] * len(ts)
+    for c in coeffs[-2::-1]:
+        values = [v * t + c for v, t in zip(values, ts)]
+    return values

@@ -19,7 +19,7 @@ from nbwalks.errors import (
 from nbwalks import cli as cli_mod
 from nbwalks import edgespace as edgespace_mod
 from nbwalks.cli import main, run_command
-from nbwalks.exact import _bareiss_int_det
+from nbwalks.exact import _batched_dets
 from nbwalks.fileio import matrix_json, parse_weight, poly_json, rational_str, to_json
 from nbwalks.ihara import IdentityCertificate
 from nbwalks.walks import nbt_katz_centrality
@@ -441,18 +441,31 @@ class TestCertificatesReadTheTransferRows:
 
 class TestPlannedDeterminantFailure:
     def test_off_by_one_at_one_point_exits_two(self, example1_file, monkeypatch, capsys):
+        # example1 is one strongly connected block with 2 (4 + 5) + 1 = 19
+        # sample points, all in one batched elimination
         argv = ["verify", "--identity", "weighted-ihara", example1_file]
         assert main(argv) == 0
-        capsys.readouterr()
-        step = itertools.count()
+        assert _weighted_ihara_details(capsys)["sample_points"] == 19
+        calls = []
 
-        def off_by_one(rows):
-            return _bareiss_int_det(rows) + (next(step) == 4)
+        def off_by_one(rows, count):
+            values = _batched_dets(rows, count)
+            calls.append(count)
+            return [x + (k == 4) for k, x in enumerate(values)]
 
-        monkeypatch.setattr(edgespace_mod, "_bareiss_int_det", off_by_one)
+        monkeypatch.setattr(edgespace_mod, "_batched_dets", off_by_one)
         assert main(argv) == 2
-        assert next(step) == 5  # the check stops at the point that failed
-        assert json.loads(capsys.readouterr().out)["payload"]["all_equal"] is False
+        assert calls == [19]
+        details = _weighted_ihara_details(capsys)
+        # the check names the point that failed
+        assert details == {"sample_points": 4, "samples_consistent": False}
+
+
+def _weighted_ihara_details(capsys):
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    (cert,) = payload["certificates"]
+    assert cert["identity"] == "weighted_ihara" and payload["all_equal"] is cert["equal"]
+    return cert["details"]
 
 
 class TestWeightedInput:

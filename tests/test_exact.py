@@ -23,7 +23,9 @@ from nbwalks.errors import NotSquareError
 from nbwalks import edgespace as edgespace_mod
 from nbwalks import exact as exact_mod
 from nbwalks.exact import (
+    _POINT_GROUP,
     _bareiss_int_det,
+    _batched_dets,
     _clear_denominators,
     _elimination_plan,
     _fraction_free,
@@ -1051,10 +1053,19 @@ class TestVertexPlan:
             plan = es.vertex_plan
             sizes.update(len(b) for b in plan.blocks)
             points, skipped = sample_points(g_poly, rhs, count)
-            for t in points + skipped:
-                p, s = t.numerator, t.denominator * plan.ell
-                assert plan.det(p, s) == _bareiss_int_det(plan.rows(p, s)[0]), (g.edges, t)
+            ps = [t.numerator for t in points + skipped]
+            ss = [t.denominator * plan.ell for t in points + skipped]
+            assert plan.dets(ps, ss) == [_bareiss_int_det(plan.rows(p, s)[0])
+                                         for p, s in zip(ps, ss)], g.edges
         assert 1 in sizes and max(sizes) >= 3
+
+    def test_point_counts_across_groups(self):
+        # the points go to the blocks' eliminations a group at a time
+        for g in self.graphs()[:3]:
+            es, step, g_poly, rhs, _ = sample_inputs(g)
+            for count in (1, _POINT_GROUP - 1, _POINT_GROUP, _POINT_GROUP + 1,
+                          2 * _POINT_GROUP + 5):
+                assert all_routes(es, step, g_poly, rhs, count) == (True, count)
 
     def test_rows_keep_to_the_arcs(self):
         for g in self.graphs():
@@ -1285,37 +1296,157 @@ class TestLazyElimination:
             assert a * Matrix(work, 1, n) == Matrix.identity(n).scale(pivot)
 
 
+@st.composite
+def _families(draw):
+    """(rows, count, matrices): ``count`` integer matrices of one random
+    nonzero pattern, and the same as rows for `_batched_dets`, often in the
+    pattern's plan order.  At some points a planned pivot vanishes (a
+    leading row block is 0), a row is 0, a column is 0 or two rows of one
+    pattern are equal; entries are often 0 anyway, the diagonal is not
+    always in the pattern, and some value lists are shared."""
+    n = draw(st.integers(0, 8))
+    count = draw(st.one_of(st.just(1), st.integers(1, 2 * _POINT_GROUP + 6)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    density = rng.choice((0.15, 0.3, 0.6, 1.0))
+    pattern = [[(i == j and rng.random() < 0.9) or rng.random() < density for j in range(n)]
+               for i in range(n)]
+    twins = rng.sample(range(n), 2) if n >= 2 and rng.random() < 0.3 else None
+    if twins:
+        pattern[twins[1]] = pattern[twins[0]][:]
+    big = draw(st.booleans())
+    mats = []
+    for _ in range(count):
+        m = [[(rng.randint(-(1 << 64), 1 << 64) if big else rng.randint(-2, 2))
+              if pattern[i][j] else 0 for j in range(n)] for i in range(n)]
+        kind = rng.random()
+        if n and kind < 0.15:
+            j = rng.randrange(n)
+            m[j][:j + 1] = [0] * (j + 1)
+        elif n and kind < 0.25:
+            m[rng.randrange(n)] = [0] * n
+        elif n and kind < 0.35:
+            j = rng.randrange(n)
+            for row in m:
+                row[j] = 0
+        elif twins and kind < 0.5:
+            m[twins[1]] = m[twins[0]][:]
+        mats.append(m)
+    if draw(st.booleans()):
+        order = _elimination_plan(n, [[j for j in range(n) if pattern[i][j]] for i in range(n)])
+        pattern = [[pattern[i][j] for j in order] for i in order]
+        mats = [[[m[i][j] for j in order] for i in order] for m in mats]
+    shared = {}
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            values = [m[i][j] for m in mats]
+            row.append(shared.setdefault(tuple(values), values) if pattern[i][j] else None)
+        rows.append(row)
+    return rows, count, mats
+
+
+class TestBatchedDets:
+    """`_batched_dets`, point by point against `_bareiss_int_det`."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_families())
+    def test_each_point_is_bareiss(self, family):
+        rows, count, mats = family
+        before = [[None if e is None else list(e) for e in row] for row in rows]
+        assert _batched_dets(rows, count) == [_bareiss_int_det(m) for m in mats]
+        assert rows == before
+
+    def test_only_vanishing_pivots_are_recomputed(self, monkeypatch):
+        rng = random.Random(2028)
+        bareiss_int_det = exact_mod._bareiss_int_det
+        alone = []
+
+        def counted(rows):
+            alone.append([list(r) for r in rows])
+            return bareiss_int_det(rows)
+
+        monkeypatch.setattr(exact_mod, "_bareiss_int_det", counted)
+        recomputed = 0
+        for _ in range(200):
+            n, count = rng.randint(1, 6), rng.randint(1, 40)
+            mats = [[[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)]
+                    for _ in range(count)]
+            alone.clear()
+            got = _batched_dets([[[m[i][j] for m in mats] for j in range(n)] for i in range(n)],
+                                count)
+            assert got == [bareiss_int_det(m) for m in mats]
+            # a leading principal minor of a point is 0 exactly where one
+            # of its planned pivots is
+            vanishing = [m for m in mats
+                         if any(bareiss_int_det([r[:k] for r in m[:k]]) == 0
+                                for k in range(1, n + 1))]
+            assert alone == vanishing
+            recomputed += len(vanishing)
+        assert recomputed > 100
+
+    def test_small_cases(self):
+        assert _batched_dets([], 3) == [1, 1, 1]
+        # a planned pivot 0 at the first point, a structural 0 on the
+        # diagonal, and a row with no entry
+        assert _batched_dets([[[0, 1], [1, 1]], [[1, 1], [0, 2]]], 2) == [-1, 1]
+        assert _batched_dets([[None, [1, 2]], [[1, 3], None]], 2) == [-1, -6]
+        assert _batched_dets([[[1, 2], [3, 4]], [None, None]], 2) == [0, 0]
+        # a row 0 at one point only, and contents that are not 1
+        assert _batched_dets([[[2, 0], [4, 0]], [[6, 5], [3, 7]]], 2) == [-18, 0]
+
+
 class TestPlannedCertificates:
     """A block determinant off by one at a single sample point fails the
-    weighted-Ihara certificate."""
+    weighted-Ihara certificate, and the check names that point."""
 
     @staticmethod
     def off_by_one(monkeypatch, module, at):
-        bareiss_int_det = exact_mod._bareiss_int_det
-        calls = [0]
+        """Make the module's `_batched_dets` add 1 to the value at position
+        ``at`` of all the values it returns, in call order; returns the
+        list of the calls' point counts."""
+        batched_dets = exact_mod._batched_dets
+        counts = []
 
-        def wrong(rows):
-            value = bareiss_int_det(rows)
-            calls[0] += 1
-            return value + 1 if calls[0] - 1 == at else value
+        def wrong(rows, count):
+            values = batched_dets(rows, count)
+            k = at - sum(counts)
+            counts.append(count)
+            return [x + (i == k) for i, x in enumerate(values)]
 
-        monkeypatch.setattr(module, "_bareiss_int_det", wrong)
-        return calls
+        monkeypatch.setattr(module, "_batched_dets", wrong)
+        return counts
 
     def test_weighted_ihara_fails(self, monkeypatch):
         # det(Y) is the product of the block determinants, so a change in
         # one block would go unseen where another is 0; the check skips the
         # points where rhs(t) = 0, so no block is 0 at a checked point.  The
         # first TestVertexPlan graph is a unit graph with blocks of 2, 2 and
-        # 3 vertices, all three 0 at t = 1 and -1.
+        # 3 vertices, all three 0 at t = 1 and -1; TestVertexPlan graphs
+        # have more points than one group holds.
         found = TestVertexPlan.graphs()
+        groups = set()
         for g in (example1(), weighted_3cycle(), found[0], found[1], found[3]):
             es = build_edge_space(g)
+            count = 2 * (g.n + es.m) + 1
+            blocks = len(es.vertex_plan.inner)
             calls = self.off_by_one(monkeypatch, edgespace_mod, -1)
             assert verify_weighted_ihara(g).equal
-            total = calls[0]
-            assert total >= 2 * (g.n + es.m) + 1
-            for at in range(total):
-                self.off_by_one(monkeypatch, edgespace_mod, at)
+            # each group of points is one call per block, the blocks in turn
+            assert sum(calls) == blocks * count
+            point, lo = [], 0
+            for c, size in enumerate(calls):
+                assert size == min(_POINT_GROUP, count - lo)
+                point.extend(range(lo, lo + size))
+                if c % blocks == blocks - 1:
+                    lo += size
+            groups.add(len(calls) // blocks)
+            for at in range(len(point)):
+                calls = self.off_by_one(monkeypatch, edgespace_mod, at)
                 cert = verify_weighted_ihara(g)
-                assert not cert.equal and cert.details["samples_consistent"] is False, (g.edges, at)
+                assert not cert.equal, (g.edges, at)
+                assert cert.details == {"sample_points": point[at],
+                                        "samples_consistent": False}, (g.edges, at)
+                # no group after the failing point's is eliminated
+                assert len(calls) == blocks * (point[at] // _POINT_GROUP + 1)
+        assert 1 in groups and max(groups) >= 2

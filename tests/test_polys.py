@@ -6,6 +6,7 @@ from math import gcd
 import numpy as np
 import pytest
 import sympy
+from sympy.polys.matrices import DomainMatrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +25,7 @@ from nbwalks import (
 )
 from nbwalks.errors import NotSquareError, ZeroPolynomialError
 from nbwalks import polys as polys_mod
-from nbwalks.exact import _bareiss_int_det, _clear_denominators
+from nbwalks.exact import _POINT_GROUP, _batched_dets, _clear_denominators
 from nbwalks.polys import (
     RootRecord,
     _polymat_det_bareiss,
@@ -158,6 +159,42 @@ class TestPolymatDet:
                 sympy.Rational(c.numerator, c.denominator) * t**k
                 for k, c in enumerate(got.coeffs))) == 0, trial
             assert polymat_det(m) == got
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(0, 2**32), st.sampled_from(("arrow", "pairs", "random")))
+    def test_lazy_rows_match_sympy(self, seed, kind):
+        # on an arrow (a hub row and column, else the diagonal) or 2x2
+        # blocks, most rows have no entry in the pivot column for many
+        # steps; rows and columns permuted, so that pivots need row swaps
+        t = sympy.Symbol("t")
+        rng = random.Random(seed)
+        n = rng.randint(1, 7)
+        if kind == "arrow":
+            hub = rng.randrange(n)
+            pattern = [{i, hub} if i != hub else set(range(n)) for i in range(n)]
+        elif kind == "pairs":
+            perm = rng.sample(range(n), n)
+            mate = dict(zip(perm[::2], perm[1::2]))
+            mate.update({b: a for a, b in mate.items()})
+            pattern = [{i, mate.get(i, i)} for i in range(n)]
+        else:
+            pattern = [{i} | {j for j in range(n) if rng.random() < 0.3} for i in range(n)]
+        rows, cols = rng.sample(range(n), n), rng.sample(range(n), n)
+        entries = [[poly(*(rng.randint(-4, 4) for _ in range(rng.randint(1, 3))))
+                    if cols[j] in pattern[rows[i]] else poly() for j in range(n)]
+                   for i in range(n)]
+        m = PolyMatrix(entries)
+        ring = sympy.ZZ[t]
+        x = ring.gens[0]
+
+        def element(coeffs):
+            return sum((int(c) * x**k for k, c in enumerate(coeffs)), ring.zero)
+
+        want = DomainMatrix([[element(e.coeffs) for e in row] for row in entries],
+                            (n, n), ring).det()
+        got = _polymat_det_bareiss(m.ints)
+        assert want == element(got)
+        assert polymat_det(m) == Polynomial(got, m.den**n)
 
     def test_tau_laplacian_matches_sympy(self):
         t = sympy.Symbol("t")
@@ -806,9 +843,16 @@ class TestPolymatDetCrossCheck:
         for g in (bowtie(), undirected_cycle(4), random_connected_graph(rng, 6, 3, 0.5)):
             yield directed_dgl(g)
             yield tau_dgl(g, F(1, 3))
+        # degree bound 40: its 41 points take two groups
+        yield tau_dgl(undirected_cycle(20), F(1, 2))
+
+    @staticmethod
+    def spread(rows, count):
+        """The integer matrices that `_batched_dets` rows stand for."""
+        return [[[0 if e is None else e[k] for e in row] for row in rows] for k in range(count)]
 
     def test_same_points_as_fraction_check(self, monkeypatch):
-        seen, orders = [], []
+        seen, orders, counts = [], [], []
         elimination_plan = polys_mod._elimination_plan
 
         def plan_spy(n, nonzeros):
@@ -816,19 +860,29 @@ class TestPolymatDetCrossCheck:
             orders.append(order)
             return order
 
-        def spy(rows):
-            seen.append([list(r) for r in rows])
-            return _bareiss_int_det(rows)
+        def spy(rows, count):
+            seen.extend(self.spread(rows, count))
+            counts.append(count)
+            # an entry outside the pattern of m is None
+            order = orders[0]
+            assert [[e is None for e in row] for row in rows] == [
+                [not m.ints[i][j] for j in order] for i in order]
+            return _batched_dets(rows, count)
 
         monkeypatch.setattr(polys_mod, "_elimination_plan", plan_spy)
-        monkeypatch.setattr(polys_mod, "_bareiss_int_det", spy)
+        monkeypatch.setattr(polys_mod, "_batched_dets", spy)
+        groups = set()
         for m in self.matrices():
             seen.clear()
             orders.clear()
+            counts.clear()
             det = polymat_det(m)
             want = []
             _fraction_cross_check(m, det, lambda t, at: want.append(at))
             assert len(seen) == len(want) > 0
+            assert counts == [min(_POINT_GROUP, len(want) - lo)
+                              for lo in range(0, len(want), _POINT_GROUP)]
+            groups.add(len(counts))
             assert len(orders) == 1 and sorted(orders[0]) == list(range(m.nrows))
             # each integer matrix is m(t) at the reference's point times the
             # lcm of all the entries' denominators, its rows and columns
@@ -837,23 +891,26 @@ class TestPolymatDetCrossCheck:
             order = orders[0]
             for got, at in zip(seen, want):
                 assert got == [[at.data[i][j] * den for j in order] for i in order]
+        assert 1 in groups and 2 in groups
 
     def test_wrong_point_value_is_caught(self, monkeypatch):
-        # the point determinant off by one at a single point
+        # the point determinant off by one at a single point of one group
         for m in self.matrices():
-            calls = []
+            counts = []
 
-            def count(rows):
-                calls.append(1)
-                return _bareiss_int_det(rows)
+            def count(rows, n):
+                counts.append(n)
+                return _batched_dets(rows, n)
 
-            monkeypatch.setattr(polys_mod, "_bareiss_int_det", count)
+            monkeypatch.setattr(polys_mod, "_batched_dets", count)
             polymat_det(m)
-            for at in range(len(calls)):
-                def off_by_one(rows, step=itertools.count(), at=at):
-                    return _bareiss_int_det(rows) + (next(step) == at)
+            for at in range(sum(counts)):
+                def off_by_one(rows, n, done=[0], at=at):
+                    values = _batched_dets(rows, n)
+                    k, done[0] = at - done[0], done[0] + n
+                    return [x + (i == k) for i, x in enumerate(values)]
 
-                monkeypatch.setattr(polys_mod, "_bareiss_int_det", off_by_one)
+                monkeypatch.setattr(polys_mod, "_batched_dets", off_by_one)
                 with pytest.raises(RuntimeError, match="determinant cross-check failed"):
                     polymat_det(m)
 
