@@ -19,7 +19,7 @@ from math import gcd, inf
 from .convergence import Bound, RadiusReport
 from .errors import GraphParseError
 from .exact import Matrix
-from .graphs import ComponentReport, Graph, build_graph
+from .graphs import _ONE, ComponentReport, Graph, build_graph
 from .ihara import IdentityCertificate
 from .polys import Polynomial, SmithForm
 from .spectral import PerronResult
@@ -51,10 +51,12 @@ def parse_graph(text: str) -> Graph:
     """Parse edge-list text into a Graph.
 
     Vertices are indexed in first-appearance order over the whole file,
-    including isolated declarations.
+    including isolated declarations.  Each distinct weight token is parsed
+    once; a bad one is reported at its first line.
     """
     mirror = False
     triples = []
+    weights: dict[str, Fraction] = {}
     declared = []
     order = []
     seen_labels = set()
@@ -81,13 +83,15 @@ def parse_graph(text: str) -> Graph:
             continue
         if len(tokens) == 2:
             src, dst = tokens
-            weight = Fraction(1)
+            weight = _ONE
         elif len(tokens) == 3:
             src, dst, wtok = tokens
-            try:
-                weight = parse_weight(wtok)
-            except GraphParseError as exc:
-                raise GraphParseError(str(exc), line_no) from None
+            weight = weights.get(wtok)
+            if weight is None:
+                try:
+                    weight = weights[wtok] = parse_weight(wtok)
+                except GraphParseError as exc:
+                    raise GraphParseError(str(exc), line_no) from None
         else:
             raise GraphParseError(
                 f"expected 1 to 3 whitespace-separated fields, got {len(tokens)}",
@@ -132,7 +136,12 @@ def poly_json(p: Polynomial) -> list:
 
 
 def matrix_json(m: Matrix) -> list:
-    return [_ratio_strs(row, m.den) for row in m.ints]
+    """The rows of m as "p/q" strings.  Each distinct entry is formatted
+    once, and equal entries share one string: a walk table repeats few
+    values, most of them 0."""
+    values = list({x for row in m.ints for x in row})
+    get = dict(zip(values, _ratio_strs(values, m.den))).__getitem__
+    return [list(map(get, row)) for row in m.ints]
 
 
 def bound_json(b: Bound | None):
@@ -265,7 +274,10 @@ def to_json(doc: dict) -> str:
     With an indent, `json.dumps` runs its pure-Python encoder on every
     value.  This renderer spells each scalar and key as that encoder does,
     but quotes a flat list of strings, which is what the walk tables and
-    polynomials are, in one join over the C string quoter.
+    polynomials are, in one join over the C string quoter.  A list is
+    taken as flat when that join succeeds: the quoter raises `TypeError`
+    on any item that is not a `str`, and the list is then rendered item by
+    item.
     """
     out: list[str] = []
     _render(doc, "\n", out)
@@ -313,8 +325,12 @@ def _render(value, newline: str, out: list) -> None:
             out.append("[]")
             return
         inner = newline + "  "
-        if all(type(x) is str for x in value):
-            out.append("[" + inner + ("," + inner).join(map(_quote, value)) + newline + "]")
+        try:
+            items = ("," + inner).join(map(_quote, value))
+        except TypeError:  # an item that is not a str: render item by item
+            pass
+        else:
+            out.append("[" + inner + items + newline + "]")
             return
         sep = "[" + inner
         for x in value:

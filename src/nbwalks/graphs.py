@@ -117,12 +117,12 @@ def build_graph(edge_triples, vertices=()) -> Graph:
             raise LoopEdgeError(f"loop at vertex {src!r}")
         if (u, v) in seen:
             raise DuplicateEdgeError(f"edge {src!r} -> {dst!r} listed twice")
-        w = Fraction(weight)
-        if w <= 0:
+        w = weight if type(weight) is Fraction else Fraction(weight)
+        if w.numerator <= 0:
             raise NonPositiveWeightError(f"edge {src!r} -> {dst!r} has weight {weight}")
         seen.add((u, v))
         edges.append((u, v, w))
-    edges.sort(key=lambda e: (e[0], e[1]))
+    edges.sort()  # the (u, v) pairs are distinct, so weights are never compared
     return Graph(len(labels), tuple(edges), tuple(labels))
 
 

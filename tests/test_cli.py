@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nbwalks import EdgeSpace, Matrix, Polynomial, parse_graph
+from nbwalks import EdgeSpace, Matrix, Polynomial, build_graph, parse_graph
 from nbwalks.errors import (
     DuplicateEdgeError,
     GraphParseError,
@@ -20,9 +20,16 @@ from nbwalks import cli as cli_mod
 from nbwalks import edgespace as edgespace_mod
 from nbwalks.cli import main, run_command
 from nbwalks.exact import _batched_dets
-from nbwalks.fileio import matrix_json, parse_weight, poly_json, rational_str, to_json
+from nbwalks.fileio import (
+    matrix_json,
+    parse_weight,
+    poly_json,
+    rational_str,
+    to_json,
+    walk_table_json,
+)
 from nbwalks.ihara import IdentityCertificate
-from nbwalks.walks import nbt_katz_centrality
+from nbwalks.walks import nbt_katz_centrality, walk_table
 
 from helpers import example1
 
@@ -80,6 +87,35 @@ class TestParse:
     def test_duplicate_edge(self):
         with pytest.raises(DuplicateEdgeError):
             parse_graph("1\t2\n1\t2\n")
+
+    def test_repeated_bad_weight_reported_at_first_line(self):
+        with pytest.raises(GraphParseError) as err:
+            parse_graph("1\t2\t1/2\n2\t3\tabc\n3\t4\n4\t1\tabc\n")
+        assert str(err.value) == "line 2: cannot parse weight 'abc'"
+
+    def test_equal_weights_from_different_tokens(self):
+        g = parse_graph("1\t2\t1/2\n2\t3\t0.5\n3\t1\t2/4\n1\t3\t1/2\n")
+        assert [w for _, _, w in g.edges] == [F(1, 2)] * 4
+
+    def test_every_weight_is_a_fraction(self):
+        g = parse_graph("%undirected\n1\t2\n2\t3\t3\n3\t4\t0.25\n4\t1\t3\n1\t3\n")
+        assert {w for _, _, w in g.edges} == {1, 3, F(1, 4)}
+        assert all(type(w) is F for _, _, w in g.edges)
+
+    def test_build_graph_weight_types(self):
+        arcs = [("b", "a"), ("a", "c"), ("a", "b"), ("c", "b"), ("b", "c")]
+        weights = [2, 1, 7, 3, 1]
+        graphs = [build_graph([(*arc, convert(w)) for arc, w in zip(arcs, weights)])
+                  for convert in (int, F, str)]
+        graphs.append(build_graph([(*arc, str(F(w, 6))) for arc, w in zip(arcs, weights)]))
+        graphs.append(build_graph([(*arc, F(w, 6)) for arc, w in zip(arcs, weights)]))
+        assert graphs[0] == graphs[1] == graphs[2] and graphs[3] == graphs[4]
+        for g in graphs:
+            assert g.labels == ("b", "a", "c")
+            assert [(u, v) for u, v, _ in g.edges] == [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0)]
+            assert all(type(w) is F for _, _, w in g.edges)
+        assert [w for _, _, w in graphs[0].edges] == [2, 1, 7, 1, 3]
+        assert [w for _, _, w in graphs[3].edges] == [F(1, 3), F(1, 6), F(7, 6), F(1, 6), F(1, 2)]
 
 
 @pytest.fixture()
@@ -734,6 +770,10 @@ _JSON_DOCS = st.recursive(_JSON_SCALARS, lambda inner: st.one_of(
 ), max_leaves=40)
 
 
+class _Str(str):
+    pass
+
+
 class TestToJson:
     """`to_json` is `json.dumps(doc, indent=2, ensure_ascii=True)`, byte
     for byte."""
@@ -749,7 +789,18 @@ class TestToJson:
         _, doc = run_command([*argv, example1_file])
         assert to_json(doc) == json.dumps(doc, indent=2, ensure_ascii=True)
 
-    @pytest.mark.parametrize("bad", [{"a": object()}, {(1, 2): 3}, [{1, 2}]])
+    @pytest.mark.parametrize("doc", [
+        ["a", 1], [1, "a"], ["a", None], [None, "a"], ["a", 0.5], [0.5, "a"],
+        ["a", True], ["a", ["b"]], [["b"], "a"], ["a", {"k": "v"}], [{"k": "v"}, "a"],
+        ["a", _Str("b")], [_Str("a")], ("a", "b"), {"t": ("a", ["b", 2])},
+        ['q"uote', "back\\slash", "\x00\x1f\n\t\x7f", "\u00e9 \u2603 \U0001f600"],
+        [1, 'q"', "\u00e9", None],
+    ])
+    def test_flat_and_mixed_lists(self, doc):
+        assert to_json(doc) == json.dumps(doc, indent=2, ensure_ascii=True)
+
+    @pytest.mark.parametrize("bad", [{"a": object()}, {(1, 2): 3}, [{1, 2}],
+                                     ["a", object()], ["a", {1, 2}]])
     def test_refuses_what_json_refuses(self, bad):
         with pytest.raises(TypeError) as ours:
             to_json(bad)
@@ -769,3 +820,27 @@ class TestRationalJson:
         p = Polynomial([F(1, 2), 0, F(-3, 4), 6])
         assert poly_json(p) == [rational_str(c) for c in p.coeffs] == ["1/2", "0/1", "-3/4", "6/1"]
         assert poly_json(Polynomial()) == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matrix_json_is_per_entry(self, data):
+        # few distinct values, many repeats, negatives and big integers,
+        # over denominators that share factors with the entries
+        pool = data.draw(st.lists(st.integers(-40, 40) | st.integers(-10**30, 10**30),
+                                  min_size=1, max_size=4))
+        ncols = data.draw(st.integers(1, 6))
+        rows = data.draw(st.lists(st.lists(st.sampled_from(pool), min_size=ncols,
+                                           max_size=ncols), max_size=6))
+        den = data.draw(st.sampled_from([1, 1, 2, 12, 36, 360, 2**40 * 3**5]))
+        m = Matrix(rows, den, ncols)
+        assert matrix_json(m) == [[rational_str(x) for x in row] for row in m.data]
+
+    def test_weighted_walk_tables_are_per_entry(self):
+        g = build_graph([(1, 2, F(1, 2)), (2, 1, F(2, 3)), (2, 3, 3), (3, 2, F(5, 6)),
+                         (3, 1, 1), (1, 3, F(1, 6))])
+        table = walk_table(g, 6)
+        # p_k is over 6**k, in lowest terms
+        assert all(m.den > 1 and 6**k % m.den == 0 for k, m in enumerate(table.tables[1:], 1))
+        doc = walk_table_json(table)
+        assert doc["tables"] == [[[rational_str(x) for x in row] for row in m.data]
+                                 for m in table.tables]
