@@ -21,13 +21,17 @@ for a determinant or the rank, Gauss-Jordan for a solve, whose solution
 is then the eliminated right-hand side over a single integer denominator.
 Each step updates only the rows with an entry in the pivot column and
 leaves the others to be rescaled lazily (Sylvester's identity), so a
-sparse matrix costs what its fill costs.  The determinants sampled at many
-points of one nonzero pattern, the weighted-Ihara and `polymat_det` point
-checks, take their rows in a minimum-degree order found once for the
-pattern (`_elimination_plan`), which keeps that fill small, and run the
-same steps for a group of points at once (`_batched_dets`), each entry
-the list of its values at the points; a point whose planned pivot is 0 is
-recomputed alone by `_fraction_free`, which swaps rows.
+sparse matrix costs what its fill costs.  The same elimination gives the
+determinants over Z[t]: `polys.polymat_det` evaluates the polynomial
+entries at one large power of two and reads the coefficients off the
+integer determinant (Kronecker substitution).  The determinants sampled
+at many points of one nonzero pattern, the weighted-Ihara and
+`polymat_det` point checks, take their rows in a minimum-degree order
+found once for the pattern (`_elimination_plan`), which keeps that fill
+small, and run the same steps for a group of points at once
+(`_batched_dets`), each entry the list of its values at the points; a
+point whose planned pivot is 0 is recomputed alone by `_fraction_free`,
+which swaps rows.
 """
 
 from __future__ import annotations

@@ -12,11 +12,15 @@ entries a read-only view, so the matrix kernels read its integers directly
 and no entry is cleared of denominators twice.  All arithmetic is exact;
 nothing in this module touches floating point.
 
-The matrix eliminations (``polymat_det``, ``smith_form``), the gcd and
-Yun's squarefree decomposition run over Z[t] on the integer coefficients:
-the gcd by a primitive remainder sequence, and Yun's loop on primitive
-polynomials, whose divisions by primitive gcds are exact in Z[t] by Gauss's
-lemma.  The Smith form keeps every row and column it updates primitive by
+``polymat_det`` runs no elimination over Z[t]: by Kronecker substitution
+its integer rows evaluated at t = 2**w, with 2**(w - 1) above every
+coefficient the determinant can have, go through the package's one
+integer elimination, and the signed base-2**w digits of that determinant
+are the coefficients.  ``smith_form``, the gcd and Yun's squarefree
+decomposition run over Z[t] on the integer coefficients: the gcd by a
+primitive remainder sequence, and Yun's loop on primitive polynomials,
+whose divisions by primitive gcds are exact in Z[t] by Gauss's lemma.
+The Smith form keeps every row and column it updates primitive by
 dividing out its integer content; a nonzero rational factor is a unit of
 Q[t], so this changes no invariant and keeps the integers small.  The
 partial multiplicities of one rational value need no global Smith form:
@@ -29,12 +33,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from .errors import NotSquareError, ZeroPolynomialError
 from .exact import (
     _POINT_GROUP,
     Matrix,
+    _bareiss_int_det,
     _batched_dets,
     _clear_denominators,
     _elimination_plan,
@@ -594,26 +599,32 @@ def reversal(m: PolyMatrix) -> PolyMatrix:
 def polymat_det(m: PolyMatrix) -> Polynomial:
     """Exact determinant of a square polynomial matrix.
 
-    Fraction-free Bareiss elimination over Z[t] on the integer rows of m,
-    whose determinant is det m times den**n, cross-checked at the integer
-    points t = 0, 1, -1, 2, -2, ... (degree bound + 1 of them): the integer
-    rows evaluated there give integer matrices whose determinants must
-    equal the Z[t] determinant's values.  Those matrices all have the
-    nonzero pattern of m, so the rows are permuted once into the order of
-    its `_elimination_plan`; then, a group of points at a time, each
-    distinct entry is evaluated at all of them in one Horner pass and
-    `_batched_dets` eliminates them together in that order.  A
-    disagreement means a bug and raises RuntimeError.
+    The determinant of the integer rows of m is det m times den**n, found
+    by Kronecker substitution (`_kronecker_det`): one integer elimination
+    at t = 2**w, decoded.  It is cross-checked at the integer points
+    t = 0, 1, -1, 2, -2, ... (degree bound + 1 of them): the integer rows
+    evaluated there give integer matrices whose determinants must equal
+    the Z[t] determinant's values.  Those matrices all have the nonzero
+    pattern of m, so the rows are permuted once into the order of its
+    `_elimination_plan`; then, a group of points at a time, each distinct
+    entry is evaluated at all of them in one Horner pass and
+    `_batched_dets` eliminates them together in that order, with the
+    planned diagonal pivots, where `_kronecker_det`'s `_fraction_free`
+    searches for its pivots and swaps rows.  A determinant of degree above
+    the bound, which the points could not prove, or a disagreement means a
+    bug and raises RuntimeError.
     """
     if not m.is_square():
         raise NotSquareError(f"{m.nrows}x{m.ncols} polynomial matrix")
     if m.nrows == 0:
         return Polynomial([1])
     rows = m.ints
-    det = _polymat_det_bareiss(rows)
     bound = max(sum(max(len(e) for e in row) - 1 for row in rows), 0)
     order = _elimination_plan(m.nrows, [[j for j, e in enumerate(row) if e] for row in rows])
     planned = [[rows[i][j] for j in order] for i in order]
+    det = _kronecker_det(planned)
+    if len(det) > bound + 1:
+        raise RuntimeError("determinant degree above its bound")
     distinct = {e for row in planned for e in row if e}
     points = [(k + 1) // 2 * (1 if k % 2 else -1) for k in range(bound + 1)]
     for lo in range(0, bound + 1, _POINT_GROUP):
@@ -625,64 +636,43 @@ def polymat_det(m: PolyMatrix) -> Polynomial:
     return Polynomial(det, m.den**m.nrows)
 
 
-def _polymat_det_bareiss(rows) -> list[int]:
-    """Fraction-free Bareiss elimination over Z[t].
+def _kronecker_det(rows) -> list[int]:
+    """The determinant of a square matrix over Z[t] by Kronecker
+    substitution (von zur Gathen & Gerhard, Modern Computer Algebra, 8.4).
 
-    ``rows`` are integer coefficient rows as in `PolyMatrix.ints` (entries
-    ascending int coefficient sequences without trailing zeros, or empty)
-    and are not modified.  Returns the determinant's int coefficients,
-    ascending.
-
-    Column by column, the row at or below k whose entry in column k has
-    the lowest degree becomes the pivot row, with pivot p_k.  As in
-    `exact._fraction_free`, a step updates only the rows with an entry in
-    the pivot column, to (p_k a_ij - a_ik a_kj) / p_s with p_s the pivot of
-    the step that last updated row i; every other row stays as it was, its
-    true entries those times p_(k-1) / p_s (Sylvester's identity), and is
-    brought up to date when it becomes the pivot row.
+    ``rows`` are integer coefficient rows as in `PolyMatrix.ints`.  Returns
+    the determinant's int coefficients, ascending.  Each entry becomes its
+    value at t = 2**w, one integer, and `_bareiss_int_det` of those rows is
+    D = det(2**w), as evaluation is a ring homomorphism.  The width is
+    w = isqrt(H2).bit_length() + 2 for H2 = prod_i sum_j ||a_ij||_1**2,
+    ||e||_1 the sum of the absolute coefficients of e, and every
+    coefficient c of det has |c| < 2**(w - 1):
+    - on |z| = 1, each |a_ij(z)| <= ||a_ij||_1;
+    - Hadamard's inequality then gives |det(z)| <= sqrt(H2);
+    - Cauchy's estimate bounds every coefficient of det by the largest
+      |det(z)| on |z| = 1;
+    - so |c| <= isqrt(H2) < 2**(w - 2).
+    The signed base-2**w digits of D, each in [-2**(w - 1), 2**(w - 1)),
+    are therefore det's coefficients.  H2 = 0 means a zero row: D = 0 and
+    det is [].
     """
-    n = len(rows)
-    a = list(rows)
-    stamp = [0] * n  # pivots[stamp[i]] = p_s for row i
-    pivots = [[1]]
-    sign = 1
-    for k in range(n):
-        prev = pivots[k]
-        piv = None
-        best = None
-        for i in range(k, n):
-            e = a[i][k]
-            if e:
-                size = len(e) + len(prev) - len(pivots[stamp[i]])  # of the true entry
-                if best is None or size < best:
-                    best = size
-                    piv = i
-        if piv is None:
-            return []
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            stamp[k], stamp[piv] = stamp[piv], stamp[k]
-            sign = -sign
-        rowk = a[k][k:]
-        if stamp[k] != k:
-            ps = pivots[stamp[k]]
-            rowk = [_zdiv_exact(_zmul(e, prev), ps) if e else e for e in rowk]
-        pk = rowk[0]
-        rowk = rowk[1:]
-        for i in range(k + 1, n):
-            rowi = a[i]
-            rik = rowi[k]
-            if not rik:
-                continue
-            ps = pivots[stamp[i]]
-            new_row = [[]] * (k + 1)
-            for x, y in zip(rowi[k + 1:], rowk):
-                num = _zsub(_zmul(pk, x), _zmul(rik, y))
-                new_row.append(_zdiv_exact(num, ps) if num else num)
-            a[i] = new_row
-            stamp[i] = k + 1
-        pivots.append(pk)
-    return _zscale(pivots[-1], sign)
+    distinct = {e for row in rows for e in row}
+    norms = {e: sum(map(abs, e)) ** 2 for e in distinct}
+    h2 = 1
+    for row in rows:
+        h2 *= sum([norms[e] for e in row])
+    w = isqrt(h2).bit_length() + 2
+    packed = {e: sum([c << (w * k) for k, c in enumerate(e)]) for e in distinct}
+    d = _bareiss_int_det([[packed[e] for e in row] for row in rows])
+    mask, half, full = (1 << w) - 1, 1 << (w - 1), 1 << w
+    out = []
+    while d:
+        c = d & mask
+        if c >= half:
+            c -= full
+        out.append(c)
+        d = (d - c) >> w
+    return out
 
 
 @dataclass(frozen=True)

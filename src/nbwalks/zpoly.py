@@ -1,11 +1,11 @@
 """Polynomials over Z as ascending sequences of int coefficients.
 
 The arithmetic of ``polys.Polynomial``, whose integer numerators these
-kernels take and return, and of the fraction-free eliminations of
-``polys``, which read the entries of ``PolyMatrix.ints`` as they are: a
-polynomial is a list or tuple of ints without trailing zeros (empty for
-zero).  No function changes its arguments, so entries may be shared
-freely.
+kernels take and return, of its gcd, Yun's loop and Sturm chains, and of
+the Smith form and local partial multiplicities of ``polys``, which read
+the entries of ``PolyMatrix.ints`` as they are: a polynomial is a list or
+tuple of ints without trailing zeros (empty for zero).  No function
+changes its arguments, so entries may be shared freely.
 """
 
 from __future__ import annotations
@@ -130,7 +130,7 @@ def _zdiv_exact(num, den):
                 rem[i - dd + j] -= q * den[j]
             rem[i] = 0
     if any(rem):
-        raise RuntimeError("non-exact division in fraction-free elimination")
+        raise RuntimeError("non-exact division in Z[t]")
     return quot
 
 

@@ -34,7 +34,14 @@ from nbwalks.polys import (
     squarefree_decomposition,
     sturm_chain,
 )
-from nbwalks.zpoly import _zhomogeneous, _zpseudo_divmod, _zscale
+from nbwalks.zpoly import (
+    _zdiv_exact,
+    _zhomogeneous,
+    _zmul,
+    _zpseudo_divmod,
+    _zscale,
+    _zsub,
+)
 
 
 def mirror(pairs):
@@ -513,6 +520,64 @@ def parent_bareiss_int_det(rows) -> int:
                 m[i] = [(pk * a) // prev for a in rowi]
         prev = pk
     return sign * contents * m[n - 1][n - 1]
+
+
+def parent_polymat_det_bareiss(rows) -> list[int]:
+    """The Z[t] determinant as `polys.polymat_det` computed it before
+    Kronecker substitution: fraction-free Bareiss elimination over Z[t] on
+    integer coefficient rows as in `PolyMatrix.ints`, which are not
+    modified; returns the determinant's int coefficients, ascending.
+
+    Column by column, the row at or below k whose entry in column k has
+    the lowest degree becomes the pivot row, with pivot p_k.  A step
+    updates only the rows with an entry in the pivot column, to
+    (p_k a_ij - a_ik a_kj) / p_s with p_s the pivot of the step that last
+    updated row i; every other row stays as it was, its true entries those
+    times p_(k-1) / p_s (Sylvester's identity), and is brought up to date
+    when it becomes the pivot row.
+    """
+    n = len(rows)
+    a = list(rows)
+    stamp = [0] * n  # pivots[stamp[i]] = p_s for row i
+    pivots = [[1]]
+    sign = 1
+    for k in range(n):
+        prev = pivots[k]
+        piv = None
+        best = None
+        for i in range(k, n):
+            e = a[i][k]
+            if e:
+                size = len(e) + len(prev) - len(pivots[stamp[i]])  # of the true entry
+                if best is None or size < best:
+                    best = size
+                    piv = i
+        if piv is None:
+            return []
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            stamp[k], stamp[piv] = stamp[piv], stamp[k]
+            sign = -sign
+        rowk = a[k][k:]
+        if stamp[k] != k:
+            ps = pivots[stamp[k]]
+            rowk = [_zdiv_exact(_zmul(e, prev), ps) if e else e for e in rowk]
+        pk = rowk[0]
+        rowk = rowk[1:]
+        for i in range(k + 1, n):
+            rowi = a[i]
+            rik = rowi[k]
+            if not rik:
+                continue
+            ps = pivots[stamp[i]]
+            new_row = [[]] * (k + 1)
+            for x, y in zip(rowi[k + 1:], rowk):
+                num = _zsub(_zmul(pk, x), _zmul(rik, y))
+                new_row.append(_zdiv_exact(num, ps) if num else num)
+            a[i] = new_row
+            stamp[i] = k + 1
+        pivots.append(pk)
+    return _zscale(pivots[-1], sign)
 
 
 def unsplit_char_poly(a: Matrix) -> list[Fraction]:

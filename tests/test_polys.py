@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 import pytest
@@ -28,7 +28,7 @@ from nbwalks import polys as polys_mod
 from nbwalks.exact import _POINT_GROUP, _batched_dets, _clear_denominators
 from nbwalks.polys import (
     RootRecord,
-    _polymat_det_bareiss,
+    _kronecker_det,
     _sign_at,
     poly_gcd,
     simplest_rational_in,
@@ -43,6 +43,7 @@ from helpers import (
     complete_undirected,
     full_chain_real_roots,
     mirror,
+    parent_polymat_det_bareiss,
     polymatrix_from_coefficients,
     polynomial_divmod,
     q_poly_gcd,
@@ -91,6 +92,21 @@ class TestPolynomialBasics:
         assert root_multiplicity(p, 2) == 0
 
 
+def _sparse_pattern(rng, n, kind):
+    """The columns row i may hold, for an arrow (a hub row and column, else
+    the diagonal), 2x2 blocks ("pairs") or a random sparse pattern: most
+    rows have no entry in the pivot column for many steps."""
+    if kind == "arrow":
+        hub = rng.randrange(n)
+        return [{i, hub} if i != hub else set(range(n)) for i in range(n)]
+    if kind == "pairs":
+        perm = rng.sample(range(n), n)
+        mate = dict(zip(perm[::2], perm[1::2]))
+        mate.update({b: a for a, b in mate.items()})
+        return [{i, mate.get(i, i)} for i in range(n)]
+    return [{i} | {j for j in range(n) if rng.random() < 0.3} for i in range(n)]
+
+
 class TestPolymatDet:
     def test_diagonal_example(self):
         m = PolyMatrix(
@@ -117,8 +133,8 @@ class TestPolymatDet:
             polymat_det(PolyMatrix([[poly(1), poly(2)]]))
 
     def test_agrees_with_charpoly_route(self):
-        # fraction-free elimination against interpolation through scalar
-        # determinants, two fully independent algorithms
+        # Kronecker substitution against Berkowitz's characteristic
+        # polynomial, two fully independent algorithms
         rng = random.Random(71)
         for _ in range(15):
             n = rng.randint(1, 5)
@@ -134,7 +150,7 @@ class TestPolymatDet:
         assert polymat_det(m).is_zero()
 
     def test_elimination_matches_sympy(self):
-        # the integer elimination alone, before polymat_det's sample check,
+        # the Kronecker route alone, before polymat_det's sample check,
         # on rational entries with mixed denominators, zeros and row swaps
         t = sympy.Symbol("t")
         rng = random.Random(29)
@@ -154,7 +170,7 @@ class TestPolymatDet:
                 n, n, [sum(sympy.Rational(c.numerator, c.denominator) * t**k
                            for k, c in enumerate(e.coeffs)) for row in entries for e in row]
             ).det(method="berkowitz")
-            got = Polynomial([F(c, m.den**n) for c in _polymat_det_bareiss(m.ints)])
+            got = Polynomial([F(c, m.den**n) for c in _kronecker_det(m.ints)])
             assert sympy.expand(want - sum(
                 sympy.Rational(c.numerator, c.denominator) * t**k
                 for k, c in enumerate(got.coeffs))) == 0, trial
@@ -163,22 +179,11 @@ class TestPolymatDet:
     @settings(max_examples=120, deadline=None)
     @given(st.integers(0, 2**32), st.sampled_from(("arrow", "pairs", "random")))
     def test_lazy_rows_match_sympy(self, seed, kind):
-        # on an arrow (a hub row and column, else the diagonal) or 2x2
-        # blocks, most rows have no entry in the pivot column for many
-        # steps; rows and columns permuted, so that pivots need row swaps
+        # rows and columns permuted, so that pivots need row swaps
         t = sympy.Symbol("t")
         rng = random.Random(seed)
         n = rng.randint(1, 7)
-        if kind == "arrow":
-            hub = rng.randrange(n)
-            pattern = [{i, hub} if i != hub else set(range(n)) for i in range(n)]
-        elif kind == "pairs":
-            perm = rng.sample(range(n), n)
-            mate = dict(zip(perm[::2], perm[1::2]))
-            mate.update({b: a for a, b in mate.items()})
-            pattern = [{i, mate.get(i, i)} for i in range(n)]
-        else:
-            pattern = [{i} | {j for j in range(n) if rng.random() < 0.3} for i in range(n)]
+        pattern = _sparse_pattern(rng, n, kind)
         rows, cols = rng.sample(range(n), n), rng.sample(range(n), n)
         entries = [[poly(*(rng.randint(-4, 4) for _ in range(rng.randint(1, 3))))
                     if cols[j] in pattern[rows[i]] else poly() for j in range(n)]
@@ -192,7 +197,7 @@ class TestPolymatDet:
 
         want = DomainMatrix([[element(e.coeffs) for e in row] for row in entries],
                             (n, n), ring).det()
-        got = _polymat_det_bareiss(m.ints)
+        got = _kronecker_det(m.ints)
         assert want == element(got)
         assert polymat_det(m) == Polynomial(got, m.den**n)
 
@@ -206,6 +211,79 @@ class TestPolymatDet:
         ).det(method="berkowitz"), t)
         got = polymat_det(m)
         assert [F(int(c.p), int(c.q)) for c in reversed(want.all_coeffs())] == list(got.coeffs)
+
+
+def _zz_t_det(entries):
+    """The determinant of integer Polynomial entries by sympy's ZZ[t]."""
+    ring = sympy.ZZ[sympy.Symbol("t")]
+    x = ring.gens[0]
+
+    def element(e):
+        return sum((int(c) * x**k for k, c in enumerate(e.coeffs)), ring.zero)
+
+    n = len(entries)
+    det = DomainMatrix([[element(e) for e in row] for row in entries], (n, n), ring).det()
+    return [int(det.coeff(x**k)) for k in range(det.degree() + 1)] if det else []
+
+
+class TestKroneckerDet:
+    """`_kronecker_det`, one integer elimination at t = 2**w decoded in
+    signed base-2**w digits, against the Z[t] elimination it replaced and
+    sympy's ZZ[t] determinant."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(0, 2**32), st.sampled_from(("arrow", "pairs", "random")),
+           st.sampled_from((2, 16, 64, 200)))
+    def test_matches_parent_and_sympy(self, seed, kind, bits):
+        # coefficients up to +-2**bits, some leading coefficients negative;
+        # rows and columns permuted, so that pivots need row swaps
+        rng = random.Random(seed)
+        n = rng.randint(1, 6)
+        pattern = _sparse_pattern(rng, n, kind)
+
+        def entry():
+            coeffs = [rng.randint(-(2**bits), 2**bits) for _ in range(rng.randint(0, 3))]
+            return poly(*coeffs, -rng.randint(1, 2**bits) if rng.random() < 0.5 else
+                        rng.randint(1, 2**bits))
+
+        rows, cols = rng.sample(range(n), n), rng.sample(range(n), n)
+        entries = [[entry() if cols[j] in pattern[rows[i]] else poly() for j in range(n)]
+                   for i in range(n)]
+        m = PolyMatrix(entries)
+        got = _kronecker_det(m.ints)
+        assert got == list(parent_polymat_det_bareiss(m.ints)) == _zz_t_det(entries)
+        assert polymat_det(m) == Polynomial(got, m.den**n)
+
+    @pytest.mark.parametrize("diagonal", [(1,), (-1,), (3, -5, 7), (-(2**64), 2**64 - 1, -1),
+                                          (2**200, -(2**200), 3, -3)])
+    def test_constant_diagonal_meets_the_bound(self, diagonal):
+        # |det| = sqrt(H2) exactly, the largest coefficient the width allows
+        n = len(diagonal)
+        rows = [[(c,) if i == j else () for j in range(n)] for i, c in enumerate(diagonal)]
+        h2 = 1
+        for c in diagonal:
+            h2 *= c * c
+        want = 1
+        for c in diagonal:
+            want *= c
+        assert isqrt(h2) ** 2 == h2 and abs(want) == isqrt(h2)
+        assert _kronecker_det(rows) == [want]
+        assert polymat_det(PolyMatrix(rows, 0, 1)) == Polynomial([want])
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 7, 63, 64, 200])
+    def test_one_by_one_negative_power_of_two(self, k):
+        # -2**k meets the bound exactly, and the low bits of its digit are
+        # all 0, so only the sign test makes the digit negative
+        assert _kronecker_det([[(-(2**k),)]]) == [-(2**k)]
+        assert polymat_det(PolyMatrix([[(-(2**k),)]], 0, 1)) == Polynomial([-(2**k)])
+
+    def test_singular(self):
+        row = [(1, -2**70, 3), (), (-5,)]
+        equal_rows = [row, [(2,), (0, 1), ()], row]
+        zero_row = [[(1, 1), (2,), ()], [(), (), ()], [(3,), (0, 4), (5, 0, 6)]]
+        for rows in (equal_rows, zero_row, [[()]]):
+            assert _kronecker_det(rows) == []
+            assert polymat_det(PolyMatrix(rows, None, 1)).is_zero()
 
 
 class TestSmithForm:
@@ -916,7 +994,7 @@ class TestPolymatDetCrossCheck:
 
     @pytest.mark.parametrize("delta", [1, -1])
     def test_wrong_coefficient_is_caught(self, monkeypatch, delta):
-        elimination = polys_mod._polymat_det_bareiss
+        elimination = polys_mod._kronecker_det
         for m in self.matrices():
             det = elimination(m.ints)
             for k in range(max(len(det), 1)):
@@ -925,11 +1003,31 @@ class TestPolymatDetCrossCheck:
                     out[k] += delta
                     return out
 
-                monkeypatch.setattr(polys_mod, "_polymat_det_bareiss", off_by_one)
+                monkeypatch.setattr(polys_mod, "_kronecker_det", off_by_one)
                 with pytest.raises(RuntimeError, match="determinant cross-check failed"):
                     polymat_det(m)
-            monkeypatch.setattr(polys_mod, "_polymat_det_bareiss", elimination)
+            monkeypatch.setattr(polys_mod, "_kronecker_det", elimination)
             assert polymat_det(m) == Polynomial([F(c, m.den**m.nrows) for c in det])
+
+    def test_degree_above_bound_is_caught(self, monkeypatch):
+        # one more signed base-2**w digit, at t**(bound + 1): no sample
+        # point is needed to see it, so the guard raises before the checks
+        int_det = polys_mod._bareiss_int_det
+        for m in self.matrices():
+            bound = max(sum(max(len(e) for e in row) - 1 for row in m.ints), 0)
+            h2 = 1
+            for row in m.ints:
+                h2 *= sum(sum(abs(c) for c in e) ** 2 for e in row)
+            w = isqrt(h2).bit_length() + 2
+
+            def beyond(rows):
+                return int_det(rows) + 2 ** (w * (bound + 1))
+
+            monkeypatch.setattr(polys_mod, "_bareiss_int_det", beyond)
+            with pytest.raises(RuntimeError, match="determinant degree above its bound"):
+                polymat_det(m)
+            monkeypatch.setattr(polys_mod, "_bareiss_int_det", int_det)
+            polymat_det(m)
 
 
 def _fraction_root_multiplicity(p, r):
