@@ -16,10 +16,10 @@ nothing in this module touches floating point.
 its integer rows evaluated at t = 2**w, with 2**(w - 1) above every
 coefficient the determinant can have, go through the package's one
 integer elimination, and the signed base-2**w digits of that determinant
-are the coefficients.  ``smith_form``, the gcd and Yun's squarefree
-decomposition run over Z[t] on the integer coefficients: the gcd by a
-primitive remainder sequence, and Yun's loop on primitive polynomials,
-whose divisions by primitive gcds are exact in Z[t] by Gauss's lemma.
+are the coefficients.  ``smith_form``, the gcd, the Sturm chains (one
+primitive remainder sequence) and Yun's loop on primitive polynomials,
+whose divisions by primitive gcds are exact in Z[t] by Gauss's lemma,
+run over Z[t] on the integer coefficients.
 The Smith form keeps every row and column it updates primitive by
 dividing out its integer content; a nonzero rational factor is a unit of
 Q[t], so this changes no invariant and keeps the integers small.  The
@@ -55,6 +55,7 @@ from .zpoly import (
     _zmul,
     _zprimitive,
     _zpseudo_divmod,
+    _zremainders,
     _zscale,
     _zsub,
     _zvalues,
@@ -231,28 +232,28 @@ def squarefree_decomposition(p: Polynomial):
     squarefree and monic.
 
     The product of factor**multiplicity equals p up to a constant.  Yun's
-    loop runs over Z[t] on the primitive part of p: each gcd is primitive,
-    so by Gauss's lemma every division by one is exact in Z[t].
+    loop runs over Z[t] on the primitive part of p (`_yun`).
     """
     if p.is_zero():
         raise ZeroPolynomialError("zero polynomial")
-    if p.degree == 0:
-        return []
     p = _zprimitive([p.ints])[0]
-    dp = _zderivative(p)
-    a = _zgcd(p, dp)
+    return [(Polynomial(f).monic(), k) for f, k in _yun(p, _zgcd(p, _zderivative(p)))]
+
+
+def _yun(p, a):
+    """Yun's loop on the primitive int list p from a = +-gcd(p, p'): yields
+    (f, multiplicity), f primitive with a positive leading coefficient.
+    Each gcd is primitive, so every division by one is exact in Z[t]."""
     b = _zdiv_exact(p, a)
-    d = _zsub(_zdiv_exact(dp, a), _zderivative(b))
-    out = []
+    d = _zsub(_zdiv_exact(_zderivative(p), a), _zderivative(b))
     mult = 1
     while len(b) > 1:
         f = _zgcd(b, d)
         if len(f) > 1:
-            out.append((Polynomial(f).monic(), mult))
+            yield f, mult
         b = _zdiv_exact(b, f)
         d = _zsub(_zdiv_exact(d, f), _zderivative(b))
         mult += 1
-    return out
 
 
 def root_multiplicity(p: Polynomial, r) -> int:
@@ -277,20 +278,11 @@ def root_multiplicity(p: Polynomial, r) -> int:
 
 
 def sturm_chain(p: Polynomial) -> list[tuple[int, ...]]:
-    """Sturm sequence of a squarefree polynomial, primitively normalized.
-
-    Each member is returned as its tuple of integer coefficients, ascending,
+    """The primitive remainder sequence of (p, p'), p's Sturm sequence if p
+    is squarefree, each member a tuple of integer coefficients, ascending,
     so that signs at rational points are found in integer arithmetic.  The
-    pseudo-remainder is a positive multiple of the rational remainder, so
-    both have the same primitive part.
-    """
-    chain = [_zprimitive([q])[0] for q in (p.ints, _zderivative(p.ints))]
-    while chain[-1]:
-        _, _, rem = _zpseudo_divmod(chain[-2], chain[-1])
-        if not rem:
-            break
-        chain.append(_zprimitive([[-c for c in rem]])[0])
-    return [tuple(q) for q in chain if q]
+    first has p's signs, the last is gcd(p, p') up to a rational factor."""
+    return [tuple(q) for q in _zremainders(p.ints, _zderivative(p.ints))]
 
 
 def _sign_at(ints, x: Fraction) -> int:
@@ -366,29 +358,33 @@ def real_roots(p: Polynomial, lo, hi, width=_DEFAULT_WIDTH, include_hi=True):
     """Isolate the real roots of p in (lo, hi] (or (lo, hi) when include_hi
     is false).
 
-    Returns RootRecord entries sorted by position.  Rational roots found by
-    exact evaluation are reported with `value` set; all other roots come with
-    an isolating interval refined below `width`.  Multiplicities are exact,
-    obtained from the squarefree decomposition.
+    Returns RootRecord entries sorted by position, none if hi <= lo.
+    Rational roots found by exact evaluation are reported with `value` set,
+    others with an isolating interval refined below `width` (> 0).  p's
+    Sturm chain, run once, ends in a constant if p is squarefree, else in
+    gcd(p, p'), where Yun's loop starts, so multiplicities are exact.
     """
     if p.is_zero():
         raise ZeroPolynomialError("cannot isolate roots of the zero polynomial")
     lo, hi, width = _frac(lo), _frac(hi), _frac(width)
-    records = []
-    for factor, mult in squarefree_decomposition(p):
-        for rec in _isolate_squarefree(factor, lo, hi, width):
-            records.append(
-                RootRecord(rec.lo, rec.hi, mult, rec.value)
-            )
+    if width <= 0:
+        raise ValueError("width must be positive")
+    if hi <= lo:
+        return []
+    chain = sturm_chain(p)
+    parts = [(chain, 1)] if len(chain[-1]) == 1 else [
+        (sturm_chain(Polynomial(f, 1)), k) for f, k in _yun(chain[0], chain[-1])]
+    records = [RootRecord(rec.lo, rec.hi, k, rec.value) for factor_chain, k in parts
+               for rec in _isolate_squarefree(factor_chain, lo, hi, width)]
     if not include_hi:
         records = [r for r in records if not (r.value is not None and r.value == hi)]
-    records.sort(key=lambda r: r.midpoint())
-    return records
+    return sorted(records, key=lambda r: r.midpoint())
 
 
-def _isolate_squarefree(p: Polynomial, lo, hi, width):
-    """Bisect (lo, hi] until each interval holds one root and is at most
-    width wide, then try its simplest rational; roots at midpoints are exact.
+def _isolate_squarefree(chain, lo, hi, width):
+    """Bisect (lo, hi] until each interval holds one root of p = chain[0],
+    squarefree, and is at most width wide, then try its simplest rational;
+    roots at midpoints are exact.
 
     The Sturm chain counts the roots of each interval.  Once (a, b] holds
     one root and p(b) != 0, that root is simple and p changes sign across
@@ -396,11 +392,8 @@ def _isolate_squarefree(p: Polynomial, lo, hi, width):
     at b.  Only an interval whose one inner root comes with a root at b
     keeps bisecting on the whole chain.  Both halve the same dyadic
     intervals and stop by the same rule, so every record is the one the
-    whole chain would give.
+    whole chain, or -p's with every sign flipped, would give.
     """
-    # chain[0] is p scaled by a positive rational: it has p's roots and signs
-    chain = sturm_chain(p)
-
     out = []
     at_hi, v_hi = _sign_variations(chain, hi)
     if at_hi == 0:

@@ -304,8 +304,11 @@ def perron_radius(m, tol=DEFAULT_TOL, budget=DEFAULT_ITERATIONS) -> PerronResult
     Nilpotent support gives rho = 0 exactly.  Otherwise the support graph is
     split into strongly connected blocks; each block gets exact
     Collatz-Wielandt brackets tightened by shifted power iteration, and the
-    result is the blockwise maximum.
+    result is the blockwise maximum.  The relative bracket width ``tol``
+    must be positive.
     """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
     rows, den = (_nonzero_rows(m.ints, m.ncols), m.den) if isinstance(m, Matrix) else m
     if min(chain.from_iterable(xs for _, xs in rows), default=0) < 0:
         raise NegativeEntryError("matrix must be entrywise nonnegative")

@@ -1,11 +1,12 @@
 """Polynomials over Z as ascending sequences of int coefficients.
 
 The arithmetic of ``polys.Polynomial``, whose integer numerators these
-kernels take and return, of its gcd, Yun's loop and Sturm chains, and of
-the Smith form and local partial multiplicities of ``polys``, which read
-the entries of ``PolyMatrix.ints`` as they are: a polynomial is a list or
-tuple of ints without trailing zeros (empty for zero).  No function
-changes its arguments, so entries may be shared freely.
+kernels take and return, of its gcd, Yun's loop and Sturm chains (all one
+remainder sequence, ``_zremainders``), and of the Smith form and local
+partial multiplicities of ``polys``, which read the entries of
+``PolyMatrix.ints`` as they are: a polynomial is a list or tuple of ints
+without trailing zeros (empty for zero).  No function changes its
+arguments, so entries may be shared freely.
 """
 
 from __future__ import annotations
@@ -100,17 +101,26 @@ def _zderivative(a):
     return [k * c for k, c in enumerate(a)][1:]
 
 
-def _zgcd(a, b):
-    """The gcd of two int coefficient lists, primitive with a positive
-    leading coefficient (empty when both are zero), by a primitive
-    remainder sequence: each pseudo-remainder is a rational multiple of the
-    remainder over Q, so dividing it by its content keeps the sequence on
-    Euclid's up to units of Q[t]."""
+def _zremainders(a, b):
+    """Nonzero members of the primitive remainder sequence of int lists a
+    and b with Sturm's signs (each next one the negated pseudo-remainder of
+    the last two); the last is gcd(a, b) up to a rational factor."""
+    a, b = _zprimitive([a])[0], _zprimitive([b])[0]
+    if a:
+        yield a
     while b:
+        yield b
         _, _, r = _zpseudo_divmod(a, b)
-        a, b = b, _zprimitive([r])[0]
-    a = _zprimitive([a])[0]
-    return [-c for c in a] if a and a[-1] < 0 else a
+        a, b = b, _zprimitive([[-c for c in r]])[0]
+
+
+def _zgcd(a, b):
+    """gcd(a, b) of int lists, primitive with a positive leading coefficient
+    (empty for two zeros): the last member of their remainder sequence."""
+    g = []
+    for g in _zremainders(a, b):
+        pass
+    return [-c for c in g] if g and g[-1] < 0 else g
 
 
 def _zdiv_exact(num, den):

@@ -10,7 +10,11 @@ polynomial shows up here as a different digest.
 
 The `radius` digests were recorded before the one-sign root refinement and
 the column-pass Perron start vector: any change to an isolating interval or
-a Collatz-Wielandt bracket shows up the same way.
+a Collatz-Wielandt bracket shows up the same way.  Those of
+``unit-multicycle-n14`` were recorded before `real_roots` ran one remainder
+sequence of (p, p'): its determinant is squarefree at tau = 1 and at
+tau = 1/2, so both reports take the route that skips Yun's loop, which no
+other btdw case here does.
 """
 
 import hashlib
@@ -54,10 +58,11 @@ CASES = {
 
 
 # (graph name, radius arguments) -> digest of the `radius` report; the
-# graphs are those of CASES and one multi-cycle graph with n = 20
+# graphs are those of CASES and two multi-cycle graphs, with n = 20 and 14
 RADIUS_GRAPHS = {
     **{name: make for name, (make, _) in CASES.items()},
     "unit-multicycle-n20": lambda rng: random_connected_graph(rng, 20, 6),
+    "unit-multicycle-n14": lambda rng: random_connected_graph(rng, 14, 5),
 }
 NBTW, BTDW, WEIGHTED = (), ("--mode", "btdw", "--tau", "1/2"), ("--mode", "weighted")
 RADIUS_CASES = {
@@ -91,6 +96,10 @@ RADIUS_CASES = {
         "cf7eecfba15ec7e7e8848f9f354f45cb30acd6f640bfad22df77dabea2f842fe",
     ("unit-multicycle-n20", WEIGHTED):
         "f35c9c690204a5e877d7a60a98fdbaa6fa86ff3c2a2c38e84698d7bde1c741e3",
+    ("unit-multicycle-n14", NBTW):
+        "d935e579cbb3662a0e3c23552503d2509863a0f730d9b6136d8097da64fbebfe",
+    ("unit-multicycle-n14", BTDW):
+        "7ae3ceaad1731b14ff087c48a7df4f40d16270560091bb813aedbd31f5119720",
 }
 
 

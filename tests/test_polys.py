@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import sympy
 from sympy.polys.matrices import DomainMatrix
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nbwalks import (
@@ -25,6 +25,7 @@ from nbwalks import (
 )
 from nbwalks.errors import NotSquareError, ZeroPolynomialError
 from nbwalks import polys as polys_mod
+from nbwalks import zpoly as zpoly_mod
 from nbwalks.exact import _POINT_GROUP, _batched_dets, _clear_denominators
 from nbwalks.polys import (
     RootRecord,
@@ -35,7 +36,7 @@ from nbwalks.polys import (
     squarefree_decomposition,
     sturm_chain,
 )
-from nbwalks.zpoly import _zpseudo_divmod
+from nbwalks.zpoly import _zpseudo_divmod, _zremainders
 
 from helpers import (
     assert_index_sum,
@@ -694,6 +695,20 @@ class TestRealRoots:
         with pytest.raises(ZeroPolynomialError):
             real_roots(Polynomial(), 0, 1)
 
+    @pytest.mark.parametrize("width", [0, -1, F(-1, 10**12)])
+    def test_nonpositive_width_rejected(self, width):
+        # _refine could never get an interval this narrow
+        with pytest.raises(ValueError, match="width"):
+            real_roots(poly(-2, 0, 1), 0, 2, width=width)
+
+    @pytest.mark.parametrize("include_hi", [True, False])
+    def test_empty_interval_has_no_roots(self, include_hi):
+        # hi <= lo: (lo, hi] is empty, even when p vanishes at hi
+        assert real_roots(poly(0, 1), 0, 0, include_hi=include_hi) == []
+        assert real_roots(poly(-1, 0, 1), 2, 1, include_hi=include_hi) == []
+        assert real_roots(poly(-1, 0, 1), 1, 1, include_hi=include_hi) == []
+        assert real_roots(poly(-1, 0, 1), 5, -5, include_hi=include_hi) == []
+
     def test_exclusive_upper_end(self):
         p = poly(-1, 1) * poly(-1, 2)
         inclusive = real_roots(p, 0, 1)
@@ -1336,6 +1351,38 @@ class TestRealRootsSympy:
         assert got[0].lo < F(1414213562373095, 10**15) < got[0].hi
         assert [r.multiplicity for r in real_roots(p, 1, 2, include_hi=False)] == [2]
         assert [r.multiplicity for r in real_roots(p, 0, 2)] == [2, 2, 3]
+
+
+class TestOneRemainderSequence:
+    """`real_roots` runs the remainder sequence of (p, p') once: its last
+    member is both the squarefree test and the start of Yun's loop."""
+
+    @pytest.mark.parametrize("p, squarefree", [
+        (poly(-2, 0, 1) * poly(1, -3) * poly(F(1, 2), 0, 0, 1), True),
+        (poly(-1, 1) ** 2 * poly(-2, 1) ** 3 * poly(-2, 0, 1) ** 2 * poly(1, 1), False),
+    ])
+    def test_sequence_of_p_runs_once(self, p, squarefree, monkeypatch):
+        want = full_chain_real_roots(p, -3, 3)
+        starts = []
+
+        def spy(a, b):
+            starts.append(len(a) - 1)
+            return _zremainders(a, b)
+
+        monkeypatch.setattr(polys_mod, "_zremainders", spy)
+        monkeypatch.setattr(zpoly_mod, "_zremainders", spy)
+        assert real_roots(p, -3, 3) == want
+        assert starts.count(p.degree) == 1
+        # Yun's gcds and the factors' own chains start below p's degree
+        assert (len(starts) == 1) == squarefree
+
+    @settings(max_examples=150, deadline=None)
+    @given(_root_cases())
+    def test_last_member_is_the_squarefree_test(self, case):
+        p = case[0]
+        assume(p.degree > 0)
+        squarefree = squarefree_decomposition(p) == [(p.monic(), 1)]
+        assert (len(sturm_chain(p)[-1]) == 1) == squarefree
 
 
 def _with_roots(c, roots, other):

@@ -117,6 +117,14 @@ class TestPerronRadius:
         with pytest.raises(IterationBudgetExceededError):
             perron_radius(v_similar(es), tol=F(1, 10**40), budget=0)
 
+    @pytest.mark.parametrize("tol", [0, F(-1, 10**12), -1.0])
+    def test_nonpositive_tol_rejected(self, tol):
+        # no bracket of an irrational radius closes at width 0, so the
+        # iteration would run out its whole budget
+        m = Matrix([[0, 1, 1], [1, 0, 1], [1, 1, 1]])
+        with pytest.raises(ValueError, match="tol"):
+            perron_radius(m, tol=tol)
+
     def test_empty_matrix(self):
         pr = perron_radius(Matrix([]))
         assert pr.nilpotent and pr.lower == 0
